@@ -1,19 +1,16 @@
-"""Pure-Python kernels for the hot simulation paths.
+"""Kernels for the hot simulation paths.
 
 Two data structures dominate the inner loop of every run: the time-ordered
 action calendar that drives the virtual clock, and the XOR hash table that
-tracks causal trees for at-least-once delivery.  ``_native`` provides a
-compiled twin of this module; both must behave identically (same pop order,
-same sweep results) so runs are bit-reproducible on either backend.
+tracks causal trees for at-least-once delivery.  Both are deterministic
+(same pop order, same sweep results), so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
 
-BACKEND_NAME = "pure"
-
-# ack() result codes, shared with the native kernel
+# ack() result codes
 ACK_OK = 0
 ACK_COMPLETED = 1
 ACK_UNKNOWN = 2
@@ -154,3 +151,8 @@ class AckerTable:
             entry[1] = now_ms
             entry[2] = False
         return expired
+
+
+def active_backend() -> str:
+    """Name of the kernel implementation; benchmark runs record it."""
+    return "pure"

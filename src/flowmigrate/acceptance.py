@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import _kernels
 from .metrics import (
     MetricsReport,
     Timeline,
@@ -69,16 +68,14 @@ class CriterionResult:
 class RunCache:
     """Lazily executes and memoizes scenario runs for the whole suite."""
 
-    def __init__(self, kernel_backend: str | None = None) -> None:
-        self.kernel_backend = kernel_backend
+    def __init__(self) -> None:
         self._runs: dict[tuple[str, str, bool], RunResult] = {}
 
     def get(self, scenario: str, strategy: str, migrate: bool = True) -> RunResult:
         key = (scenario, strategy, migrate)
         if key not in self._runs:
             config = with_overrides(load_bundled_scenario(scenario), strategy=strategy)
-            engine = SimulationEngine(config, kernel_backend=self.kernel_backend,
-                                      migrate=migrate)
+            engine = SimulationEngine(config, migrate=migrate)
             timeline = engine.run()
             report = compute_report(timeline, config) if migrate else None
             stateful = {}
@@ -241,7 +238,7 @@ def check_xor_acker_oracle(trees: int = 1000, seed: int = 20_240_613) -> Criteri
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(trees):
-        acker = AckerService(timeout_ms=10 ** 9, table=_kernels.AckerTable())
+        acker = AckerService(timeout_ms=10 ** 9)
         root = rng.getrandbits(64) or 1
         acker.register_root(root, 0)
         outstanding = {root}  # the oracle: exact set of un-acked event ids
@@ -323,8 +320,8 @@ def check_stabilization(cache: RunCache) -> CriterionResult:
 def check_determinism(cache: RunCache, scenario: str = "diamond_scalein") -> CriterionResult:
     """Same scenario and seed twice: byte-identical timeline CSV."""
     config = with_overrides(load_bundled_scenario(scenario), strategy="CCR")
-    first = SimulationEngine(config, kernel_backend=cache.kernel_backend).run().to_csv()
-    second = SimulationEngine(config, kernel_backend=cache.kernel_backend).run().to_csv()
+    first = SimulationEngine(config).run().to_csv()
+    second = SimulationEngine(config).run().to_csv()
     passed = first == second
     return CriterionResult(
         "determinism (byte-identical timelines)",

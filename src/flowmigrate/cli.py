@@ -33,14 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--realtime-scale", type=float, default=0.0,
-                       help="pace the simulation at this fraction of real time (0 = as fast as possible)")
         p.add_argument("--ack-timeout", type=float, default=None,
                        help="override ackTimeout (seconds)")
         p.add_argument("--rebalance-duration", type=float, default=None,
                        help="override rebalanceDuration (seconds)")
-        p.add_argument("--kernel", choices=["pure", "native"], default=None,
-                       help="force a kernel backend")
 
     p_run = sub.add_parser("run", help="run one scenario and write timeline.csv + report.json")
     p_run.add_argument("scenario", help="scenario file path or bundled name")
@@ -52,8 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("scenario", help="scenario file path or bundled name")
     add_common(p_cmp)
 
-    p_rep = sub.add_parser("reproduce", help="run the bundled suite and check every acceptance criterion")
-    p_rep.add_argument("--kernel", choices=["pure", "native"], default=None)
+    sub.add_parser("reproduce", help="run the bundled suite and check every acceptance criterion")
 
     sub.add_parser("scenarios", help="list bundled scenarios")
     return parser
@@ -89,8 +84,7 @@ def _write_outputs(out_dir: Path, timeline, report) -> None:
 
 def cmd_run(args) -> int:
     config = _load(args, strategy=args.strategy)
-    timeline, _engine = run_scenario(config, kernel_backend=args.kernel,
-                                     realtime_scale=args.realtime_scale)
+    timeline, _engine = run_scenario(config)
     report = compute_report(timeline, config)
     out_dir = Path(args.out) if args.out else Path("runs") / f"{config.name}-{config.strategy.lower()}-s{config.randomSeed}"
     _write_outputs(out_dir, timeline, report)
@@ -127,8 +121,7 @@ def cmd_compare(args) -> int:
     reports = {}
     for strategy in ("DSM", "DCR", "CCR"):
         config = with_overrides(base, strategy=strategy)
-        timeline, _ = run_scenario(config, kernel_backend=args.kernel,
-                                   realtime_scale=args.realtime_scale)
+        timeline, _ = run_scenario(config)
         reports[strategy] = compute_report(timeline, config)
         if args.out:
             _write_outputs(Path(args.out) / strategy.lower(), timeline, reports[strategy])
@@ -159,7 +152,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    cache = acceptance.RunCache(kernel_backend=args.kernel)
+    cache = acceptance.RunCache()
     failed = False
     for _name, check in acceptance.ALL_CRITERIA:
         result = check(cache)

@@ -106,9 +106,6 @@ class Schedule:
 
     placements: dict[str, tuple[str, int]]
 
-    def vm_of(self, inst: str) -> str:
-        return self.placements[inst][0]
-
     def validate(self, instances: list[str], vms: list[VmDef]) -> None:
         slot_counts = {vm.vmId: vm.slotCount for vm in vms}
         seen: set[tuple[str, int]] = set()

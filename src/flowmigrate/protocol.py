@@ -25,7 +25,6 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, WaveConflictError
-from .model import Schedule
 from .reliability import CheckpointRecord
 from .runtime import (
     COMMIT,
@@ -74,18 +73,9 @@ class WaveState:
     drained: bool = False  # PREPARE must find no data behind it (DCR)
 
 
-@dataclass(frozen=True)
-class MigrationRequest:
-    requestTs: int
-    scheduleAfter: Schedule
-    migratingInstances: frozenset
-    strategy: str
-
-
 class CheckpointCoordinator:
     """Wave machinery shared by all strategies; subclasses sequence phases."""
 
-    strategy = "?"
     defers_stateful_acks = False
 
     def __init__(self, engine: SimulationEngine) -> None:
@@ -94,7 +84,6 @@ class CheckpointCoordinator:
         self.waves: dict[int, WaveState] = {}
         self.active: dict[str, WaveState] = {}
         self.markers: dict[str, int] = {}
-        self.request: MigrationRequest | None = None
         self.migration_ckpt = 0
         self.migration_done = False
         self.aborted = False
@@ -116,15 +105,6 @@ class CheckpointCoordinator:
     def mark(self, name: str) -> None:
         self.markers[name] = self.engine.now
         self.engine.record_phase(name)
-
-    def _build_request(self) -> MigrationRequest:
-        eng = self.engine
-        return MigrationRequest(
-            requestTs=eng.now,
-            scheduleAfter=eng.config.scheduleAfter,
-            migratingInstances=frozenset(eng.migrating),
-            strategy=self.strategy,
-        )
 
     def alive_ids(self) -> frozenset:
         return frozenset(
@@ -198,7 +178,7 @@ class CheckpointCoordinator:
         if not counts or wave.complete or wave.superseded:
             return
         wave.ackedBy.add(inst.instanceId)
-        if wave.kind == INIT and not self._first_init_seen and self.request is not None:
+        if wave.kind == INIT and not self._first_init_seen and self.engine.migration_requested:
             self._first_init_seen = True
             self.mark(FIRST_INIT_ACKED)
         if wave.expected <= wave.ackedBy:
@@ -388,11 +368,8 @@ class CheckpointCoordinator:
 class DcrCoordinator(CheckpointCoordinator):
     """Drain the dataflow behind a sequential barrier, checkpoint, restore."""
 
-    strategy = "DCR"
-
     def on_migration_trigger(self) -> None:
         eng = self.engine
-        self.request = self._build_request()
         self.mark(REQUEST)
         eng.pause_source()
         self.migration_ckpt = self.next_checkpoint_id
@@ -440,11 +417,8 @@ class DcrCoordinator(CheckpointCoordinator):
 class CcrCoordinator(DcrCoordinator):
     """Capture in-flight events per instance, checkpoint them, resume."""
 
-    strategy = "CCR"
-
     def on_migration_trigger(self) -> None:
         eng = self.engine
-        self.request = self._build_request()
         self.mark(REQUEST)
         eng.pause_source()
         self.migration_ckpt = self.next_checkpoint_id
@@ -527,8 +501,6 @@ class CcrCoordinator(DcrCoordinator):
 class DsmCoordinator(CheckpointCoordinator):
     """Stock behavior: immediate rebalance, acking and periodic checkpoints."""
 
-    strategy = "DSM"
-
     def __init__(self, engine: SimulationEngine) -> None:
         super().__init__(engine)
         self.migration_started = False
@@ -565,7 +537,6 @@ class DsmCoordinator(CheckpointCoordinator):
         self._schedule_periodic()
 
     def on_migration_trigger(self) -> None:
-        self.request = self._build_request()
         self.migration_started = True
         self.mark(REQUEST)
         # Abandon any checkpoint wave caught mid-flight by the kill.

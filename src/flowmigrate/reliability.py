@@ -33,10 +33,9 @@ COMMITTED = "COMMITTED"
 class AckerService:
     """Causal-tree tracking via 64-bit XOR hashes, with timeout sweeps."""
 
-    def __init__(self, timeout_ms: int, table=None) -> None:
+    def __init__(self, timeout_ms: int) -> None:
         self.timeout_ms = timeout_ms
-        self._table = table if table is not None else _kernels.AckerTable()
-        self.replayable: list[int] = []
+        self._table = _kernels.AckerTable()
 
     def __len__(self) -> int:
         return len(self._table)

@@ -13,7 +13,6 @@ import math
 import random
 import struct
 import tempfile
-import time as _wallclock
 from collections import deque
 
 from . import _kernels
@@ -185,28 +184,30 @@ class SimClock:
 class SimulationEngine:
     """Owns all runtime state for one scenario run."""
 
-    def __init__(self, config: ScenarioConfig, kernel_backend: str | None = None,
-                 store: StateStore | None = None, migrate: bool = True) -> None:
+    def __init__(self, config: ScenarioConfig, store: StateStore | None = None,
+                 migrate: bool = True) -> None:
         if len(config.dag.sourceTasks) != 1:
             raise ConfigError("the engine supports exactly one source task")
         self.migrate = migrate
-        backend = _kernels.get_backend(kernel_backend)
         self.config = config
         self.dag = config.dag
-        self.clock = SimClock(backend.EventCalendar())
+        self.clock = SimClock(_kernels.EventCalendar())
         self.rng = random.Random(config.randomSeed)
         self.timeline = Timeline()
         self.run_end_ms = self._ms(config.runDuration)
         self.ack_timeout_ms = self._ms(config.ackTimeout)
         self.net_delay_ms = config.networkDelayMs
         self.acking_data = config.data_acking_enabled()
-        self.acker = AckerService(self.ack_timeout_ms, backend.AckerTable())
-        self.wave_acker = AckerService(self.ack_timeout_ms, backend.AckerTable())
+        self.acker = AckerService(self.ack_timeout_ms)
+        self.wave_acker = AckerService(self.ack_timeout_ms)
+        # A checkpoint directory the engine creates is removed when run()
+        # ends; the records stay readable in the store's memory.
+        self._store_dir: tempfile.TemporaryDirectory | None = None
         if store is not None:
             self.store = store
         elif config.storeBackend == "file":
-            directory = tempfile.mkdtemp(prefix="flowmigrate-ckpt-")
-            self.store = StateStore("file", directory)
+            self._store_dir = tempfile.TemporaryDirectory(prefix="flowmigrate-ckpt-")
+            self.store = StateStore("file", self._store_dir.name)
         else:
             self.store = StateStore("memory")
         self.store.latency.write_base_ms = config.storeWriteBaseMs
@@ -263,25 +264,27 @@ class SimulationEngine:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, realtime_scale: float = 0.0) -> Timeline:
-        self._schedule_emission(self.source.next_tick)
-        if self.acking_data:
-            self._schedule_sweep(self.ack_timeout_ms // 2)
-        if self.migrate:
-            self.clock.schedule_at(self._ms(self.config.migrationTriggerAt),
-                                   self._trigger_migration)
-        self.coordinator.on_run_start()
+    def run(self) -> Timeline:
+        try:
+            self._schedule_emission(self.source.next_tick)
+            if self.acking_data:
+                self._schedule_sweep(self.ack_timeout_ms // 2)
+            if self.migrate:
+                self.clock.schedule_at(self._ms(self.config.migrationTriggerAt),
+                                       self._trigger_migration)
+            self.coordinator.on_run_start()
 
-        calendar = self.clock._calendar
-        while len(calendar):
-            fire_ms, _seq, action = calendar.pop()
-            if realtime_scale > 0 and fire_ms > self.clock.now:
-                _wallclock.sleep((fire_ms - self.clock.now) * realtime_scale / 1000.0)
-            self.clock.now = fire_ms
-            action()
-            self._actions += 1
-            if self._actions > _MAX_ACTIONS:
-                raise InvariantViolation("action budget exceeded; runaway schedule")
+            calendar = self.clock._calendar
+            while len(calendar):
+                fire_ms, _seq, action = calendar.pop()
+                self.clock.now = fire_ms
+                action()
+                self._actions += 1
+                if self._actions > _MAX_ACTIONS:
+                    raise InvariantViolation("action budget exceeded; runaway schedule")
+        finally:
+            if self._store_dir is not None:
+                self._store_dir.cleanup()
         return self.timeline
 
     def _trigger_migration(self) -> None:
@@ -556,9 +559,6 @@ class SimulationEngine:
 
     # -- views -------------------------------------------------------------------
 
-    def alive_instances(self) -> list[TaskInstanceRuntime]:
-        return [inst for inst in self.instances.values() if inst.alive()]
-
     def entry_instances(self) -> list[TaskInstanceRuntime]:
         """Instances of the tasks fed directly by the source."""
         out = []
@@ -584,20 +584,9 @@ class SimulationEngine:
             total += 1
         return total
 
-    def stateful_count_total(self) -> int:
-        """Sum of processed counts over stateful task instances."""
-        return sum(
-            inst.state.processedCount
-            for inst in self.instances.values()
-            if inst.task.stateful
-        )
 
-
-def run_scenario(config: ScenarioConfig, kernel_backend: str | None = None,
-                 realtime_scale: float = 0.0, store: StateStore | None = None,
+def run_scenario(config: ScenarioConfig, store: StateStore | None = None,
                  migrate: bool = True) -> tuple[Timeline, SimulationEngine]:
     """Run one scenario to completion; returns the timeline and the engine."""
-    engine = SimulationEngine(config, kernel_backend=kernel_backend, store=store,
-                              migrate=migrate)
-    timeline = engine.run(realtime_scale=realtime_scale)
-    return timeline, engine
+    engine = SimulationEngine(config, store=store, migrate=migrate)
+    return engine.run(), engine

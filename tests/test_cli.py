@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from flowmigrate.cli import main
+from flowmigrate.model import bundled_scenario_names
 
 
 def run_cli(*argv):
@@ -124,3 +129,12 @@ class TestScenarios:
         assert run_cli("scenarios") == 0
         out = capsys.readouterr().out.split()
         assert "grid_scalein" in out and len(out) == 11
+
+    def test_python_dash_m_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "flowmigrate", "scenarios"],
+                              capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == bundled_scenario_names()
+        assert len(done.stdout.split()) == 11

@@ -2,32 +2,31 @@ import random
 
 import pytest
 
-from flowmigrate._kernels import available_backends, get_backend
-
-BACKENDS = sorted(available_backends())
+from flowmigrate._kernels import AckerTable, EventCalendar
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return get_backend(request.param)
+@pytest.fixture(autouse=True, params=["pure"])
+def _node_id():
+    """Keeps the tests' node ids ("...[pure]") from when two kernel
+    implementations were compared, so their history stays comparable."""
 
 
 class TestEventCalendar:
-    def test_orders_by_time(self, backend):
-        cal = backend.EventCalendar()
+    def test_orders_by_time(self):
+        cal = EventCalendar()
         cal.push(30, "c")
         cal.push(10, "a")
         cal.push(20, "b")
         assert [cal.pop()[2] for _ in range(3)] == ["a", "b", "c"]
 
-    def test_ties_break_by_insertion(self, backend):
-        cal = backend.EventCalendar()
+    def test_ties_break_by_insertion(self):
+        cal = EventCalendar()
         for tag in "abcde":
             cal.push(5, tag)
         assert [cal.pop()[2] for _ in range(5)] == list("abcde")
 
-    def test_interleaved_push_pop(self, backend):
-        cal = backend.EventCalendar()
+    def test_interleaved_push_pop(self):
+        cal = EventCalendar()
         rng = random.Random(42)
         reference = []
         seq = 0
@@ -49,19 +48,19 @@ class TestEventCalendar:
             popped.append(cal.pop()[2])
         assert popped == expected
 
-    def test_peek_and_len(self, backend):
-        cal = backend.EventCalendar()
+    def test_peek_and_len(self):
+        cal = EventCalendar()
         assert cal.peek_time() == -1
         cal.push(7, None)
         assert cal.peek_time() == 7
         assert len(cal) == 1
 
-    def test_pop_empty_raises(self, backend):
+    def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            backend.EventCalendar().pop()
+            EventCalendar().pop()
 
-    def test_growth_beyond_initial_capacity(self, backend):
-        cal = backend.EventCalendar()
+    def test_growth_beyond_initial_capacity(self):
+        cal = EventCalendar()
         for i in range(10_000):
             cal.push(i % 97, i)
         assert len(cal) == 10_000
@@ -73,8 +72,8 @@ class TestEventCalendar:
 
 
 class TestAckerTable:
-    def test_register_anchor_ack_cycle(self, backend):
-        table = backend.AckerTable()
+    def test_register_anchor_ack_cycle(self):
+        table = AckerTable()
         assert table.register(0x5, 0)
         assert table.hash_of(0x5) == 0x5
         table.anchor(0x5, 0x3)
@@ -84,13 +83,13 @@ class TestAckerTable:
         assert table.ack(0x5, 0x3) == 1  # completed
         assert table.is_completed(0x5)
 
-    def test_duplicate_register_refused(self, backend):
-        table = backend.AckerTable()
+    def test_duplicate_register_refused(self):
+        table = AckerTable()
         assert table.register(9, 0)
         assert not table.register(9, 1)
 
-    def test_sweep_reregisters(self, backend):
-        table = backend.AckerTable()
+    def test_sweep_reregisters(self):
+        table = AckerTable()
         table.register(1, 0)
         table.register(2, 5_000)
         table.anchor(1, 77)
@@ -104,64 +103,16 @@ class TestAckerTable:
         assert table.sweep(60_000, 30_000) == [1]
         assert table.sweep(65_000, 30_000) == [2]
 
-    def test_completed_roots_not_swept(self, backend):
-        table = backend.AckerTable()
+    def test_completed_roots_not_swept(self):
+        table = AckerTable()
         table.register(1, 0)
         table.ack(1, 1)
         assert table.sweep(100_000, 30_000) == []
 
-    def test_discarded_roots_disappear(self, backend):
-        table = backend.AckerTable()
+    def test_discarded_roots_disappear(self):
+        table = AckerTable()
         table.register(1, 0)
         table.discard(1)
         assert not table.contains(1)
         assert table.sweep(100_000, 30_000) == []
         assert table.pending_count() == 0
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="native kernel not built")
-class TestBackendEquivalence:
-    def test_calendar_pop_order_identical(self):
-        pure, native = get_backend("pure"), get_backend("native")
-        a, b = pure.EventCalendar(), native.EventCalendar()
-        rng = random.Random(7)
-        for i in range(5000):
-            t = rng.randrange(500)
-            a.push(t, i)
-            b.push(t, i)
-        assert [a.pop() for _ in range(5000)] == [b.pop() for _ in range(5000)]
-
-    def test_acker_behavior_identical(self):
-        pure, native = get_backend("pure"), get_backend("native")
-        a, b = pure.AckerTable(), native.AckerTable()
-        rng = random.Random(13)
-        roots = []
-        for step in range(20_000):
-            op = rng.random()
-            if op < 0.25 or not roots:
-                root = rng.getrandbits(64) or 1
-                assert a.register(root, step) == b.register(root, step)
-                roots.append(root)
-            elif op < 0.55:
-                root = rng.choice(roots)
-                event = rng.getrandbits(64)
-                assert a.anchor(root, event) == b.anchor(root, event)
-            elif op < 0.9:
-                root = rng.choice(roots)
-                event = rng.getrandbits(64) if rng.random() < 0.5 else root
-                assert a.ack(root, event) == b.ack(root, event)
-            else:
-                now = step * 7
-                assert a.sweep(now, 1000) == b.sweep(now, 1000)
-        assert a.pending_count() == b.pending_count()
-
-    def test_full_run_identical(self, suite_cache):
-        from flowmigrate.model import load_bundled_scenario, with_overrides
-        from flowmigrate.runtime import run_scenario
-
-        config = with_overrides(load_bundled_scenario("linear_scalein"),
-                                strategy="CCR", runDuration=120.0,
-                                migrationTriggerAt=30.0)
-        pure_tl, _ = run_scenario(config, kernel_backend="pure")
-        native_tl, _ = run_scenario(config, kernel_backend="native")
-        assert pure_tl.to_csv() == native_tl.to_csv()

@@ -141,7 +141,7 @@ class TestRoundRobin:
         # 5 instances over 3 VMs x 2 slots: VMs cycle 1,2,3,1,2.
         vms = [VmDef("vm1", 2), VmDef("vm2", 2), VmDef("vm3", 2)]
         schedule = round_robin_placement([f"i{k}" for k in range(5)], vms)
-        assert [schedule.vm_of(f"i{k}") for k in range(5)] == \
+        assert [schedule.placements[f"i{k}"][0] for k in range(5)] == \
             ["vm1", "vm2", "vm3", "vm1", "vm2"]
 
     def test_even_division(self):
@@ -149,7 +149,7 @@ class TestRoundRobin:
         schedule = round_robin_placement([f"i{k}" for k in range(8)], vms)
         per_vm = {"a": 0, "b": 0}
         for inst in schedule.placements:
-            per_vm[schedule.vm_of(inst)] += 1
+            per_vm[schedule.placements[inst][0]] += 1
         assert per_vm == {"a": 4, "b": 4}
 
     def test_insufficient_slots(self):
@@ -165,8 +165,8 @@ class TestRoundRobin:
     def test_skips_full_vms(self):
         vms = [VmDef("a", 1), VmDef("b", 3)]
         schedule = round_robin_placement(["i0", "i1", "i2", "i3"], vms)
-        assert schedule.vm_of("i0") == "a"
-        assert all(schedule.vm_of(f"i{k}") == "b" for k in (1, 2, 3))
+        assert schedule.placements["i0"][0] == "a"
+        assert all(schedule.placements[f"i{k}"][0] == "b" for k in (1, 2, 3))
 
 
 class TestParseScenario:

@@ -1,4 +1,5 @@
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,19 @@ class TestFileBackend:
         file_tl = SimulationEngine(config, store=file_store).run()
         assert memory_tl.to_csv() == file_tl.to_csv()
         assert list(tmp_path.glob("*.ckpt"))
+
+    def test_engine_removes_its_own_checkpoint_directory(self, tmp_path, monkeypatch):
+        from flowmigrate.model import load_bundled_scenario, with_overrides
+        from flowmigrate.runtime import run_scenario
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        config = with_overrides(load_bundled_scenario("linear_scalein"), strategy="CCR",
+                                runDuration=120.0, migrationTriggerAt=30.0)
+        memory_tl, _ = run_scenario(config)
+        file_tl, engine = run_scenario(with_overrides(config, storeBackend="file"))
+        assert engine.store._dir.parent == tmp_path and engine.store._records
+        assert not list(tmp_path.glob("flowmigrate-ckpt-*"))
+        assert file_tl.to_csv() == memory_tl.to_csv()
 
 
 class TestLatencyModel:
