@@ -8,7 +8,8 @@ tracks causal trees for at-least-once delivery.  Both are deterministic
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 
 # ack() result codes
 ACK_OK = 0
@@ -18,35 +19,55 @@ ACK_ALREADY_DONE = 3
 
 
 class EventCalendar:
-    """Min-heap of (fire_time_ms, sequence, payload) with FIFO tie-break.
+    """Actions in (fire_time_ms, sequence) order, as (time, seq, payload).
 
     Sequence numbers are assigned on push, so actions scheduled for the
     same millisecond fire in insertion order.  Payloads are never compared.
+
+    Two levels: a push for the current millisecond (the latest fire time
+    popped) joins a FIFO lane; any other push goes to a min-heap.  A heap
+    entry at or before the current millisecond was pushed before any lane
+    entry (the lane fills only once that millisecond is current), so
+    popping those heap entries first, then the lane, then advancing along
+    the heap is exact (time, seq) order.  Zero-delay actions skip the heap.
     """
 
-    __slots__ = ("_heap", "_next_seq")
+    __slots__ = ("_heap", "_fifo", "_now", "_next_seq")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, object]] = []
+        self._fifo: deque[tuple[int, int, object]] = deque()
+        self._now = 0
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._fifo)
 
     def push(self, fire_ms: int, payload: object) -> int:
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self._heap, (fire_ms, seq, payload))
+        if fire_ms == self._now:
+            self._fifo.append((fire_ms, seq, payload))
+        else:
+            heappush(self._heap, (fire_ms, seq, payload))
         return seq
 
     def pop(self) -> tuple[int, int, object]:
-        return heapq.heappop(self._heap)
+        heap = self._heap
+        if heap and heap[0][0] <= self._now:
+            return heappop(heap)
+        if self._fifo:
+            return self._fifo.popleft()
+        entry = heappop(heap)  # IndexError when the calendar is empty
+        self._now = entry[0]
+        return entry
 
     def peek_time(self) -> int:
         """Fire time of the next action; -1 when empty."""
-        if not self._heap:
-            return -1
-        return self._heap[0][0]
+        heap = self._heap
+        if heap and (not self._fifo or heap[0][0] <= self._now):
+            return heap[0][0]
+        return self._now if self._fifo else -1
 
 
 class AckerTable:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import InvariantViolation, WaveConflictError
 from .reliability import CheckpointRecord
@@ -167,10 +168,8 @@ class CheckpointCoordinator:
     def _forward_wave(self, wave: WaveState, inst: TaskInstanceRuntime) -> None:
         if wave.complete or wave.superseded:
             return  # a nested handler may have finished the wave already
-        eng = self.engine
-        for edge in eng.dag.out_edges(inst.task.taskId):
-            for child_id in eng.instances_of[edge.toTask]:
-                self._send_copy(wave, eng.instances[child_id])
+        for child in self.engine.downstream[inst.task.taskId]:
+            self._send_copy(wave, child)
 
     def _ack_copy(self, wave: WaveState, inst: TaskInstanceRuntime,
                   env: EventEnvelope, counts: bool) -> None:
@@ -238,9 +237,9 @@ class CheckpointCoordinator:
         # Assembling the snapshot runs through the task like one more
         # event: the barrier costs a service time at every hop.
         inst.in_service = env
-        gen = inst.generation
         self.engine.clock.schedule_in(
-            inst.task.serviceTimeMs, lambda: self._prepare_done(inst, env, wave, gen)
+            inst.task.serviceTimeMs,
+            partial(self._prepare_done, inst, env, wave, inst.generation),
         )
 
     def _prepare_done(self, inst, env, wave, gen) -> None:
@@ -268,9 +267,8 @@ class CheckpointCoordinator:
         record = self.commit_record(inst, wave)
         latency = self.engine.store.write_latency_ms(record)
         inst.in_service = env  # persisting occupies the single service slot
-        gen = inst.generation
         self.engine.clock.schedule_in(
-            latency, lambda: self._commit_persisted(inst, env, wave, record, gen)
+            latency, partial(self._commit_persisted, inst, env, wave, record, inst.generation)
         )
 
     def _commit_persisted(self, inst, env, wave, record, gen) -> None:
@@ -345,7 +343,7 @@ class CheckpointCoordinator:
             delay = eng.rng.randint(
                 eng.config.workerStartupMinMs, eng.config.workerStartupMaxMs
             )
-            eng.clock.schedule_in(delay, lambda i=inst_id: eng.respawn_instance(i))
+            eng.clock.schedule_in(delay, partial(eng.respawn_instance, inst_id))
         self.mark(REBALANCE_DONE)
         self.on_rebalance_done()
 
@@ -353,7 +351,7 @@ class CheckpointCoordinator:
 
     def schedule_prepare_rollback_check(self, wave: WaveState) -> None:
         eng = self.engine
-        eng.clock.schedule_in(eng.ack_timeout_ms, lambda: self._check_prepare(wave))
+        eng.clock.schedule_in(eng.ack_timeout_ms, partial(self._check_prepare, wave))
 
     def _check_prepare(self, wave: WaveState) -> None:
         if wave.complete or wave.superseded or self.aborted:
@@ -430,9 +428,9 @@ class CcrCoordinator(DcrCoordinator):
         # Broadcast barrier: assemble the snapshot (one service time), then
         # freeze the queue into the pending list; persisted at commit.
         inst.in_service = env
-        gen = inst.generation
         self.engine.clock.schedule_in(
-            inst.task.serviceTimeMs, lambda: self._capture_done(inst, env, wave, gen)
+            inst.task.serviceTimeMs,
+            partial(self._capture_done, inst, env, wave, inst.generation),
         )
 
     def _capture_done(self, inst, env, wave, gen) -> None:
@@ -552,7 +550,7 @@ class DsmCoordinator(CheckpointCoordinator):
     def _start_init_wave(self) -> None:
         wave = self.start_wave(INIT, SEQUENTIAL, self.last_committed_ckpt, supersede=True)
         eng = self.engine
-        eng.clock.schedule_in(eng.ack_timeout_ms, lambda: self._check_init(wave))
+        eng.clock.schedule_in(eng.ack_timeout_ms, partial(self._check_init, wave))
 
     def _check_init(self, wave: WaveState) -> None:
         # Un-acked INIT within the ack timeout: re-issue the whole wave.

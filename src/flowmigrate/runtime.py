@@ -14,13 +14,13 @@ import random
 import struct
 import tempfile
 from collections import deque
+from functools import partial
 
 from . import _kernels
 from .errors import ConfigError, FlowMigrateError, InvariantViolation
 from .metrics import Timeline
 from .model import (
     DUPLICATE,
-    SHUFFLE,
     ScenarioConfig,
     instance_id as make_instance_id,
     migrating_instances,
@@ -138,9 +138,6 @@ class TaskInstanceRuntime:
         self.last_restored_ckpt = -1
         self.prepared_snapshot: bytes | None = None
 
-    def alive(self) -> bool:
-        return self.status in (RUNNING, READY)
-
     def reset_routing(self) -> None:
         self.rr_edges = 0
         self.rr_targets.clear()
@@ -178,7 +175,10 @@ class SimClock:
         self._calendar.push(fire_ms, action)
 
     def schedule_in(self, delay_ms: int, action) -> None:
-        self.schedule_at(self.now + delay_ms, action)
+        if delay_ms < 0:
+            raise InvariantViolation(
+                f"scheduling into the past: {self.now + delay_ms} < {self.now}")
+        self._calendar.push(self.now + delay_ms, action)
 
 
 class SimulationEngine:
@@ -233,7 +233,7 @@ class SimulationEngine:
             self.instances_of[tid] = ids
 
         self.migrating = sorted(migrating_instances(config.scheduleBefore, config.scheduleAfter))
-        self._edge_index = {id(e): i for i, e in enumerate(self.dag.edges)}
+        self._compile_routes()
         self._actions = 0
         self._emit_rate = config.sourceRate
         self._cap = config.maxPendingRoots
@@ -245,6 +245,43 @@ class SimulationEngine:
         from .protocol import make_coordinator  # deferred: protocol imports runtime
 
         self.coordinator = make_coordinator(self)
+
+    def _compile_routes(self) -> None:
+        """Per-task routing plans, compiled once from the DAG.
+
+        ``_plans[task]`` holds the DUPLICATE and the SHUFFLE out-edges, each
+        edge as (edge index, target instances), in declaration order;
+        ``downstream[task]`` holds every out-edge target instance in edge
+        order (the path of a sequential wave).  Holding the instance
+        objects is safe: respawn resets them in place.
+        """
+        targets_of = {tid: tuple(self.instances[iid] for iid in ids)
+                      for tid, ids in self.instances_of.items()}
+        dup: dict[str, list] = {}
+        shuffle: dict[str, list] = {}
+        downstream: dict[str, list] = {}
+        upstream: dict[str, int] = {}
+        fed_by_source: set[str] = set()
+        for idx, e in enumerate(self.dag.edges):
+            targets = targets_of[e.toTask]
+            lane = dup if e.grouping == DUPLICATE else shuffle
+            lane.setdefault(e.fromTask, []).append((idx, targets))
+            downstream.setdefault(e.fromTask, []).extend(targets)
+            if e.fromTask == self.source_task_id:
+                fed_by_source.add(e.toTask)
+            else:
+                upstream[e.toTask] = upstream.get(e.toTask, 0) + len(targets_of[e.fromTask])
+        tasks = [self.source_task_id, *self.instances_of]
+        self._plans = {tid: (tuple(dup.get(tid, ())), tuple(shuffle.get(tid, ())))
+                       for tid in tasks}
+        self.downstream = {tid: tuple(downstream.get(tid, ())) for tid in tasks}
+        # Barrier copies a task instance expects per sequential wave: one
+        # per upstream task instance, plus one injected by the wave
+        # coordinator when the task is fed directly by the source.
+        self._upstream_counts = {}
+        for tid in self.instances_of:
+            count = upstream.get(tid, 0)
+            self._upstream_counts[tid] = count + 1 if tid in fed_by_source or count == 0 else count
 
     # -- time helpers --------------------------------------------------------
 
@@ -274,10 +311,12 @@ class SimulationEngine:
                                        self._trigger_migration)
             self.coordinator.on_run_start()
 
-            calendar = self.clock._calendar
-            while len(calendar):
-                fire_ms, _seq, action = calendar.pop()
-                self.clock.now = fire_ms
+            clock = self.clock
+            calendar = clock._calendar
+            pop = calendar.pop
+            while calendar:
+                fire_ms, _seq, action = pop()
+                clock.now = fire_ms
                 action()
                 self._actions += 1
                 if self._actions > _MAX_ACTIONS:
@@ -367,11 +406,10 @@ class SimulationEngine:
 
     # -- routing and delivery -------------------------------------------------
 
-    def _pick_instance(self, sender, edge, edge_idx: int) -> TaskInstanceRuntime:
-        targets = self.instances_of[edge.toTask]
+    def _pick_instance(self, sender, edge_idx: int, targets: tuple) -> TaskInstanceRuntime:
         counter = sender.rr_targets.get(edge_idx, 0)
         sender.rr_targets[edge_idx] = counter + 1
-        return self.instances[targets[counter % len(targets)]]
+        return targets[counter % len(targets)]
 
     def _route_emission(self, sender, task_id: str, env: EventEnvelope) -> None:
         """Send one produced event along the task's out-edges.
@@ -381,26 +419,18 @@ class SimulationEngine:
         several targets each copy gets a fresh anchored id and the
         never-delivered original is retired, keeping the XOR tree balanced.
         """
-        out = self.dag.out_edges(task_id)
-        if not out:
-            return
-        chosen: list = []
-        shuffle_edges = [e for e in out if e.grouping == SHUFFLE]
-        for e in out:
-            if e.grouping == DUPLICATE:
-                chosen.append(e)
-        if shuffle_edges:
-            idx = sender.rr_edges % len(shuffle_edges)
+        chosen, shuffle = self._plans[task_id]
+        if shuffle:
+            idx = sender.rr_edges % len(shuffle)
             sender.rr_edges += 1
-            chosen.append(shuffle_edges[idx])
-
+            chosen += (shuffle[idx],)
         if len(chosen) == 1:
-            e = chosen[0]
-            target = self._pick_instance(sender, e, self._edge_index[id(e)])
-            self.deliver(env, target)
+            self.deliver(env, self._pick_instance(sender, *chosen[0]))
             return
-        for e in chosen:
-            target = self._pick_instance(sender, e, self._edge_index[id(e)])
+        if not chosen:
+            return  # a task without out-edges
+        for edge_idx, targets in chosen:
+            target = self._pick_instance(sender, edge_idx, targets)
             copy = EventEnvelope(self.new_id(), env.rootId, env.rootSeqNo, env.kind,
                                  env.epoch, env.replayed, self.now)
             if self.acking_data:
@@ -410,7 +440,7 @@ class SimulationEngine:
             self._on_root_completed(env.rootId)
 
     def deliver(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
-        self.clock.schedule_in(self.net_delay_ms, lambda: self._arrive(env, target))
+        self.clock.schedule_in(self.net_delay_ms, partial(self._arrive, env, target))
 
     def _arrive(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
         if target.status == KILLED:
@@ -421,7 +451,7 @@ class SimulationEngine:
             # own their recovery).
             if env.kind == DATA:
                 self.clock.schedule_in(_TRANSPORT_RETRY_MS,
-                                       lambda: self._arrive(env, target))
+                                       partial(self._arrive, env, target))
             return
         target.queue.append(env)
         self._pump(target)
@@ -429,7 +459,7 @@ class SimulationEngine:
     # -- instance processing ---------------------------------------------------
 
     def _pump(self, inst: TaskInstanceRuntime) -> None:
-        while inst.in_service is None and inst.alive() and inst.queue:
+        while inst.in_service is None and inst.status in (RUNNING, READY) and inst.queue:
             env = inst.queue.popleft()
             if env.kind != DATA:
                 self.coordinator.on_control_event(inst, env)
@@ -441,10 +471,9 @@ class SimulationEngine:
                 inst.preInit.append(env)
                 continue
             inst.in_service = env
-            gen = inst.generation
             self.clock.schedule_in(
                 inst.task.serviceTimeMs,
-                lambda i=inst, e=env, g=gen: self._complete_service(i, e, g),
+                partial(self._complete_service, inst, env, inst.generation),
             )
 
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
@@ -559,30 +588,13 @@ class SimulationEngine:
 
     # -- views -------------------------------------------------------------------
 
-    def entry_instances(self) -> list[TaskInstanceRuntime]:
+    def entry_instances(self) -> tuple[TaskInstanceRuntime, ...]:
         """Instances of the tasks fed directly by the source."""
-        out = []
-        for e in self.dag.out_edges(self.source_task_id):
-            for iid in self.instances_of[e.toTask]:
-                out.append(self.instances[iid])
-        return out
+        return self.downstream[self.source_task_id]
 
     def upstream_instance_count(self, task_id: str) -> int:
-        """Barrier copies a task instance expects per sequential wave.
-
-        One per upstream task instance, plus one injected by the wave
-        coordinator when the task is fed directly by the source.
-        """
-        total = 0
-        fed_by_source = False
-        for e in self.dag.in_edges(task_id):
-            if e.fromTask == self.source_task_id:
-                fed_by_source = True
-            else:
-                total += self.dag.task(e.fromTask).instanceCount
-        if fed_by_source or total == 0:
-            total += 1
-        return total
+        """Barrier copies a task instance expects per sequential wave."""
+        return self._upstream_counts[task_id]
 
 
 def run_scenario(config: ScenarioConfig, store: StateStore | None = None,

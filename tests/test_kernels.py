@@ -1,8 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowmigrate._kernels import AckerTable, EventCalendar
+
+# One calendar operation: push at the last-popped millisecond, push later
+# or earlier than it by some milliseconds, or pop.
+_calendar_ops = st.lists(st.one_of(
+    st.just(("now", 0)),
+    st.tuples(st.just("later"), st.integers(1, 50)),
+    st.tuples(st.just("earlier"), st.integers(1, 50)),
+    st.just(("pop", 0)),
+), max_size=300)
 
 
 @pytest.fixture(autouse=True, params=["pure"])
@@ -58,6 +69,37 @@ class TestEventCalendar:
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventCalendar().pop()
+
+    @given(ops=_calendar_ops)
+    def test_any_interleaving_pops_in_time_seq_order(self, ops):
+        cal = EventCalendar()
+        reference: list[tuple[int, int]] = []  # (time, seq), sorted
+        last_popped = 0
+        seq = 0
+        for op, delta in ops:
+            if op == "pop":
+                if not reference:
+                    with pytest.raises(IndexError):
+                        cal.pop()
+                    continue
+                t, s, payload = cal.pop()
+                assert (t, s) == reference.pop(0)
+                assert payload == s
+                last_popped = t
+            else:
+                t = {"now": last_popped, "later": last_popped + delta,
+                     "earlier": last_popped - delta}[op]
+                assert cal.push(t, seq) == seq
+                reference.append((t, seq))
+                reference.sort()
+                seq += 1
+            assert len(cal) == len(reference)
+            assert cal.peek_time() == (reference[0][0] if reference else -1)
+        while reference:
+            assert cal.pop()[:2] == reference.pop(0)
+        assert len(cal) == 0 and cal.peek_time() == -1
+        with pytest.raises(IndexError):
+            cal.pop()
 
     def test_growth_beyond_initial_capacity(self):
         cal = EventCalendar()

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from conftest import make_chain_dag, make_scenario
-from flowmigrate.errors import FlowMigrateError
+from flowmigrate.errors import FlowMigrateError, InvariantViolation
 from flowmigrate.metrics import REPLAY, SINK_EXIT, SOURCE_EMIT, exactly_once_audit
 from flowmigrate.model import DagDef, Edge, TaskDef, load_bundled_dag
 from flowmigrate.runtime import (
@@ -83,6 +85,17 @@ class TestSourcePacing:
         # Chain latency is ~300ms, so at most a handful of roots in flight.
         assert max(cache_sizes) <= 8
         assert engine.source.root_cache == {} or len(engine.source.root_cache) <= 3
+
+
+class TestClock:
+    def test_scheduling_into_the_past_raises(self):
+        engine = quick_engine()
+        engine.clock.now = 1_000
+        with pytest.raises(InvariantViolation):
+            engine.clock.schedule_in(-1, engine.pause_source)
+        with pytest.raises(InvariantViolation):
+            engine.clock.schedule_at(engine.now - 1, engine.pause_source)
+        assert len(engine.clock._calendar) == 0
 
 
 class TestDelivery:
@@ -267,3 +280,32 @@ class TestDeterminism:
         a, _ = run_scenario(c1)
         b, _ = run_scenario(c2)
         assert a.to_csv() != b.to_csv()
+
+
+# Full SHA-256 of timeline.csv and report.json (to_csv()/to_json()) of
+# bundled runs that cover DUPLICATE and SHUFFLE routing, data acking,
+# checkpoint waves, kill and respawn.  Engine changes must leave them
+# byte-identical; a model change that alters them must say why.
+PINNED_RUNS = {
+    ("diamond_scalein", "DSM"): (
+        "3f37b780ed3a2022b3e21f95249125126c2acbda47ce6ab27a476769b5a67b13",
+        "cea67cb89d041139967b3f6cfa47f226580d9715b8fd490af8d579da71c437d1"),
+    ("diamond_scalein", "DCR"): (
+        "bf9d4d436a1f98b905aebdc63db425b8615af9f96d0516f5098bcb543a103317",
+        "8feccb6c590d41e99fb85b93feef20dc6e552987a6a0dce99338efe30aa1a9a4"),
+    ("diamond_scalein", "CCR"): (
+        "7d7bfc640356f58a4bce7baa8148ff37b9a7d974d0b0cb09062ade739c7822b4",
+        "5b6e7cd69a74e211fb90e2a419af54dcecee93b5423a9d8ccbe4a3c4dcf9989f"),
+    ("linear_scalein", "DSM"): (
+        "d6388d2fd5a420ac577f4e429dfd94afb8ec4e2d1c5d4cc913876d26b30128f3",
+        "2f856b13dc31fefb9d28459556a2afec2c0f3bb61c60dff7bab3bf126a7c738b"),
+}
+
+
+class TestPinnedTimelines:
+    @pytest.mark.parametrize("scenario,strategy", sorted(PINNED_RUNS))
+    def test_bundled_run_bytes_unchanged(self, suite_cache, scenario, strategy):
+        run = suite_cache.get(scenario, strategy)
+        digests = (hashlib.sha256(run.timeline.to_csv().encode()).hexdigest(),
+                   hashlib.sha256(run.report.to_json().encode()).hexdigest())
+        assert digests == PINNED_RUNS[scenario, strategy]
