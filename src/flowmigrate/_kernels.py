@@ -92,21 +92,11 @@ class AckerTable:
         """Track a new root; the root id counts as anchored once.
 
         Returns False if the root is already tracked (caller raises).
-        Re-registration after a sweep goes through ``reset`` instead.
+        A swept root is re-armed by ``sweep`` itself.
         """
         if root_id in self._entries:
             return False
         self._entries[root_id] = [root_id, ts_ms, False]
-        return True
-
-    def reset(self, root_id: int, ts_ms: int) -> bool:
-        """Re-arm a tracked root for replay: hash back to root id, fresh ts."""
-        entry = self._entries.get(root_id)
-        if entry is None:
-            return False
-        entry[0] = root_id
-        entry[1] = ts_ms
-        entry[2] = False
         return True
 
     def anchor(self, root_id: int, event_id: int) -> int:

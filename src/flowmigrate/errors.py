@@ -25,10 +25,6 @@ class CommitWithoutPrepareError(FlowMigrateError):
     """A checkpoint commit arrived with no prepared record to promote."""
 
 
-class StoreUnavailableError(FlowMigrateError):
-    """The checkpoint store backend failed an I/O operation."""
-
-
 class WaveConflictError(FlowMigrateError):
     """A checkpoint wave of the same kind is already in flight."""
 

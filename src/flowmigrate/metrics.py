@@ -129,10 +129,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        return cls(**json.loads(text))
-
 
 def compute_restore_duration(timeline: Timeline) -> int:
     """First sink output of the migrated dataflow, relative to the request.

@@ -163,14 +163,10 @@ class ScenarioConfig:
     # Checkpoint store write cost model: base per record + per byte.
     storeWriteBaseMs: float = 0.4
     storeWritePerByteMs: float = 0.0013
-    storeBackend: str = "memory"
-    # Ack tracking for DATA events; default depends on strategy.
-    ackDataEvents: bool | None = None
     ratePerInstance: float = DEFAULT_RATE_PER_INSTANCE
 
     def data_acking_enabled(self) -> bool:
-        if self.ackDataEvents is not None:
-            return self.ackDataEvents
+        """Only DSM tracks DATA events with the acker."""
         return self.strategy == "DSM"
 
 
@@ -343,8 +339,7 @@ _SCENARIO_FIELDS = {
     "strategy", "sourceRate", "runDuration", "migrationTriggerAt", "ackTimeout",
     "checkpointInterval", "initResendInterval", "rebalanceDuration",
     "networkDelayMs", "randomSeed", "workerStartupMinMs", "workerStartupMaxMs",
-    "maxPendingRoots", "storeWriteBaseMs", "storeWritePerByteMs", "storeBackend",
-    "ackDataEvents", "ratePerInstance",
+    "maxPendingRoots", "storeWriteBaseMs", "storeWritePerByteMs", "ratePerInstance",
 }
 
 _TASK_FIELDS = {"taskId", "name", "serviceTimeMs", "selectivity", "stateful", "instanceCount"}
@@ -483,8 +478,6 @@ def parse_scenario(doc: dict, name: str = "") -> ScenarioConfig:
         maxPendingRoots=int(doc.get("maxPendingRoots", 240)),
         storeWriteBaseMs=float(doc.get("storeWriteBaseMs", 0.4)),
         storeWritePerByteMs=float(doc.get("storeWritePerByteMs", 0.0013)),
-        storeBackend=str(doc.get("storeBackend", "memory")),
-        ackDataEvents=doc.get("ackDataEvents"),
         ratePerInstance=float(doc.get("ratePerInstance", DEFAULT_RATE_PER_INSTANCE)),
     )
     validate_scenario(config)
@@ -507,8 +500,6 @@ def validate_scenario(config: ScenarioConfig) -> None:
         )
     if config.workerStartupMinMs > config.workerStartupMaxMs:
         raise ConfigError("scenario: workerStartupMinMs > workerStartupMaxMs")
-    if config.storeBackend not in ("memory", "file"):
-        raise ConfigError(f"scenario field storeBackend: unknown {config.storeBackend!r}")
     sizing = validate_sizing(config.dag, config.sourceRate, config.ratePerInstance)
     if not sizing.ok:
         raise ConfigError("under-provisioned dag: " + "; ".join(sizing.violations))

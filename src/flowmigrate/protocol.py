@@ -276,7 +276,7 @@ class CheckpointCoordinator:
         if gen != inst.generation or inst.status == KILLED:
             return
         inst.in_service = None
-        eng.store.commit(inst.instanceId, wave.checkpointId, write_ts=eng.now)
+        eng.store.commit(inst.instanceId, wave.checkpointId)
         self.commit_after_persist(inst, record)
         self._forward_wave(wave, inst)
         self._ack_copy(wave, inst, env, counts=True)
@@ -309,7 +309,10 @@ class CheckpointCoordinator:
     def init_restore(self, inst: TaskInstanceRuntime, wave: WaveState) -> None:
         record = self.engine.store.get(inst.instanceId, wave.checkpointId)
         user_blob = record.userStateBlob if record is not None else None
-        self.engine.initialize_instance(inst, wave.checkpointId, user_blob or None, None)
+        pending = None
+        if record is not None and record.pendingEventsBlob is not None:
+            pending = deserialize_pending(record.pendingEventsBlob)
+        self.engine.initialize_instance(inst, wave.checkpointId, user_blob or None, pending)
 
     # -- ROLLBACK ----------------------------------------------------------------------------
 
@@ -364,7 +367,17 @@ class CheckpointCoordinator:
 
 
 class DcrCoordinator(CheckpointCoordinator):
-    """Drain the dataflow behind a sequential barrier, checkpoint, restore."""
+    """Drain the dataflow behind a sequential barrier, checkpoint, restore.
+
+    The phase sequence is shared with CCR: pause the source, PREPARE,
+    COMMIT (always sequential), rebalance, INIT with resends, unpause.
+    The class attributes say how PREPARE and INIT travel and which marker
+    ends the PREPARE wave.
+    """
+
+    prepare_routing = SEQUENTIAL
+    prepared_marker = DRAIN_DONE
+    init_routing = SEQUENTIAL
 
     def on_migration_trigger(self) -> None:
         eng = self.engine
@@ -372,14 +385,15 @@ class DcrCoordinator(CheckpointCoordinator):
         eng.pause_source()
         self.migration_ckpt = self.next_checkpoint_id
         self.next_checkpoint_id += 1
-        wave = self.start_wave(PREPARE, SEQUENTIAL, self.migration_ckpt, drained=True)
+        wave = self.start_wave(PREPARE, self.prepare_routing, self.migration_ckpt,
+                               drained=self.prepare_routing == SEQUENTIAL)
         self.schedule_prepare_rollback_check(wave)
 
     def on_wave_complete(self, wave: WaveState) -> None:
         if self.aborted:
             return
         if wave.kind == PREPARE:
-            self.mark(DRAIN_DONE)
+            self.mark(self.prepared_marker)
             self.start_wave(COMMIT, SEQUENTIAL, self.migration_ckpt)
         elif wave.kind == COMMIT:
             self.start_rebalance()
@@ -387,7 +401,7 @@ class DcrCoordinator(CheckpointCoordinator):
             self._finish_migration()
 
     def on_rebalance_done(self) -> None:
-        self.start_wave(INIT, SEQUENTIAL, self.migration_ckpt)
+        self.start_wave(INIT, self.init_routing, self.migration_ckpt)
         self._schedule_resend()
 
     def _schedule_resend(self) -> None:
@@ -401,8 +415,9 @@ class DcrCoordinator(CheckpointCoordinator):
         if self.engine.now >= self.engine.run_end_ms:
             return
         # Duplicate sequential INIT events re-enter at the dataflow head;
-        # restored tasks skip and forward, so stragglers are reached.
-        self.send_wave_copies(wave)
+        # restored tasks skip and forward, so stragglers are reached.  A
+        # broadcast INIT goes again to the instances that have not acked.
+        self.send_wave_copies(wave, only=wave.expected - wave.ackedBy)
         self._schedule_resend()
 
     def _finish_migration(self) -> None:
@@ -415,14 +430,9 @@ class DcrCoordinator(CheckpointCoordinator):
 class CcrCoordinator(DcrCoordinator):
     """Capture in-flight events per instance, checkpoint them, resume."""
 
-    def on_migration_trigger(self) -> None:
-        eng = self.engine
-        self.mark(REQUEST)
-        eng.pause_source()
-        self.migration_ckpt = self.next_checkpoint_id
-        self.next_checkpoint_id += 1
-        wave = self.start_wave(PREPARE, BROADCAST, self.migration_ckpt)
-        self.schedule_prepare_rollback_check(wave)
+    prepare_routing = BROADCAST
+    prepared_marker = CAPTURE_DONE
+    init_routing = BROADCAST
 
     def _handle_prepare(self, inst, env, wave) -> None:
         # Broadcast barrier: assemble the snapshot (one service time), then
@@ -460,40 +470,6 @@ class CcrCoordinator(DcrCoordinator):
             )
         inst.pendingList = []
         inst.prepared_snapshot = None
-
-    def on_wave_complete(self, wave: WaveState) -> None:
-        if self.aborted:
-            return
-        if wave.kind == PREPARE:
-            self.mark(CAPTURE_DONE)
-            self.start_wave(COMMIT, SEQUENTIAL, self.migration_ckpt)
-        elif wave.kind == COMMIT:
-            self.start_rebalance()
-        elif wave.kind == INIT:
-            self._finish_migration()
-
-    def on_rebalance_done(self) -> None:
-        self.start_wave(INIT, BROADCAST, self.migration_ckpt)
-        self._schedule_resend()
-
-    def _resend_tick(self) -> None:
-        wave = self.active.get(INIT)
-        if wave is None or wave.complete or wave.superseded:
-            return
-        if self.engine.now >= self.engine.run_end_ms:
-            return
-        missing = wave.expected - wave.ackedBy
-        if missing:
-            self.send_wave_copies(wave, only=frozenset(missing))
-        self._schedule_resend()
-
-    def init_restore(self, inst, wave) -> None:
-        record = self.engine.store.get(inst.instanceId, wave.checkpointId)
-        user_blob = record.userStateBlob if record is not None else None
-        pending = None
-        if record is not None and record.pendingEventsBlob is not None:
-            pending = deserialize_pending(record.pendingEventsBlob)
-        self.engine.initialize_instance(inst, wave.checkpointId, user_blob or None, pending)
 
 
 class DsmCoordinator(CheckpointCoordinator):

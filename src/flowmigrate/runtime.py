@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import struct
-import tempfile
 from collections import deque
 from functools import partial
 
@@ -184,8 +183,7 @@ class SimClock:
 class SimulationEngine:
     """Owns all runtime state for one scenario run."""
 
-    def __init__(self, config: ScenarioConfig, store: StateStore | None = None,
-                 migrate: bool = True) -> None:
+    def __init__(self, config: ScenarioConfig, migrate: bool = True) -> None:
         if len(config.dag.sourceTasks) != 1:
             raise ConfigError("the engine supports exactly one source task")
         self.migrate = migrate
@@ -200,18 +198,7 @@ class SimulationEngine:
         self.acking_data = config.data_acking_enabled()
         self.acker = AckerService(self.ack_timeout_ms)
         self.wave_acker = AckerService(self.ack_timeout_ms)
-        # A checkpoint directory the engine creates is removed when run()
-        # ends; the records stay readable in the store's memory.
-        self._store_dir: tempfile.TemporaryDirectory | None = None
-        if store is not None:
-            self.store = store
-        elif config.storeBackend == "file":
-            self._store_dir = tempfile.TemporaryDirectory(prefix="flowmigrate-ckpt-")
-            self.store = StateStore("file", self._store_dir.name)
-        else:
-            self.store = StateStore("memory")
-        self.store.latency.write_base_ms = config.storeWriteBaseMs
-        self.store.latency.write_per_byte_ms = config.storeWritePerByteMs
+        self.store = StateStore(config.storeWriteBaseMs, config.storeWritePerByteMs)
 
         self.epoch = 0
         self.migration_requested = False
@@ -302,28 +289,24 @@ class SimulationEngine:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Timeline:
-        try:
-            self._schedule_emission(self.source.next_tick)
-            if self.acking_data:
-                self._schedule_sweep(self.ack_timeout_ms // 2)
-            if self.migrate:
-                self.clock.schedule_at(self._ms(self.config.migrationTriggerAt),
-                                       self._trigger_migration)
-            self.coordinator.on_run_start()
+        self._schedule_emission(self.source.next_tick)
+        if self.acking_data:
+            self._schedule_sweep(self.ack_timeout_ms // 2)
+        if self.migrate:
+            self.clock.schedule_at(self._ms(self.config.migrationTriggerAt),
+                                   self._trigger_migration)
+        self.coordinator.on_run_start()
 
-            clock = self.clock
-            calendar = clock._calendar
-            pop = calendar.pop
-            while calendar:
-                fire_ms, _seq, action = pop()
-                clock.now = fire_ms
-                action()
-                self._actions += 1
-                if self._actions > _MAX_ACTIONS:
-                    raise InvariantViolation("action budget exceeded; runaway schedule")
-        finally:
-            if self._store_dir is not None:
-                self._store_dir.cleanup()
+        clock = self.clock
+        calendar = clock._calendar
+        pop = calendar.pop
+        while calendar:
+            fire_ms, _seq, action = pop()
+            clock.now = fire_ms
+            action()
+            self._actions += 1
+            if self._actions > _MAX_ACTIONS:
+                raise InvariantViolation("action budget exceeded; runaway schedule")
         return self.timeline
 
     def _trigger_migration(self) -> None:
@@ -597,8 +580,7 @@ class SimulationEngine:
         return self._upstream_counts[task_id]
 
 
-def run_scenario(config: ScenarioConfig, store: StateStore | None = None,
-                 migrate: bool = True) -> tuple[Timeline, SimulationEngine]:
+def run_scenario(config: ScenarioConfig, migrate: bool = True) -> tuple[Timeline, SimulationEngine]:
     """Run one scenario to completion; returns the timeline and the engine."""
-    engine = SimulationEngine(config, store=store, migrate=migrate)
+    engine = SimulationEngine(config, migrate=migrate)
     return engine.run(), engine

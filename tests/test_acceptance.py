@@ -18,6 +18,8 @@ the criterion cannot be bent, lose a clause or get a looser bound unseen.
 
 
 from flowmigrate import acceptance
+from flowmigrate.model import load_bundled_scenario, with_overrides
+from flowmigrate.runtime import SimulationEngine
 
 
 def show(result):
@@ -98,3 +100,12 @@ class TestAcceptance:
 
     def test_state_correctness(self, suite_cache):
         report(acceptance.check_state_correctness(suite_cache))
+
+
+class TestRunCache:
+    def test_ccr_baseline_is_the_dcr_baseline(self, suite_cache):
+        dcr = suite_cache.get("linear_scalein", "DCR", migrate=False)
+        assert suite_cache.get("linear_scalein", "CCR", migrate=False) is dcr
+        config = with_overrides(load_bundled_scenario("linear_scalein"), strategy="CCR")
+        fresh = SimulationEngine(config, migrate=False).run()
+        assert fresh.to_csv() == dcr.timeline.to_csv()

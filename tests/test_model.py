@@ -201,8 +201,12 @@ class TestParseScenario:
             parse_scenario(self.minimal_doc(strategy="XYZ"))
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError, match="sourceRte"):
-            parse_scenario(self.minimal_doc(sourceRte=9))
+        # A typo, and two fields no scenario sets: the checkpoint store is
+        # memory only, and data acking follows the strategy.
+        for field, value in (("sourceRte", 9), ("storeBackend", "file"),
+                             ("ackDataEvents", True)):
+            with pytest.raises(ConfigError, match=field):
+                parse_scenario(self.minimal_doc(**{field: value}))
 
     def test_explicit_schedule_round_trips(self):
         doc = self.minimal_doc()

@@ -1,5 +1,4 @@
 import random
-import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,6 @@ from flowmigrate.reliability import (
     AckerService,
     CheckpointRecord,
     StateStore,
-    StoreLatencyModel,
 )
 from flowmigrate.runtime import EventEnvelope, serialize_pending, deserialize_pending
 
@@ -124,12 +122,11 @@ class TestStateStore:
     def test_prepare_commit_get_latest(self):
         store = StateStore()
         store.prepare(CheckpointRecord("T1#0", 1, b"state-1"))
-        store.commit("T1#0", 1, write_ts=500)
+        store.commit("T1#0", 1)
         record = store.get_latest_committed("T1#0")
         assert record is not None
         assert record.phase == COMMITTED
         assert record.userStateBlob == b"state-1"
-        assert record.writeTs == 500
 
     def test_latest_committed_picks_highest_id(self):
         store = StateStore()
@@ -147,6 +144,8 @@ class TestStateStore:
         store.prepare(CheckpointRecord("T1#0", 1, b""))
         assert store.get_latest_committed("T1#0") is None
         assert store.get("T1#0", 1).phase == PREPARED
+        store.discard_prepared("T1#0", 1)
+        assert store.get("T1#0", 1) is None
 
     def test_blob_round_trip_bytes_identical(self):
         store = StateStore()
@@ -157,64 +156,6 @@ class TestStateStore:
         record = store.get("T2#1", 4)
         assert record.userStateBlob == user
         assert record.pendingEventsBlob == pending
-
-
-class TestFileBackend:
-    def test_survives_reopen(self, tmp_path):
-        store = StateStore("file", tmp_path)
-        store.prepare(CheckpointRecord("T1#0", 2, b"abc", pendingEventsBlob=b"pp"))
-        store.commit("T1#0", 2, write_ts=99)
-        reopened = StateStore("file", tmp_path)
-        record = reopened.get_latest_committed("T1#0")
-        assert record.userStateBlob == b"abc"
-        assert record.pendingEventsBlob == b"pp"
-        assert record.writeTs == 99
-
-    def test_documented_byte_layout(self, tmp_path):
-        store = StateStore("file", tmp_path)
-        store.prepare(CheckpointRecord("inst", 1, b"U", pendingEventsBlob=None))
-        store.commit("inst", 1)
-        path = next(tmp_path.glob("*.ckpt"))
-        raw = path.read_bytes()
-        assert raw[:4] == b"FMCK"
-        assert raw[4] == 1  # version
-        assert raw[5] == 1  # committed
-        inst_len = int.from_bytes(raw[6:8], "little")
-        assert raw[8:8 + inst_len] == b"inst"
-        record = StateStore.read_record_file(path)
-        assert record.pendingEventsBlob is None
-        assert record.userStateBlob == b"U"
-
-    def test_discard_prepared_removes_file(self, tmp_path):
-        store = StateStore("file", tmp_path)
-        store.prepare(CheckpointRecord("T1#0", 3, b""))
-        assert list(tmp_path.glob("*.ckpt"))
-        store.discard_prepared("T1#0", 3)
-        assert not list(tmp_path.glob("*.ckpt"))
-
-    def test_engine_run_with_file_backend_matches_memory(self, tmp_path):
-        from conftest import make_chain_dag, make_scenario
-        from flowmigrate.runtime import SimulationEngine
-
-        config = make_scenario(make_chain_dag(2), "CCR", run_s=60, trigger_s=20)
-        memory_tl = SimulationEngine(config).run()
-        file_store = StateStore("file", tmp_path)
-        file_tl = SimulationEngine(config, store=file_store).run()
-        assert memory_tl.to_csv() == file_tl.to_csv()
-        assert list(tmp_path.glob("*.ckpt"))
-
-    def test_engine_removes_its_own_checkpoint_directory(self, tmp_path, monkeypatch):
-        from flowmigrate.model import load_bundled_scenario, with_overrides
-        from flowmigrate.runtime import run_scenario
-
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        config = with_overrides(load_bundled_scenario("linear_scalein"), strategy="CCR",
-                                runDuration=120.0, migrationTriggerAt=30.0)
-        memory_tl, _ = run_scenario(config)
-        file_tl, engine = run_scenario(with_overrides(config, storeBackend="file"))
-        assert engine.store._dir.parent == tmp_path and engine.store._records
-        assert not list(tmp_path.glob("flowmigrate-ckpt-*"))
-        assert file_tl.to_csv() == memory_tl.to_csv()
 
 
 class TestLatencyModel:
@@ -230,7 +171,7 @@ class TestLatencyModel:
         assert 0 < latency <= 100
 
     def test_latency_grows_with_payload(self):
-        model = StoreLatencyModel()
+        model = StateStore()
         small = CheckpointRecord("a", 1, b"x")
         large = CheckpointRecord("a", 1, b"x" * 100_000)
         assert model.write_latency_ms(large) > model.write_latency_ms(small)

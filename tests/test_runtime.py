@@ -283,10 +283,30 @@ class TestDeterminism:
 
 
 # Full SHA-256 of timeline.csv and report.json (to_csv()/to_json()) of
-# bundled runs that cover DUPLICATE and SHUFFLE routing, data acking,
-# checkpoint waves, kill and respawn.  Engine changes must leave them
-# byte-identical; a model change that alters them must say why.
+# every bundled run the suite cache makes: the ten paper scenarios under
+# DSM, DCR and CCR, plus the 50-task stress scenario under DCR and CCR.
+# They cover DUPLICATE and SHUFFLE routing, data acking, checkpoint waves,
+# kill and respawn.  Engine changes must leave them byte-identical; a
+# model change that alters them must say why.
 PINNED_RUNS = {
+    ("linear_scalein", "DSM"): (
+        "d6388d2fd5a420ac577f4e429dfd94afb8ec4e2d1c5d4cc913876d26b30128f3",
+        "2f856b13dc31fefb9d28459556a2afec2c0f3bb61c60dff7bab3bf126a7c738b"),
+    ("linear_scalein", "DCR"): (
+        "de2ae8cb7de72e52a67a45e12386694093e30caf745a2886ba46a46dbd681ce7",
+        "a529d7e6f31b31fac34a0b8f9e19125b64e8e51f2db59151161b9fed16f6effa"),
+    ("linear_scalein", "CCR"): (
+        "cd5ebc3d3b20bdd2aa05e61c73403590ce68cda842b30127d8fdf33639fad1f1",
+        "1c7d4cb2b59545c87bb1a6555df445ff9cb9dff5f0cd9ac993ab39770c70cceb"),
+    ("linear_scaleout", "DSM"): (
+        "37b5a20cf017f1073999075815f9af8bd3ca5fad49af08047913f8104785d2c9",
+        "ac604bf8f9bc539e4166ac4021a21a7371427fe74747e32479eb8cb79d708961"),
+    ("linear_scaleout", "DCR"): (
+        "ab38b01ff3a3a0677032ef0daab5231d69830309a6b22e4477680d453b81b816",
+        "dbcbf80acc732515d2d9e4d7254cc446981d6d3f669d9b4f781ba1b4f4c2fd49"),
+    ("linear_scaleout", "CCR"): (
+        "9cd0d61a2b5d987be59993898ee5964ba7caf9c1dcc14edd5373ce93a2da68ec",
+        "a6dd01815e800d860ce74487924f1310f695a72f28837ad688a62c37f4a1bb6d"),
     ("diamond_scalein", "DSM"): (
         "3f37b780ed3a2022b3e21f95249125126c2acbda47ce6ab27a476769b5a67b13",
         "cea67cb89d041139967b3f6cfa47f226580d9715b8fd490af8d579da71c437d1"),
@@ -296,9 +316,75 @@ PINNED_RUNS = {
     ("diamond_scalein", "CCR"): (
         "7d7bfc640356f58a4bce7baa8148ff37b9a7d974d0b0cb09062ade739c7822b4",
         "5b6e7cd69a74e211fb90e2a419af54dcecee93b5423a9d8ccbe4a3c4dcf9989f"),
-    ("linear_scalein", "DSM"): (
-        "d6388d2fd5a420ac577f4e429dfd94afb8ec4e2d1c5d4cc913876d26b30128f3",
-        "2f856b13dc31fefb9d28459556a2afec2c0f3bb61c60dff7bab3bf126a7c738b"),
+    ("diamond_scaleout", "DSM"): (
+        "5b422786f89ed1bdf4a2ba899048384a5ca9c09cb55d151ccd413e527ad09ca1",
+        "9ffff5f3df8079393000274510cab1102deec2c756cab5a27854577fdd04e8aa"),
+    ("diamond_scaleout", "DCR"): (
+        "1be354f983a7a5c4e4a710a93f122231657a0ca91da9d4bb84478864547c6b5f",
+        "bc6cc9bca62c6a98d0e8d7650809f5749531b477ef1f6a69b75f412cc01ded24"),
+    ("diamond_scaleout", "CCR"): (
+        "c37982e1d90703a04d716e0d97fe1142e95edb1587fa687d9f2467b677451486",
+        "4300647463ec186d8bc7636e20cd704e064e383be6871768501031b4f3ad319a"),
+    ("star_scalein", "DSM"): (
+        "2c0748209ed160ca21799d65306b31efbfa3f35637806d40daf2279f4a18a906",
+        "3609f43089fc9a5d5c89f107e44cf5582954ce41e204a32249edcaf8a596bff0"),
+    ("star_scalein", "DCR"): (
+        "0627486e854c1e324b0a22ed6eaeaaac57e3a6092aaad26e26a380ad022c8c23",
+        "8382f2b7e6c934ec7e75768ff736befbfb8cecbc30c4e6d8caae7bc0a328446c"),
+    ("star_scalein", "CCR"): (
+        "3fca5a68e97464e73393f271e65a035a8fd1310a60e8486aff7c8d1631fbaffc",
+        "18fbcd0d6b78a5f36b5ff5f5f0e01af4924f2acc810f9e95262d53609c777de4"),
+    ("star_scaleout", "DSM"): (
+        "9f934c4ce320ad5f56664d7b0558666ebca30cab8cfef35597f4ede68ac406ad",
+        "e22a5a2f8c1b0dc5a04021871ad4aee7f5c85b8f60a680e91af0319bbe363554"),
+    ("star_scaleout", "DCR"): (
+        "70e61e71687aaa2e085e74b230374e72f6f16ffa73362cb60b78846b2fcd063a",
+        "4182d276e22d4b43131f8f0f641ca3fd3839cd94959ba4b3354b52417a4b1d35"),
+    ("star_scaleout", "CCR"): (
+        "77ebb7e263377ded5303836c36eeb36e54af31a8eb8865364407c975389d7286",
+        "e1c503f48d0b8e51933cb6705c6e7cd9ad586434cc8701e02a0ce08ea91b3004"),
+    ("grid_scalein", "DSM"): (
+        "a3b0ca0cde06aed397c25480af4c3af35557726356cd23dd3b394d257b505d74",
+        "9a69c3ebee423fe79b303250d1cceb762c967e5ddb4815353df365dc5cc2b9d3"),
+    ("grid_scalein", "DCR"): (
+        "2279dd6113841b1c9146d3abe135f7e26d345fbcf5c0a4f95b5483681a907381",
+        "c8e814f60ae59eb2a630fc9366e226274391e5457ccd2eb8c1aec512fb6205ae"),
+    ("grid_scalein", "CCR"): (
+        "ec70b2294f0b6206a45a545d1d8855d0b7ebbedc1f7daf18b5c98d60883b1880",
+        "96ae7249ee8401e4afc52df93df21f0aa0db90124297daed5507a193f98f0d98"),
+    ("grid_scaleout", "DSM"): (
+        "5d6d8a925870a85e27c7332995a2a130b035d1150227583e2afa6a6c7662e96f",
+        "55db9a1ac7e94ee9687c80063a312f9555fc0d5764e36f09068c00487ead99a1"),
+    ("grid_scaleout", "DCR"): (
+        "e19949e3f544c8716a89a90acb4d441069de971462a2fb2a8382ae94b2f047f7",
+        "e12b5b9b048e3590edcc5a3e04dfbe38b92be6dc17b319dc57fdd7973f8ff1e7"),
+    ("grid_scaleout", "CCR"): (
+        "4982f1f3e5142ac4edda3b37b399e81315950421d1777a415fae8aa8194175ca",
+        "d4e4494ebf9ce011bc860bcc0bc92bb6e9b63d7401efbd9c715839654169758a"),
+    ("traffic_scalein", "DSM"): (
+        "cee06a49d4d442e40efc51244370d6a439878b28e14cdbc9ed3ab60762f32ea2",
+        "1a9ea7c2b02fdbea5a3751f76432e857fb4638e5569ef78ff82d42dc9926e424"),
+    ("traffic_scalein", "DCR"): (
+        "3320c60a1c2b827e42113543167ddab43ae9af84a5a1628197c9d7ca5d6c62c4",
+        "75fab4e546762c973976ad7a469b3266774077259e2e741d2fad9da63bb2b26e"),
+    ("traffic_scalein", "CCR"): (
+        "f7095450532891a0ce790744181ff8c6afe84017616078ea4591e9e794417527",
+        "f78e20b9ba05cc5179eb8d1137775aad8a816c7adf40d4c2414e35fe7a9f1eb1"),
+    ("traffic_scaleout", "DSM"): (
+        "e4ee732e4ac419c1b7d4e111b11c7bc7eccf8b437bf950f247907073963f24ee",
+        "7a78e756000167a64cb9b573e44d23d85a530328f55cb7dbef6fa3539c06214a"),
+    ("traffic_scaleout", "DCR"): (
+        "08b4e27ee2dda730ff3628a50ccd4faf048475ea61c017a6aa487ebd82097e8e",
+        "7d2c50019fe3813b969d76132830d2d3f4220bc96bf15ba470d24d3648be9de9"),
+    ("traffic_scaleout", "CCR"): (
+        "b61c43136cf38aa40bde0aab206b34144c72a4460d2e4bb0f4a47576346f0c10",
+        "d0d026b22b94cdb3975aefcd8cf893ccb04b952c44d153c9ea86078047d98688"),
+    ("linear50_stress", "DCR"): (
+        "a5c48e830a9a94d42bc0f528293e51036419c54155296c0cfe4bb81c6b6d41f9",
+        "2017b762fec34b4d9fd33ee7c6cd727d86146244fc6cdd46dc7fc6438443987e"),
+    ("linear50_stress", "CCR"): (
+        "c74852376185a488682f456d7e7436fa6919ef6ca7f0f3c2048e3d6e3662af61",
+        "f6aefb0465aae1deee232e55384e07cf2088997cb848ad7e49b66b85db61e805"),
 }
 
 
