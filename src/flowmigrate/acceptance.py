@@ -20,10 +20,12 @@ from .metrics import (
     replay_bursts,
 )
 from .model import (
+    STRATEGIES,
     ScenarioConfig,
     compute_cumulative_rates,
     load_bundled_scenario,
     path_multiplicity,
+    to_ms,
     with_overrides,
 )
 from .reliability import AckerService
@@ -36,7 +38,6 @@ SCENARIOS = (
     "grid_scalein", "grid_scaleout",
     "traffic_scalein", "traffic_scaleout",
 )
-STRATEGIES = ("DSM", "DCR", "CCR")
 STRESS_SCENARIO = "linear50_stress"
 
 APPLICATION_DAGS = ("grid", "traffic")
@@ -299,7 +300,7 @@ def check_stabilization(cache: RunCache) -> CriterionResult:
         for strategy in STRATEGIES:
             run = cache.get(scenario, strategy)
             stab[strategy] = run.report.stabilizationTimeMs
-            horizon = int(round(run.config.runDuration * 1000))
+            horizon = to_ms(run.config.runDuration)
         beyond = horizon + 1
         dsm = stab["DSM"] if stab["DSM"] is not None else beyond
         ok = (
@@ -317,7 +318,7 @@ def check_stabilization(cache: RunCache) -> CriterionResult:
         run = cache.get(scenario, "DSM")
         bursts = replay_bursts(run.timeline, since=run.timeline.request_ts())
         spacings = [b[0] - a[0] for a, b in zip(bursts, bursts[1:])]
-        timeout_ms = int(round(run.config.ackTimeout * 1000))
+        timeout_ms = to_ms(run.config.ackTimeout)
         good = [s for s in spacings if abs(s - timeout_ms) <= SPIKE_SPACING_SLACK_MS]
         ok = len(good) >= 1
         passed &= ok
@@ -344,6 +345,9 @@ def check_determinism(cache: RunCache, scenario: str = "diamond_scalein") -> Cri
 def check_state_correctness(cache: RunCache) -> CriterionResult:
     """Stateful task counts: exact for DCR/CCR; bounded rollback then
     at-least-baseline for DSM."""
+    # Deferred: importing this module should not load the protocol layer.
+    from .protocol import CHECKPOINT_INTERVAL_MS
+
     details = []
     passed = True
     for scenario in SCENARIOS:
@@ -358,7 +362,7 @@ def check_state_correctness(cache: RunCache) -> CriterionResult:
             )
         run = cache.get(scenario, "DSM")
         base = cache.get(scenario, "DSM", migrate=False)
-        interval = run.config.checkpointInterval
+        interval = CHECKPOINT_INTERVAL_MS / 1000
         for task_id, instances in run.stateful_instances.items():
             killed = sum(run.kill_snapshots.get(i, 0) for i in instances)
             restored = sum(run.restore_snapshots.get(i, 0) for i in instances)

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import MetricsError, NeverStabilizedError, NoSinkOutputError
-from .model import DagDef, ScenarioConfig, path_multiplicity
+from .model import DagDef, ScenarioConfig, path_multiplicity, to_ms
 
 SOURCE_EMIT = "SOURCE_EMIT"
 SINK_EXIT = "SINK_EXIT"
@@ -130,17 +130,18 @@ class MetricsReport:
         return json.dumps(self.__dict__, indent=2) + "\n"
 
 
-def compute_restore_duration(timeline: Timeline) -> int:
+def compute_restore_duration(timeline: Timeline) -> int | None:
     """First sink output of the migrated dataflow, relative to the request.
 
     Measured from the first SINK_EXIT at or after REBALANCE_DONE: events
     still draining out of the old deployment right after the request do
-    not count as the restored dataflow producing output.
+    not count as the restored dataflow producing output.  None when the
+    migration rolled back before its rebalance.
     """
     request = timeline.request_ts()
     done = timeline.phase_ts("REBALANCE_DONE", after=request)
     if done is None:
-        raise MetricsError("timeline has no REBALANCE_DONE marker")
+        return None
     first = min((rec.ts for rec in timeline.records
                  if rec.site == SINK_EXIT and rec.ts >= done), default=None)
     if first is None:
@@ -149,23 +150,21 @@ def compute_restore_duration(timeline: Timeline) -> int:
 
 
 def compute_drain_capture_duration(timeline: Timeline, strategy: str) -> int | None:
-    """Request-to-rebalance gap: drain (DCR) or capture (CCR); DSM has none."""
+    """Request-to-rebalance gap: drain (DCR) or capture (CCR); DSM has none,
+    nor has a migration rolled back before its rebalance."""
     if strategy == "DSM":
         return None
     request = timeline.request_ts()
     start = timeline.phase_ts("REBALANCE_START", after=request)
-    if start is None:
-        raise MetricsError("timeline has no REBALANCE_START marker")
-    return start - request
+    return None if start is None else start - request
 
 
-def compute_rebalance_duration(timeline: Timeline) -> int:
+def compute_rebalance_duration(timeline: Timeline) -> int | None:
+    """REBALANCE_START to REBALANCE_DONE; None without a rebalance."""
     request = timeline.request_ts()
     start = timeline.phase_ts("REBALANCE_START", after=request)
     done = timeline.phase_ts("REBALANCE_DONE", after=request)
-    if start is None or done is None:
-        raise MetricsError("timeline is missing rebalance markers")
-    return done - start
+    return None if start is None or done is None else done - start
 
 
 def compute_catchup(timeline: Timeline, strategy: str) -> int | None:
@@ -344,8 +343,8 @@ class RateSeries:
 def compute_report(timeline: Timeline, config: ScenarioConfig) -> MetricsReport:
     """Derive the full seven-metric report for one finished run."""
     strategy = config.strategy
-    horizon_ms = int(round(config.runDuration * 1000))
-    expected_rate = config.sourceRate * path_multiplicity(config.dag, config.sourceRate)
+    horizon_ms = to_ms(config.runDuration)
+    expected_rate = config.sourceRate * path_multiplicity(config.dag)
     try:
         stabilization = compute_stabilization(timeline, expected_rate, horizon_ms)
     except NeverStabilizedError:

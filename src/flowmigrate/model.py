@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +23,12 @@ GROUPINGS = (DUPLICATE, SHUFFLE)
 STRATEGIES = ("DSM", "DCR", "CCR")
 
 # One task instance is provisioned per this many events/sec of input.
-DEFAULT_RATE_PER_INSTANCE = 8.0
+RATE_PER_INSTANCE = 8.0
+
+
+def to_ms(seconds: float) -> int:
+    """Seconds of simulated time as whole milliseconds."""
+    return int(round(seconds * 1000))
 
 
 def instance_id(task_id: str, ordinal: int) -> str:
@@ -146,8 +151,6 @@ class ScenarioConfig:
     runDuration: float = 720.0
     migrationTriggerAt: float = 180.0
     ackTimeout: float = 30.0
-    checkpointInterval: float = 30.0
-    initResendInterval: float = 1.0
     rebalanceDuration: float = 7.26
     networkDelayMs: int = 0
     randomSeed: int = 1
@@ -157,13 +160,6 @@ class ScenarioConfig:
     # worker activation that dominates observed restore times.
     workerStartupMinMs: int = 31_000
     workerStartupMaxMs: int = 36_000
-    # Cap on unacked roots when data acking is enabled (source throttles
-    # paced emission beyond it, as a real spout's pending limit would).
-    maxPendingRoots: int = 240
-    # Checkpoint store write cost model: base per record + per byte.
-    storeWriteBaseMs: float = 0.4
-    storeWritePerByteMs: float = 0.0013
-    ratePerInstance: float = DEFAULT_RATE_PER_INSTANCE
 
     def data_acking_enabled(self) -> bool:
         """Only DSM tracks DATA events with the acker."""
@@ -259,15 +255,10 @@ def compute_cumulative_rates(dag: DagDef, source_rate: float) -> dict[str, float
     return rates
 
 
-def sink_exit_rate(dag: DagDef, source_rate: float) -> float:
-    """Expected events/sec leaving the dataflow through its sinks."""
-    rates = compute_cumulative_rates(dag, source_rate)
-    return sum(rates[s] for s in dag.sinkTasks)
-
-
-def path_multiplicity(dag: DagDef, source_rate: float = 8.0) -> int:
+def path_multiplicity(dag: DagDef) -> int:
     """Sink arrivals per root under unit selectivity (source->sink paths)."""
-    mult = sink_exit_rate(dag, source_rate) / source_rate
+    rates = compute_cumulative_rates(dag, 1.0)
+    mult = sum(rates[s] for s in dag.sinkTasks)
     rounded = round(mult)
     if abs(mult - rounded) > 1e-9:
         raise ConfigError(f"dag {dag.name}: non-integral path multiplicity {mult}")
@@ -276,22 +267,23 @@ def path_multiplicity(dag: DagDef, source_rate: float = 8.0) -> int:
 
 def min_instances(rate: float, rate_per_instance: float) -> int:
     """ceil(rate / rate_per_instance), at least 1."""
-    if rate_per_instance <= 0:
-        raise ConfigError("ratePerInstance must be > 0")
     return max(1, math.ceil(rate / rate_per_instance - 1e-9))
 
 
 def validate_sizing(dag: DagDef, source_rate: float, rate_per_instance: float) -> ValidationResult:
-    """Check every user task has enough instances for its input rate."""
+    """Check every user task has enough instances for its input rate, and
+    enough service capacity (1000 / serviceTimeMs events/sec per instance)."""
     rates = compute_cumulative_rates(dag, source_rate)
     violations = []
     for t in dag.user_tasks():
-        need = min_instances(rates[t.taskId], rate_per_instance)
+        rate = rates[t.taskId]
+        need = min_instances(rate, rate_per_instance)
         if t.instanceCount < need:
-            violations.append(
-                f"task {t.taskId}: instanceCount {t.instanceCount} < required {need} "
-                f"for {rates[t.taskId]:g} events/sec"
-            )
+            violations.append(f"task {t.taskId}: instanceCount {t.instanceCount} < "
+                              f"required {need} for {rate:g} events/sec")
+        elif rate * t.serviceTimeMs >= 1000 * t.instanceCount:
+            violations.append(f"task {t.taskId}: serviceTimeMs {t.serviceTimeMs} overloads "
+                              f"{t.instanceCount} instance(s) at {rate:g} events/sec")
     return ValidationResult(tuple(violations))
 
 
@@ -334,17 +326,10 @@ def migrating_instances(before: Schedule, after: Schedule) -> set[str]:
 # JSON parsing
 
 
-_SCENARIO_FIELDS = {
-    "name", "dag", "vmsBefore", "vmsAfter", "scheduleBefore", "scheduleAfter",
-    "strategy", "sourceRate", "runDuration", "migrationTriggerAt", "ackTimeout",
-    "checkpointInterval", "initResendInterval", "rebalanceDuration",
-    "networkDelayMs", "randomSeed", "workerStartupMinMs", "workerStartupMaxMs",
-    "maxPendingRoots", "storeWriteBaseMs", "storeWritePerByteMs", "ratePerInstance",
-}
-
-_TASK_FIELDS = {"taskId", "name", "serviceTimeMs", "selectivity", "stateful", "instanceCount"}
-_EDGE_FIELDS = {"fromTask", "toTask", "grouping"}
-_DAG_FIELDS = {"name", "tasks", "edges", "sourceTasks", "sinkTasks"}
+_SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
+_TASK_FIELDS = {f.name for f in fields(TaskDef)}
+_EDGE_FIELDS = {f.name for f in fields(Edge)}
+_DAG_FIELDS = {f.name for f in fields(DagDef)}
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -353,32 +338,38 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
 
 
+def _defaulted_fields(cls, raw: dict, where: str) -> dict:
+    """The fields of ``cls`` that have a default, read from ``raw`` and
+    coerced with the default's type; a missing field takes its default."""
+    values = {}
+    for f in fields(cls):
+        if f.default is MISSING:
+            continue
+        value = raw.get(f.name, f.default)
+        try:
+            values[f.name] = type(f.default)(value)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{where} field {f.name}: expected {type(f.default).__name__}, got {value!r}"
+            ) from None
+    return values
+
+
 def parse_dag(doc: dict, name: str = "") -> DagDef:
     _reject_unknown(doc, _DAG_FIELDS, "dag")
     try:
         tasks = []
         for raw in doc["tasks"]:
-            _reject_unknown(raw, _TASK_FIELDS, f"task {raw.get('taskId', '?')}")
-            tasks.append(
-                TaskDef(
-                    taskId=str(raw["taskId"]),
-                    name=str(raw.get("name", raw["taskId"])),
-                    serviceTimeMs=int(raw.get("serviceTimeMs", 100)),
-                    selectivity=float(raw.get("selectivity", 1.0)),
-                    stateful=bool(raw.get("stateful", False)),
-                    instanceCount=int(raw.get("instanceCount", 1)),
-                )
-            )
+            where = f"task {raw.get('taskId', '?')}"
+            _reject_unknown(raw, _TASK_FIELDS, where)
+            # A task's name defaults to its id.
+            values = _defaulted_fields(TaskDef, {"name": raw["taskId"], **raw}, where)
+            tasks.append(TaskDef(taskId=str(raw["taskId"]), **values))
         edges = []
         for raw in doc.get("edges", []):
             _reject_unknown(raw, _EDGE_FIELDS, "edge")
-            edges.append(
-                Edge(
-                    fromTask=str(raw["fromTask"]),
-                    toTask=str(raw["toTask"]),
-                    grouping=str(raw.get("grouping", SHUFFLE)),
-                )
-            )
+            edges.append(Edge(str(raw["fromTask"]), str(raw["toTask"]),
+                              **_defaulted_fields(Edge, raw, "edge")))
         dag = DagDef(
             name=str(doc.get("name", name)),
             tasks=tuple(tasks),
@@ -397,7 +388,7 @@ def parse_dag(doc: dict, name: str = "") -> DagDef:
 def _parse_vms(raw: list, where: str) -> list[VmDef]:
     vms = []
     for item in raw:
-        _reject_unknown(item, {"vmId", "slotCount"}, where)
+        _reject_unknown(item, {f.name for f in fields(VmDef)}, where)
         vm = VmDef(vmId=str(item["vmId"]), slotCount=int(item["slotCount"]))
         if vm.slotCount < 1:
             raise ConfigError(f"{where}: VM {vm.vmId} slotCount must be >= 1")
@@ -443,13 +434,6 @@ def parse_scenario(doc: dict, name: str = "") -> ScenarioConfig:
     else:
         dag = parse_dag(dag_raw)
 
-    strategy = str(doc.get("strategy", "")).upper()
-    if strategy not in STRATEGIES:
-        raise ConfigError(
-            f"scenario field strategy: expected one of {'/'.join(STRATEGIES)}, "
-            f"got {doc.get('strategy')!r}"
-        )
-
     try:
         vms_before = _parse_vms(doc["vmsBefore"], "vmsBefore")
         vms_after = _parse_vms(doc["vmsAfter"], "vmsAfter")
@@ -463,32 +447,20 @@ def parse_scenario(doc: dict, name: str = "") -> ScenarioConfig:
         vmsAfter=vms_after,
         scheduleBefore=_resolve_schedule(doc.get("scheduleBefore"), dag, vms_before, "scheduleBefore"),
         scheduleAfter=_resolve_schedule(doc.get("scheduleAfter"), dag, vms_after, "scheduleAfter"),
-        strategy=strategy,
-        sourceRate=float(doc.get("sourceRate", 8.0)),
-        runDuration=float(doc.get("runDuration", 720.0)),
-        migrationTriggerAt=float(doc.get("migrationTriggerAt", 180.0)),
-        ackTimeout=float(doc.get("ackTimeout", 30.0)),
-        checkpointInterval=float(doc.get("checkpointInterval", 30.0)),
-        initResendInterval=float(doc.get("initResendInterval", 1.0)),
-        rebalanceDuration=float(doc.get("rebalanceDuration", 7.26)),
-        networkDelayMs=int(doc.get("networkDelayMs", 0)),
-        randomSeed=int(doc.get("randomSeed", 1)),
-        workerStartupMinMs=int(doc.get("workerStartupMinMs", 31_000)),
-        workerStartupMaxMs=int(doc.get("workerStartupMaxMs", 36_000)),
-        maxPendingRoots=int(doc.get("maxPendingRoots", 240)),
-        storeWriteBaseMs=float(doc.get("storeWriteBaseMs", 0.4)),
-        storeWritePerByteMs=float(doc.get("storeWritePerByteMs", 0.0013)),
-        ratePerInstance=float(doc.get("ratePerInstance", DEFAULT_RATE_PER_INSTANCE)),
+        strategy=str(doc.get("strategy", "")).upper(),
+        **_defaulted_fields(ScenarioConfig, doc, "scenario"),
     )
     validate_scenario(config)
     return config
 
 
 def validate_scenario(config: ScenarioConfig) -> None:
-    for field_name in (
-        "sourceRate", "runDuration", "migrationTriggerAt", "ackTimeout",
-        "checkpointInterval", "initResendInterval",
-    ):
+    if config.strategy not in STRATEGIES:
+        raise ConfigError(
+            f"scenario field strategy: expected one of {'/'.join(STRATEGIES)}, "
+            f"got {config.strategy!r}"
+        )
+    for field_name in ("sourceRate", "runDuration", "migrationTriggerAt", "ackTimeout"):
         if getattr(config, field_name) <= 0:
             raise ConfigError(f"scenario field {field_name}: must be > 0")
     if config.rebalanceDuration < 0 or config.networkDelayMs < 0:
@@ -500,7 +472,7 @@ def validate_scenario(config: ScenarioConfig) -> None:
         )
     if config.workerStartupMinMs > config.workerStartupMaxMs:
         raise ConfigError("scenario: workerStartupMinMs > workerStartupMaxMs")
-    sizing = validate_sizing(config.dag, config.sourceRate, config.ratePerInstance)
+    sizing = validate_sizing(config.dag, config.sourceRate, RATE_PER_INSTANCE)
     if not sizing.ok:
         raise ConfigError("under-provisioned dag: " + "; ".join(sizing.violations))
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import InvariantViolation, WaveConflictError
+from .model import to_ms
 from .reliability import CheckpointRecord
 from .runtime import (
     COMMIT,
@@ -43,6 +44,9 @@ from .runtime import (
 
 SEQUENTIAL = "SEQUENTIAL"
 BROADCAST = "BROADCAST"
+
+CHECKPOINT_INTERVAL_MS = 30_000  # DSM's periodic checkpoint cadence
+INIT_RESEND_MS = 1_000  # DCR/CCR resend cadence of an unacked INIT wave
 
 # Phase markers, in the order they may occur within one migration.
 REQUEST = "REQUEST"
@@ -334,7 +338,7 @@ class CheckpointCoordinator:
         self.mark(REBALANCE_START)
         for inst_id in eng.migrating:
             eng.kill_instance(inst_id)
-        eng.clock.schedule_in(eng._ms(eng.config.rebalanceDuration), self._rebalance_done)
+        eng.clock.schedule_in(to_ms(eng.config.rebalanceDuration), self._rebalance_done)
 
     def _rebalance_done(self) -> None:
         eng = self.engine
@@ -405,8 +409,7 @@ class DcrCoordinator(CheckpointCoordinator):
         self._schedule_resend()
 
     def _schedule_resend(self) -> None:
-        eng = self.engine
-        eng.clock.schedule_in(eng._ms(eng.config.initResendInterval), self._resend_tick)
+        self.engine.clock.schedule_in(INIT_RESEND_MS, self._resend_tick)
 
     def _resend_tick(self) -> None:
         wave = self.active.get(INIT)
@@ -492,8 +495,7 @@ class DsmCoordinator(CheckpointCoordinator):
         self._schedule_periodic()
 
     def _schedule_periodic(self) -> None:
-        eng = self.engine
-        eng.clock.schedule_in(eng._ms(eng.config.checkpointInterval), self._periodic_tick)
+        self.engine.clock.schedule_in(CHECKPOINT_INTERVAL_MS, self._periodic_tick)
 
     def _periodic_tick(self) -> None:
         eng = self.engine

@@ -104,9 +104,10 @@ class StateStore:
     byte, in milliseconds.
     """
 
-    def __init__(self, write_base_ms: float = 0.4, write_per_byte_ms: float = 0.0013) -> None:
-        self.write_base_ms = write_base_ms
-        self.write_per_byte_ms = write_per_byte_ms
+    write_base_ms = 0.4
+    write_per_byte_ms = 0.0013
+
+    def __init__(self) -> None:
         self._records: dict[tuple[str, int], CheckpointRecord] = {}
 
     def prepare(self, record: CheckpointRecord) -> CheckpointRecord:

@@ -23,6 +23,7 @@ from .model import (
     ScenarioConfig,
     instance_id as make_instance_id,
     migrating_instances,
+    to_ms,
 )
 from .reliability import AckerService, StateStore
 
@@ -39,6 +40,9 @@ READY = "READY"
 
 _MAX_ACTIONS = 200_000_000  # hard stop against runaway schedules
 _TRANSPORT_RETRY_MS = 500  # reconnect cadence toward a starting worker
+# Cap on unacked roots when data acking is on: the source defers paced
+# emissions beyond it, as a real spout's pending limit would.
+_MAX_PENDING_ROOTS = 240
 
 _PENDING_STRUCT = struct.Struct("<QQqqBBB")
 
@@ -192,13 +196,13 @@ class SimulationEngine:
         self.clock = SimClock(_kernels.EventCalendar())
         self.rng = random.Random(config.randomSeed)
         self.timeline = Timeline()
-        self.run_end_ms = self._ms(config.runDuration)
-        self.ack_timeout_ms = self._ms(config.ackTimeout)
+        self.run_end_ms = to_ms(config.runDuration)
+        self.ack_timeout_ms = to_ms(config.ackTimeout)
         self.net_delay_ms = config.networkDelayMs
         self.acking_data = config.data_acking_enabled()
         self.acker = AckerService(self.ack_timeout_ms)
         self.wave_acker = AckerService(self.ack_timeout_ms)
-        self.store = StateStore(config.storeWriteBaseMs, config.storeWritePerByteMs)
+        self.store = StateStore()
 
         self.epoch = 0
         self.migration_requested = False
@@ -223,7 +227,6 @@ class SimulationEngine:
         self._compile_routes()
         self._actions = 0
         self._emit_rate = config.sourceRate
-        self._cap = config.maxPendingRoots
         # Observability for state-correctness checks: processed counts at
         # kill time and the counts instances come back with at restore.
         self.kill_snapshots: dict[str, int] = {}
@@ -272,10 +275,6 @@ class SimulationEngine:
 
     # -- time helpers --------------------------------------------------------
 
-    @staticmethod
-    def _ms(seconds: float) -> int:
-        return int(round(seconds * 1000))
-
     @property
     def now(self) -> int:
         return self.clock.now
@@ -293,7 +292,7 @@ class SimulationEngine:
         if self.acking_data:
             self._schedule_sweep(self.ack_timeout_ms // 2)
         if self.migrate:
-            self.clock.schedule_at(self._ms(self.config.migrationTriggerAt),
+            self.clock.schedule_at(to_ms(self.config.migrationTriggerAt),
                                    self._trigger_migration)
         self.coordinator.on_run_start()
 
@@ -326,7 +325,7 @@ class SimulationEngine:
 
     def _source_tick(self) -> None:
         src = self.source
-        if src.paused or (self.acking_data and src.unacked >= self._cap):
+        if src.paused or (self.acking_data and src.unacked >= _MAX_PENDING_ROOTS):
             # Paused, or the pending cap is reached: defer this emission.
             src.backlog += 1
         else:
@@ -364,7 +363,7 @@ class SimulationEngine:
             src.unacked -= 1
             self.acker.discard(root_id)
             # A pending slot freed: release one cap-deferred emission.
-            if src.backlog and not src.paused and src.unacked < self._cap:
+            if src.backlog and not src.paused and src.unacked < _MAX_PENDING_ROOTS:
                 src.backlog -= 1
                 self._emit_root()
 

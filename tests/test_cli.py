@@ -65,6 +65,19 @@ class TestRun:
                                    "vmsBefore": [], "vmsAfter": []}))
         assert run_cli("run", str(bad), "--out", str(tmp_path / "o")) == 2
 
+    def test_rolled_back_migration_is_reported(self, quick_scenario, tmp_path):
+        # A 0.5 s ack timeout expires the sequential PREPARE wave, so DCR
+        # rolls back before any rebalance: a report, not a crash.
+        out = tmp_path / "rolled-back"
+        assert run_cli("run", str(quick_scenario), "--strategy", "dcr",
+                       "--ack-timeout", "0.5", "--out", str(out)) == 0
+        timeline = (out / "timeline.csv").read_text()
+        assert ",REQUEST\n" in timeline and "REBALANCE_START" not in timeline
+        report = json.loads((out / "report.json").read_text())
+        for field in ("restoreDurationMs", "drainCaptureDurationMs", "rebalanceDurationMs"):
+            assert report[field] is None, field
+        assert report["replayedCount"] == 0
+
     def test_strategy_and_seed_overrides(self, quick_scenario, tmp_path):
         out = tmp_path / "out"
         run_cli("run", str(quick_scenario), "--strategy", "dcr", "--seed", "99",
@@ -116,6 +129,15 @@ class TestCompare:
         assert "DSM" in out and "DCR" in out and "CCR" in out
         assert out.count("[PASS]") == 4
         assert "restore CCR < DCR < DSM" in out
+
+    def test_rolled_back_migration_fails_its_checks(self, quick_scenario, capsys):
+        # DCR rolls back, so its restore and drain are null: a check on a
+        # null operand fails instead of raising.
+        assert run_cli("compare", str(quick_scenario), "--ack-timeout", "0.5") == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] restore CCR < DCR < DSM" in out
+        assert "[FAIL] drain DCR > capture CCR" in out
+        assert "[PASS] no replays under DCR/CCR" in out
 
     def test_compare_writes_per_strategy_outputs(self, quick_scenario, tmp_path):
         out = tmp_path / "cmp"

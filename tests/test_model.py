@@ -1,4 +1,6 @@
 import json
+from dataclasses import MISSING, fields
+from importlib import resources
 
 import pytest
 
@@ -6,6 +8,7 @@ from flowmigrate.errors import ConfigError, InsufficientSlotsError
 from flowmigrate.model import (
     DagDef,
     Edge,
+    ScenarioConfig,
     TaskDef,
     VmDef,
     bundled_dag_names,
@@ -18,7 +21,13 @@ from flowmigrate.model import (
     round_robin_placement,
     validate_dag,
     validate_sizing,
+    with_overrides,
 )
+
+
+def bundled_dag_doc(name):
+    dags = resources.files("flowmigrate") / "scenarios" / "dags"
+    return json.loads((dags / f"{name}.json").read_text())
 
 
 def linear_dag(extra_edges=()):
@@ -191,6 +200,15 @@ class TestParseScenario:
         assert config.runDuration == 720
         assert config.rebalanceDuration == 7.26
         assert len(config.scheduleBefore.placements) == 5
+        # Every defaulted scalar field takes its dataclass default.
+        for f in fields(ScenarioConfig):
+            if f.default is not MISSING:
+                assert getattr(config, f.name) == f.default, f.name
+        doc = self.minimal_doc()
+        doc["dag"] = bundled_dag_doc("linear")
+        doc["dag"]["tasks"][1] = {"taskId": "T1"}
+        task = parse_scenario(doc).dag.task("T1")
+        assert task == TaskDef("T1", name="T1")
 
     def test_trigger_after_end_rejected(self):
         with pytest.raises(ConfigError, match="migrationTriggerAt"):
@@ -199,14 +217,42 @@ class TestParseScenario:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="strategy"):
             parse_scenario(self.minimal_doc(strategy="XYZ"))
+        with pytest.raises(ConfigError, match="strategy"):
+            with_overrides(parse_scenario(self.minimal_doc()), strategy="XYZ")
 
     def test_unknown_field_rejected(self):
-        # A typo, and two fields no scenario sets: the checkpoint store is
-        # memory only, and data acking follows the strategy.
+        # A typo, and fields no scenario sets: the checkpoint store is
+        # memory only, data acking follows the strategy, and the other six
+        # are fixed model constants.
         for field, value in (("sourceRte", 9), ("storeBackend", "file"),
-                             ("ackDataEvents", True)):
+                             ("ackDataEvents", True), ("checkpointInterval", 30),
+                             ("initResendInterval", 1), ("maxPendingRoots", 240),
+                             ("storeWriteBaseMs", 0.4), ("storeWritePerByteMs", 0.0013),
+                             ("ratePerInstance", 8)):
             with pytest.raises(ConfigError, match=field):
                 parse_scenario(self.minimal_doc(**{field: value}))
+
+    def test_malformed_scalar_is_a_config_error(self):
+        for field, value in (("sourceRate", "fast"), ("randomSeed", None),
+                             ("networkDelayMs", [5])):
+            with pytest.raises(ConfigError, match=f"scenario field {field}"):
+                parse_scenario(self.minimal_doc(**{field: value}))
+        doc = self.minimal_doc()
+        doc["dag"] = bundled_dag_doc("linear")
+        doc["dag"]["tasks"][3]["serviceTimeMs"] = "slow"
+        with pytest.raises(ConfigError, match="task T3 field serviceTimeMs"):
+            parse_scenario(doc)
+
+    def test_overloaded_task_rejected(self):
+        # One instance is enough for 8 events/sec by count, but at 200 ms
+        # per event it serves only 5 events/sec.
+        doc = self.minimal_doc()
+        doc["dag"] = bundled_dag_doc("linear")
+        doc["dag"]["tasks"][3]["serviceTimeMs"] = 200
+        with pytest.raises(ConfigError, match="task T3: serviceTimeMs 200 overloads"):
+            parse_scenario(doc)
+        doc["dag"]["tasks"][3]["instanceCount"] = 2
+        assert parse_scenario(doc).dag.task("T3").instanceCount == 2
 
     def test_explicit_schedule_round_trips(self):
         doc = self.minimal_doc()

@@ -6,6 +6,7 @@ from flowmigrate.metrics import SINK_EXIT, sink_multiset
 from flowmigrate.protocol import (
     ALL_INIT_ACKED,
     CAPTURE_DONE,
+    CHECKPOINT_INTERVAL_MS,
     DRAIN_DONE,
     MARKER_ORDER,
     REBALANCE_DONE,
@@ -172,7 +173,7 @@ class TestDsm:
         restored = engine.restore_snapshots["T2#0"]
         assert restored <= killed
         rollback = killed - restored
-        assert rollback <= config.checkpointInterval * config.sourceRate
+        assert rollback <= CHECKPOINT_INTERVAL_MS / 1000 * config.sourceRate
         # Replays re-cover the rolled-back window.
         assert engine.instances["T2#0"].state.processedCount >= killed
 

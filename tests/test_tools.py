@@ -2,7 +2,10 @@ import importlib.util
 from importlib import resources
 from pathlib import Path
 
-GEN_SCENARIOS = Path(__file__).resolve().parent.parent / "tools" / "gen_scenarios.py"
+from flowmigrate.runtime import SimulationEngine
+
+ROOT = Path(__file__).resolve().parent.parent
+GEN_SCENARIOS = ROOT / "tools" / "gen_scenarios.py"
 
 
 def test_gen_scenarios_reproduces_bundled_files(tmp_path, monkeypatch):
@@ -18,3 +21,15 @@ def test_gen_scenarios_reproduces_bundled_files(tmp_path, monkeypatch):
     assert len(written) == 12  # ten paper scenarios, the stress scenario, its dag
     for rel in written:
         assert (tmp_path / rel).read_bytes() == bundled.joinpath(*rel.parts).read_bytes(), rel
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # The benchmark wraps program names from outside src/; a renamed or
+    # deleted name breaks it, so install and remove its wrappers here.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    run = SimulationEngine.run
+    with tracer.Observer() as obs, tracer.Tracer(obs):
+        assert SimulationEngine.run is not run
+    assert SimulationEngine.run is run
