@@ -84,9 +84,13 @@ class RunCache:
 
     def __init__(self) -> None:
         self._runs: dict[tuple, RunResult] = {}
+        self._scenarios: dict[str, ScenarioConfig] = {}  # parsed once per name
 
     def get(self, scenario: str, strategy: str, migrate: bool = True) -> RunResult:
-        config = with_overrides(load_bundled_scenario(scenario), strategy=strategy)
+        base = self._scenarios.get(scenario)
+        if base is None:
+            base = self._scenarios[scenario] = load_bundled_scenario(scenario)
+        config = with_overrides(base, strategy=strategy)
         key = (scenario, strategy if migrate else config.data_acking_enabled(), migrate)
         if key not in self._runs:
             engine = SimulationEngine(config, migrate=migrate)

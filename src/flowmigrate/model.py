@@ -389,7 +389,13 @@ def _parse_vms(raw: list, where: str) -> list[VmDef]:
     vms = []
     for item in raw:
         _reject_unknown(item, {f.name for f in fields(VmDef)}, where)
-        vm = VmDef(vmId=str(item["vmId"]), slotCount=int(item["slotCount"]))
+        vm_id = str(item["vmId"])
+        try:
+            vm = VmDef(vmId=vm_id, slotCount=int(item["slotCount"]))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{where}: VM {vm_id} slotCount: expected int, got {item['slotCount']!r}"
+            ) from None
         if vm.slotCount < 1:
             raise ConfigError(f"{where}: VM {vm.vmId} slotCount must be >= 1")
         vms.append(vm)
@@ -414,7 +420,12 @@ def _resolve_schedule(raw, dag: DagDef, vms: list[VmDef], where: str) -> Schedul
     for inst, loc in placements_raw.items():
         if not isinstance(loc, (list, tuple)) or len(loc) != 2:
             raise ConfigError(f"{where}: placement of {inst} must be [vmId, slotIndex]")
-        placements[str(inst)] = (str(loc[0]), int(loc[1]))
+        try:
+            placements[str(inst)] = (str(loc[0]), int(loc[1]))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{where}: placement of {inst}: slot index must be an int, got {loc[1]!r}"
+            ) from None
     schedule = Schedule(placements)
     schedule.validate(instances, vms)
     return schedule

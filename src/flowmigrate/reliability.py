@@ -23,29 +23,33 @@ COMMITTED = "COMMITTED"
 
 
 class AckerService:
-    """Causal-tree tracking via 64-bit XOR hashes, with timeout sweeps."""
+    """Causal-tree tracking via 64-bit XOR hashes, with timeout sweeps.
+
+    ``table`` is public: the engine's per-event data path anchors and acks
+    on it directly, skipping a wrapper call per event.
+    """
 
     def __init__(self, timeout_ms: int) -> None:
         self.timeout_ms = timeout_ms
-        self._table = _kernels.AckerTable()
+        self.table = _kernels.AckerTable()
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.table)
 
     def register_root(self, root_id: int, ts_ms: int) -> None:
         """Start tracking a root; its own id counts as anchored once."""
-        if not self._table.register(root_id, ts_ms):
+        if not self.table.register(root_id, ts_ms):
             raise DuplicateRootError(f"root {root_id:#x} already registered")
 
     def anchor_emit(self, root_id: int, child_event_id: int) -> None:
         """Fold a newly emitted event into its root's tree."""
-        status = self._table.anchor(root_id, child_event_id)
+        status = self.table.anchor(root_id, child_event_id)
         if status == _kernels.ACK_UNKNOWN:
             raise UnknownRootError(f"anchor on unknown root {root_id:#x}")
 
     def ack_event(self, root_id: int, event_id: int) -> bool:
         """Fold a processed event out of the tree; True when it completed."""
-        status = self._table.ack(root_id, event_id)
+        status = self.table.ack(root_id, event_id)
         if status == _kernels.ACK_UNKNOWN:
             raise UnknownRootError(f"ack on unknown root {root_id:#x}")
         return status == _kernels.ACK_COMPLETED
@@ -56,30 +60,30 @@ class AckerService:
         Late traffic for a root that finished via another delivery is
         normal under at-least-once; it must not corrupt the table.
         """
-        self._table.anchor(root_id, child_event_id)
+        self.table.anchor(root_id, child_event_id)
 
     def ack_if_tracked(self, root_id: int, event_id: int) -> bool:
-        status = self._table.ack(root_id, event_id)
+        status = self.table.ack(root_id, event_id)
         return status == _kernels.ACK_COMPLETED
 
     def is_completed(self, root_id: int) -> bool:
-        return self._table.is_completed(root_id)
+        return self.table.is_completed(root_id)
 
     def is_tracked(self, root_id: int) -> bool:
-        return self._table.contains(root_id)
+        return self.table.contains(root_id)
 
     def hash_of(self, root_id: int) -> int:
-        return self._table.hash_of(root_id)
+        return self.table.hash_of(root_id)
 
     def discard(self, root_id: int) -> None:
-        self._table.discard(root_id)
+        self.table.discard(root_id)
 
     def pending_count(self) -> int:
-        return self._table.pending_count()
+        return self.table.pending_count()
 
     def sweep_timeouts(self, now_ms: int) -> list[int]:
         """Roots overdue for replay; their entries are re-armed in place."""
-        return self._table.sweep(now_ms, self.timeout_ms)
+        return self.table.sweep(now_ms, self.timeout_ms)
 
 
 @dataclass

@@ -16,6 +16,7 @@ from collections import deque
 from functools import partial
 
 from . import _kernels
+from ._kernels import ACK_COMPLETED
 from .errors import ConfigError, FlowMigrateError, InvariantViolation
 from .metrics import Timeline
 from .model import (
@@ -115,7 +116,8 @@ class TaskInstanceRuntime:
     """One parallel executor of a task: FIFO queue, single service slot."""
 
     __slots__ = (
-        "instanceId", "task", "is_sink", "status", "initialized", "captureFlag",
+        "instanceId", "task", "is_sink", "stateful", "sel_count", "sel_frac",
+        "status", "initialized", "captureFlag",
         "queue", "pendingList", "preInit", "in_service", "generation", "state",
         "rr_edges", "rr_targets", "barrier_counts", "deferred_acks",
         "last_restored_ckpt", "prepared_snapshot",
@@ -125,6 +127,11 @@ class TaskInstanceRuntime:
         self.instanceId = inst_id
         self.task = task
         self.is_sink = is_sink
+        self.stateful = task.stateful
+        # Selectivity split once: whole children per event, and the
+        # probability of one more.
+        self.sel_count = int(task.selectivity)
+        self.sel_frac = task.selectivity - self.sel_count
         self.status = RUNNING
         self.initialized = True
         self.captureFlag = False
@@ -190,11 +197,20 @@ class SimulationEngine:
     def __init__(self, config: ScenarioConfig, migrate: bool = True) -> None:
         if len(config.dag.sourceTasks) != 1:
             raise ConfigError("the engine supports exactly one source task")
+        # The hot paths push ``now + delay`` without the clock's check, so
+        # every delay they use is checked here, once.
+        if config.networkDelayMs < 0:
+            raise InvariantViolation(
+                f"networkDelayMs {config.networkDelayMs} < 0 schedules into the past")
         self.migrate = migrate
         self.config = config
         self.dag = config.dag
         self.clock = SimClock(_kernels.EventCalendar())
+        # Bound again by run(), after any wrapper of EventCalendar.push is
+        # installed; bound here for callers that drive the calendar by hand.
+        self._push = self.clock._calendar.push
         self.rng = random.Random(config.randomSeed)
+        self._getrandbits = self.rng.getrandbits
         self.timeline = Timeline()
         self.run_end_ms = to_ms(config.runDuration)
         self.ack_timeout_ms = to_ms(config.ackTimeout)
@@ -216,6 +232,9 @@ class SimulationEngine:
             if tid == self.source_task_id:
                 continue
             task = self.dag.task(tid)
+            if task.serviceTimeMs <= 0:
+                raise InvariantViolation(
+                    f"task {tid}: serviceTimeMs {task.serviceTimeMs} must be > 0")
             ids = []
             for i in range(task.instanceCount):
                 iid = make_instance_id(tid, i)
@@ -280,7 +299,7 @@ class SimulationEngine:
         return self.clock.now
 
     def new_id(self) -> int:
-        return self.rng.getrandbits(64) or 1
+        return self._getrandbits(64) or 1
 
     def record_phase(self, name: str) -> None:
         self.timeline.record_phase(self.now, name)
@@ -299,13 +318,22 @@ class SimulationEngine:
         clock = self.clock
         calendar = clock._calendar
         pop = calendar.pop
-        while calendar:
-            fire_ms, _seq, action = pop()
-            clock.now = fire_ms
-            action()
-            self._actions += 1
-            if self._actions > _MAX_ACTIONS:
-                raise InvariantViolation("action budget exceeded; runaway schedule")
+        self._push = calendar.push
+        max_actions = _MAX_ACTIONS
+        actions = self._actions
+        try:
+            while True:
+                try:
+                    fire_ms, _seq, action = pop()
+                except IndexError:
+                    break  # the calendar is empty
+                clock.now = fire_ms
+                action()
+                actions += 1
+                if actions > max_actions:
+                    raise InvariantViolation("action budget exceeded; runaway schedule")
+        finally:
+            self._actions = actions
         return self.timeline
 
     def _trigger_migration(self) -> None:
@@ -335,14 +363,15 @@ class SimulationEngine:
 
     def _emit_root(self) -> None:
         src = self.source
+        now = self.clock.now
         root_id = self.new_id()
-        env = EventEnvelope(root_id, root_id, src.next_seq, DATA, self.epoch, False, self.now)
+        env = EventEnvelope(root_id, root_id, src.next_seq, DATA, self.epoch, False, now)
         src.next_seq += 1
         if self.acking_data:
-            self.acker.register_root(root_id, self.now)
+            self.acker.register_root(root_id, now)
             src.root_cache[root_id] = env
             src.unacked += 1
-        self.timeline.record_emit(self.now, root_id, env.rootSeqNo, env.epoch)
+        self.timeline.record_emit(now, root_id, env.rootSeqNo, env.epoch)
         self._route_emission(src, self.source_task_id, env)
 
     def pause_source(self) -> None:
@@ -388,41 +417,43 @@ class SimulationEngine:
 
     # -- routing and delivery -------------------------------------------------
 
-    def _pick_instance(self, sender, edge_idx: int, targets: tuple) -> TaskInstanceRuntime:
-        counter = sender.rr_targets.get(edge_idx, 0)
-        sender.rr_targets[edge_idx] = counter + 1
-        return targets[counter % len(targets)]
-
     def _route_emission(self, sender, task_id: str, env: EventEnvelope) -> None:
         """Send one produced event along the task's out-edges.
 
         DUPLICATE edges each carry a copy; SHUFFLE edges share the stream
-        round-robin.  A single target receives the event itself; with
-        several targets each copy gets a fresh anchored id and the
-        never-delivered original is retired, keeping the XOR tree balanced.
+        round-robin.  Each chosen edge picks its target instances in turn.
+        A single target receives the event itself; with several targets
+        each copy gets a fresh anchored id and the never-delivered original
+        is retired, keeping the XOR tree balanced.  Acks for roots already
+        completed or discarded are ignored: late traffic is normal under
+        at-least-once delivery.
         """
         chosen, shuffle = self._plans[task_id]
         if shuffle:
             idx = sender.rr_edges % len(shuffle)
             sender.rr_edges += 1
             chosen += (shuffle[idx],)
-        if len(chosen) == 1:
-            self.deliver(env, self._pick_instance(sender, *chosen[0]))
-            return
-        if not chosen:
-            return  # a task without out-edges
+        single = len(chosen) == 1
+        counters = sender.rr_targets
         for edge_idx, targets in chosen:
-            target = self._pick_instance(sender, edge_idx, targets)
+            counter = counters.get(edge_idx, 0)
+            counters[edge_idx] = counter + 1
+            target = targets[counter % len(targets)]
+            if single:
+                self.deliver(env, target)
+                return
             copy = EventEnvelope(self.new_id(), env.rootId, env.rootSeqNo, env.kind,
-                                 env.epoch, env.replayed, self.now)
+                                 env.epoch, env.replayed, self.clock.now)
             if self.acking_data:
-                self.acker.anchor_if_tracked(env.rootId, copy.eventId)
+                self.acker.table.anchor(env.rootId, copy.eventId)
             self.deliver(copy, target)
-        if self.acking_data and self.acker.ack_if_tracked(env.rootId, env.eventId):
+        # Reached with several targets, or with none (nothing was sent).
+        if (chosen and self.acking_data
+                and self.acker.table.ack(env.rootId, env.eventId) == ACK_COMPLETED):
             self._on_root_completed(env.rootId)
 
     def deliver(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
-        self.clock.schedule_in(self.net_delay_ms, partial(self._arrive, env, target))
+        self._push(self.clock.now + self.net_delay_ms, partial(self._arrive, env, target))
 
     def _arrive(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
         if target.status == KILLED:
@@ -432,8 +463,8 @@ class SimulationEngine:
             # reconnects, while control copies are dropped (wave resends
             # own their recovery).
             if env.kind == DATA:
-                self.clock.schedule_in(_TRANSPORT_RETRY_MS,
-                                       partial(self._arrive, env, target))
+                self._push(self.clock.now + _TRANSPORT_RETRY_MS,
+                           partial(self._arrive, env, target))
             return
         target.queue.append(env)
         self._pump(target)
@@ -441,7 +472,7 @@ class SimulationEngine:
     # -- instance processing ---------------------------------------------------
 
     def _pump(self, inst: TaskInstanceRuntime) -> None:
-        while inst.in_service is None and inst.status in (RUNNING, READY) and inst.queue:
+        while inst.queue and inst.in_service is None and inst.status in (RUNNING, READY):
             env = inst.queue.popleft()
             if env.kind != DATA:
                 self.coordinator.on_control_event(inst, env)
@@ -453,10 +484,8 @@ class SimulationEngine:
                 inst.preInit.append(env)
                 continue
             inst.in_service = env
-            self.clock.schedule_in(
-                inst.task.serviceTimeMs,
-                partial(self._complete_service, inst, env, inst.generation),
-            )
+            self._push(self.clock.now + inst.task.serviceTimeMs,
+                       partial(self._complete_service, inst, env, inst.generation))
 
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
                           gen: int) -> None:
@@ -468,17 +497,17 @@ class SimulationEngine:
         inst.state.on_event(env)
 
         if inst.is_sink:
-            self.timeline.record_sink_exit(self.now, env.eventId, env.rootSeqNo,
+            self.timeline.record_sink_exit(self.clock.now, env.eventId, env.rootSeqNo,
                                            env.epoch, env.replayed)
         else:
             self._emit_children(inst, env)
 
         if self.acking_data:
-            if inst.task.stateful and self.coordinator.defers_stateful_acks:
+            if inst.stateful and self.coordinator.defers_stateful_acks:
                 # Held until this instance's next checkpoint commit, so a
                 # post-restore replay re-covers the rolled-back window.
                 inst.deferred_acks.append((env.rootId, env.eventId))
-            elif self.acker.ack_if_tracked(env.rootId, env.eventId):
+            elif self.acker.table.ack(env.rootId, env.eventId) == ACK_COMPLETED:
                 self._on_root_completed(env.rootId)
         self._pump(inst)
 
@@ -489,17 +518,16 @@ class SimulationEngine:
                 self._on_root_completed(root_id)
 
     def _emit_children(self, inst: TaskInstanceRuntime, env: EventEnvelope) -> None:
-        sel = inst.task.selectivity
-        count = int(sel)
-        frac = sel - count
-        if frac > 0 and self.rng.random() < frac:
+        count = inst.sel_count
+        if inst.sel_frac > 0 and self.rng.random() < inst.sel_frac:
             count += 1
+        task_id = inst.task.taskId
         for _ in range(count):
             child = EventEnvelope(self.new_id(), env.rootId, env.rootSeqNo, DATA,
-                                  env.epoch, env.replayed, self.now)
+                                  env.epoch, env.replayed, self.clock.now)
             if self.acking_data:
-                self.acker.anchor_if_tracked(env.rootId, child.eventId)
-            self._route_emission(inst, inst.task.taskId, child)
+                self.acker.table.anchor(env.rootId, child.eventId)
+            self._route_emission(inst, task_id, child)
 
     # -- kill / respawn ---------------------------------------------------------
 

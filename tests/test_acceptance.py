@@ -109,3 +109,16 @@ class TestRunCache:
         config = with_overrides(load_bundled_scenario("linear_scalein"), strategy="CCR")
         fresh = SimulationEngine(config, migrate=False).run()
         assert fresh.to_csv() == dcr.timeline.to_csv()
+
+    def test_each_scenario_is_parsed_once(self, monkeypatch):
+        loaded = []
+
+        def load(name):
+            loaded.append(name)
+            return load_bundled_scenario(name)
+
+        monkeypatch.setattr(acceptance, "load_bundled_scenario", load)
+        cache = acceptance.RunCache()
+        for strategy in ("DCR", "CCR"):
+            cache.get("linear_scalein", strategy, migrate=False)
+        assert loaded == ["linear_scalein"]

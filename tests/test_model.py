@@ -243,6 +243,16 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match="task T3 field serviceTimeMs"):
             parse_scenario(doc)
 
+    def test_malformed_vm_or_placement_is_a_config_error(self):
+        for slots in ("four", None):
+            doc = self.minimal_doc()
+            doc["vmsAfter"][1]["slotCount"] = slots
+            with pytest.raises(ConfigError, match="vmsAfter: VM d3-2 slotCount"):
+                parse_scenario(doc)
+        doc = self.minimal_doc(scheduleAfter={"placements": {"T1#0": ["d3-1", "x"]}})
+        with pytest.raises(ConfigError, match="scheduleAfter: placement of T1#0"):
+            parse_scenario(doc)
+
     def test_overloaded_task_rejected(self):
         # One instance is enough for 8 events/sec by count, but at 200 ms
         # per event it serves only 5 events/sec.

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 
 import pytest
 
 from conftest import make_chain_dag, make_scenario
+from flowmigrate import runtime
 from flowmigrate.errors import FlowMigrateError, InvariantViolation
 from flowmigrate.metrics import REPLAY, SINK_EXIT, SOURCE_EMIT, exactly_once_audit
 from flowmigrate.model import DagDef, Edge, TaskDef, load_bundled_dag
@@ -96,6 +98,43 @@ class TestClock:
         with pytest.raises(InvariantViolation):
             engine.clock.schedule_at(engine.now - 1, engine.pause_source)
         assert len(engine.clock._calendar) == 0
+
+    def test_negative_network_delay_rejected_at_construction(self):
+        # Deliveries push now + networkDelayMs unchecked; a hand-built config
+        # skips validate_scenario, so the engine checks the delay itself.
+        config = make_scenario(make_chain_dag(3), "DCR")
+        with pytest.raises(InvariantViolation, match="networkDelayMs"):
+            SimulationEngine(dataclasses.replace(config, networkDelayMs=-5))
+
+    def test_zero_service_time_rejected_at_construction(self):
+        config = make_scenario(make_chain_dag(3), "DCR")
+        dag = config.dag
+        tasks = tuple(dataclasses.replace(t, serviceTimeMs=0) if t.taskId == "T2" else t
+                      for t in dag.tasks)
+        with pytest.raises(InvariantViolation, match="task T2: serviceTimeMs"):
+            SimulationEngine(dataclasses.replace(
+                config, dag=dataclasses.replace(dag, tasks=tasks)))
+
+
+class TestRunLoop:
+    def test_index_error_inside_an_action_propagates(self):
+        # The loop ends on the empty calendar's IndexError; one raised by
+        # an action is a fault and must not end the run quietly.
+        engine = quick_engine()
+
+        def faulty():
+            raise IndexError("from an action")
+
+        engine.clock.schedule_at(1_000, faulty)
+        with pytest.raises(IndexError, match="from an action"):
+            engine.run()
+
+    def test_action_budget_stops_a_run(self, monkeypatch):
+        monkeypatch.setattr(runtime, "_MAX_ACTIONS", 1000)
+        engine = quick_engine()
+        with pytest.raises(InvariantViolation, match="action budget"):
+            engine.run()
+        assert engine._actions == 1001
 
 
 class TestDelivery:

@@ -2,6 +2,7 @@ import importlib.util
 from importlib import resources
 from pathlib import Path
 
+from flowmigrate.model import load_bundled_scenario, with_overrides
 from flowmigrate.runtime import SimulationEngine
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,3 +34,20 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     with tracer.Observer() as obs, tracer.Tracer(obs):
         assert SimulationEngine.run is not run
     assert SimulationEngine.run is run
+
+
+def test_benchmark_tracer_sees_every_push_and_action(monkeypatch):
+    # The engine binds the calendar's push once per run; a push that
+    # bypasses EventCalendar.push would escape the benchmark's counters.
+    # The engine is built before the tracer is installed, so run() must
+    # pick up the traced push itself.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    config = with_overrides(load_bundled_scenario("linear_scalein"), strategy="DCR")
+    engine = SimulationEngine(config)
+    with tracer.Observer() as obs, tracer.Tracer(obs) as traced:
+        engine.run()
+    layers = traced.layer_metrics(obs.fingerprints())
+    assert layers["kernels.calendar.pushes"][0] == engine.clock._calendar._next_seq
+    assert layers["runtime.actions"][0] == engine._actions
