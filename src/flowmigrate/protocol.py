@@ -242,7 +242,7 @@ class CheckpointCoordinator:
         # event: the barrier costs a service time at every hop.
         inst.in_service = env
         self.engine.clock.schedule_in(
-            inst.task.serviceTimeMs,
+            inst.service_ms,
             partial(self._prepare_done, inst, env, wave, inst.generation),
         )
 
@@ -257,7 +257,7 @@ class CheckpointCoordinator:
 
     def prepare_action(self, inst: TaskInstanceRuntime, wave: WaveState) -> None:
         """Assemble the task snapshot (kept PREPARED until commit)."""
-        snapshot = inst.state.snapshot() if inst.task.stateful else b""
+        snapshot = inst.state.snapshot() if inst.stateful else b""
         self.engine.store.prepare(
             CheckpointRecord(inst.instanceId, wave.checkpointId, snapshot)
         )
@@ -442,7 +442,7 @@ class CcrCoordinator(DcrCoordinator):
         # freeze the queue into the pending list; persisted at commit.
         inst.in_service = env
         self.engine.clock.schedule_in(
-            inst.task.serviceTimeMs,
+            inst.service_ms,
             partial(self._capture_done, inst, env, wave, inst.generation),
         )
 
@@ -451,7 +451,7 @@ class CcrCoordinator(DcrCoordinator):
             return
         inst.in_service = None
         inst.captureFlag = True
-        inst.prepared_snapshot = inst.state.snapshot() if inst.task.stateful else b""
+        inst.prepared_snapshot = inst.state.snapshot() if inst.stateful else b""
         self._ack_copy(wave, inst, env, counts=True)
         self.engine._pump(inst)
 

@@ -116,8 +116,8 @@ class TaskInstanceRuntime:
     """One parallel executor of a task: FIFO queue, single service slot."""
 
     __slots__ = (
-        "instanceId", "task", "is_sink", "stateful", "sel_count", "sel_frac",
-        "status", "initialized", "captureFlag",
+        "instanceId", "task", "is_sink", "stateful", "service_ms", "sel_count",
+        "sel_frac", "sole_target", "status", "initialized", "captureFlag",
         "queue", "pendingList", "preInit", "in_service", "generation", "state",
         "rr_edges", "rr_targets", "barrier_counts", "deferred_acks",
         "last_restored_ckpt", "prepared_snapshot",
@@ -128,10 +128,14 @@ class TaskInstanceRuntime:
         self.task = task
         self.is_sink = is_sink
         self.stateful = task.stateful
+        self.service_ms = task.serviceTimeMs
         # Selectivity split once: whole children per event, and the
         # probability of one more.
         self.sel_count = int(task.selectivity)
         self.sel_frac = task.selectivity - self.sel_count
+        # The one instance every child goes to, when routing has no choice
+        # to make (set by SimulationEngine._compile_routes).
+        self.sole_target: TaskInstanceRuntime | None = None
         self.status = RUNNING
         self.initialized = True
         self.captureFlag = False
@@ -263,6 +267,10 @@ class SimulationEngine:
         ``downstream[task]`` holds every out-edge target instance in edge
         order (the path of a sequential wave).  Holding the instance
         objects is safe: respawn resets them in place.
+
+        A task with no DUPLICATE edge and one SHUFFLE edge to one instance
+        has nothing to route: its instances get that target as
+        ``sole_target``, and ``_emit_children`` delivers to it directly.
         """
         targets_of = {tid: tuple(self.instances[iid] for iid in ids)
                       for tid, ids in self.instances_of.items()}
@@ -280,6 +288,11 @@ class SimulationEngine:
                 fed_by_source.add(e.toTask)
             else:
                 upstream[e.toTask] = upstream.get(e.toTask, 0) + len(targets_of[e.fromTask])
+        for tid, ids in self.instances_of.items():
+            lanes = shuffle.get(tid, ())
+            if tid not in dup and len(lanes) == 1 and len(lanes[0][1]) == 1:
+                for iid in ids:
+                    self.instances[iid].sole_target = lanes[0][1][0]
         tasks = [self.source_task_id, *self.instances_of]
         self._plans = {tid: (tuple(dup.get(tid, ())), tuple(shuffle.get(tid, ())))
                        for tid in tasks}
@@ -442,7 +455,7 @@ class SimulationEngine:
             if single:
                 self.deliver(env, target)
                 return
-            copy = EventEnvelope(self.new_id(), env.rootId, env.rootSeqNo, env.kind,
+            copy = EventEnvelope(self._getrandbits(64) or 1, env.rootId, env.rootSeqNo, env.kind,
                                  env.epoch, env.replayed, self.clock.now)
             if self.acking_data:
                 self.acker.table.anchor(env.rootId, copy.eventId)
@@ -456,6 +469,20 @@ class SimulationEngine:
         self._push(self.clock.now + self.net_delay_ms, partial(self._arrive, env, target))
 
     def _arrive(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
+        """Hand a delivered event to its target instance.
+
+        A DATA event that finds its instance idle and accepting (RUNNING,
+        initialized, not capturing, queue empty, nothing in service) goes
+        straight into service, as ``_pump`` would have put it.  Every other
+        event takes the queue and ``_pump``; a KILLED instance drops it, and
+        a RESPAWNING one has its DATA retried by the transport.
+        """
+        if (target.in_service is None and not target.queue and target.status == RUNNING
+                and env.kind == DATA and target.initialized and not target.captureFlag):
+            target.in_service = env
+            self._push(self.clock.now + target.service_ms,
+                       partial(self._complete_service, target, env, target.generation))
+            return
         if target.status == KILLED:
             return  # dropped; a lost DATA event is recovered via ack timeout
         if target.status == RESPAWNING:
@@ -484,7 +511,7 @@ class SimulationEngine:
                 inst.preInit.append(env)
                 continue
             inst.in_service = env
-            self._push(self.clock.now + inst.task.serviceTimeMs,
+            self._push(self.clock.now + inst.service_ms,
                        partial(self._complete_service, inst, env, inst.generation))
 
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
@@ -509,7 +536,8 @@ class SimulationEngine:
                 inst.deferred_acks.append((env.rootId, env.eventId))
             elif self.acker.table.ack(env.rootId, env.eventId) == ACK_COMPLETED:
                 self._on_root_completed(env.rootId)
-        self._pump(inst)
+        if inst.queue:
+            self._pump(inst)
 
     def flush_deferred_acks(self, inst: TaskInstanceRuntime) -> None:
         acks, inst.deferred_acks = inst.deferred_acks, []
@@ -521,13 +549,17 @@ class SimulationEngine:
         count = inst.sel_count
         if inst.sel_frac > 0 and self.rng.random() < inst.sel_frac:
             count += 1
-        task_id = inst.task.taskId
+        sole = inst.sole_target
+        now = self.clock.now
         for _ in range(count):
-            child = EventEnvelope(self.new_id(), env.rootId, env.rootSeqNo, DATA,
-                                  env.epoch, env.replayed, self.clock.now)
+            child = EventEnvelope(self._getrandbits(64) or 1, env.rootId, env.rootSeqNo, DATA,
+                                  env.epoch, env.replayed, now)
             if self.acking_data:
                 self.acker.table.anchor(env.rootId, child.eventId)
-            self._route_emission(inst, task_id, child)
+            if sole is None:
+                self._route_emission(inst, inst.task.taskId, child)
+            else:
+                self.deliver(child, sole)
 
     # -- kill / respawn ---------------------------------------------------------
 

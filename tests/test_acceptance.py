@@ -16,8 +16,10 @@ conjunction of all its clauses, the CCR stabilization clause included, so
 the criterion cannot be bent, lose a clause or get a looser bound unseen.
 """
 
+import dataclasses
 
 from flowmigrate import acceptance
+from flowmigrate.metrics import Timeline
 from flowmigrate.model import load_bundled_scenario, with_overrides
 from flowmigrate.runtime import SimulationEngine
 
@@ -122,3 +124,25 @@ class TestRunCache:
         for strategy in ("DCR", "CCR"):
             cache.get("linear_scalein", strategy, migrate=False)
         assert loaded == ["linear_scalein"]
+
+    def test_determinism_runs_the_scenario_once_beyond_the_cache(self, suite_cache,
+                                                                  monkeypatch):
+        cached = suite_cache.get("diamond_scalein", "CCR")
+        runs = []
+        engine_run = SimulationEngine.run
+
+        def counted(engine):
+            runs.append(engine.config.name)
+            return engine_run(engine)
+
+        monkeypatch.setattr(SimulationEngine, "run", counted)
+        result = acceptance.check_determinism(suite_cache)
+        assert len(runs) == 1
+        assert result.passed
+        assert result.details == ["diamond_scalein/CCR run twice: identical=True"]
+
+        class Diverged:
+            def get(self, scenario, strategy):
+                return dataclasses.replace(cached, timeline=Timeline())
+
+        assert not acceptance.check_determinism(Diverged()).passed

@@ -6,11 +6,27 @@ import pytest
 from conftest import make_chain_dag, make_scenario
 from flowmigrate import runtime
 from flowmigrate.errors import FlowMigrateError, InvariantViolation
-from flowmigrate.metrics import REPLAY, SINK_EXIT, SOURCE_EMIT, exactly_once_audit
-from flowmigrate.model import DagDef, Edge, TaskDef, load_bundled_dag
+from flowmigrate.metrics import (
+    REPLAY,
+    SINK_EXIT,
+    SOURCE_EMIT,
+    compute_report,
+    exactly_once_audit,
+)
+from flowmigrate.model import (
+    DUPLICATE,
+    SHUFFLE,
+    DagDef,
+    Edge,
+    TaskDef,
+    load_bundled_dag,
+    load_bundled_scenario,
+    with_overrides,
+)
 from flowmigrate.runtime import (
     DATA,
     KILLED,
+    PREPARE,
     READY,
     RUNNING,
     EventEnvelope,
@@ -145,15 +161,13 @@ class TestDelivery:
         for env in events:
             engine.deliver(env, inst)
         cal = engine.clock._calendar
-        seen = []
-        original_pump = engine._pump
-        engine._pump = lambda i: None  # inspect queue order without servicing
-        while len(cal):
+        for _ in events:  # the three arrivals; no service completes at 0 ms
             t, _, action = cal.pop()
             engine.clock.now = t
             action()
-        assert [e.eventId for e in inst.queue] == [1, 2, 3]
-        engine._pump = original_pump
+        # The first event found T1 idle and went into service; the others
+        # queued behind it in send order.
+        assert [inst.in_service.eventId] + [e.eventId for e in inst.queue] == [1, 2, 3]
 
     def test_delivery_to_killed_instance_dropped(self):
         config = make_scenario(make_chain_dag(3), "DSM", run_s=120, trigger_s=110)
@@ -173,6 +187,179 @@ class TestDelivery:
         exits = [r for r in timeline.records if r.site == SINK_EXIT]
         # src -> T1 -> T2 -> sink: three hops of delay plus three services.
         assert exits[0].ts == 3 * 40 + 2 * 100 + 100
+
+
+def make_event(event_id: int = 1, kind: str = DATA) -> EventEnvelope:
+    return EventEnvelope(event_id, event_id, 0, kind, 0, False, 0)
+
+
+def fire_next(engine):
+    """Pop and fire the next calendar action; returns its fire time."""
+    t, _, action = engine.clock._calendar.pop()
+    engine.clock.now = t
+    action()
+    return t
+
+
+class TestArrive:
+    """Every branch of ``_arrive``: the idle fast path and the queue path."""
+
+    def test_idle_instance_starts_service_in_the_arrival_action(self):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        engine.clock.now = 1_000
+        env = make_event()
+        engine.deliver(env, inst)
+        assert fire_next(engine) == 1_000  # the arrival
+        assert inst.in_service is env and not inst.queue
+        cal = engine.clock._calendar
+        assert len(cal) == 1 and cal.peek_time() == 1_000 + inst.service_ms
+        assert fire_next(engine) == 1_100  # the service completion
+        assert inst.in_service is None
+        assert inst.state.processedCount == 1
+
+    def test_busy_instance_queues_the_event(self):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        first, second = make_event(1), make_event(2)
+        engine._arrive(first, inst)
+        engine._arrive(second, inst)
+        assert inst.in_service is first
+        assert list(inst.queue) == [second]
+        assert len(engine.clock._calendar) == 1  # only the first completion
+        fire_next(engine)
+        assert inst.in_service is second and not inst.queue
+
+    def test_ready_instance_buffers_data_before_init(self):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        engine.kill_instance("T1#0")
+        engine.respawn_instance("T1#0")
+        assert inst.status == READY
+        env = make_event()
+        engine._arrive(env, inst)
+        assert inst.preInit == [env]
+        assert inst.in_service is None and not inst.queue
+        assert len(engine.clock._calendar) == 0
+
+    def test_uninitialized_running_instance_buffers_data(self):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        inst.initialized = False
+        env = make_event()
+        engine._arrive(env, inst)
+        assert inst.preInit == [env] and inst.in_service is None
+
+    def test_capturing_instance_captures_data(self):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        inst.captureFlag = True
+        env = make_event()
+        engine._arrive(env, inst)
+        assert inst.pendingList == [env]
+        assert inst.in_service is None and not inst.queue
+        assert len(engine.clock._calendar) == 0
+
+    def test_control_event_at_idle_instance_goes_to_the_coordinator(self, monkeypatch):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        seen = []
+        monkeypatch.setattr(engine.coordinator, "on_control_event",
+                            lambda i, e: seen.append((i, e)))
+        env = make_event(kind=PREPARE)
+        engine._arrive(env, inst)
+        assert seen == [(inst, env)]
+        assert inst.in_service is None and not inst.queue
+
+    def test_killed_instance_drops_the_event(self):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        engine.kill_instance("T1#0")
+        engine._arrive(make_event(), inst)
+        assert inst.in_service is None and not inst.queue and not inst.preInit
+        assert len(engine.clock._calendar) == 0
+
+    def test_respawning_instance_retries_data_and_drops_control(self):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        engine.kill_instance("T1#0")
+        engine.mark_respawning("T1#0")
+        engine.clock.now = 2_000
+        engine._arrive(make_event(kind=PREPARE), inst)
+        assert len(engine.clock._calendar) == 0
+        env = make_event()
+        engine._arrive(env, inst)
+        assert inst.in_service is None and not inst.queue
+        t, _, retry = engine.clock._calendar.pop()
+        assert t == 2_000 + runtime._TRANSPORT_RETRY_MS
+        assert retry.args == (env, inst)
+
+
+def fan_out_dag(*groupings: str) -> DagDef:
+    """src -> T1 -> one task per grouping -> sink."""
+    branches = [f"B{i}" for i in range(len(groupings))]
+    tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("T1"),
+             *(TaskDef(b) for b in branches), TaskDef("sink", serviceTimeMs=10))
+    edges = (Edge("src", "T1"),
+             *(Edge("T1", b, g) for b, g in zip(branches, groupings)),
+             *(Edge(b, "sink") for b in branches))
+    return DagDef("fan", tasks, edges, ("src",), ("sink",))
+
+
+class TestSoleTarget:
+    def test_set_for_one_shuffle_edge_to_one_instance(self):
+        engine = quick_engine()
+        assert engine.instances["T1#0"].sole_target is engine.instances["T2#0"]
+        assert engine.instances["T3#0"].sole_target is engine.instances["sink#0"]
+
+    @pytest.mark.parametrize("groupings", [(DUPLICATE, DUPLICATE), (DUPLICATE, SHUFFLE)])
+    def test_none_for_duplicate_fan_out(self, groupings):
+        # A DUPLICATE edge beside one single-instance SHUFFLE edge still
+        # sends each event to both branches.
+        engine = quick_engine(fan_out_dag(*groupings))
+        assert engine.instances["T1#0"].sole_target is None
+
+    def test_none_for_several_shuffle_edges(self):
+        engine = quick_engine(fan_out_dag(SHUFFLE, SHUFFLE))
+        assert engine.instances["T1#0"].sole_target is None
+        assert engine.instances["B0#0"].sole_target is engine.instances["sink#0"]
+
+    def test_none_for_a_multi_instance_target(self):
+        engine = quick_engine(make_chain_dag(3, sink_instances=2))
+        assert engine.instances["T3#0"].sole_target is None
+        assert engine.instances["T2#0"].sole_target is engine.instances["T3#0"]
+
+    def test_none_for_sinks(self):
+        engine = quick_engine()
+        assert engine.instances["sink#0"].sole_target is None
+
+    def test_children_are_delivered_to_the_sole_target(self):
+        engine = quick_engine()
+        sender, target = engine.instances["T1#0"], engine.instances["T2#0"]
+        env = make_event()
+        engine._arrive(env, sender)
+        fire_next(engine)  # T1 completes service and emits one child
+        _, _, arrival = engine.clock._calendar.pop()
+        child, to = arrival.args
+        assert to is target and child.rootId == env.rootId and child is not env
+        assert sender.rr_edges == 0 and not sender.rr_targets
+
+    def test_still_live_after_respawn_and_rewire(self):
+        engine = quick_engine()
+        target = engine.instances["T2#0"]
+        engine.kill_instance("T2#0")
+        engine.respawn_instance("T2#0")
+        engine.rewire_channels()
+        assert engine.instances["T2#0"] is target
+        assert engine.instances["T1#0"].sole_target is target
+        engine.initialize_instance(target, 1, None, None)
+        env = make_event()
+        engine._arrive(env, engine.instances["T1#0"])
+        fire_next(engine)
+        _, _, arrival = engine.clock._calendar.pop()
+        arrival()
+        assert target.in_service is not None
+        assert target.in_service.rootId == env.rootId
 
 
 class TestProcessing:
@@ -426,6 +613,26 @@ PINNED_RUNS = {
         "f6aefb0465aae1deee232e55384e07cf2088997cb848ad7e49b66b85db61e805"),
 }
 
+# Timeline and report SHA-256, engine actions and calendar pushes of the
+# runs the benchmark times: linear50_stress under DCR and CCR at 5 ms
+# network delay (its chain50_delay configs, the only runs with a nonzero
+# delay) and grid_scalein under DSM.  An engine change that saves work
+# must not change what a run does: the actions and pushes pin that.
+PINNED_WORK = {
+    ("linear50_stress", "DCR", 5): (
+        "3fa2a503d8aa020ec3473cd85603465a71375a525e57ba58a4f07c4fa4745ddc",
+        "f6b9202d562c4325fc63c85e34bd530c63a2551f844c7bdfc217e1ca6691b5b9",
+        247_585, 247_585),
+    ("linear50_stress", "CCR", 5): (
+        "7fb695aaf0257fad1dbb24baf07e14a7af5f4a36c130067a951cba0203ce45af",
+        "5800a1a5071e9af8e2f0512f09acdbcdef9bdbafc5dca27dceef023c8dab75b7",
+        249_340, 249_340),
+    ("grid_scalein", "DSM", 0): (
+        "a3b0ca0cde06aed397c25480af4c3af35557726356cd23dd3b394d257b505d74",
+        "9a69c3ebee423fe79b303250d1cceb762c967e5ddb4815353df365dc5cc2b9d3",
+        341_213, 341_213),
+}
+
 
 class TestPinnedTimelines:
     @pytest.mark.parametrize("scenario,strategy", sorted(PINNED_RUNS))
@@ -434,3 +641,15 @@ class TestPinnedTimelines:
         digests = (hashlib.sha256(run.timeline.to_csv().encode()).hexdigest(),
                    hashlib.sha256(run.report.to_json().encode()).hexdigest())
         assert digests == PINNED_RUNS[scenario, strategy]
+
+    @pytest.mark.parametrize("scenario,strategy,delay_ms", sorted(PINNED_WORK))
+    def test_run_bytes_and_work_unchanged(self, scenario, strategy, delay_ms):
+        config = with_overrides(load_bundled_scenario(scenario), strategy=strategy,
+                                networkDelayMs=delay_ms)
+        engine = SimulationEngine(config)
+        timeline = engine.run()
+        report = compute_report(timeline, config)
+        observed = (hashlib.sha256(timeline.to_csv().encode()).hexdigest(),
+                    hashlib.sha256(report.to_json().encode()).hexdigest(),
+                    engine._actions, engine.clock._calendar._next_seq)
+        assert observed == PINNED_WORK[scenario, strategy, delay_ms]

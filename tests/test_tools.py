@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from importlib import resources
 from pathlib import Path
 
@@ -6,13 +7,18 @@ from flowmigrate.model import load_bundled_scenario, with_overrides
 from flowmigrate.runtime import SimulationEngine
 
 ROOT = Path(__file__).resolve().parent.parent
-GEN_SCENARIOS = ROOT / "tools" / "gen_scenarios.py"
+
+
+def load_tool(name):
+    """Import a script from tools/ as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_gen_scenarios_reproduces_bundled_files(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("gen_scenarios", GEN_SCENARIOS)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load_tool("gen_scenarios")
     (tmp_path / "dags").mkdir()
     monkeypatch.setattr(gen, "ROOT", tmp_path)
     gen.main()
@@ -51,3 +57,90 @@ def test_benchmark_tracer_sees_every_push_and_action(monkeypatch):
     layers = traced.layer_metrics(obs.fingerprints())
     assert layers["kernels.calendar.pushes"][0] == engine.clock._calendar._next_seq
     assert layers["runtime.actions"][0] == engine._actions
+
+
+def perf_record(workload, seed, wall, prints, source="tree-a"):
+    """A minimal untraced perfbench record."""
+    return {
+        "workload": workload, "seed": seed, "trace": False,
+        "environment": {"git_sha": "abc", "source_sha256": source,
+                        "python": "3.11.7", "nproc": 2},
+        "metrics": {"wall_ref_s": {"value": wall, "unit": "s"},
+                    "peak_rss_mb": {"value": 40.0, "unit": "MB"}},
+        "failed": [],
+        "passes": [{"actions": sum(f["actions"] for f in prints)}],
+        "fingerprints": prints,
+    }
+
+
+def fingerprint(scenario, strategy, timeline, migrate=True, actions=100):
+    return {"scenario": scenario, "strategy": strategy, "migrate": migrate,
+            "timeline_sha256": timeline, "report_sha256": f"r-{timeline}" if migrate else None,
+            "actions": actions, "calendar_pushes": actions, "timeline_records": 10}
+
+
+def write_json(path, doc):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc))
+
+
+def test_bench_record_summarizes_samples(tmp_path):
+    rec = load_tool("bench_record")
+    out = tmp_path / "out"
+    for seed, wall in ((1, 1.0), (2, 2.0), (3, 4.0), (4, 3.0), (5, 5.0)):
+        prints = [fingerprint("chain", "DCR", f"t{seed}", actions=10 * seed)]
+        write_json(out / f"chain50_delay-seed{seed}-trace0.json",
+                   perf_record("chain50_delay", seed, wall, prints))
+    # reproduce rewrites one file: each sample is a copy of the out folder.
+    rerun = dict(fingerprint("lin", "DCR", "x"), report_sha256=None)  # no report made
+    repro = [fingerprint("lin", "DCR", "x"), rerun,
+             fingerprint("lin", "DCR", "y", migrate=False)]
+    for k, wall in enumerate((16.0, 15.0)):
+        write_json(tmp_path / f"repro{k}" / "reproduce-seedNone-trace0.json",
+                   perf_record("reproduce", None, wall, repro))
+    write_json(out / "chain50_delay-seed1-trace1.json", {"trace": True})  # ignored
+    bench = tmp_path / "BENCH_1.json"
+
+    dirs = [str(out), str(tmp_path / "repro0"), str(tmp_path / "repro1"), str(out)]
+    assert rec.main([*dirs, "--label", "change", "--output", str(bench)]) == 0
+    point = json.loads(bench.read_text())["points"]["change"]
+    assert (point["git_sha"], point["source_sha256"], point["python"], point["nproc"]) == (
+        "abc", "tree-a", "3.11.7", 2)
+    chain = point["workloads"]["chain50_delay"]
+    assert chain["samples"] == 5  # the folder passed twice counts once
+    assert chain["metrics"]["wall_ref_s"] == {
+        "unit": "s", "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0, "n": 5}
+    assert chain["counters_by_seed"]["3"] == {
+        "actions": 30, "calendar_pushes": 30, "timeline_records": 10,
+        "engine_runs": 1, "distinct_timelines": 1}
+    reproduce = point["workloads"]["reproduce"]
+    assert reproduce["samples"] == 2
+    assert reproduce["metrics"]["wall_ref_s"]["median"] == 15.5
+    assert reproduce["counters_by_seed"]["None"]["engine_runs"] == 3
+    assert reproduce["counters_by_seed"]["None"]["distinct_timelines"] == 2
+    assert point["bundled_hashes"] == {"lin/DCR": ["x", "r-x"]}
+
+    # A second label joins the file; the first point stays.
+    assert rec.main([str(tmp_path / "repro0"), "--label", "parent",
+                     "--output", str(bench)]) == 0
+    assert set(json.loads(bench.read_text())["points"]) == {"change", "parent"}
+
+
+def test_bench_record_refuses_mixed_trees_and_unequal_runs(tmp_path, capsys):
+    rec = load_tool("bench_record")
+    prints = [fingerprint("chain", "DCR", "t")]
+    write_json(tmp_path / "a" / "chain50_delay-seed1-trace0.json",
+               perf_record("chain50_delay", 1, 1.0, prints))
+    write_json(tmp_path / "b" / "chain50_delay-seed2-trace0.json",
+               perf_record("chain50_delay", 2, 1.0, prints, source="tree-b"))
+    bench = tmp_path / "BENCH.json"
+    argv = ["--label", "x", "--output", str(bench)]
+    assert rec.main([str(tmp_path / "a"), str(tmp_path / "b"), *argv]) == 2
+    assert "source_sha256" in capsys.readouterr().err
+
+    write_json(tmp_path / "c" / "chain50_delay-seed1-trace0.json",
+               perf_record("chain50_delay", 1, 2.0, [fingerprint("chain", "DCR", "u")]))
+    assert rec.main([str(tmp_path / "a"), str(tmp_path / "c"), *argv]) == 2
+    assert "seed 1: samples differ in their runs" in capsys.readouterr().err
+    assert rec.main([str(tmp_path / "none"), *argv]) == 2
+    assert not bench.exists()
