@@ -338,21 +338,28 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
 
 
+# The JSON values a scalar field of each type accepts.  JSON's true and
+# false are never numbers, although Python's bool is an int.
+_JSON_SCALARS = {bool: bool, int: int, float: (int, float)}
+
+
+def _scalar(value, kind: type, what: str):
+    """``value`` as a ``kind``, accepted only with its JSON type; string
+    fields take any value as its string."""
+    if kind is str:
+        return str(value)
+    if not isinstance(value, _JSON_SCALARS[kind]) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _defaulted_fields(cls, raw: dict, where: str) -> dict:
     """The fields of ``cls`` that have a default, read from ``raw`` and
-    coerced with the default's type; a missing field takes its default."""
-    values = {}
-    for f in fields(cls):
-        if f.default is MISSING:
-            continue
-        value = raw.get(f.name, f.default)
-        try:
-            values[f.name] = type(f.default)(value)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{where} field {f.name}: expected {type(f.default).__name__}, got {value!r}"
-            ) from None
-    return values
+    checked against the default's type; a missing field takes its default."""
+    return {
+        f.name: _scalar(raw.get(f.name, f.default), type(f.default), f"{where} field {f.name}")
+        for f in fields(cls) if f.default is not MISSING
+    }
 
 
 def parse_dag(doc: dict, name: str = "") -> DagDef:
@@ -390,12 +397,7 @@ def _parse_vms(raw: list, where: str) -> list[VmDef]:
     for item in raw:
         _reject_unknown(item, {f.name for f in fields(VmDef)}, where)
         vm_id = str(item["vmId"])
-        try:
-            vm = VmDef(vmId=vm_id, slotCount=int(item["slotCount"]))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{where}: VM {vm_id} slotCount: expected int, got {item['slotCount']!r}"
-            ) from None
+        vm = VmDef(vm_id, _scalar(item["slotCount"], int, f"{where}: VM {vm_id} slotCount"))
         if vm.slotCount < 1:
             raise ConfigError(f"{where}: VM {vm.vmId} slotCount must be >= 1")
         vms.append(vm)
@@ -420,12 +422,8 @@ def _resolve_schedule(raw, dag: DagDef, vms: list[VmDef], where: str) -> Schedul
     for inst, loc in placements_raw.items():
         if not isinstance(loc, (list, tuple)) or len(loc) != 2:
             raise ConfigError(f"{where}: placement of {inst} must be [vmId, slotIndex]")
-        try:
-            placements[str(inst)] = (str(loc[0]), int(loc[1]))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{where}: placement of {inst}: slot index must be an int, got {loc[1]!r}"
-            ) from None
+        placements[str(inst)] = (
+            str(loc[0]), _scalar(loc[1], int, f"{where}: placement of {inst}: slot index"))
     schedule = Schedule(placements)
     schedule.validate(instances, vms)
     return schedule
@@ -481,6 +479,8 @@ def validate_scenario(config: ScenarioConfig) -> None:
             "scenario field migrationTriggerAt: must be < runDuration "
             f"({config.migrationTriggerAt} >= {config.runDuration})"
         )
+    if config.workerStartupMinMs < 0:
+        raise ConfigError("scenario field workerStartupMinMs: must be >= 0")
     if config.workerStartupMinMs > config.workerStartupMaxMs:
         raise ConfigError("scenario: workerStartupMinMs > workerStartupMaxMs")
     sizing = validate_sizing(config.dag, config.sourceRate, RATE_PER_INSTANCE)

@@ -21,7 +21,6 @@ Strategies sequence waves differently:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -92,7 +91,6 @@ class CheckpointCoordinator:
         self.migration_ckpt = 0
         self.migration_done = False
         self.aborted = False
-        self._first_init_seen = False
 
     # -- lifecycle hooks ------------------------------------------------------
 
@@ -170,8 +168,10 @@ class CheckpointCoordinator:
         eng.deliver(env, inst)
 
     def _forward_wave(self, wave: WaveState, inst: TaskInstanceRuntime) -> None:
-        if wave.complete or wave.superseded:
-            return  # a nested handler may have finished the wave already
+        # A broadcast copy already reached every instance; a nested handler
+        # may have finished the wave already.
+        if wave.routing == BROADCAST or wave.complete or wave.superseded:
+            return
         for child in self.engine.downstream[inst.task.taskId]:
             self._send_copy(wave, child)
 
@@ -181,8 +181,8 @@ class CheckpointCoordinator:
         if not counts or wave.complete or wave.superseded:
             return
         wave.ackedBy.add(inst.instanceId)
-        if wave.kind == INIT and not self._first_init_seen and self.engine.migration_requested:
-            self._first_init_seen = True
+        # INIT waves start only after the migration trigger.
+        if wave.kind == INIT and FIRST_INIT_ACKED not in self.markers:
             self.mark(FIRST_INIT_ACKED)
         if wave.expected <= wave.ackedBy:
             wave.complete = True
@@ -250,17 +250,16 @@ class CheckpointCoordinator:
         if gen != inst.generation or inst.status == KILLED:
             return
         inst.in_service = None
-        self.prepare_action(inst, wave)
+        # The snapshot stays PREPARED until commit.  A broadcast PREPARE
+        # (CCR) also freezes the queue: from here on, arriving data goes to
+        # the pending list, persisted with the snapshot at commit.
+        snapshot = inst.state.snapshot() if inst.stateful else b""
+        self.engine.store.prepare(CheckpointRecord(inst.instanceId, wave.checkpointId, snapshot))
+        if wave.routing == BROADCAST:
+            inst.captureFlag = True
         self._forward_wave(wave, inst)
         self._ack_copy(wave, inst, env, counts=True)
         self.engine._pump(inst)
-
-    def prepare_action(self, inst: TaskInstanceRuntime, wave: WaveState) -> None:
-        """Assemble the task snapshot (kept PREPARED until commit)."""
-        snapshot = inst.state.snapshot() if inst.stateful else b""
-        self.engine.store.prepare(
-            CheckpointRecord(inst.instanceId, wave.checkpointId, snapshot)
-        )
 
     # -- COMMIT -------------------------------------------------------------------------
 
@@ -291,6 +290,8 @@ class CheckpointCoordinator:
         if record is None:
             # Surfaces as commit-without-prepare in the store.
             return CheckpointRecord(inst.instanceId, wave.checkpointId, b"")
+        if inst.captureFlag:
+            record.pendingEventsBlob = serialize_pending(inst.pendingList)
         return record
 
     def commit_after_persist(self, inst: TaskInstanceRuntime,
@@ -302,8 +303,7 @@ class CheckpointCoordinator:
     def _handle_init(self, inst, env, wave) -> None:
         if self.init_needs_restore(inst, wave):
             self.init_restore(inst, wave)
-        if wave.routing == SEQUENTIAL:
-            self._forward_wave(wave, inst)
+        self._forward_wave(wave, inst)
         self._ack_copy(wave, inst, env, counts=True)
 
     def init_needs_restore(self, inst: TaskInstanceRuntime, wave: WaveState) -> bool:
@@ -322,7 +322,6 @@ class CheckpointCoordinator:
 
     def _handle_rollback(self, inst, env, wave) -> None:
         inst.captureFlag = False
-        inst.prepared_snapshot = None
         if inst.pendingList:
             captured = inst.pendingList
             inst.pendingList = []
@@ -356,10 +355,6 @@ class CheckpointCoordinator:
 
     # -- shared failure path ------------------------------------------------------------------------
 
-    def schedule_prepare_rollback_check(self, wave: WaveState) -> None:
-        eng = self.engine
-        eng.clock.schedule_in(eng.ack_timeout_ms, partial(self._check_prepare, wave))
-
     def _check_prepare(self, wave: WaveState) -> None:
         if wave.complete or wave.superseded or self.aborted:
             return
@@ -391,7 +386,7 @@ class DcrCoordinator(CheckpointCoordinator):
         self.next_checkpoint_id += 1
         wave = self.start_wave(PREPARE, self.prepare_routing, self.migration_ckpt,
                                drained=self.prepare_routing == SEQUENTIAL)
-        self.schedule_prepare_rollback_check(wave)
+        eng.clock.schedule_in(eng.ack_timeout_ms, partial(self._check_prepare, wave))
 
     def on_wave_complete(self, wave: WaveState) -> None:
         if self.aborted:
@@ -437,42 +432,12 @@ class CcrCoordinator(DcrCoordinator):
     prepared_marker = CAPTURE_DONE
     init_routing = BROADCAST
 
-    def _handle_prepare(self, inst, env, wave) -> None:
-        # Broadcast barrier: assemble the snapshot (one service time), then
-        # freeze the queue into the pending list; persisted at commit.
-        inst.in_service = env
-        self.engine.clock.schedule_in(
-            inst.service_ms,
-            partial(self._capture_done, inst, env, wave, inst.generation),
-        )
-
-    def _capture_done(self, inst, env, wave, gen) -> None:
-        if gen != inst.generation or inst.status == KILLED:
-            return
-        inst.in_service = None
-        inst.captureFlag = True
-        inst.prepared_snapshot = inst.state.snapshot() if inst.stateful else b""
-        self._ack_copy(wave, inst, env, counts=True)
-        self.engine._pump(inst)
-
-    def commit_record(self, inst, wave) -> CheckpointRecord:
-        record = CheckpointRecord(
-            inst.instanceId,
-            wave.checkpointId,
-            inst.prepared_snapshot if inst.prepared_snapshot is not None else b"",
-            pendingEventsBlob=serialize_pending(inst.pendingList),
-        )
-        self.engine.store.prepare(record)
-        return record
-
     def commit_after_persist(self, inst, record) -> None:
-        (captured,) = struct.unpack_from("<I", record.pendingEventsBlob, 0)
-        if len(inst.pendingList) != captured:
+        if len(inst.pendingList) != len(deserialize_pending(record.pendingEventsBlob)):
             raise InvariantViolation(
                 f"{inst.instanceId}: events captured during the commit write"
             )
         inst.pendingList = []
-        inst.prepared_snapshot = None
 
 
 class DsmCoordinator(CheckpointCoordinator):
@@ -480,7 +445,6 @@ class DsmCoordinator(CheckpointCoordinator):
 
     def __init__(self, engine: SimulationEngine) -> None:
         super().__init__(engine)
-        self.migration_started = False
         self.last_committed_ckpt = 0
 
     @property
@@ -501,7 +465,7 @@ class DsmCoordinator(CheckpointCoordinator):
         eng = self.engine
         if eng.now >= eng.run_end_ms:
             return
-        migration_active = self.migration_started and not self.migration_done
+        migration_active = REQUEST in self.markers and not self.migration_done
         prepare_busy = any(
             w is not None and not w.complete and not w.superseded
             for w in (self.active.get(PREPARE), self.active.get(COMMIT))
@@ -513,7 +477,6 @@ class DsmCoordinator(CheckpointCoordinator):
         self._schedule_periodic()
 
     def on_migration_trigger(self) -> None:
-        self.migration_started = True
         self.mark(REQUEST)
         # Abandon any checkpoint wave caught mid-flight by the kill.
         for kind in (PREPARE, COMMIT):

@@ -37,7 +37,6 @@ INIT = "INIT"
 RUNNING = "RUNNING"
 KILLED = "KILLED"
 RESPAWNING = "RESPAWNING"
-READY = "READY"
 
 _MAX_ACTIONS = 200_000_000  # hard stop against runaway schedules
 _TRANSPORT_RETRY_MS = 500  # reconnect cadence toward a starting worker
@@ -120,7 +119,7 @@ class TaskInstanceRuntime:
         "sel_frac", "sole_target", "status", "initialized", "captureFlag",
         "queue", "pendingList", "preInit", "in_service", "generation", "state",
         "rr_edges", "rr_targets", "barrier_counts", "deferred_acks",
-        "last_restored_ckpt", "prepared_snapshot",
+        "last_restored_ckpt",
     )
 
     def __init__(self, inst_id: str, task, is_sink: bool) -> None:
@@ -150,7 +149,6 @@ class TaskInstanceRuntime:
         self.barrier_counts: dict[int, int] = {}
         self.deferred_acks: list[tuple[int, int]] = []
         self.last_restored_ckpt = -1
-        self.prepared_snapshot: bytes | None = None
 
     def reset_routing(self) -> None:
         self.rr_edges = 0
@@ -225,7 +223,6 @@ class SimulationEngine:
         self.store = StateStore()
 
         self.epoch = 0
-        self.migration_requested = False
         self.source = SourceRuntime()
         self.source_task_id = self.dag.sourceTasks[0]
         self.sink_task_ids = set(self.dag.sinkTasks)
@@ -350,7 +347,6 @@ class SimulationEngine:
         return self.timeline
 
     def _trigger_migration(self) -> None:
-        self.migration_requested = True
         self.epoch = 1
         self.coordinator.on_migration_trigger()
 
@@ -499,7 +495,7 @@ class SimulationEngine:
     # -- instance processing ---------------------------------------------------
 
     def _pump(self, inst: TaskInstanceRuntime) -> None:
-        while inst.queue and inst.in_service is None and inst.status in (RUNNING, READY):
+        while inst.queue and inst.in_service is None and inst.status == RUNNING:
             env = inst.queue.popleft()
             if env.kind != DATA:
                 self.coordinator.on_control_event(inst, env)
@@ -584,7 +580,8 @@ class SimulationEngine:
         inst = self.instances[inst_id]
         if inst.status not in (KILLED, RESPAWNING):
             raise FlowMigrateError(f"{inst_id} is not awaiting respawn")
-        inst.status = READY
+        # Running but uninitialized: data waits in preInit until INIT restores it.
+        inst.status = RUNNING
         inst.initialized = False
         inst.captureFlag = False
         inst.generation += 1
@@ -595,7 +592,6 @@ class SimulationEngine:
         inst.barrier_counts.clear()
         inst.in_service = None
         inst.state = DemoUserTask()
-        inst.prepared_snapshot = None
         inst.reset_routing()
 
     def rewire_channels(self) -> None:
@@ -615,8 +611,6 @@ class SimulationEngine:
             self.restore_snapshots[inst.instanceId] = inst.state.processedCount
         inst.captureFlag = False
         inst.initialized = True
-        if inst.status == READY:
-            inst.status = RUNNING
         inst.last_restored_ckpt = checkpoint_id
         resumed = list(pending or [])
         if inst.pendingList:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,18 @@ class TestRun:
         bad.write_text(json.dumps({"dag": "linear", "strategy": "XYZ",
                                    "vmsBefore": [], "vmsAfter": []}))
         assert run_cli("run", str(bad), "--out", str(tmp_path / "o")) == 2
+
+    def test_negative_worker_startup_exits_2(self, tmp_path, capsys):
+        # Rejected at load: a respawn scheduled before its rebalance ended
+        # once crashed the run with an invariant breach (exit 3).
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        doc.update(strategy="DCR", workerStartupMinMs=-5000, workerStartupMaxMs=-1000)
+        bad = tmp_path / "negative-startup.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", str(bad), "--out", str(tmp_path / "o")) == 2
+        assert "workerStartupMinMs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rolled_back_migration_is_reported(self, quick_scenario, tmp_path):
         # A 0.5 s ack timeout expires the sequential PREPARE wave, so DCR

@@ -213,6 +213,11 @@ class TestParseScenario:
     def test_trigger_after_end_rejected(self):
         with pytest.raises(ConfigError, match="migrationTriggerAt"):
             parse_scenario(self.minimal_doc(migrationTriggerAt=800))
+        # A negative worker startup would respawn into the past.
+        with pytest.raises(ConfigError, match="workerStartupMinMs: must be >= 0"):
+            parse_scenario(self.minimal_doc(workerStartupMinMs=-5000, workerStartupMaxMs=-1000))
+        with pytest.raises(ConfigError, match="workerStartupMinMs"):
+            with_overrides(parse_scenario(self.minimal_doc()), workerStartupMinMs=-1)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="strategy"):
@@ -233,25 +238,35 @@ class TestParseScenario:
                 parse_scenario(self.minimal_doc(**{field: value}))
 
     def test_malformed_scalar_is_a_config_error(self):
+        # Each scalar is accepted only with its JSON type: nothing is
+        # truncated, parsed from a string or read from a bool.
         for field, value in (("sourceRate", "fast"), ("randomSeed", None),
-                             ("networkDelayMs", [5])):
+                             ("networkDelayMs", [5]), ("networkDelayMs", 2.5),
+                             ("randomSeed", 7.9), ("randomSeed", True),
+                             ("sourceRate", True), ("runDuration", "720")):
             with pytest.raises(ConfigError, match=f"scenario field {field}"):
                 parse_scenario(self.minimal_doc(**{field: value}))
-        doc = self.minimal_doc()
-        doc["dag"] = bundled_dag_doc("linear")
-        doc["dag"]["tasks"][3]["serviceTimeMs"] = "slow"
-        with pytest.raises(ConfigError, match="task T3 field serviceTimeMs"):
-            parse_scenario(doc)
+        for field, value in (("serviceTimeMs", "slow"), ("serviceTimeMs", 100.9),
+                             ("stateful", "false"), ("stateful", 0),
+                             ("instanceCount", True), ("selectivity", False)):
+            doc = self.minimal_doc()
+            doc["dag"] = bundled_dag_doc("linear")
+            doc["dag"]["tasks"][3][field] = value
+            with pytest.raises(ConfigError, match=f"task T3 field {field}"):
+                parse_scenario(doc)
+        # An integer is a valid float.
+        assert parse_scenario(self.minimal_doc(sourceRate=8)).sourceRate == 8.0
 
     def test_malformed_vm_or_placement_is_a_config_error(self):
-        for slots in ("four", None):
+        for slots in ("four", None, 2.5, True, "3"):
             doc = self.minimal_doc()
             doc["vmsAfter"][1]["slotCount"] = slots
             with pytest.raises(ConfigError, match="vmsAfter: VM d3-2 slotCount"):
                 parse_scenario(doc)
-        doc = self.minimal_doc(scheduleAfter={"placements": {"T1#0": ["d3-1", "x"]}})
-        with pytest.raises(ConfigError, match="scheduleAfter: placement of T1#0"):
-            parse_scenario(doc)
+        for slot in ("x", 0.0, False):
+            doc = self.minimal_doc(scheduleAfter={"placements": {"T1#0": ["d3-1", slot]}})
+            with pytest.raises(ConfigError, match="scheduleAfter: placement of T1#0"):
+                parse_scenario(doc)
 
     def test_overloaded_task_rejected(self):
         # One instance is enough for 8 events/sec by count, but at 200 ms

@@ -1,13 +1,16 @@
+import hashlib
+
 import pytest
 
 from conftest import make_chain_dag, make_scenario
 from flowmigrate.errors import WaveConflictError
-from flowmigrate.metrics import SINK_EXIT, sink_multiset
+from flowmigrate.metrics import PHASE, SINK_EXIT, sink_multiset
 from flowmigrate.protocol import (
     ALL_INIT_ACKED,
     CAPTURE_DONE,
     CHECKPOINT_INTERVAL_MS,
     DRAIN_DONE,
+    FIRST_INIT_ACKED,
     MARKER_ORDER,
     REBALANCE_DONE,
     REBALANCE_START,
@@ -15,7 +18,15 @@ from flowmigrate.protocol import (
     SEQUENTIAL,
     SOURCE_UNPAUSED,
 )
-from flowmigrate.runtime import INIT, PREPARE, SimulationEngine, run_scenario
+from flowmigrate.reliability import COMMITTED
+from flowmigrate.runtime import (
+    INIT,
+    PREPARE,
+    DemoUserTask,
+    SimulationEngine,
+    deserialize_pending,
+    run_scenario,
+)
 
 
 def run_quick(dag, strategy, **overrides):
@@ -30,13 +41,13 @@ class TestWaveMechanics:
         config = make_scenario(make_chain_dag(3), "CCR", run_s=60, trigger_s=20)
         engine = SimulationEngine(config)
         captured = []
-        original = engine.coordinator._capture_done
+        original = engine.coordinator._prepare_done
 
         def spy(inst, env, wave, gen):
             captured.append((engine.now, inst.instanceId))
             original(inst, env, wave, gen)
 
-        engine.coordinator._capture_done = spy
+        engine.coordinator._prepare_done = spy
         engine.run()
         names = {inst for _, inst in captured}
         assert names == {"T1#0", "T2#0", "T3#0", "sink#0"}
@@ -138,6 +149,24 @@ class TestCcr:
         capture = ccr.coordinator.markers[REBALANCE_START] - ccr.coordinator.markers[REQUEST]
         assert capture < drain
 
+    def test_capture_commits_snapshot_with_pending_events(self):
+        # The broadcast PREPARE stores the snapshot; COMMIT adds the
+        # captured events and persists both in one record per instance.
+        _, engine = run_quick(make_chain_dag(3), "CCR", run_s=90, trigger_s=20)
+        ckpt = engine.coordinator.migration_ckpt
+        for inst_id in engine.instances:
+            record = engine.store.get(inst_id, ckpt)
+            assert record.phase == COMMITTED, inst_id
+            assert record.pendingEventsBlob is not None, inst_id
+            deserialize_pending(record.pendingEventsBlob)
+        snapshot = engine.store.get("T2#0", ckpt).userStateBlob
+        restored = engine.restore_snapshots["T2#0"]
+        assert DemoUserTask.restore(snapshot).processedCount == restored > 0
+        # DCR drains instead: its records carry no pending events.
+        _, dcr = run_quick(make_chain_dag(3), "DCR", run_s=90, trigger_s=20)
+        records = [dcr.store.get(i, dcr.coordinator.migration_ckpt) for i in dcr.instances]
+        assert all(r.phase == COMMITTED and r.pendingEventsBlob is None for r in records)
+
     def test_markers_use_capture_done(self):
         _, engine = run_quick(make_chain_dag(3), "CCR", run_s=90, trigger_s=20)
         markers = engine.coordinator.markers
@@ -192,9 +221,30 @@ class TestDsm:
             return wave
 
         engine.coordinator.start_wave = spy
-        engine.run()
+        timeline = engine.run()
         assert len(init_waves) >= 2
         assert init_waves[1] - init_waves[0] == engine.ack_timeout_ms
+        # The re-issued wave does not mark the first INIT ack again.
+        marked = [r.ts for r in timeline.records
+                  if r.site == PHASE and r.phaseName == FIRST_INIT_ACKED]
+        assert len(marked) == 1 and marked[0] >= init_waves[0]
+
+
+# Timeline SHA-256, actions fired and calendar pushes of the two rolled-back
+# runs below: the one path where a PREPARE wave is abandoned.
+ROLLBACK_PINS = {
+    "DCR": ("6e298734726ef9a03ac76c7707d63c639dd8399832356c71bbc168a0ed82f3cd", 4645, 4645),
+    "CCR": ("38a05365474b844d4b4f89d3c784fe7064c4ef2648531b2efe647bbe9c5f8535", 5049, 5049),
+}
+
+
+def assert_rolled_back(engine, timeline, pins):
+    observed = (hashlib.sha256(timeline.to_csv().encode()).hexdigest(),
+                engine._actions, engine.clock._calendar._next_seq)
+    assert observed == pins
+    # ROLLBACK discarded every record prepared for the abandoned checkpoint.
+    ckpt = engine.coordinator.migration_ckpt
+    assert all(engine.store.get(i, ckpt) is None for i in engine.instances)
 
 
 class TestRollback:
@@ -214,6 +264,7 @@ class TestRollback:
         post_abort = [r for r in timeline.records
                       if r.site == SINK_EXIT and r.ts > 35_000]
         assert not post_abort or all(r.epoch == 1 for r in post_abort)
+        assert_rolled_back(engine, timeline, ROLLBACK_PINS["DCR"])
 
     def test_rollback_restores_captured_events(self):
         config = make_scenario(make_chain_dag(3), "CCR", run_s=120, trigger_s=30,
@@ -222,12 +273,13 @@ class TestRollback:
         # Kill mid-capture: the broadcast barrier was already delivered, so
         # the wave waits on an ack that can never come.
         engine.clock.schedule_at(30_050, lambda: engine.kill_instance("T2#0"))
-        engine.run()
+        timeline = engine.run()
         assert engine.coordinator.aborted
         # Captured pending lists were re-queued, not lost.
         for inst in engine.instances.values():
             assert not inst.captureFlag
             assert not inst.pendingList
+        assert_rolled_back(engine, timeline, ROLLBACK_PINS["CCR"])
 
 
 class TestRebalance:

@@ -27,7 +27,6 @@ from flowmigrate.runtime import (
     DATA,
     KILLED,
     PREPARE,
-    READY,
     RUNNING,
     EventEnvelope,
     SimulationEngine,
@@ -235,7 +234,7 @@ class TestArrive:
         inst = engine.instances["T1#0"]
         engine.kill_instance("T1#0")
         engine.respawn_instance("T1#0")
-        assert inst.status == READY
+        assert inst.status == RUNNING and not inst.initialized
         env = make_event()
         engine._arrive(env, inst)
         assert inst.preInit == [env]
@@ -436,7 +435,7 @@ class TestKillRespawn:
         inst.captureFlag = True
         engine.kill_instance("T2#0")
         engine.respawn_instance("T2#0")
-        assert inst.status == READY
+        assert inst.status == RUNNING
         assert not inst.initialized
         assert not inst.captureFlag
         assert inst.state.processedCount == 0

@@ -3,8 +3,9 @@ import json
 from importlib import resources
 from pathlib import Path
 
+from conftest import make_chain_dag, make_scenario
 from flowmigrate.model import load_bundled_scenario, with_overrides
-from flowmigrate.runtime import SimulationEngine
+from flowmigrate.runtime import SimulationEngine, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,6 +58,27 @@ def test_benchmark_tracer_sees_every_push_and_action(monkeypatch):
     layers = traced.layer_metrics(obs.fingerprints())
     assert layers["kernels.calendar.pushes"][0] == engine.clock._calendar._next_seq
     assert layers["runtime.actions"][0] == engine._actions
+
+
+def test_benchmark_tracer_counts_the_ccr_prepare_path(monkeypatch):
+    # CCR's capture is the shared PREPARE step of a broadcast wave: the
+    # benchmark's protocol and store counters must see it as before.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    config = make_scenario(make_chain_dag(3), "CCR", run_s=90, trigger_s=20)
+    with tracer.Observer() as obs, tracer.Tracer(obs) as traced:
+        run_scenario(config)
+    layers = traced.layer_metrics(obs.fingerprints())
+    counts = {name: layers[name][0] for name in (
+        "protocol.control_events", "protocol.waves_started", "protocol.wave_copies",
+        "reliability.store.prepares", "reliability.store.commits",
+        "reliability.store.bytes_written")}
+    assert counts == {
+        "protocol.control_events": 12, "protocol.waves_started": 3,
+        "protocol.wave_copies": 20, "reliability.store.prepares": 4,
+        "reliability.store.commits": 4, "reliability.store.bytes_written": 102,
+    }
 
 
 def perf_record(workload, seed, wall, prints, source="tree-a"):
