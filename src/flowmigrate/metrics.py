@@ -133,19 +133,20 @@ class MetricsReport:
 def compute_restore_duration(timeline: Timeline) -> int | None:
     """First sink output of the migrated dataflow, relative to the request.
 
-    Measured from the first SINK_EXIT at or after REBALANCE_DONE: events
-    still draining out of the old deployment right after the request do
-    not count as the restored dataflow producing output.  None when the
-    migration rolled back before its rebalance.
+    Measured from the first SINK_EXIT at or after FIRST_INIT_ACKED, the
+    first moment the migrated dataflow exists: events still leaving the
+    old deployment, even after a near-zero rebalance, do not count as the
+    restored dataflow producing output.  None when the migration rolled
+    back before any INIT wave completed.
     """
     request = timeline.request_ts()
-    done = timeline.phase_ts("REBALANCE_DONE", after=request)
-    if done is None:
+    restored = timeline.phase_ts("FIRST_INIT_ACKED", after=request)
+    if restored is None:
         return None
     first = min((rec.ts for rec in timeline.records
-                 if rec.site == SINK_EXIT and rec.ts >= done), default=None)
+                 if rec.site == SINK_EXIT and rec.ts >= restored), default=None)
     if first is None:
-        raise NoSinkOutputError("no sink output after rebalance completed")
+        raise NoSinkOutputError("no sink output after the migrated dataflow restored")
     return first - request
 
 

@@ -161,10 +161,6 @@ class ScenarioConfig:
     workerStartupMinMs: int = 31_000
     workerStartupMaxMs: int = 36_000
 
-    def data_acking_enabled(self) -> bool:
-        """Only DSM tracks DATA events with the acker."""
-        return self.strategy == "DSM"
-
 
 @dataclass(frozen=True)
 class ValidationResult:
@@ -340,14 +336,11 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 
 # The JSON values a scalar field of each type accepts.  JSON's true and
 # false are never numbers, although Python's bool is an int.
-_JSON_SCALARS = {bool: bool, int: int, float: (int, float)}
+_JSON_SCALARS = {bool: bool, int: int, float: (int, float), str: str}
 
 
 def _scalar(value, kind: type, what: str):
-    """``value`` as a ``kind``, accepted only with its JSON type; string
-    fields take any value as its string."""
-    if kind is str:
-        return str(value)
+    """``value`` as a ``kind``, accepted only with its JSON type."""
     if not isinstance(value, _JSON_SCALARS[kind]) or (kind is not bool and isinstance(value, bool)):
         raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
     return kind(value)
@@ -367,22 +360,24 @@ def parse_dag(doc: dict, name: str = "") -> DagDef:
     try:
         tasks = []
         for raw in doc["tasks"]:
-            where = f"task {raw.get('taskId', '?')}"
+            task_id = _scalar(raw["taskId"], str, "task field taskId")
+            where = f"task {task_id}"
             _reject_unknown(raw, _TASK_FIELDS, where)
             # A task's name defaults to its id.
-            values = _defaulted_fields(TaskDef, {"name": raw["taskId"], **raw}, where)
-            tasks.append(TaskDef(taskId=str(raw["taskId"]), **values))
+            values = _defaulted_fields(TaskDef, {"name": task_id, **raw}, where)
+            tasks.append(TaskDef(taskId=task_id, **values))
         edges = []
         for raw in doc.get("edges", []):
             _reject_unknown(raw, _EDGE_FIELDS, "edge")
-            edges.append(Edge(str(raw["fromTask"]), str(raw["toTask"]),
+            edges.append(Edge(_scalar(raw["fromTask"], str, "edge field fromTask"),
+                              _scalar(raw["toTask"], str, "edge field toTask"),
                               **_defaulted_fields(Edge, raw, "edge")))
         dag = DagDef(
-            name=str(doc.get("name", name)),
+            name=_scalar(doc.get("name", name), str, "dag field name"),
             tasks=tuple(tasks),
             edges=tuple(edges),
-            sourceTasks=tuple(str(s) for s in doc["sourceTasks"]),
-            sinkTasks=tuple(str(s) for s in doc["sinkTasks"]),
+            sourceTasks=tuple(_scalar(s, str, "dag field sourceTasks") for s in doc["sourceTasks"]),
+            sinkTasks=tuple(_scalar(s, str, "dag field sinkTasks") for s in doc["sinkTasks"]),
         )
     except KeyError as exc:
         raise ConfigError(f"dag: missing field {exc.args[0]}") from None
@@ -396,7 +391,7 @@ def _parse_vms(raw: list, where: str) -> list[VmDef]:
     vms = []
     for item in raw:
         _reject_unknown(item, {f.name for f in fields(VmDef)}, where)
-        vm_id = str(item["vmId"])
+        vm_id = _scalar(item["vmId"], str, f"{where}: vmId")
         vm = VmDef(vm_id, _scalar(item["slotCount"], int, f"{where}: VM {vm_id} slotCount"))
         if vm.slotCount < 1:
             raise ConfigError(f"{where}: VM {vm.vmId} slotCount must be >= 1")
@@ -422,8 +417,8 @@ def _resolve_schedule(raw, dag: DagDef, vms: list[VmDef], where: str) -> Schedul
     for inst, loc in placements_raw.items():
         if not isinstance(loc, (list, tuple)) or len(loc) != 2:
             raise ConfigError(f"{where}: placement of {inst} must be [vmId, slotIndex]")
-        placements[str(inst)] = (
-            str(loc[0]), _scalar(loc[1], int, f"{where}: placement of {inst}: slot index"))
+        placements[inst] = (_scalar(loc[0], str, f"{where}: placement of {inst}: vmId"),
+                            _scalar(loc[1], int, f"{where}: placement of {inst}: slot index"))
     schedule = Schedule(placements)
     schedule.validate(instances, vms)
     return schedule
@@ -450,13 +445,13 @@ def parse_scenario(doc: dict, name: str = "") -> ScenarioConfig:
         raise ConfigError(f"scenario: missing field {exc.args[0]}") from None
 
     config = ScenarioConfig(
-        name=str(doc.get("name", name)),
+        name=_scalar(doc.get("name", name), str, "scenario field name"),
         dag=dag,
         vmsBefore=vms_before,
         vmsAfter=vms_after,
         scheduleBefore=_resolve_schedule(doc.get("scheduleBefore"), dag, vms_before, "scheduleBefore"),
         scheduleAfter=_resolve_schedule(doc.get("scheduleAfter"), dag, vms_after, "scheduleAfter"),
-        strategy=str(doc.get("strategy", "")).upper(),
+        strategy=_scalar(doc.get("strategy", ""), str, "scenario field strategy").upper(),
         **_defaulted_fields(ScenarioConfig, doc, "scenario"),
     )
     validate_scenario(config)

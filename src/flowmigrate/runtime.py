@@ -155,6 +155,11 @@ class TaskInstanceRuntime:
         self.rr_targets.clear()
 
 
+def emission_time(tick: int, rate: float) -> int:
+    """Virtual ms of the source's ``tick``-th pacing tick at ``rate`` events/s."""
+    return int(math.floor(tick * 1000.0 / rate + 1e-9))
+
+
 class SourceRuntime:
     """Paced root-event emitter with pause/backlog/burst semantics."""
 
@@ -217,7 +222,7 @@ class SimulationEngine:
         self.run_end_ms = to_ms(config.runDuration)
         self.ack_timeout_ms = to_ms(config.ackTimeout)
         self.net_delay_ms = config.networkDelayMs
-        self.acking_data = config.data_acking_enabled()
+        self.acking_data = config.strategy == "DSM"  # only DSM acks DATA events
         self.acker = AckerService(self.ack_timeout_ms)
         self.wave_acker = AckerService(self.ack_timeout_ms)
         self.store = StateStore()
@@ -352,11 +357,8 @@ class SimulationEngine:
 
     # -- source --------------------------------------------------------------
 
-    def _emission_time(self, tick: int) -> int:
-        return int(math.floor(tick * 1000.0 / self._emit_rate + 1e-9))
-
     def _schedule_emission(self, tick: int) -> None:
-        t = self._emission_time(tick)
+        t = emission_time(tick, self._emit_rate)
         if t < self.run_end_ms:
             self.clock.schedule_at(t, self._source_tick)
 

@@ -18,9 +18,19 @@ the criterion cannot be bent, lose a clause or get a looser bound unseen.
 
 import dataclasses
 
+import pytest
+
+from conftest import make_chain_dag, make_scenario
 from flowmigrate import acceptance
 from flowmigrate.metrics import Timeline
-from flowmigrate.model import load_bundled_scenario, with_overrides
+from flowmigrate.model import (
+    DUPLICATE,
+    STRATEGIES,
+    DagDef,
+    Edge,
+    TaskDef,
+    load_bundled_scenario,
+)
 from flowmigrate.runtime import SimulationEngine
 
 
@@ -104,14 +114,111 @@ class TestAcceptance:
         report(acceptance.check_state_correctness(suite_cache))
 
 
-class TestRunCache:
-    def test_ccr_baseline_is_the_dcr_baseline(self, suite_cache):
-        dcr = suite_cache.get("linear_scalein", "DCR", migrate=False)
-        assert suite_cache.get("linear_scalein", "CCR", migrate=False) is dcr
-        config = with_overrides(load_bundled_scenario("linear_scalein"), strategy="CCR")
-        fresh = SimulationEngine(config, migrate=False).run()
-        assert fresh.to_csv() == dcr.timeline.to_csv()
+def fan_out_join_dag() -> DagDef:
+    """src -> A, DUPLICATE to B and C, both joining at J (two paths)."""
+    tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("A"), TaskDef("B", stateful=True),
+             TaskDef("C"), TaskDef("J", stateful=True, instanceCount=2), TaskDef("sink"))
+    edges = (Edge("src", "A"), Edge("A", "B", DUPLICATE), Edge("A", "C", DUPLICATE),
+             Edge("B", "J"), Edge("C", "J"), Edge("J", "sink"))
+    return DagDef("fanjoin", tasks, edges, ("src",), ("sink",))
 
+
+def shuffle_split_dag() -> DagDef:
+    """src -> A, SHUFFLE to B and C: B sees half the roots (path count 0.5)."""
+    tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("A"), TaskDef("B", stateful=True),
+             TaskDef("C"), TaskDef("sink"))
+    edges = (Edge("src", "A"), Edge("A", "B"), Edge("A", "C"), Edge("B", "sink"),
+             Edge("C", "sink"))
+    return DagDef("split", tasks, edges, ("src",), ("sink",))
+
+
+def stateful_counts(engine) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for inst in engine.instances.values():
+        if inst.task.stateful:
+            counts[inst.task.taskId] = counts.get(inst.task.taskId, 0) + inst.state.processedCount
+    return counts
+
+
+class EveryScenarioIs:
+    """A run cache that answers every scenario name with one custom scenario."""
+
+    def __init__(self, config, monkeypatch):
+        monkeypatch.setattr(acceptance, "load_bundled_scenario", lambda name: config)
+        self._cache = acceptance.RunCache()
+
+    def get(self, scenario, strategy):
+        return self._cache.get("custom", strategy)
+
+
+# Under DSM, stateful acks wait for a checkpoint commit.  On the 90 s
+# fan-out/join the first checkpoint takes 42.6 s (PREPARE 30 s -> 48.4 s,
+# COMMIT -> 72.6 s), longer than the 30 s ackTimeout, so roots replay with
+# no failure, the pending cap holds the source, and the run counts 601 at B.
+DSM_SLOW_CHECKPOINT = pytest.mark.xfail(
+    strict=True, reason="DSM acks outlive ackTimeout: replays without a failure")
+
+
+class TestClosedFormBaseline:
+    @pytest.mark.parametrize("dag, source_rate, strategy", [
+        pytest.param(dag, rate, strategy, id=f"{label}-{strategy}",
+                     marks=DSM_SLOW_CHECKPOINT if (label, strategy) == ("fan-out-join", "DSM")
+                     else ())
+        for label, dag, rate in (
+            ("chain", make_chain_dag(4, stateful=(2, 4)), 8.0),
+            ("chain-3/s", make_chain_dag(4, stateful=(2, 4)), 3.0),  # ticks 1000/3 ms apart
+            ("fan-out-join", fan_out_join_dag(), 8.0),
+        )
+        for strategy in STRATEGIES
+    ])
+    def test_matches_a_run_without_migration(self, dag, source_rate, strategy):
+        config = make_scenario(dag, strategy, sourceRate=source_rate)
+        engine = SimulationEngine(config, migrate=False)
+        engine.run()
+        counts, uncovered = acceptance.baseline_counts(config)
+        assert uncovered == []
+        assert counts and all(n > 0 for n in counts.values())
+        # Equal as dicts and in key order: the criterion prints both.
+        assert list(counts.items()) == list(stateful_counts(engine).items())
+
+    def test_join_counts_every_path(self):
+        counts, _ = acceptance.baseline_counts(make_scenario(fan_out_join_dag()))
+        assert counts == {"B": 720, "J": 1440}  # 90 s at 8 events/s, one and two paths
+
+    def test_uncovered_task_fails_the_criterion_by_name(self, monkeypatch):
+        chain = make_chain_dag(3, stateful=(3,))
+        passing = acceptance.check_state_correctness(
+            EveryScenarioIs(make_scenario(chain), monkeypatch))
+        assert passing.passed, passing.details
+
+        # T1 emits two children per event; T2 and T3 get two instances
+        # for the doubled rate.
+        doubled = dataclasses.replace(chain, tasks=tuple(
+            dataclasses.replace(t, selectivity=2.0) if t.taskId == "T1"
+            else dataclasses.replace(t, instanceCount=2) if t.taskId in ("T2", "T3") else t
+            for t in chain.tasks))
+        result = acceptance.check_state_correctness(
+            EveryScenarioIs(make_scenario(doubled), monkeypatch))
+        assert not result.passed
+        assert "T3: no closed-form count, selectivity != 1 upstream at T1" in result.details[0]
+
+        result = acceptance.check_state_correctness(
+            EveryScenarioIs(make_scenario(shuffle_split_dag()), monkeypatch))
+        assert not result.passed
+        assert "B: no closed-form count, non-integral path count 0.5" in result.details[0]
+
+    def test_state_correctness_runs_nothing_beyond_the_cache(self, suite_cache, monkeypatch):
+        for scenario in acceptance.SCENARIOS:
+            for strategy in STRATEGIES:
+                suite_cache.get(scenario, strategy)
+        runs = []
+        monkeypatch.setattr(SimulationEngine, "run", lambda engine: runs.append(engine))
+        result = acceptance.check_state_correctness(suite_cache)
+        assert runs == []
+        assert result.passed
+
+
+class TestRunCache:
     def test_each_scenario_is_parsed_once(self, monkeypatch):
         loaded = []
 
@@ -120,10 +227,14 @@ class TestRunCache:
             return load_bundled_scenario(name)
 
         monkeypatch.setattr(acceptance, "load_bundled_scenario", load)
+        # No simulation: each run is an empty timeline with a stand-in report.
+        monkeypatch.setattr(SimulationEngine, "run", lambda engine: Timeline())
+        monkeypatch.setattr(acceptance, "compute_report", lambda timeline, config: config)
         cache = acceptance.RunCache()
-        for strategy in ("DCR", "CCR"):
-            cache.get("linear_scalein", strategy, migrate=False)
+        runs = [cache.get("linear_scalein", strategy) for strategy in STRATEGIES]
         assert loaded == ["linear_scalein"]
+        assert [run.report.strategy for run in runs] == list(STRATEGIES)
+        assert cache.get("linear_scalein", "CCR") is runs[2]
 
     def test_determinism_runs_the_scenario_once_beyond_the_cache(self, suite_cache,
                                                                   monkeypatch):

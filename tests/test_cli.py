@@ -66,6 +66,15 @@ class TestRun:
                                    "vmsBefore": [], "vmsAfter": []}))
         assert run_cli("run", str(bad), "--out", str(tmp_path / "o")) == 2
 
+    def test_non_string_vm_id_exits_2(self, tmp_path, capsys):
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        doc["vmsBefore"][0]["vmId"] = 7
+        bad = tmp_path / "numeric-vm.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", str(bad), "--out", str(tmp_path / "o")) == 2
+        assert "vmId: expected str, got 7" in capsys.readouterr().err
+
     def test_negative_worker_startup_exits_2(self, tmp_path, capsys):
         # Rejected at load: a respawn scheduled before its rebalance ended
         # once crashed the run with an invariant breach (exit 3).

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import make_chain_dag, make_scenario
 from flowmigrate.errors import MetricsError, NeverStabilizedError, NoSinkOutputError
 from flowmigrate.metrics import (
     CSV_HEADER,
@@ -16,18 +17,22 @@ from flowmigrate.metrics import (
     exactly_once_audit,
     replay_bursts,
 )
-from flowmigrate.model import load_bundled_dag
+from flowmigrate.model import STRATEGIES, load_bundled_dag, with_overrides
+from flowmigrate.runtime import SimulationEngine
 
 
 def migration_timeline(request_s=180, rebalance_start_s=182, rebalance_done_s=189,
-                       first_exit_s=195):
-    """Minimal hand-built timeline around one migration."""
+                       first_exit_s=195, init_acked_s=None):
+    """Minimal hand-built timeline around one migration; the first INIT
+    wave completes with the rebalance unless ``init_acked_s`` says later."""
     tl = Timeline()
     tl.record_emit(0, 100, 0, 0)
     tl.record_sink_exit(200, 101, 0, 0, False)
     tl.record_phase(request_s * 1000, "REQUEST")
     tl.record_phase(rebalance_start_s * 1000, "REBALANCE_START")
     tl.record_phase(rebalance_done_s * 1000, "REBALANCE_DONE")
+    acked_s = rebalance_done_s if init_acked_s is None else init_acked_s
+    tl.record_phase(acked_s * 1000, "FIRST_INIT_ACKED")
     tl.record_sink_exit(first_exit_s * 1000, 102, 1, 0, False)
     return tl
 
@@ -50,17 +55,47 @@ class TestRestore:
         tl.record_sink_exit(180_500, 104, 3, 0, False)  # still draining out
         assert compute_restore_duration(tl) == 15_000
 
+    def test_old_deployment_exits_before_first_init_do_not_count(self):
+        # A near-zero rebalance: an event in service at the request leaves
+        # the sink after REBALANCE_DONE but before any INIT wave completed.
+        tl = migration_timeline(rebalance_start_s=180, rebalance_done_s=180,
+                                init_acked_s=192)
+        tl.record_sink_exit(180_025, 104, 3, 0, False)
+        assert compute_restore_duration(tl) == 15_000
+
+    def test_no_first_init_means_no_restore(self):
+        tl = Timeline()
+        tl.record_phase(180_000, "REQUEST")
+        tl.record_phase(189_000, "REBALANCE_START")
+        tl.record_phase(190_000, "REBALANCE_DONE")
+        tl.record_sink_exit(195_000, 102, 1, 0, False)
+        assert compute_restore_duration(tl) is None
+
     def test_no_output_after_rebalance_is_an_error(self):
         tl = Timeline()
         tl.record_phase(180_000, "REQUEST")
         tl.record_phase(189_000, "REBALANCE_START")
         tl.record_phase(190_000, "REBALANCE_DONE")
+        tl.record_phase(190_000, "FIRST_INIT_ACKED")
         with pytest.raises(NoSinkOutputError):
             compute_restore_duration(tl)
 
     def test_missing_request_marker(self):
         with pytest.raises(MetricsError):
             compute_restore_duration(Timeline())
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rebalance_delta_adds_exactly_delta_from_zero(self, strategy):
+        # At a zero rebalance the first sink exit after REBALANCE_DONE is
+        # an old-deployment event that was in service at the request; the
+        # restore must still measure the migrated dataflow.
+        base = make_scenario(make_chain_dag(), strategy)
+        restores = [
+            compute_restore_duration(
+                SimulationEngine(with_overrides(base, rebalanceDuration=delta_ms / 1000)).run())
+            for delta_ms in (0, 1, 500)
+        ]
+        assert [r - restores[0] for r in restores] == [0, 1, 500], restores
 
 
 class TestDrainCapture:

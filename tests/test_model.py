@@ -268,6 +268,54 @@ class TestParseScenario:
             with pytest.raises(ConfigError, match="scheduleAfter: placement of T1#0"):
                 parse_scenario(doc)
 
+    def test_string_field_takes_only_json_strings(self):
+        # Nothing is stringified: ["x"] never becomes "['x']", 7 never "7".
+        for field, value in (("name", ["x"]), ("strategy", 7)):
+            with pytest.raises(ConfigError, match=f"scenario field {field}: expected str"):
+                parse_scenario(self.minimal_doc(**{field: value}))
+        doc = self.minimal_doc()
+        doc["vmsAfter"][1]["vmId"] = 7
+        with pytest.raises(ConfigError, match="vmsAfter: vmId: expected str"):
+            parse_scenario(doc)
+        doc = self.minimal_doc(scheduleAfter={"placements": {"T1#0": [7, 0]}})
+        with pytest.raises(ConfigError, match="scheduleAfter: placement of T1#0: vmId"):
+            parse_scenario(doc)
+
+        def set_name(dag):
+            dag["name"] = ["x"]
+
+        def set_task_id(dag):
+            dag["tasks"][3]["taskId"] = 3
+
+        def set_task_name(dag):
+            dag["tasks"][3]["name"] = ["x"]
+
+        def set_edge_end(end):
+            def edit(dag):
+                dag["edges"][0][end] = {"id": "src"}
+            return edit
+
+        def set_grouping(dag):
+            dag["edges"][0]["grouping"] = 1
+
+        def set_endpoints(key):
+            def edit(dag):
+                dag[key] = [None]
+            return edit
+
+        for edit, match in ((set_name, "dag field name"), (set_task_id, "task field taskId"),
+                            (set_task_name, "task T3 field name"),
+                            (set_edge_end("fromTask"), "edge field fromTask"),
+                            (set_edge_end("toTask"), "edge field toTask"),
+                            (set_grouping, "edge field grouping"),
+                            (set_endpoints("sourceTasks"), "dag field sourceTasks"),
+                            (set_endpoints("sinkTasks"), "dag field sinkTasks")):
+            doc = self.minimal_doc()
+            doc["dag"] = bundled_dag_doc("linear")
+            edit(doc["dag"])
+            with pytest.raises(ConfigError, match=f"{match}: expected str"):
+                parse_scenario(doc)
+
     def test_overloaded_task_rejected(self):
         # One instance is enough for 8 events/sec by count, but at 200 ms
         # per event it serves only 5 events/sec.

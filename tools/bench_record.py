@@ -88,7 +88,8 @@ def the_one(records: list[dict], key: str):
 
 def bundled_hashes(records: list[dict]) -> dict:
     """Timeline and report SHA-256 of every reported run ``reproduce`` made
-    (its no-migration baselines and the determinism re-run make no report)."""
+    (the determinism re-run makes no report, nor did the no-migration
+    baselines that older trees ran)."""
     hashes: dict[str, list[str]] = {}
     for record in records:
         for f in record["fingerprints"]:
