@@ -65,25 +65,29 @@ def _load(args, strategy: str | None = None):
     )
 
 
+def _check_fresh(*out_dirs: Path) -> None:
+    """Refuse output directories that already hold a run, before any runs."""
+    for out_dir in out_dirs:
+        for path in (out_dir / "timeline.csv", out_dir / "report.json"):
+            if path.exists():
+                raise ConfigError(
+                    f"{path} already exists; run directories are append-only, "
+                    f"pick a fresh --out"
+                )
+
+
 def _write_outputs(out_dir: Path, timeline, report) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    timeline_path = out_dir / "timeline.csv"
-    report_path = out_dir / "report.json"
-    for path in (timeline_path, report_path):
-        if path.exists():
-            raise ConfigError(
-                f"{path} already exists; run directories are append-only, "
-                f"pick a fresh --out"
-            )
-    timeline.write_csv(timeline_path)
-    report_path.write_text(report.to_json())
+    timeline.write_csv(out_dir / "timeline.csv")
+    (out_dir / "report.json").write_text(report.to_json())
 
 
 def cmd_run(args) -> int:
     config = _load(args, strategy=args.strategy)
+    out_dir = Path(args.out) if args.out else Path("runs") / f"{config.name}-{config.strategy.lower()}-s{config.randomSeed}"
+    _check_fresh(out_dir)
     timeline, _engine = run_scenario(config)
     report = compute_report(timeline, config)
-    out_dir = Path(args.out) if args.out else Path("runs") / f"{config.name}-{config.strategy.lower()}-s{config.randomSeed}"
     _write_outputs(out_dir, timeline, report)
     print(f"{config.name} [{config.strategy}] seed={config.randomSeed}")
     _print_report_row(report)
@@ -120,6 +124,8 @@ def _increasing(*values) -> bool:
 
 def cmd_compare(args) -> int:
     base = _load(args)
+    if args.out:
+        _check_fresh(*(Path(args.out) / s.lower() for s in STRATEGIES))
     reports = {}
     for strategy in STRATEGIES:
         config = with_overrides(base, strategy=strategy)

@@ -24,6 +24,10 @@ CSV_HEADER = "ts_ms,site,event_id,root_seq,epoch,replayed,phase"
 
 
 class TimelineRecord(NamedTuple):
+    """One timeline row.  The ``record_*`` writers build it with
+    ``tuple.__new__``, which skips the namedtuple's Python-level
+    ``__new__``; the record keeps its type and field names."""
+
     ts: int
     site: str
     eventId: int
@@ -43,17 +47,20 @@ class Timeline:
         return len(self.records)
 
     def record_emit(self, ts: int, event_id: int, root_seq: int, epoch: int) -> None:
-        self.records.append(TimelineRecord(ts, SOURCE_EMIT, event_id, root_seq, epoch, False, ""))
+        self.records.append(
+            tuple.__new__(TimelineRecord, (ts, SOURCE_EMIT, event_id, root_seq, epoch, False, "")))
 
     def record_replay(self, ts: int, event_id: int, root_seq: int, epoch: int) -> None:
-        self.records.append(TimelineRecord(ts, REPLAY, event_id, root_seq, epoch, True, ""))
+        self.records.append(
+            tuple.__new__(TimelineRecord, (ts, REPLAY, event_id, root_seq, epoch, True, "")))
 
     def record_sink_exit(self, ts: int, event_id: int, root_seq: int, epoch: int,
                          replayed: bool) -> None:
-        self.records.append(TimelineRecord(ts, SINK_EXIT, event_id, root_seq, epoch, replayed, ""))
+        self.records.append(tuple.__new__(
+            TimelineRecord, (ts, SINK_EXIT, event_id, root_seq, epoch, replayed, "")))
 
     def record_phase(self, ts: int, name: str) -> None:
-        self.records.append(TimelineRecord(ts, PHASE, 0, -1, 0, False, name))
+        self.records.append(tuple.__new__(TimelineRecord, (ts, PHASE, 0, -1, 0, False, name)))
 
     # -- lookups -----------------------------------------------------------
 

@@ -22,7 +22,6 @@ Strategies sequence waves differently:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from .errors import InvariantViolation, WaveConflictError
 from .model import to_ms
@@ -241,10 +240,8 @@ class CheckpointCoordinator:
         # Assembling the snapshot runs through the task like one more
         # event: the barrier costs a service time at every hop.
         inst.in_service = env
-        self.engine.clock.schedule_in(
-            inst.service_ms,
-            partial(self._prepare_done, inst, env, wave, inst.generation),
-        )
+        self.engine.clock.schedule_in(inst.service_ms, self._prepare_done,
+                                      inst, env, wave, inst.generation)
 
     def _prepare_done(self, inst, env, wave, gen) -> None:
         if gen != inst.generation or inst.status == KILLED:
@@ -270,9 +267,8 @@ class CheckpointCoordinator:
         record = self.commit_record(inst, wave)
         latency = self.engine.store.write_latency_ms(record)
         inst.in_service = env  # persisting occupies the single service slot
-        self.engine.clock.schedule_in(
-            latency, partial(self._commit_persisted, inst, env, wave, record, inst.generation)
-        )
+        self.engine.clock.schedule_in(latency, self._commit_persisted,
+                                      inst, env, wave, record, inst.generation)
 
     def _commit_persisted(self, inst, env, wave, record, gen) -> None:
         eng = self.engine
@@ -349,7 +345,7 @@ class CheckpointCoordinator:
             delay = eng.rng.randint(
                 eng.config.workerStartupMinMs, eng.config.workerStartupMaxMs
             )
-            eng.clock.schedule_in(delay, partial(eng.respawn_instance, inst_id))
+            eng.clock.schedule_in(delay, eng.respawn_instance, inst_id)
         self.mark(REBALANCE_DONE)
         self.on_rebalance_done()
 
@@ -386,7 +382,7 @@ class DcrCoordinator(CheckpointCoordinator):
         self.next_checkpoint_id += 1
         wave = self.start_wave(PREPARE, self.prepare_routing, self.migration_ckpt,
                                drained=self.prepare_routing == SEQUENTIAL)
-        eng.clock.schedule_in(eng.ack_timeout_ms, partial(self._check_prepare, wave))
+        eng.clock.schedule_in(eng.ack_timeout_ms, self._check_prepare, wave)
 
     def on_wave_complete(self, wave: WaveState) -> None:
         if self.aborted:
@@ -491,7 +487,7 @@ class DsmCoordinator(CheckpointCoordinator):
     def _start_init_wave(self) -> None:
         wave = self.start_wave(INIT, SEQUENTIAL, self.last_committed_ckpt, supersede=True)
         eng = self.engine
-        eng.clock.schedule_in(eng.ack_timeout_ms, partial(self._check_init, wave))
+        eng.clock.schedule_in(eng.ack_timeout_ms, self._check_init, wave)
 
     def _check_init(self, wave: WaveState) -> None:
         # Un-acked INIT within the ack timeout: re-issue the whole wave.

@@ -13,7 +13,6 @@ import math
 import random
 import struct
 from collections import deque
-from functools import partial
 
 from . import _kernels
 from ._kernels import ACK_COMPLETED
@@ -178,7 +177,11 @@ class SourceRuntime:
 
 
 class SimClock:
-    """Virtual clock over the kernel calendar; ms resolution."""
+    """Virtual clock over the kernel calendar; ms resolution.
+
+    Every calendar payload is an action ``(fn, args)``, ``args`` a tuple;
+    firing it calls ``fn(*args)``.
+    """
 
     __slots__ = ("now", "_calendar")
 
@@ -186,16 +189,16 @@ class SimClock:
         self.now = 0
         self._calendar = calendar
 
-    def schedule_at(self, fire_ms: int, action) -> None:
+    def schedule_at(self, fire_ms: int, fn, *args) -> None:
         if fire_ms < self.now:
             raise InvariantViolation(f"scheduling into the past: {fire_ms} < {self.now}")
-        self._calendar.push(fire_ms, action)
+        self._calendar.push(fire_ms, (fn, args))
 
-    def schedule_in(self, delay_ms: int, action) -> None:
+    def schedule_in(self, delay_ms: int, fn, *args) -> None:
         if delay_ms < 0:
             raise InvariantViolation(
                 f"scheduling into the past: {self.now + delay_ms} < {self.now}")
-        self._calendar.push(self.now + delay_ms, action)
+        self._calendar.push(self.now + delay_ms, (fn, args))
 
 
 class SimulationEngine:
@@ -213,9 +216,12 @@ class SimulationEngine:
         self.config = config
         self.dag = config.dag
         self.clock = SimClock(_kernels.EventCalendar())
-        # Bound again by run(), after any wrapper of EventCalendar.push is
-        # installed; bound here for callers that drive the calendar by hand.
+        # Bound again by run(), after any wrapper of EventCalendar.push or
+        # override of the two hot actions is installed; bound here for
+        # callers that drive the calendar by hand.
         self._push = self.clock._calendar.push
+        self._arrive_fn = self._arrive
+        self._complete_fn = self._complete_service
         self.rng = random.Random(config.randomSeed)
         self._getrandbits = self.rng.getrandbits
         self.timeline = Timeline()
@@ -272,7 +278,7 @@ class SimulationEngine:
 
         A task with no DUPLICATE edge and one SHUFFLE edge to one instance
         has nothing to route: its instances get that target as
-        ``sole_target``, and ``_emit_children`` delivers to it directly.
+        ``sole_target``, and ``_complete_service`` delivers to it directly.
         """
         targets_of = {tid: tuple(self.instances[iid] for iid in ids)
                       for tid, ids in self.instances_of.items()}
@@ -334,16 +340,18 @@ class SimulationEngine:
         calendar = clock._calendar
         pop = calendar.pop
         self._push = calendar.push
+        self._arrive_fn = self._arrive
+        self._complete_fn = self._complete_service
         max_actions = _MAX_ACTIONS
         actions = self._actions
         try:
             while True:
                 try:
-                    fire_ms, _seq, action = pop()
+                    fire_ms, _seq, (fn, args) = pop()
                 except IndexError:
                     break  # the calendar is empty
                 clock.now = fire_ms
-                action()
+                fn(*args)
                 actions += 1
                 if actions > max_actions:
                     raise InvariantViolation("action budget exceeded; runaway schedule")
@@ -464,35 +472,35 @@ class SimulationEngine:
             self._on_root_completed(env.rootId)
 
     def deliver(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
-        self._push(self.clock.now + self.net_delay_ms, partial(self._arrive, env, target))
+        self._push(self.clock.now + self.net_delay_ms, (self._arrive_fn, (env, target)))
 
     def _arrive(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
         """Hand a delivered event to its target instance.
 
-        A DATA event that finds its instance idle and accepting (RUNNING,
-        initialized, not capturing, queue empty, nothing in service) goes
-        straight into service, as ``_pump`` would have put it.  Every other
-        event takes the queue and ``_pump``; a KILLED instance drops it, and
-        a RESPAWNING one has its DATA retried by the transport.
+        At a RUNNING instance, a DATA event that finds it idle and accepting
+        (initialized, not capturing, queue empty, nothing in service) goes
+        straight into service, as ``_pump`` would have put it.  An event
+        that finds it busy joins the queue, which the end of the service
+        pumps.  Every other event takes the queue and ``_pump``.  A KILLED
+        instance drops the event (a lost DATA event is recovered via ack
+        timeout), and a RESPAWNING one has its DATA retried by the transport.
         """
-        if (target.in_service is None and not target.queue and target.status == RUNNING
-                and env.kind == DATA and target.initialized and not target.captureFlag):
-            target.in_service = env
-            self._push(self.clock.now + target.service_ms,
-                       partial(self._complete_service, target, env, target.generation))
-            return
-        if target.status == KILLED:
-            return  # dropped; a lost DATA event is recovered via ack timeout
-        if target.status == RESPAWNING:
+        if target.status == RUNNING:
+            if target.in_service is not None:
+                target.queue.append(env)
+            elif (not target.queue and env.kind == DATA and target.initialized
+                  and not target.captureFlag):
+                target.in_service = env
+                self._push(self.clock.now + target.service_ms,
+                           (self._complete_fn, (target, env, target.generation)))
+            else:
+                target.queue.append(env)
+                self._pump(target)
+        elif target.status == RESPAWNING and env.kind == DATA:
             # The worker process is starting: the transport holds data and
             # reconnects, while control copies are dropped (wave resends
             # own their recovery).
-            if env.kind == DATA:
-                self._push(self.clock.now + _TRANSPORT_RETRY_MS,
-                           partial(self._arrive, env, target))
-            return
-        target.queue.append(env)
-        self._pump(target)
+            self._push(self.clock.now + _TRANSPORT_RETRY_MS, (self._arrive_fn, (env, target)))
 
     # -- instance processing ---------------------------------------------------
 
@@ -510,7 +518,7 @@ class SimulationEngine:
                 continue
             inst.in_service = env
             self._push(self.clock.now + inst.service_ms,
-                       partial(self._complete_service, inst, env, inst.generation))
+                       (self._complete_fn, (inst, env, inst.generation)))
 
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
                           gen: int) -> None:
@@ -521,13 +529,29 @@ class SimulationEngine:
         inst.in_service = None
         inst.state.on_event(env)
 
+        acking = self.acking_data
+        now = self.clock.now
         if inst.is_sink:
-            self.timeline.record_sink_exit(self.clock.now, env.eventId, env.rootSeqNo,
+            self.timeline.record_sink_exit(now, env.eventId, env.rootSeqNo,
                                            env.epoch, env.replayed)
         else:
-            self._emit_children(inst, env)
+            # Emit the children: whole ones per event, and one more with
+            # the fractional selectivity's probability.
+            count = inst.sel_count
+            if inst.sel_frac > 0 and self.rng.random() < inst.sel_frac:
+                count += 1
+            sole = inst.sole_target
+            for _ in range(count):
+                child = EventEnvelope(self._getrandbits(64) or 1, env.rootId, env.rootSeqNo,
+                                      DATA, env.epoch, env.replayed, now)
+                if acking:
+                    self.acker.table.anchor(env.rootId, child.eventId)
+                if sole is None:
+                    self._route_emission(inst, inst.task.taskId, child)
+                else:
+                    self.deliver(child, sole)
 
-        if self.acking_data:
+        if acking:
             if inst.stateful and self.coordinator.defers_stateful_acks:
                 # Held until this instance's next checkpoint commit, so a
                 # post-restore replay re-covers the rolled-back window.
@@ -542,22 +566,6 @@ class SimulationEngine:
         for root_id, event_id in acks:
             if self.acker.ack_if_tracked(root_id, event_id):
                 self._on_root_completed(root_id)
-
-    def _emit_children(self, inst: TaskInstanceRuntime, env: EventEnvelope) -> None:
-        count = inst.sel_count
-        if inst.sel_frac > 0 and self.rng.random() < inst.sel_frac:
-            count += 1
-        sole = inst.sole_target
-        now = self.clock.now
-        for _ in range(count):
-            child = EventEnvelope(self._getrandbits(64) or 1, env.rootId, env.rootSeqNo, DATA,
-                                  env.epoch, env.replayed, now)
-            if self.acking_data:
-                self.acker.table.anchor(env.rootId, child.eventId)
-            if sole is None:
-                self._route_emission(inst, inst.task.taskId, child)
-            else:
-                self.deliver(child, sole)
 
     # -- kill / respawn ---------------------------------------------------------
 

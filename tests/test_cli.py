@@ -9,10 +9,24 @@ import pytest
 
 from flowmigrate.cli import main
 from flowmigrate.model import bundled_scenario_names
+from flowmigrate.runtime import SimulationEngine
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture()
+def no_engine_runs(monkeypatch):
+    """Fail any simulation: the command must refuse before it runs one."""
+    def run(_engine):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(SimulationEngine, "run", run)
+
+
+def files_under(path: Path) -> list[Path]:
+    return sorted(p for p in path.rglob("*") if p.is_file())
 
 
 @pytest.fixture()
@@ -55,6 +69,16 @@ class TestRun:
         out = tmp_path / "out"
         assert run_cli("run", str(quick_scenario), "--out", str(out)) == 0
         assert run_cli("run", str(quick_scenario), "--out", str(out)) == 2
+
+    def test_existing_output_refused_before_the_run(self, quick_scenario, tmp_path,
+                                                    no_engine_runs, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("{}")
+        assert run_cli("run", str(quick_scenario), "--out", str(out)) == 2
+        assert "report.json already exists" in capsys.readouterr().err
+        assert files_under(out) == [out / "report.json"]
+        assert (out / "report.json").read_text() == "{}"
 
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         assert run_cli("run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")) == 2
@@ -160,6 +184,17 @@ class TestCompare:
         assert "[FAIL] restore CCR < DCR < DSM" in out
         assert "[FAIL] drain DCR > capture CCR" in out
         assert "[PASS] no replays under DCR/CCR" in out
+
+    def test_existing_output_refused_before_any_run(self, quick_scenario, tmp_path,
+                                                    no_engine_runs, capsys):
+        # DSM runs first and DCR's directory is taken: nothing may be written.
+        out = tmp_path / "cmp"
+        (out / "dcr").mkdir(parents=True)
+        (out / "dcr" / "timeline.csv").write_text("taken\n")
+        assert run_cli("compare", str(quick_scenario), "--out", str(out)) == 2
+        assert "timeline.csv already exists" in capsys.readouterr().err
+        assert files_under(out) == [out / "dcr" / "timeline.csv"]
+        assert not (out / "dsm").exists()
 
     def test_compare_writes_per_strategy_outputs(self, quick_scenario, tmp_path):
         out = tmp_path / "cmp"

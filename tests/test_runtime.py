@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from conftest import make_chain_dag, make_scenario
-from flowmigrate import runtime
+from flowmigrate import _kernels, runtime
 from flowmigrate.errors import FlowMigrateError, InvariantViolation
 from flowmigrate.metrics import (
     REPLAY,
@@ -39,6 +39,14 @@ def quick_engine(dag=None, strategy="DCR", **overrides):
     return SimulationEngine(config)
 
 
+def fire_next(engine):
+    """Pop and fire the next calendar action ``(fn, args)``; returns its fire time."""
+    t, _, (fn, args) = engine.clock._calendar.pop()
+    engine.clock.now = t
+    fn(*args)
+    return t
+
+
 class TestSourcePacing:
     def test_eight_emissions_per_second(self):
         config = make_scenario(make_chain_dag(2), run_s=10, trigger_s=5, strategy="DCR")
@@ -55,9 +63,7 @@ class TestSourcePacing:
         engine._schedule_emission(0)
         cal = engine.clock._calendar
         while len(cal) and cal.peek_time() < 11_000:
-            t, _, action = cal.pop()
-            engine.clock.now = t
-            action()
+            fire_next(engine)
         assert engine.source.backlog == 80  # 10s paused at 8/s
 
     def test_unpause_bursts_whole_backlog(self):
@@ -112,7 +118,37 @@ class TestClock:
             engine.clock.schedule_in(-1, engine.pause_source)
         with pytest.raises(InvariantViolation):
             engine.clock.schedule_at(engine.now - 1, engine.pause_source)
+        with pytest.raises(InvariantViolation):
+            engine.clock.schedule_in(-1, engine.kill_instance, "T1#0")
+        with pytest.raises(InvariantViolation):
+            engine.clock.schedule_at(engine.now - 1, engine.kill_instance, "T1#0")
         assert len(engine.clock._calendar) == 0
+
+    def test_an_action_is_a_function_and_a_tuple_of_args(self):
+        engine = quick_engine()
+
+        def fn(*args):
+            pass
+
+        engine.clock.schedule_at(5, fn)
+        engine.clock.schedule_in(5, fn, 1, "two")
+        cal = engine.clock._calendar
+        assert cal.pop() == (5, 0, (fn, ()))
+        assert cal.pop() == (5, 1, (fn, (1, "two")))
+
+    def test_actions_fire_fn_of_args_in_time_seq_order(self):
+        engine = quick_engine()
+        clock = engine.clock
+        fired = []
+        clock.now = 100
+        clock.schedule_in(50, fired.append, "late")
+        clock.schedule_at(100, lambda: fired.append("no args"))
+        clock.schedule_at(150, lambda *args: fired.append(args), 1, 2, 3)
+        clock.schedule_in(0, fired.extend, ("x", "y"))
+        times = [fire_next(engine) for _ in range(4)]
+        assert times == [100, 100, 150, 150]
+        assert fired == ["no args", "x", "y", "late", (1, 2, 3)]
+        assert len(clock._calendar) == 0
 
     def test_negative_network_delay_rejected_at_construction(self):
         # Deliveries push now + networkDelayMs unchecked; a hand-built config
@@ -144,6 +180,56 @@ class TestRunLoop:
         with pytest.raises(IndexError, match="from an action"):
             engine.run()
 
+    def test_every_payload_is_a_function_and_its_args(self, monkeypatch):
+        # One action shape on the whole engine path, the protocol's
+        # checkpoint, rebalance and timeout actions included.
+        push = _kernels.EventCalendar.push
+        misshapen, fired_by = [], set()
+
+        def checked(calendar, fire_ms, payload):
+            if (type(payload) is tuple and len(payload) == 2 and callable(payload[0])
+                    and type(payload[1]) is tuple):
+                fired_by.add(payload[0].__name__)
+            else:
+                misshapen.append(payload)
+            return push(calendar, fire_ms, payload)
+
+        monkeypatch.setattr(_kernels.EventCalendar, "push", checked)
+        config = with_overrides(load_bundled_scenario("grid_scalein"), strategy="DSM")
+        engine = SimulationEngine(config)
+        engine.run()
+        assert engine.clock._calendar._next_seq == 341_213
+        assert misshapen == []
+        assert fired_by >= {"_source_tick", "_arrive", "_complete_service", "_sweep_tick",
+                            "_trigger_migration", "_periodic_tick", "_prepare_done",
+                            "_commit_persisted", "_rebalance_done", "respawn_instance",
+                            "_check_init"}
+
+    def test_overrides_set_before_run_see_every_event(self):
+        # run() binds the two hot actions after any override is installed.
+        # A chain without migration fires only source ticks, arrivals and
+        # completions: every one of the latter two passes the overrides.
+        config = make_scenario(make_chain_dag(3), "DCR", run_s=10, trigger_s=5)
+        engine = SimulationEngine(config, migrate=False)
+        arrived, completed = [], []
+        arrive, complete = engine._arrive, engine._complete_service
+
+        def spy_arrive(env, target):
+            arrived.append(env)
+            arrive(env, target)
+
+        def spy_complete(inst, env, gen):
+            completed.append(env)
+            complete(inst, env, gen)
+
+        engine._arrive = spy_arrive
+        engine._complete_service = spy_complete
+        engine.run()
+        roots = engine.source.next_seq
+        assert roots == 80
+        assert len(arrived) == len(completed) == 4 * roots  # T1, T2, T3, sink
+        assert engine._actions == roots + len(arrived) + len(completed)
+
     def test_action_budget_stops_a_run(self, monkeypatch):
         monkeypatch.setattr(runtime, "_MAX_ACTIONS", 1000)
         engine = quick_engine()
@@ -159,11 +245,8 @@ class TestDelivery:
         events = [EventEnvelope(i, i, i, DATA, 0, False, 0) for i in (1, 2, 3)]
         for env in events:
             engine.deliver(env, inst)
-        cal = engine.clock._calendar
         for _ in events:  # the three arrivals; no service completes at 0 ms
-            t, _, action = cal.pop()
-            engine.clock.now = t
-            action()
+            fire_next(engine)
         # The first event found T1 idle and went into service; the others
         # queued behind it in send order.
         assert [inst.in_service.eventId] + [e.eventId for e in inst.queue] == [1, 2, 3]
@@ -190,14 +273,6 @@ class TestDelivery:
 
 def make_event(event_id: int = 1, kind: str = DATA) -> EventEnvelope:
     return EventEnvelope(event_id, event_id, 0, kind, 0, False, 0)
-
-
-def fire_next(engine):
-    """Pop and fire the next calendar action; returns its fire time."""
-    t, _, action = engine.clock._calendar.pop()
-    engine.clock.now = t
-    action()
-    return t
 
 
 class TestArrive:
@@ -289,9 +364,9 @@ class TestArrive:
         env = make_event()
         engine._arrive(env, inst)
         assert inst.in_service is None and not inst.queue
-        t, _, retry = engine.clock._calendar.pop()
+        t, _, (_fn, args) = engine.clock._calendar.pop()
         assert t == 2_000 + runtime._TRANSPORT_RETRY_MS
-        assert retry.args == (env, inst)
+        assert args == (env, inst)
 
 
 def fan_out_dag(*groupings: str) -> DagDef:
@@ -338,8 +413,7 @@ class TestSoleTarget:
         env = make_event()
         engine._arrive(env, sender)
         fire_next(engine)  # T1 completes service and emits one child
-        _, _, arrival = engine.clock._calendar.pop()
-        child, to = arrival.args
+        _, _, (_fn, (child, to)) = engine.clock._calendar.pop()
         assert to is target and child.rootId == env.rootId and child is not env
         assert sender.rr_edges == 0 and not sender.rr_targets
 
@@ -355,8 +429,7 @@ class TestSoleTarget:
         env = make_event()
         engine._arrive(env, engine.instances["T1#0"])
         fire_next(engine)
-        _, _, arrival = engine.clock._calendar.pop()
-        arrival()
+        fire_next(engine)  # the child's arrival at the sole target
         assert target.in_service is not None
         assert target.in_service.rootId == env.rootId
 

@@ -31,6 +31,12 @@ def test_gen_scenarios_reproduces_bundled_files(tmp_path, monkeypatch):
         assert (tmp_path / rel).read_bytes() == bundled.joinpath(*rel.parts).read_bytes(), rel
 
 
+def test_engine_path_has_one_action_shape():
+    # Calendar payloads are (fn, args); a functools.partial would be a second shape.
+    src = ROOT / "src" / "flowmigrate"
+    assert [p.name for p in sorted(src.glob("*.py")) if "partial" in p.read_text()] == []
+
+
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
     # The benchmark wraps program names from outside src/; a renamed or
     # deleted name breaks it, so install and remove its wrappers here.
