@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .metrics import (
+    SINK_EXIT,
     MetricsReport,
     Timeline,
     compute_report,
@@ -223,13 +224,14 @@ def check_dcr_boundary(cache: RunCache) -> CriterionResult:
     passed = True
     for scenario in SCENARIOS:
         run = cache.get(scenario, "DCR")
+        timeline = run.timeline
         last_old = None
         first_new = None
-        for rec in run.timeline.sink_exits():
-            if rec.epoch == 0:
-                last_old = rec.ts if last_old is None else max(last_old, rec.ts)
+        for ts, epoch in timeline.select(SINK_EXIT, zip(timeline.ts, timeline.epochs)):
+            if epoch == 0:
+                last_old = ts if last_old is None else max(last_old, ts)
             elif first_new is None:
-                first_new = rec.ts
+                first_new = ts
         ok = last_old is not None and first_new is not None and last_old < first_new
         passed &= ok
         details.append(f"{scenario}: lastEpoch0={last_old} < firstEpoch1={first_new}: {ok}")

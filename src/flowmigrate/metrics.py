@@ -3,14 +3,23 @@
 The engine appends one record per source emission, replay, sink exit and
 phase transition.  All metrics are pure functions of the finished
 timeline, so recomputation is idempotent and the CSV round-trips.
+
+The timeline stores its records as typed columns, about 27 bytes a row,
+and each metric scans only the columns it reads: ``Timeline.select``
+picks one site's rows out of any column, or out of a ``zip`` of columns.
+``Timeline.records`` is a view that rebuilds ``TimelineRecord`` rows for
+tests and inspection; it is not the storage.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MetricsError, NeverStabilizedError, NoSinkOutputError
 from .model import DagDef, ScenarioConfig, path_multiplicity, to_ms
@@ -22,11 +31,17 @@ REPLAY = "REPLAY"
 
 CSV_HEADER = "ts_ms,site,event_id,root_seq,epoch,replayed,phase"
 
+# A row's site is stored as its index in SITES.
+SITES = (SOURCE_EMIT, SINK_EXIT, PHASE, REPLAY)
+_EMIT, _SINK, _PHASE, _REPLAY = range(len(SITES))
+_SITE_CODE = {site: code for code, site in enumerate(SITES)}
+# bytes.translate tables mapping the sites column to a 0/1 selector per site.
+_SELECTOR = {site: bytes(int(b == code) for b in range(256))
+             for code, site in enumerate(SITES)}
+
 
 class TimelineRecord(NamedTuple):
-    """One timeline row.  The ``record_*`` writers build it with
-    ``tuple.__new__``, which skips the namedtuple's Python-level
-    ``__new__``; the record keeps its type and field names."""
+    """One timeline row, as ``Timeline.records`` rebuilds it."""
 
     ts: int
     site: str
@@ -38,37 +53,66 @@ class TimelineRecord(NamedTuple):
 
 
 class Timeline:
-    """Append-only run journal; one writer (the engine), then immutable."""
+    """Append-only run journal; one writer (the engine), then immutable.
+
+    Row ``i`` is ``ts[i]`` (ms), ``SITES[sites[i]]``, ``event_ids[i]``,
+    ``root_seqs[i]``, ``epochs[i]`` and ``replayed[i]`` (0 or 1).  A PHASE
+    row has event id 0, root seq -1 and epoch 0; its name lives in
+    ``phases``, one ``(row, ts, name)`` entry per PHASE row in row order.
+    """
+
+    __slots__ = ("ts", "sites", "event_ids", "root_seqs", "epochs", "replayed", "phases")
 
     def __init__(self) -> None:
-        self.records: list[TimelineRecord] = []
+        self.ts = array("q")
+        self.sites = bytearray()
+        self.event_ids = array("Q")
+        self.root_seqs = array("q")
+        self.epochs = bytearray()
+        self.replayed = bytearray()
+        self.phases: list[tuple[int, int, str]] = []
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ts)
+
+    def _append(self, ts: int, site: int, event_id: int, root_seq: int, epoch: int,
+                replayed: bool) -> None:
+        self.ts.append(ts)
+        self.sites.append(site)
+        self.event_ids.append(event_id)
+        self.root_seqs.append(root_seq)
+        self.epochs.append(epoch)
+        self.replayed.append(replayed)
 
     def record_emit(self, ts: int, event_id: int, root_seq: int, epoch: int) -> None:
-        self.records.append(
-            tuple.__new__(TimelineRecord, (ts, SOURCE_EMIT, event_id, root_seq, epoch, False, "")))
+        self._append(ts, _EMIT, event_id, root_seq, epoch, False)
 
     def record_replay(self, ts: int, event_id: int, root_seq: int, epoch: int) -> None:
-        self.records.append(
-            tuple.__new__(TimelineRecord, (ts, REPLAY, event_id, root_seq, epoch, True, "")))
+        self._append(ts, _REPLAY, event_id, root_seq, epoch, True)
 
     def record_sink_exit(self, ts: int, event_id: int, root_seq: int, epoch: int,
                          replayed: bool) -> None:
-        self.records.append(tuple.__new__(
-            TimelineRecord, (ts, SINK_EXIT, event_id, root_seq, epoch, replayed, "")))
+        self._append(ts, _SINK, event_id, root_seq, epoch, replayed)
 
     def record_phase(self, ts: int, name: str) -> None:
-        self.records.append(tuple.__new__(TimelineRecord, (ts, PHASE, 0, -1, 0, False, name)))
+        self.phases.append((len(self.ts), ts, name))
+        self._append(ts, _PHASE, 0, -1, 0, False)
+
+    @property
+    def records(self) -> "TimelineRecords":
+        return TimelineRecords(self)
 
     # -- lookups -----------------------------------------------------------
 
+    def select(self, site: str, column: Iterable) -> Iterator:
+        """The items of ``column`` (one column, or a ``zip`` of columns) on
+        the rows of ``site``, in row order."""
+        return compress(column, self.sites.translate(_SELECTOR[site]))
+
     def phase_ts(self, name: str, after: int | None = None) -> int | None:
-        for rec in self.records:
-            if rec.site == PHASE and rec.phaseName == name:
-                if after is None or rec.ts >= after:
-                    return rec.ts
+        for _row, ts, phase in self.phases:
+            if phase == name and (after is None or ts >= after):
+                return ts
         return None
 
     def request_ts(self) -> int:
@@ -77,22 +121,29 @@ class Timeline:
             raise MetricsError("timeline has no REQUEST marker")
         return ts
 
+    def _records_at(self, site: str) -> Iterator[TimelineRecord]:
+        rows = zip(self.ts, self.event_ids, self.root_seqs, self.epochs, self.replayed)
+        return (TimelineRecord(ts, site, eid, rseq, epoch, bool(replayed), "")
+                for ts, eid, rseq, epoch, replayed in self.select(site, rows))
+
     def sink_exits(self) -> Iterable[TimelineRecord]:
-        return (r for r in self.records if r.site == SINK_EXIT)
+        return self._records_at(SINK_EXIT)
 
     def replays(self) -> Iterable[TimelineRecord]:
-        return (r for r in self.records if r.site == REPLAY)
+        return self._records_at(REPLAY)
 
     # -- CSV ---------------------------------------------------------------
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
-        for r in self.records:
-            lines.append(
-                f"{r.ts},{r.site},{r.eventId},{r.rootSeqNo},{r.epoch},"
-                f"{1 if r.replayed else 0},{r.phaseName}"
-            )
-        return "\n".join(lines) + "\n"
+        lines += [f"{ts},{SITES[site]},{eid},{rseq},{epoch},{replayed},"
+                  for ts, site, eid, rseq, epoch, replayed
+                  in zip(self.ts, self.sites, self.event_ids, self.root_seqs,
+                         self.epochs, self.replayed)]
+        for row, _ts, name in self.phases:
+            lines[row + 1] += name
+        lines.append("")
+        return "\n".join(lines)
 
     def write_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv())
@@ -104,13 +155,65 @@ class Timeline:
             header = fh.readline().strip()
             if header != CSV_HEADER:
                 raise MetricsError(f"unexpected timeline header: {header}")
-            for line in fh:
-                ts, site, eid, rseq, epoch, replayed, phase = line.rstrip("\n").split(",")
-                timeline.records.append(
-                    TimelineRecord(int(ts), site, int(eid), int(rseq), int(epoch),
-                                   replayed == "1", phase)
-                )
+            rows = [line.rstrip("\n").split(",") for line in fh]
+        if not rows:
+            return timeline
+        try:
+            ts, sites, eids, rseqs, epochs, replayed, names = zip(*rows, strict=True)
+            timeline.ts = array("q", map(int, ts))
+            timeline.sites = bytearray(_SITE_CODE[site] for site in sites)
+            timeline.event_ids = array("Q", map(int, eids))
+            timeline.root_seqs = array("q", map(int, rseqs))
+            timeline.epochs = bytearray(map(int, epochs))
+        except (KeyError, ValueError, OverflowError) as err:
+            raise MetricsError(f"malformed timeline row: {err!r}") from None
+        timeline.replayed = bytearray(flag == "1" for flag in replayed)
+        timeline.phases = [(row, ts, name) for row, (site, ts, name)
+                           in enumerate(zip(timeline.sites, timeline.ts, names))
+                           if site == _PHASE]
+        if any(name for site, name in zip(timeline.sites, names) if site != _PHASE):
+            raise MetricsError("a phase name on a row that is not a PHASE row")
         return timeline
+
+
+class TimelineRecords:
+    """A view of a timeline's rows as ``TimelineRecord``s, built on access,
+    for tests and inspection.  Deleting a row deletes it from every column."""
+
+    __slots__ = ("_timeline",)
+
+    def __init__(self, timeline: Timeline) -> None:
+        self._timeline = timeline
+
+    def __len__(self) -> int:
+        return len(self._timeline)
+
+    def __iter__(self) -> Iterator[TimelineRecord]:
+        tl = self._timeline
+        names = {row: name for row, _ts, name in tl.phases}
+        for row, (ts, site, eid, rseq, epoch, replayed) in enumerate(zip(
+                tl.ts, tl.sites, tl.event_ids, tl.root_seqs, tl.epochs, tl.replayed)):
+            yield TimelineRecord(ts, SITES[site], eid, rseq, epoch, bool(replayed),
+                                 names.get(row, ""))
+
+    def __getitem__(self, index: int) -> TimelineRecord:
+        tl = self._timeline
+        row = range(len(tl))[index]
+        name = next((name for r, _ts, name in tl.phases if r == row), "")
+        return TimelineRecord(tl.ts[row], SITES[tl.sites[row]], tl.event_ids[row],
+                              tl.root_seqs[row], tl.epochs[row], bool(tl.replayed[row]), name)
+
+    def __delitem__(self, index: int) -> None:
+        tl = self._timeline
+        row = range(len(tl))[index]
+        for column in (tl.ts, tl.sites, tl.event_ids, tl.root_seqs, tl.epochs, tl.replayed):
+            del column[row]
+        tl.phases = [(r - (r > row), ts, name) for r, ts, name in tl.phases if r != row]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (TimelineRecords, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 @dataclass
@@ -150,8 +253,8 @@ def compute_restore_duration(timeline: Timeline) -> int | None:
     restored = timeline.phase_ts("FIRST_INIT_ACKED", after=request)
     if restored is None:
         return None
-    first = min((rec.ts for rec in timeline.records
-                 if rec.site == SINK_EXIT and rec.ts >= restored), default=None)
+    first = min((ts for ts in timeline.select(SINK_EXIT, timeline.ts) if ts >= restored),
+                default=None)
     if first is None:
         raise NoSinkOutputError("no sink output after the migrated dataflow restored")
     return first - request
@@ -182,9 +285,9 @@ def compute_catchup(timeline: Timeline, strategy: str) -> int | None:
         return None
     request = timeline.request_ts()
     last = None
-    for rec in timeline.records:
-        if rec.site == SINK_EXIT and rec.epoch == 0 and rec.ts >= request:
-            last = rec.ts
+    for ts, epoch in timeline.select(SINK_EXIT, zip(timeline.ts, timeline.epochs)):
+        if epoch == 0 and ts >= request:
+            last = ts
     return None if last is None else last - request
 
 
@@ -194,18 +297,18 @@ def compute_recovery(timeline: Timeline, strategy: str) -> int | None:
         return None
     request = timeline.request_ts()
     last = None
-    for rec in timeline.records:
-        if rec.site == SINK_EXIT and rec.replayed and rec.ts >= request:
-            last = rec.ts
+    for ts, replayed in timeline.select(SINK_EXIT, zip(timeline.ts, timeline.replayed)):
+        if replayed and ts >= request:
+            last = ts
     return None if last is None else last - request
 
 
 def output_rate_buckets(timeline: Timeline, horizon_ms: int) -> list[int]:
     """Sink exits per 1-second bucket over [0, horizon)."""
     buckets = [0] * (horizon_ms // 1000)
-    for rec in timeline.records:
-        if rec.site == SINK_EXIT and rec.ts < horizon_ms:
-            buckets[rec.ts // 1000] += 1
+    for ts in timeline.select(SINK_EXIT, timeline.ts):
+        if ts < horizon_ms:
+            buckets[ts // 1000] += 1
     return buckets
 
 
@@ -239,7 +342,7 @@ def count_replays(timeline: Timeline, since: int | None = None) -> int:
             since = timeline.request_ts()
         except MetricsError:
             since = 0
-    return sum(1 for r in timeline.replays() if r.ts >= since)
+    return sum(1 for ts in timeline.select(REPLAY, timeline.ts) if ts >= since)
 
 
 @dataclass(frozen=True)
@@ -258,13 +361,8 @@ def exactly_once_audit(timeline: Timeline, dag: DagDef,
     Returns failures; an empty list is a pass.
     """
     multiplicity = path_multiplicity(dag)
-    emitted: set[int] = set()
-    observed: dict[int, int] = {}
-    for rec in timeline.records:
-        if rec.site == SOURCE_EMIT:
-            emitted.add(rec.rootSeqNo)
-        elif rec.site == SINK_EXIT:
-            observed[rec.rootSeqNo] = observed.get(rec.rootSeqNo, 0) + 1
+    emitted = set(timeline.select(SOURCE_EMIT, timeline.root_seqs))
+    observed = Counter(timeline.select(SINK_EXIT, timeline.root_seqs))
     failures = []
     for root_seq in sorted(emitted):
         got = observed.get(root_seq, 0)
@@ -276,11 +374,7 @@ def exactly_once_audit(timeline: Timeline, dag: DagDef,
 
 def sink_multiset(timeline: Timeline) -> dict[int, int]:
     """rootSeqNo -> sink-exit count, for run-to-run equivalence checks."""
-    counts: dict[int, int] = {}
-    for rec in timeline.records:
-        if rec.site == SINK_EXIT:
-            counts[rec.rootSeqNo] = counts.get(rec.rootSeqNo, 0) + 1
-    return counts
+    return Counter(timeline.select(SINK_EXIT, timeline.root_seqs))
 
 
 def replay_bursts(timeline: Timeline, since: int | None = None,
@@ -290,7 +384,8 @@ def replay_bursts(timeline: Timeline, since: int | None = None,
     Consecutive replays closer than ``gap_ms`` belong to one burst; bursts
     smaller than ``min_size`` are dropped as noise.
     """
-    times = sorted(r.ts for r in timeline.replays() if since is None or r.ts >= since)
+    times = sorted(ts for ts in timeline.select(REPLAY, timeline.ts)
+                   if since is None or ts >= since)
     bursts: list[tuple[int, int]] = []
     start = prev = None
     size = 0
@@ -316,16 +411,16 @@ class RateSeries:
         self.output_counts = [0] * n
         first_emit: dict[int, int] = {}
         exits: list[tuple[int, int]] = []
-        for rec in timeline.records:
-            if rec.ts >= horizon_ms:
+        for ts, site, root_seq in zip(timeline.ts, timeline.sites, timeline.root_seqs):
+            if ts >= horizon_ms:
                 continue
-            if rec.site in (SOURCE_EMIT, REPLAY):
-                self.input_counts[rec.ts // window_ms] += 1
-                if rec.site == SOURCE_EMIT:
-                    first_emit.setdefault(rec.rootSeqNo, rec.ts)
-            elif rec.site == SINK_EXIT:
-                self.output_counts[rec.ts // window_ms] += 1
-                exits.append((rec.ts, rec.rootSeqNo))
+            if site == _EMIT or site == _REPLAY:
+                self.input_counts[ts // window_ms] += 1
+                if site == _EMIT:
+                    first_emit.setdefault(root_seq, ts)
+            elif site == _SINK:
+                self.output_counts[ts // window_ms] += 1
+                exits.append((ts, root_seq))
         self._exits = exits
         self._first_emit = first_emit
 

@@ -1,11 +1,23 @@
+import pickle
+import sys
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_chain_dag, make_scenario
 from flowmigrate.errors import MetricsError, NeverStabilizedError, NoSinkOutputError
 from flowmigrate.metrics import (
     CSV_HEADER,
+    PHASE,
+    REPLAY,
+    SINK_EXIT,
+    SOURCE_EMIT,
     RateSeries,
     Timeline,
+    TimelineRecord,
     compute_catchup,
     compute_drain_capture_duration,
     compute_recovery,
@@ -25,15 +37,18 @@ def migration_timeline(request_s=180, rebalance_start_s=182, rebalance_done_s=18
                        first_exit_s=195, init_acked_s=None):
     """Minimal hand-built timeline around one migration; the first INIT
     wave completes with the rebalance unless ``init_acked_s`` says later."""
+    def ms(s):  # the writers take int ms, like the engine's clock
+        return round(s * 1000)
+
     tl = Timeline()
     tl.record_emit(0, 100, 0, 0)
     tl.record_sink_exit(200, 101, 0, 0, False)
-    tl.record_phase(request_s * 1000, "REQUEST")
-    tl.record_phase(rebalance_start_s * 1000, "REBALANCE_START")
-    tl.record_phase(rebalance_done_s * 1000, "REBALANCE_DONE")
+    tl.record_phase(ms(request_s), "REQUEST")
+    tl.record_phase(ms(rebalance_start_s), "REBALANCE_START")
+    tl.record_phase(ms(rebalance_done_s), "REBALANCE_DONE")
     acked_s = rebalance_done_s if init_acked_s is None else init_acked_s
-    tl.record_phase(acked_s * 1000, "FIRST_INIT_ACKED")
-    tl.record_sink_exit(first_exit_s * 1000, 102, 1, 0, False)
+    tl.record_phase(ms(acked_s), "FIRST_INIT_ACKED")
+    tl.record_sink_exit(ms(first_exit_s), 102, 1, 0, False)
     return tl
 
 
@@ -227,6 +242,103 @@ class TestCsv:
         back = Timeline.from_csv(path)
         assert back.records == tl.records
         assert back.to_csv() == text
+
+
+ts_ms = st.integers(0, 2 ** 63 - 1)
+event_ids = st.integers(0, 2 ** 64 - 1)
+root_seqs = st.integers(0, 2 ** 63 - 1)
+epochs = st.sampled_from((0, 1))
+writes = st.lists(st.one_of(
+    st.tuples(st.just(SOURCE_EMIT), ts_ms, event_ids, root_seqs, epochs),
+    st.tuples(st.just(REPLAY), ts_ms, event_ids, root_seqs, epochs),
+    st.tuples(st.just(SINK_EXIT), ts_ms, event_ids, root_seqs, epochs, st.booleans()),
+    st.tuples(st.just(PHASE), ts_ms,
+              st.sampled_from(("REQUEST", "REBALANCE_START", "FIRST_INIT_ACKED"))),
+), max_size=40)
+
+
+def write_both(ops):
+    """Replay writer calls on a Timeline and on a list-of-records oracle."""
+    tl = Timeline()
+    oracle = []
+    for site, ts, *rest in ops:
+        if site == PHASE:
+            tl.record_phase(ts, rest[0])
+            oracle.append(TimelineRecord(ts, PHASE, 0, -1, 0, False, rest[0]))
+        elif site == SINK_EXIT:
+            tl.record_sink_exit(ts, *rest)
+            oracle.append(TimelineRecord(ts, site, *rest, ""))
+        else:
+            (tl.record_emit if site == SOURCE_EMIT else tl.record_replay)(ts, *rest)
+            oracle.append(TimelineRecord(ts, site, *rest, site == REPLAY, ""))
+    return tl, oracle
+
+
+def oracle_csv(records):
+    return "".join(
+        [CSV_HEADER + "\n"]
+        + [f"{r.ts},{r.site},{r.eventId},{r.rootSeqNo},{r.epoch},"
+           f"{1 if r.replayed else 0},{r.phaseName}\n" for r in records])
+
+
+class TestColumnTimeline:
+    """The column storage against a plain list of records."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(writes, st.lists(st.integers(0, 10 ** 6), max_size=5))
+    def test_matches_list_of_records(self, ops, deletions):
+        tl, oracle = write_both(ops)
+        for k in deletions:
+            if oracle:
+                del tl.records[k % len(oracle)]
+                del oracle[k % len(oracle)]
+        assert len(tl) == len(tl.records) == len(oracle)
+        assert tl.records == oracle
+        assert [tl.records[i] for i in range(-len(oracle), len(oracle))] == oracle + oracle
+        assert list(tl.sink_exits()) == [r for r in oracle if r.site == SINK_EXIT]
+        assert list(tl.replays()) == [r for r in oracle if r.site == REPLAY]
+        for name in ("REQUEST", "FIRST_INIT_ACKED"):
+            assert tl.phase_ts(name) == next(
+                (r.ts for r in oracle if r.site == PHASE and r.phaseName == name), None)
+        text = tl.to_csv()
+        assert text == oracle_csv(oracle)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "timeline.csv"
+            path.write_text(text)
+            back = Timeline.from_csv(path)
+        assert back.records == oracle
+        assert back.phases == tl.phases
+        assert back.to_csv() == text
+
+    def test_index_out_of_range(self):
+        tl, _ = write_both([(PHASE, 5, "REQUEST")])
+        with pytest.raises(IndexError):
+            tl.records[1]
+        with pytest.raises(IndexError):
+            del tl.records[-2]
+
+    @pytest.mark.parametrize("row", ["1,NOWHERE,0,0,0,0,", "1,SINK_EXIT,0,0,0,0",
+                                     "x,PHASE,0,-1,0,0,A", "1,SINK_EXIT,0,0,0,0,REQUEST"])
+    def test_malformed_csv_rows_are_rejected(self, tmp_path, row):
+        path = tmp_path / "timeline.csv"
+        path.write_text(f"{CSV_HEADER}\n{row}\n")
+        with pytest.raises(MetricsError):
+            Timeline.from_csv(path)
+
+    def test_columns_hold_at_most_32_bytes_per_record(self, suite_cache):
+        timeline = suite_cache.get("linear_scalein", "DCR").timeline
+        columns = (timeline.ts, timeline.sites, timeline.event_ids, timeline.root_seqs,
+                   timeline.epochs, timeline.replayed)
+        assert len(timeline) > 10_000
+        assert sum(sys.getsizeof(c) for c in columns) <= 32 * len(timeline)
+
+    def test_run_result_pickles_compactly(self, suite_cache):
+        run = suite_cache.get("linear_scalein", "DCR")
+        blob = pickle.dumps(run)
+        back = pickle.loads(blob)
+        assert back.timeline.to_csv() == run.timeline.to_csv()
+        assert back.report.to_json() == run.report.to_json()
+        assert len(blob) <= 40 * len(run.timeline)
 
 
 class TestRateSeries:
