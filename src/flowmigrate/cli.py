@@ -15,7 +15,7 @@ from . import acceptance
 from .errors import ConfigError, FlowMigrateError, InvariantViolation
 from .metrics import compute_report
 from .model import STRATEGIES, bundled_scenario_names, resolve_scenario, with_overrides
-from .runtime import run_scenario
+from .runtime import SimulationEngine, run_scenario
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -126,11 +126,16 @@ def cmd_compare(args) -> int:
     base = _load(args)
     if args.out:
         _check_fresh(*(Path(args.out) / s.lower() for s in STRATEGIES))
+    # DCR and CCR share their run up to the migration trigger: one prefix,
+    # forked there.
+    engines = {"DSM": SimulationEngine(with_overrides(base, strategy="DSM")),
+               "DCR": SimulationEngine(with_overrides(base, strategy="DCR"))}
+    engines["CCR"] = engines["DCR"].fork_at_trigger("CCR")
     reports = {}
     for strategy in STRATEGIES:
-        config = with_overrides(base, strategy=strategy)
-        timeline, _ = run_scenario(config)
-        reports[strategy] = compute_report(timeline, config)
+        engine = engines[strategy]
+        timeline = engine.run()
+        reports[strategy] = compute_report(timeline, engine.config)
         if args.out:
             _write_outputs(Path(args.out) / strategy.lower(), timeline, reports[strategy])
 

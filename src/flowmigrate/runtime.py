@@ -9,6 +9,7 @@ and pending-cap throttling; kill and respawn model the rebalance.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 import struct
@@ -24,6 +25,7 @@ from .model import (
     instance_id as make_instance_id,
     migrating_instances,
     to_ms,
+    with_overrides,
 )
 from .reliability import AckerService, StateStore
 
@@ -44,6 +46,19 @@ _TRANSPORT_RETRY_MS = 500  # reconnect cadence toward a starting worker
 _MAX_PENDING_ROOTS = 240
 
 _PENDING_STRUCT = struct.Struct("<QQqqBBB")
+
+# Strategies whose coordinators do nothing before the migration trigger and
+# whose engines ack no data: their runs of one scenario fire the same
+# actions up to the trigger, so one prefix serves them all (see
+# SimulationEngine.fork_at_trigger).
+IDLE_BEFORE_TRIGGER = frozenset({"DCR", "CCR"})
+
+# Engine stages: built, firing its prefix, held at the trigger, running.
+_NEW, _PREFIX, _HELD, _RUN = range(4)
+
+
+class _TriggerHeld(Exception):
+    """Ends a prefix run: the migration trigger was popped, not fired."""
 
 
 class EventEnvelope:
@@ -216,14 +231,8 @@ class SimulationEngine:
         self.config = config
         self.dag = config.dag
         self.clock = SimClock(_kernels.EventCalendar())
-        # Bound again by run(), after any wrapper of EventCalendar.push or
-        # override of the two hot actions is installed; bound here for
-        # callers that drive the calendar by hand.
-        self._push = self.clock._calendar.push
-        self._arrive_fn = self._arrive
-        self._complete_fn = self._complete_service
         self.rng = random.Random(config.randomSeed)
-        self._getrandbits = self.rng.getrandbits
+        self._bind()
         self.timeline = Timeline()
         self.run_end_ms = to_ms(config.runDuration)
         self.ack_timeout_ms = to_ms(config.ackTimeout)
@@ -257,6 +266,7 @@ class SimulationEngine:
         self.migrating = sorted(migrating_instances(config.scheduleBefore, config.scheduleAfter))
         self._compile_routes()
         self._actions = 0
+        self._stage = _NEW
         self._emit_rate = config.sourceRate
         # Observability for state-correctness checks: processed counts at
         # kill time and the counts instances come back with at restore.
@@ -327,7 +337,74 @@ class SimulationEngine:
 
     # -- main loop -----------------------------------------------------------
 
+    def _bind(self) -> None:
+        """Cache the hot paths' bound methods.
+
+        Bound again by run(), after any wrapper of EventCalendar.push or
+        override of the two hot actions is installed; bound at construction
+        for callers that drive the calendar by hand.  A deep copy keeps a
+        builtin bound method as it is, so a twin's ``_getrandbits`` would
+        still draw from the original's generator: fork_at_trigger binds the
+        twin's own.
+        """
+        self._getrandbits = self.rng.getrandbits
+        self._push = self.clock._calendar.push
+        self._arrive_fn = self._arrive
+        self._complete_fn = self._complete_service
+
     def run(self) -> Timeline:
+        """Run to the end of the calendar; an engine held at its migration
+        trigger (see fork_at_trigger) fires the trigger first."""
+        self._bind()
+        if self._stage == _HELD:
+            self._stage = _RUN
+            self._trigger_migration()
+            self._actions += 1
+        else:
+            self._stage = _RUN
+            self._start()
+        self._fire()
+        return self.timeline
+
+    def fork_at_trigger(self, strategy: str) -> "SimulationEngine":
+        """Run to the migration trigger, hold it there, and return a twin
+        that continues the same run under ``strategy``.
+
+        Both engines then finish with run(): each fires the held trigger
+        and its own suffix, giving the bytes, action count and calendar
+        pushes of a run from scratch.  Only strategies in
+        IDLE_BEFORE_TRIGGER fork, and only a migrated run that has not
+        passed its trigger; an engine already held forks again.
+        """
+        for side in (self.config.strategy, strategy):
+            if side not in IDLE_BEFORE_TRIGGER:
+                raise FlowMigrateError(
+                    f"cannot fork a {side} run: its coordinator acts before the trigger")
+        if not self.migrate:
+            raise FlowMigrateError("cannot fork a run without a migration trigger")
+        if self._stage == _NEW:
+            self._stage = _PREFIX
+            self._bind()
+            self._start()
+            try:
+                self._fire()
+            except _TriggerHeld:
+                self._stage = _HELD
+        if self._stage != _HELD:
+            raise FlowMigrateError("cannot fork a run already past its migration trigger")
+        # The twin shares the immutable scenario; the idle coordinator is
+        # not copied but made anew for the twin's strategy.
+        config = with_overrides(self.config, strategy=strategy)
+        memo = {id(self.config): config, id(self.dag): self.dag, id(self.coordinator): None}
+        memo.update((id(task), task) for task in self.dag.tasks)
+        twin = copy.deepcopy(self, memo)
+        twin._bind()
+        from .protocol import make_coordinator  # deferred: protocol imports runtime
+
+        twin.coordinator = make_coordinator(twin)
+        return twin
+
+    def _start(self) -> None:
         self._schedule_emission(self.source.next_tick)
         if self.acking_data:
             self._schedule_sweep(self.ack_timeout_ms // 2)
@@ -336,12 +413,10 @@ class SimulationEngine:
                                    self._trigger_migration)
         self.coordinator.on_run_start()
 
+    def _fire(self) -> None:
+        """Fire actions in (time, seq) order until the calendar is empty."""
         clock = self.clock
-        calendar = clock._calendar
-        pop = calendar.pop
-        self._push = calendar.push
-        self._arrive_fn = self._arrive
-        self._complete_fn = self._complete_service
+        pop = clock._calendar.pop
         max_actions = _MAX_ACTIONS
         actions = self._actions
         try:
@@ -357,9 +432,10 @@ class SimulationEngine:
                     raise InvariantViolation("action budget exceeded; runaway schedule")
         finally:
             self._actions = actions
-        return self.timeline
 
     def _trigger_migration(self) -> None:
+        if self._stage == _PREFIX:
+            raise _TriggerHeld  # popped, not fired: the held trigger
         self.epoch = 1
         self.coordinator.on_migration_trigger()
 

@@ -30,6 +30,7 @@ from flowmigrate.model import (
     Edge,
     TaskDef,
     load_bundled_scenario,
+    with_overrides,
 )
 from flowmigrate.runtime import SimulationEngine
 
@@ -227,8 +228,13 @@ class TestRunCache:
             return load_bundled_scenario(name)
 
         monkeypatch.setattr(acceptance, "load_bundled_scenario", load)
-        # No simulation: each run is an empty timeline with a stand-in report.
+        # No simulation: each run is an empty timeline with a stand-in
+        # report, and a fork at the trigger runs no prefix.
         monkeypatch.setattr(SimulationEngine, "run", lambda engine: Timeline())
+        monkeypatch.setattr(
+            SimulationEngine, "fork_at_trigger",
+            lambda engine, strategy: SimulationEngine(
+                with_overrides(engine.config, strategy=strategy)))
         monkeypatch.setattr(acceptance, "compute_report", lambda timeline, config: config)
         cache = acceptance.RunCache()
         runs = [cache.get("linear_scalein", strategy) for strategy in STRATEGIES]

@@ -18,11 +18,13 @@ def run_cli(*argv):
 
 @pytest.fixture()
 def no_engine_runs(monkeypatch):
-    """Fail any simulation: the command must refuse before it runs one."""
-    def run(_engine):
+    """Fail any simulation, a run to the migration trigger included: the
+    command must refuse before it runs one."""
+    def run(_engine, *_args):
         raise AssertionError("simulated before checking --out")
 
     monkeypatch.setattr(SimulationEngine, "run", run)
+    monkeypatch.setattr(SimulationEngine, "fork_at_trigger", run)
 
 
 def files_under(path: Path) -> list[Path]:
@@ -197,10 +199,15 @@ class TestCompare:
         assert not (out / "dsm").exists()
 
     def test_compare_writes_per_strategy_outputs(self, quick_scenario, tmp_path):
+        # DCR and CCR fork from one prefix; each output equals a run of its own.
         out = tmp_path / "cmp"
         assert run_cli("compare", str(quick_scenario), "--out", str(out)) == 0
         for strategy in ("dsm", "dcr", "ccr"):
-            assert (out / strategy / "report.json").exists()
+            alone = tmp_path / f"run-{strategy}"
+            assert run_cli("run", str(quick_scenario), "--strategy", strategy,
+                           "--out", str(alone)) == 0
+            for name in ("timeline.csv", "report.json"):
+                assert (out / strategy / name).read_bytes() == (alone / name).read_bytes()
 
 
 class TestScenarios:

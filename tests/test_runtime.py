@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 
 import pytest
@@ -21,6 +22,7 @@ from flowmigrate.model import (
     TaskDef,
     load_bundled_dag,
     load_bundled_scenario,
+    to_ms,
     with_overrides,
 )
 from flowmigrate.runtime import (
@@ -524,6 +526,82 @@ class TestKillRespawn:
         engine.initialize_instance(inst, 1, None, None)
         assert inst.initialized and inst.status == RUNNING
         assert inst.in_service is not None  # buffered event went into service
+
+
+def fork_case(name: str):
+    """Parent config of a fork test: a bundled scenario under DCR, or a
+    fan-out to two DUPLICATE branches joined at the sink under CCR."""
+    if name == "linear_scalein":
+        return with_overrides(load_bundled_scenario(name), strategy="DCR")
+    return make_scenario(fan_out_dag(DUPLICATE, DUPLICATE), "CCR")
+
+
+def outcome(engine):
+    """What a finished run must reproduce: timeline and report bytes,
+    actions fired and calendar pushes."""
+    return (engine.timeline.to_csv(), compute_report(engine.timeline, engine.config).to_json(),
+            engine._actions, engine.clock._calendar._next_seq)
+
+
+@functools.cache
+def outcome_from_scratch(name: str, strategy: str):
+    engine = SimulationEngine(with_overrides(fork_case(name), strategy=strategy))
+    engine.run()
+    return outcome(engine)
+
+
+class TestForkAtTrigger:
+    @pytest.mark.parametrize("name", ["linear_scalein", "fan_join"])
+    @pytest.mark.parametrize("twin_first", [True, False])
+    def test_parent_and_twin_equal_runs_from_scratch(self, name, twin_first):
+        # The twin draws from its own generator: with a copy of the
+        # parent's bound getrandbits, the engine run second would draw
+        # different event ids and worker start-ups.
+        parent = SimulationEngine(fork_case(name))
+        other = "CCR" if parent.config.strategy == "DCR" else "DCR"
+        twin = parent.fork_at_trigger(other)
+        trigger_ms = to_ms(parent.config.migrationTriggerAt)
+        assert parent.now == twin.now == trigger_ms
+        assert parent.timeline.phase_ts("REQUEST") is None
+        assert twin.config.strategy == other and twin.config.dag is parent.config.dag
+        assert type(twin.coordinator) is type(SimulationEngine(twin.config).coordinator)
+        for engine in ([twin, parent] if twin_first else [parent, twin]):
+            engine.run()
+        assert outcome(parent) == outcome_from_scratch(name, parent.config.strategy)
+        assert outcome(twin) == outcome_from_scratch(name, other)
+
+    def test_a_held_engine_forks_again(self):
+        parent = quick_engine(strategy="DCR")
+        twins = [parent.fork_at_trigger("CCR") for _ in range(2)]
+        for engine in (*twins, parent):
+            engine.run()
+        scratch = SimulationEngine(parent.config)
+        scratch.run()
+        assert outcome(twins[0]) == outcome(twins[1])
+        assert outcome(parent) == outcome(scratch)
+
+    @pytest.mark.parametrize("parent,twin", [("DSM", "CCR"), ("DCR", "DSM"), ("CCR", "DSM")])
+    def test_dsm_never_forks(self, parent, twin):
+        engine = quick_engine(strategy=parent)
+        with pytest.raises(FlowMigrateError, match="cannot fork a DSM run"):
+            engine.fork_at_trigger(twin)
+        assert engine._actions == 0
+
+    def test_a_run_without_migration_never_forks(self):
+        engine = SimulationEngine(make_scenario(make_chain_dag(3), "DCR"), migrate=False)
+        with pytest.raises(FlowMigrateError, match="without a migration trigger"):
+            engine.fork_at_trigger("CCR")
+        assert engine._actions == 0
+
+    def test_a_run_past_its_trigger_never_forks(self):
+        finished = quick_engine(strategy="DCR")
+        finished.run()
+        resumed = quick_engine(strategy="CCR")
+        resumed.fork_at_trigger("DCR")
+        resumed.run()
+        for engine in (finished, resumed):
+            with pytest.raises(FlowMigrateError, match="already past its migration trigger"):
+                engine.fork_at_trigger("CCR")
 
 
 class TestConservation:
