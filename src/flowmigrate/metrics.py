@@ -447,16 +447,20 @@ def compute_report(timeline: Timeline, config: ScenarioConfig) -> MetricsReport:
     """Derive the full seven-metric report for one finished run."""
     strategy = config.strategy
     horizon_ms = to_ms(config.runDuration)
-    expected_rate = config.sourceRate * path_multiplicity(config.dag)
+    expected_rate = config.sourceRate * path_multiplicity(config.dag, strict=False)
     try:
         stabilization = compute_stabilization(timeline, expected_rate, horizon_ms)
     except NeverStabilizedError:
         stabilization = None
+    try:
+        restore = compute_restore_duration(timeline)
+    except NoSinkOutputError:
+        restore = None  # restored with no sink output left in the run
     return MetricsReport(
         scenario=config.name,
         strategy=strategy,
         seed=config.randomSeed,
-        restoreDurationMs=compute_restore_duration(timeline),
+        restoreDurationMs=restore,
         drainCaptureDurationMs=compute_drain_capture_duration(timeline, strategy),
         rebalanceDurationMs=compute_rebalance_duration(timeline),
         catchupTimeMs=compute_catchup(timeline, strategy),

@@ -251,14 +251,22 @@ def compute_cumulative_rates(dag: DagDef, source_rate: float) -> dict[str, float
     return rates
 
 
-def path_multiplicity(dag: DagDef) -> int:
-    """Sink arrivals per root under unit selectivity (source->sink paths)."""
+def path_multiplicity(dag: DagDef, strict: bool = True) -> int | float:
+    """Sink arrivals per root: the source->sink paths, times the tasks'
+    selectivities along them.
+
+    An integral count is returned as an int.  Any other is a ConfigError,
+    or with ``strict=False`` is returned as the float: a per-root audit
+    needs a whole count, a mean output rate does not.
+    """
     rates = compute_cumulative_rates(dag, 1.0)
     mult = sum(rates[s] for s in dag.sinkTasks)
     rounded = round(mult)
-    if abs(mult - rounded) > 1e-9:
+    if abs(mult - rounded) <= 1e-9:
+        return int(rounded)
+    if strict:
         raise ConfigError(f"dag {dag.name}: non-integral path multiplicity {mult}")
-    return int(rounded)
+    return mult
 
 
 def min_instances(rate: float, rate_per_instance: float) -> int:
@@ -467,6 +475,10 @@ def validate_scenario(config: ScenarioConfig) -> None:
     for field_name in ("sourceRate", "runDuration", "migrationTriggerAt", "ackTimeout"):
         if getattr(config, field_name) <= 0:
             raise ConfigError(f"scenario field {field_name}: must be > 0")
+    if to_ms(config.ackTimeout) == 0:
+        # A 0 ms timeout would sweep for overdue roots at one instant forever.
+        raise ConfigError(
+            f"scenario field ackTimeout: {config.ackTimeout} s rounds to 0 ms; must be >= 1 ms")
     if config.rebalanceDuration < 0 or config.networkDelayMs < 0:
         raise ConfigError("scenario: durations must be non-negative")
     if config.migrationTriggerAt >= config.runDuration:

@@ -63,7 +63,14 @@ class _TriggerHeld(Exception):
 
 class EventEnvelope:
     """A data or control event; control events carry the wave id in
-    ``rootSeqNo`` and the wave's acker root in ``rootId``."""
+    ``rootSeqNo`` and the wave's acker root in ``rootId``.
+
+    A DATA envelope has one holder at a time, so the engine forwards it
+    rather than copying it: a serviced event becomes its own last child,
+    and a routed event that fans out becomes its own last copy, each time
+    with a fresh ``eventId`` and ``emitTs`` (see
+    SimulationEngine._complete_service).
+    """
 
     __slots__ = ("eventId", "rootId", "rootSeqNo", "kind", "epoch", "replayed", "emitTs")
 
@@ -130,7 +137,7 @@ class TaskInstanceRuntime:
 
     __slots__ = (
         "instanceId", "task", "is_sink", "stateful", "service_ms", "sel_count",
-        "sel_frac", "sole_target", "status", "initialized", "captureFlag",
+        "sel_frac", "sole_edge", "sole_sent", "status", "initialized", "captureFlag",
         "queue", "pendingList", "preInit", "in_service", "generation", "state",
         "rr_edges", "rr_targets", "barrier_counts", "deferred_acks",
         "last_restored_ckpt",
@@ -146,9 +153,11 @@ class TaskInstanceRuntime:
         # probability of one more.
         self.sel_count = int(task.selectivity)
         self.sel_frac = task.selectivity - self.sel_count
-        # The one instance every child goes to, when routing has no choice
-        # to make (set by SimulationEngine._compile_routes).
-        self.sole_target: TaskInstanceRuntime | None = None
+        # The target instances of the one edge every child takes, when
+        # routing has no edge to choose (set by
+        # SimulationEngine._compile_routes), and the children sent along it.
+        self.sole_edge: tuple[TaskInstanceRuntime, ...] | None = None
+        self.sole_sent = 0
         self.status = RUNNING
         self.initialized = True
         self.captureFlag = False
@@ -167,6 +176,7 @@ class TaskInstanceRuntime:
     def reset_routing(self) -> None:
         self.rr_edges = 0
         self.rr_targets.clear()
+        self.sole_sent = 0
 
 
 def emission_time(tick: int, rate: float) -> int:
@@ -286,9 +296,10 @@ class SimulationEngine:
         order (the path of a sequential wave).  Holding the instance
         objects is safe: respawn resets them in place.
 
-        A task with no DUPLICATE edge and one SHUFFLE edge to one instance
-        has nothing to route: its instances get that target as
-        ``sole_target``, and ``_complete_service`` delivers to it directly.
+        A task with no DUPLICATE edge and one SHUFFLE edge has no edge to
+        choose: its instances get that edge's targets as ``sole_edge``, and
+        ``_complete_service`` hands children to them in turn, in the order
+        ``_route_emission`` would (a single target is the length-1 case).
         """
         targets_of = {tid: tuple(self.instances[iid] for iid in ids)
                       for tid, ids in self.instances_of.items()}
@@ -308,9 +319,9 @@ class SimulationEngine:
                 upstream[e.toTask] = upstream.get(e.toTask, 0) + len(targets_of[e.fromTask])
         for tid, ids in self.instances_of.items():
             lanes = shuffle.get(tid, ())
-            if tid not in dup and len(lanes) == 1 and len(lanes[0][1]) == 1:
+            if tid not in dup and len(lanes) == 1:
                 for iid in ids:
-                    self.instances[iid].sole_target = lanes[0][1][0]
+                    self.instances[iid].sole_edge = lanes[0][1]
         tasks = [self.source_task_id, *self.instances_of]
         self._plans = {tid: (tuple(dup.get(tid, ())), tuple(shuffle.get(tid, ())))
                        for tid in tasks}
@@ -517,34 +528,44 @@ class SimulationEngine:
 
         DUPLICATE edges each carry a copy; SHUFFLE edges share the stream
         round-robin.  Each chosen edge picks its target instances in turn.
-        A single target receives the event itself; with several targets
+        A single target receives the event itself.  With several targets
         each copy gets a fresh anchored id and the never-delivered original
-        is retired, keeping the XOR tree balanced.  Acks for roots already
-        completed or discarded are ignored: late traffic is normal under
-        at-least-once delivery.
+        is retired, keeping the XOR tree balanced; the retired envelope
+        itself travels on as the last copy, its own id read first for the
+        retiring ack.  That is safe because the caller lets go of ``env``:
+        a serviced parent is done with, and DSM's ``root_cache`` reads only
+        ``rootId``, ``rootSeqNo`` and ``epoch``, which a copy keeps.  Acks
+        for roots already completed or discarded are ignored: late traffic
+        is normal under at-least-once delivery.
         """
         chosen, shuffle = self._plans[task_id]
         if shuffle:
             idx = sender.rr_edges % len(shuffle)
             sender.rr_edges += 1
             chosen += (shuffle[idx],)
-        single = len(chosen) == 1
         counters = sender.rr_targets
-        for edge_idx, targets in chosen:
+        last = len(chosen) - 1
+        retired_id = env.eventId
+        for i, (edge_idx, targets) in enumerate(chosen):
             counter = counters.get(edge_idx, 0)
             counters[edge_idx] = counter + 1
             target = targets[counter % len(targets)]
-            if single:
+            if last == 0:
                 self.deliver(env, target)
                 return
-            copy = EventEnvelope(self._getrandbits(64) or 1, env.rootId, env.rootSeqNo, env.kind,
-                                 env.epoch, env.replayed, self.clock.now)
+            if i < last:
+                copy = EventEnvelope(self._getrandbits(64) or 1, env.rootId, env.rootSeqNo,
+                                     env.kind, env.epoch, env.replayed, self.clock.now)
+            else:
+                copy = env
+                env.eventId = self._getrandbits(64) or 1
+                env.emitTs = self.clock.now
             if self.acking_data:
                 self.acker.table.anchor(env.rootId, copy.eventId)
             self.deliver(copy, target)
         # Reached with several targets, or with none (nothing was sent).
         if (chosen and self.acking_data
-                and self.acker.table.ack(env.rootId, env.eventId) == ACK_COMPLETED):
+                and self.acker.table.ack(env.rootId, retired_id) == ACK_COMPLETED):
             self._on_root_completed(env.rootId)
 
     def deliver(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
@@ -598,6 +619,18 @@ class SimulationEngine:
 
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
                           gen: int) -> None:
+        """Finish the service of DATA event ``env``: emit its children and
+        ack it.
+
+        The last child is ``env`` itself, forwarded with a fresh id and
+        ``emitTs``; the children before it are new envelopes, and the ids
+        are drawn in child order either way.  Nothing else holds a serviced
+        envelope: the queue, ``pendingList``, ``preInit`` and the service
+        slot have let go of it, and so has the popped calendar entry.  A CCR
+        checkpoint keeps bytes, not envelopes, and DSM's ``root_cache`` reads
+        only fields a child keeps (DSM never forks, so no twin shares it).
+        The parent's own ``(rootId, eventId)`` is read first, for its ack.
+        """
         if gen != inst.generation or inst.status == KILLED:
             return  # instance was killed while this event was in service
         if inst.in_service is not env:
@@ -606,9 +639,11 @@ class SimulationEngine:
         inst.state.on_event(env)
 
         acking = self.acking_data
+        root_id = env.rootId
+        event_id = env.eventId
         now = self.clock.now
         if inst.is_sink:
-            self.timeline.record_sink_exit(now, env.eventId, env.rootSeqNo,
+            self.timeline.record_sink_exit(now, event_id, env.rootSeqNo,
                                            env.epoch, env.replayed)
         else:
             # Emit the children: whole ones per event, and one more with
@@ -616,24 +651,32 @@ class SimulationEngine:
             count = inst.sel_count
             if inst.sel_frac > 0 and self.rng.random() < inst.sel_frac:
                 count += 1
-            sole = inst.sole_target
-            for _ in range(count):
-                child = EventEnvelope(self._getrandbits(64) or 1, env.rootId, env.rootSeqNo,
-                                      DATA, env.epoch, env.replayed, now)
+            sole = inst.sole_edge
+            while count:
+                count -= 1
+                if count:  # more children follow: a fresh envelope
+                    child = EventEnvelope(self._getrandbits(64) or 1, root_id, env.rootSeqNo,
+                                          DATA, env.epoch, env.replayed, now)
+                else:  # the last child: env itself, forwarded
+                    child = env
+                    env.eventId = self._getrandbits(64) or 1
+                    env.emitTs = now
                 if acking:
-                    self.acker.table.anchor(env.rootId, child.eventId)
+                    self.acker.table.anchor(root_id, child.eventId)
                 if sole is None:
                     self._route_emission(inst, inst.task.taskId, child)
                 else:
-                    self.deliver(child, sole)
+                    sent = inst.sole_sent
+                    inst.sole_sent = sent + 1
+                    self.deliver(child, sole[sent % len(sole)])
 
         if acking:
             if inst.stateful and self.coordinator.defers_stateful_acks:
                 # Held until this instance's next checkpoint commit, so a
                 # post-restore replay re-covers the rolled-back window.
-                inst.deferred_acks.append((env.rootId, env.eventId))
-            elif self.acker.table.ack(env.rootId, env.eventId) == ACK_COMPLETED:
-                self._on_root_completed(env.rootId)
+                inst.deferred_acks.append((root_id, event_id))
+            elif self.acker.table.ack(root_id, event_id) == ACK_COMPLETED:
+                self._on_root_completed(root_id)
         if inst.queue:
             self._pump(inst)
 

@@ -2,6 +2,7 @@ import pytest
 
 from flowmigrate import acceptance
 from flowmigrate.model import (
+    DUPLICATE,
     DagDef,
     Edge,
     ScenarioConfig,
@@ -30,6 +31,33 @@ def make_chain_dag(n_tasks: int = 3, stateful: tuple[int, ...] = (2,),
     tasks.append(TaskDef("sink", instanceCount=sink_instances))
     edges.append(Edge(prev, "sink"))
     return DagDef("chain", tuple(tasks), tuple(edges), ("src",), ("sink",))
+
+
+def fan_out_join_dag() -> DagDef:
+    """src -> A, DUPLICATE to B and C, both joining at J (two paths)."""
+    tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("A"), TaskDef("B", stateful=True),
+             TaskDef("C"), TaskDef("J", stateful=True, instanceCount=2), TaskDef("sink"))
+    edges = (Edge("src", "A"), Edge("A", "B", DUPLICATE), Edge("A", "C", DUPLICATE),
+             Edge("B", "J"), Edge("C", "J"), Edge("J", "sink"))
+    return DagDef("fanjoin", tasks, edges, ("src",), ("sink",))
+
+
+def shuffle_split_dag() -> DagDef:
+    """src -> A, SHUFFLE to B and C: B sees half the roots (path count 0.5)."""
+    tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("A"), TaskDef("B", stateful=True),
+             TaskDef("C"), TaskDef("sink"))
+    edges = (Edge("src", "A"), Edge("A", "B"), Edge("A", "C"), Edge("B", "sink"),
+             Edge("C", "sink"))
+    return DagDef("split", tasks, edges, ("src",), ("sink",))
+
+
+def selective_chain_dag(selectivity: float) -> DagDef:
+    """src -> T1 (``selectivity`` children per event) -> T2 -> sink, with two
+    T2 and two sink instances to share T1's output."""
+    tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("T1", selectivity=selectivity),
+             TaskDef("T2", stateful=True, instanceCount=2), TaskDef("sink", instanceCount=2))
+    edges = (Edge("src", "T1"), Edge("T1", "T2"), Edge("T2", "sink"))
+    return DagDef(f"sel{selectivity}", tasks, edges, ("src",), ("sink",))
 
 
 def make_scenario(dag: DagDef, strategy: str = "DCR", *, run_s: float = 90,

@@ -20,18 +20,10 @@ import dataclasses
 
 import pytest
 
-from conftest import make_chain_dag, make_scenario
+from conftest import fan_out_join_dag, make_chain_dag, make_scenario, shuffle_split_dag
 from flowmigrate import acceptance
 from flowmigrate.metrics import Timeline
-from flowmigrate.model import (
-    DUPLICATE,
-    STRATEGIES,
-    DagDef,
-    Edge,
-    TaskDef,
-    load_bundled_scenario,
-    with_overrides,
-)
+from flowmigrate.model import STRATEGIES, load_bundled_scenario, with_overrides
 from flowmigrate.runtime import SimulationEngine
 
 
@@ -113,24 +105,6 @@ class TestAcceptance:
 
     def test_state_correctness(self, suite_cache):
         report(acceptance.check_state_correctness(suite_cache))
-
-
-def fan_out_join_dag() -> DagDef:
-    """src -> A, DUPLICATE to B and C, both joining at J (two paths)."""
-    tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("A"), TaskDef("B", stateful=True),
-             TaskDef("C"), TaskDef("J", stateful=True, instanceCount=2), TaskDef("sink"))
-    edges = (Edge("src", "A"), Edge("A", "B", DUPLICATE), Edge("A", "C", DUPLICATE),
-             Edge("B", "J"), Edge("C", "J"), Edge("J", "sink"))
-    return DagDef("fanjoin", tasks, edges, ("src",), ("sink",))
-
-
-def shuffle_split_dag() -> DagDef:
-    """src -> A, SHUFFLE to B and C: B sees half the roots (path count 0.5)."""
-    tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("A"), TaskDef("B", stateful=True),
-             TaskDef("C"), TaskDef("sink"))
-    edges = (Edge("src", "A"), Edge("A", "B"), Edge("A", "C"), Edge("B", "sink"),
-             Edge("C", "sink"))
-    return DagDef("split", tasks, edges, ("src",), ("sink",))
 
 
 def stateful_counts(engine) -> dict[str, int]:

@@ -126,6 +126,51 @@ class TestRun:
             assert report[field] is None, field
         assert report["replayedCount"] == 0
 
+    def test_ack_timeout_rounding_to_zero_exits_2(self, tmp_path, no_engine_runs, capsys):
+        # A 0 ms timeout once swept at t = 0 until the action budget ran out
+        # (exit 3, after minutes).
+        out = tmp_path / "o"
+        assert run_cli("run", "linear_scalein", "--strategy", "dsm",
+                       "--ack-timeout", "0.0004", "--out", str(out)) == 2
+        assert "ackTimeout: 0.0004 s rounds to 0 ms" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_restore_with_no_output_left_is_reported(self, tmp_path):
+        # CCR restores the dataflow after the last sink output of the run:
+        # a null restore duration, not a crash.
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        doc.update(strategy="CCR", migrationTriggerAt=719.9)
+        path = tmp_path / "late-trigger.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 0
+        assert "FIRST_INIT_ACKED" in (out / "timeline.csv").read_text()
+        report = json.loads((out / "report.json").read_text())
+        assert report["restoreDurationMs"] is None
+
+    def test_fractional_selectivity_is_reported(self, tmp_path):
+        # 1.5 children per event: 12 sink arrivals/s expected from 8 roots/s.
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "dags" / "linear.json").read_text())
+        doc["tasks"][1]["selectivity"] = 1.5
+        for task in doc["tasks"][2:]:
+            task["instanceCount"] = 2
+        scenario = {
+            "name": "fractional", "dag": doc, "strategy": "DCR",
+            "vmsBefore": [{"vmId": f"a{i}", "slotCount": 2} for i in range(5)],
+            "vmsAfter": [{"vmId": f"b{i}", "slotCount": 4} for i in range(3)],
+            "runDuration": 120, "migrationTriggerAt": 30,
+            "workerStartupMinMs": 1500, "workerStartupMaxMs": 2500,
+        }
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["expectedOutputRate"] == 12.0
+        assert report["restoreDurationMs"] is not None
+
     def test_strategy_and_seed_overrides(self, quick_scenario, tmp_path):
         out = tmp_path / "out"
         run_cli("run", str(quick_scenario), "--strategy", "dcr", "--seed", "99",

@@ -219,6 +219,14 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match="workerStartupMinMs"):
             with_overrides(parse_scenario(self.minimal_doc()), workerStartupMinMs=-1)
 
+    def test_ack_timeout_rounding_to_zero_rejected(self):
+        config = load_bundled_scenario("linear_scalein")
+        with pytest.raises(ConfigError, match="ackTimeout: 0.0004 s rounds to 0 ms"):
+            with_overrides(config, strategy="DSM", ackTimeout=0.0004)
+        with pytest.raises(ConfigError, match="ackTimeout"):
+            parse_scenario(self.minimal_doc(ackTimeout=0.0004))
+        assert with_overrides(config, ackTimeout=0.001).ackTimeout == 0.001
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="strategy"):
             parse_scenario(self.minimal_doc(strategy="XYZ"))
@@ -374,6 +382,17 @@ class TestBundled:
         expected = {"linear": 1, "diamond": 3, "star": 4, "traffic": 2, "linear50": 1}
         for name, mult in expected.items():
             assert path_multiplicity(load_bundled_dag(name)) == mult, name
+
+    def test_fractional_multiplicity_only_when_not_strict(self):
+        tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("T1", selectivity=1.5),
+                 TaskDef("T2", instanceCount=2), TaskDef("sink", instanceCount=2))
+        dag = DagDef("frac", tasks, (Edge("src", "T1"), Edge("T1", "T2"), Edge("T2", "sink")),
+                     ("src",), ("sink",))
+        with pytest.raises(ConfigError, match="non-integral path multiplicity 1.5"):
+            path_multiplicity(dag)
+        assert path_multiplicity(dag, strict=False) == 1.5
+        grid = path_multiplicity(load_bundled_dag("grid"), strict=False)
+        assert grid == 4 and isinstance(grid, int)
 
     def test_ten_paper_scenarios_load(self):
         for dag in ("linear", "diamond", "star", "grid", "traffic"):

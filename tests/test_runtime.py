@@ -1,10 +1,17 @@
 import dataclasses
 import functools
 import hashlib
+import random
 
 import pytest
 
-from conftest import make_chain_dag, make_scenario
+from conftest import (
+    fan_out_join_dag,
+    make_chain_dag,
+    make_scenario,
+    selective_chain_dag,
+    shuffle_split_dag,
+)
 from flowmigrate import _kernels, runtime
 from flowmigrate.errors import FlowMigrateError, InvariantViolation
 from flowmigrate.metrics import (
@@ -39,6 +46,20 @@ from flowmigrate.runtime import (
 def quick_engine(dag=None, strategy="DCR", **overrides):
     config = make_scenario(dag or make_chain_dag(3), strategy, **overrides)
     return SimulationEngine(config)
+
+
+def drain(engine):
+    """Pop every pending calendar entry, unfired, in firing order."""
+    cal = engine.clock._calendar
+    return [cal.pop() for _ in range(len(cal))]
+
+
+def serve(engine, inst, env):
+    """Complete ``env``'s service at ``inst`` by hand; the ``(child,
+    target)`` deliveries it made, in send order."""
+    inst.in_service = env
+    engine._complete_service(inst, env, inst.generation)
+    return [args for _t, _s, (_fn, args) in drain(engine)]
 
 
 def fire_next(engine):
@@ -385,38 +406,41 @@ def fan_out_dag(*groupings: str) -> DagDef:
 class TestSoleTarget:
     def test_set_for_one_shuffle_edge_to_one_instance(self):
         engine = quick_engine()
-        assert engine.instances["T1#0"].sole_target is engine.instances["T2#0"]
-        assert engine.instances["T3#0"].sole_target is engine.instances["sink#0"]
+        assert engine.instances["T1#0"].sole_edge == (engine.instances["T2#0"],)
+        assert engine.instances["T3#0"].sole_edge == (engine.instances["sink#0"],)
 
     @pytest.mark.parametrize("groupings", [(DUPLICATE, DUPLICATE), (DUPLICATE, SHUFFLE)])
     def test_none_for_duplicate_fan_out(self, groupings):
         # A DUPLICATE edge beside one single-instance SHUFFLE edge still
         # sends each event to both branches.
         engine = quick_engine(fan_out_dag(*groupings))
-        assert engine.instances["T1#0"].sole_target is None
+        assert engine.instances["T1#0"].sole_edge is None
 
     def test_none_for_several_shuffle_edges(self):
         engine = quick_engine(fan_out_dag(SHUFFLE, SHUFFLE))
-        assert engine.instances["T1#0"].sole_target is None
-        assert engine.instances["B0#0"].sole_target is engine.instances["sink#0"]
+        assert engine.instances["T1#0"].sole_edge is None
+        assert engine.instances["B0#0"].sole_edge == (engine.instances["sink#0"],)
 
-    def test_none_for_a_multi_instance_target(self):
+    def test_set_for_a_multi_instance_target(self):
         engine = quick_engine(make_chain_dag(3, sink_instances=2))
-        assert engine.instances["T3#0"].sole_target is None
-        assert engine.instances["T2#0"].sole_target is engine.instances["T3#0"]
+        sinks = (engine.instances["sink#0"], engine.instances["sink#1"])
+        assert engine.instances["T3#0"].sole_edge == sinks
+        assert engine.instances["T2#0"].sole_edge == (engine.instances["T3#0"],)
 
     def test_none_for_sinks(self):
         engine = quick_engine()
-        assert engine.instances["sink#0"].sole_target is None
+        assert engine.instances["sink#0"].sole_edge is None
 
     def test_children_are_delivered_to_the_sole_target(self):
         engine = quick_engine()
         sender, target = engine.instances["T1#0"], engine.instances["T2#0"]
         env = make_event()
         engine._arrive(env, sender)
-        fire_next(engine)  # T1 completes service and emits one child
+        done = fire_next(engine)  # T1 completes service and emits one child
         _, _, (_fn, (child, to)) = engine.clock._calendar.pop()
-        assert to is target and child.rootId == env.rootId and child is not env
+        # The one child is the serviced envelope itself, forwarded anew.
+        assert to is target and child is env
+        assert child.eventId != 1 and child.emitTs == done
         assert sender.rr_edges == 0 and not sender.rr_targets
 
     def test_still_live_after_respawn_and_rewire(self):
@@ -426,7 +450,7 @@ class TestSoleTarget:
         engine.respawn_instance("T2#0")
         engine.rewire_channels()
         assert engine.instances["T2#0"] is target
-        assert engine.instances["T1#0"].sole_target is target
+        assert engine.instances["T1#0"].sole_edge == (target,)
         engine.initialize_instance(target, 1, None, None)
         env = make_event()
         engine._arrive(env, engine.instances["T1#0"])
@@ -434,6 +458,64 @@ class TestSoleTarget:
         fire_next(engine)  # the child's arrival at the sole target
         assert target.in_service is not None
         assert target.in_service.rootId == env.rootId
+
+    def test_round_robin_matches_the_router_across_respawn_and_rewire(self):
+        def sequence(use_router):
+            engine = quick_engine(make_chain_dag(3, sink_instances=2))
+            inst = engine.instances["T3#0"]
+            if use_router:
+                inst.sole_edge = None
+
+            def targets(events):
+                return [to.instanceId for _ in range(events)
+                        for _child, to in serve(engine, inst, make_event())]
+
+            sent = targets(3)
+            engine.rewire_channels()
+            sent += targets(2)
+            engine.kill_instance("T3#0")
+            engine.respawn_instance("T3#0")
+            engine.initialize_instance(inst, 1, None, None)
+            return sent + targets(3)
+
+        assert sequence(use_router=False) == sequence(use_router=True) == [
+            "sink#0", "sink#1", "sink#0",  # rewired
+            "sink#0", "sink#1",  # respawned
+            "sink#0", "sink#1", "sink#0"]
+
+
+class TestEnvelopeOwnership:
+    def test_selectivity_two_sends_a_fresh_envelope_then_the_parent(self):
+        engine = quick_engine(selective_chain_dag(2.0))
+        inst = engine.instances["T1#0"]
+        draws = random.Random()
+        draws.setstate(engine.rng.getstate())
+        expected_ids = [draws.getrandbits(64) or 1 for _ in range(2)]
+        engine.clock.now = 500
+        env = make_event()
+        (first, first_to), (second, second_to) = serve(engine, inst, env)
+        assert first is not env and second is env
+        assert [first.eventId, second.eventId] == expected_ids
+        assert (first_to.instanceId, second_to.instanceId) == ("T2#0", "T2#1")
+        assert first.emitTs == second.emitTs == 500
+        assert first.rootId == second.rootId == env.rootId == 1
+
+    def test_a_forwarded_root_still_replays_with_its_own_identity(self):
+        engine = quick_engine(strategy="DSM")
+        engine._emit_root()
+        (root_id, root), = engine.source.root_cache.items()
+        fire_next(engine)  # the root's arrival at T1 starts its service
+        fire_next(engine)  # T1 forwards the root envelope itself to T2
+        assert engine.source.root_cache[root_id] is root and root.eventId != root_id
+        engine.clock.now = engine.ack_timeout_ms + 1
+        engine._sweep_tick()  # the root is overdue: it replays
+        sent = [args[0] for _t, _s, (_fn, args) in drain(engine)
+                if args and isinstance(args[0], EventEnvelope)]
+        replay, = (env for env in sent if env.replayed)
+        assert replay is not root
+        assert (replay.eventId, replay.rootId, replay.rootSeqNo, replay.epoch) == (
+            root_id, root_id, 0, 0)
+        assert list(engine.timeline.select(REPLAY, engine.timeline.event_ids)) == [root_id]
 
 
 class TestProcessing:
@@ -783,6 +865,87 @@ PINNED_WORK = {
         341_213, 341_213),
 }
 
+# The same four pins for short runs of shapes the bundled runs lack:
+# DUPLICATE fan-out into a join under each strategy (DSM replays there
+# without a failure), a SHUFFLE split at 7 ms network delay, more than one
+# child per event (selectivity 2.0, and 1.5 with its seeded coin flips),
+# and DSM on linear_scalein at a 10 s ack timeout, whose replays re-send
+# roots that the first hop forwarded.  A None report digest pins no
+# report: fractional selectivity made none when these were pinned.
+SHAPES = {
+    "fan_out_join": lambda strategy: make_scenario(fan_out_join_dag(), strategy),
+    "shuffle_split_7ms": lambda strategy: make_scenario(shuffle_split_dag(), strategy,
+                                                        networkDelayMs=7),
+    "selectivity_2": lambda strategy: make_scenario(selective_chain_dag(2.0), strategy),
+    "selectivity_1.5": lambda strategy: make_scenario(selective_chain_dag(1.5), strategy),
+    "linear_scalein_ack10": lambda strategy: with_overrides(
+        load_bundled_scenario("linear_scalein"), strategy=strategy, ackTimeout=10.0),
+}
+
+PINNED_SHAPES = {
+    ("fan_out_join", "DSM"): (
+        "1881b92c67430b4990f180d1a0defae1121e42034239ea1eb7b36c4d9c74a194",
+        "656506fa9edc0eb6668854f134d4beb70d257d254556e48794bfa9ff9b4701e1",
+        15_348, 15_348),
+    ("fan_out_join", "DCR"): (
+        "e6e61b848f099f0b3ce1a3f85f1a99008593e006953a4f09fd79909152b6083c",
+        "60ff07fd13f3b5e7b1cc296381ac6c71b710e2b99002a4fa93b6ceed67f66701",
+        10_856, 10_856),
+    ("fan_out_join", "CCR"): (
+        "93d1f3598af0fd9454c9c17b48e3d125229fc2fa2ee2b57e59e6c0f8d3ca2a20",
+        "b4043d25aed3b6afd27ec501c65dd49192584cac08513d974b59bda4d842b114",
+        10_858, 10_858),
+    ("shuffle_split_7ms", "DSM"): (
+        "d87a4acc87769f12fbfc40cd7e45f71bea003f438930f7951246ef7c49f9e746",
+        "c05955ba7cf3310c81859f023206a62c5aaf991417528dba83f91341942050f8",
+        6_150, 6_150),
+    ("shuffle_split_7ms", "DCR"): (
+        "880e57fd1e50028f3fb4e5fa3d983722e26cc3e89a3c37f7aad9f5b1e07352cf",
+        "af19df45c82e73cae73b8f998ee8d7e4b4bfb8086e97ed1e195d52d420bdb546",
+        5_076, 5_076),
+    ("shuffle_split_7ms", "CCR"): (
+        "e226d9263519d6a194e35044e43cdf288fdfec412613024b2045ad7df4f38341",
+        "8eb28883ad56d3f1249329bb066321a3a965c27a110610bbced1a53dfafaeb02",
+        5_079, 5_079),
+    ("selectivity_2", "DSM"): (
+        "3a3a4e3a9611dcb59804095c0528f398804d14b269b4e8dd9c8f904b339e89a8",
+        "6910192d35c9ec05380ecc12658e753e44fe12760baf2b671a46647b2741ff88",
+        10_807, 10_807),
+    ("selectivity_2", "DCR"): (
+        "914481ea9947ab94356315f19be803adacf22a2df5f7cf3e39cfa3f4f5898f65",
+        "7ac5d33b78a6ccb99dc9604daf62f2413a57b59c3b9ae8d731d14e06212d39f3",
+        7_962, 7_962),
+    ("selectivity_2", "CCR"): (
+        "8abf98448c862d3b7068e8e02aa28839a654d7da21a1e38c0cb8fec6f0ab4722",
+        "ac93aa8c689db296f0232cccce3b77ce88b6be22c95a4ff2c1787a3de6760e54",
+        7_965, 7_965),
+    ("selectivity_1.5", "DSM"): (
+        "e5faa9144bf650dfbcf08eecb47713fe65d0bf21aba36c8bdebac95cbfe5e648", None,
+        8_753, 8_753),
+    ("selectivity_1.5", "DCR"): (
+        "27a6f38cf2c90afc6534e252b61578d43cc44b290611a940f1f473b4799034cc", None,
+        6_616, 6_616),
+    ("selectivity_1.5", "CCR"): (
+        "4b588844119699984ff0c2285a9a1a03260b85f67411496ed2ad5c1e63d16040", None,
+        6_565, 6_565),
+    ("linear_scalein_ack10", "DSM"): (
+        "112dcfcce473e181f7aabbb235de40cb7cc2405a5a2d1e66f30044bb54c43a8d",
+        "30d0fda6dfb4ca96aa769b96508125195bc87335a2b031f3c4b81d6af1eb2e40",
+        265_263, 265_263),
+}
+
+
+def observed_work(config, report_pinned=True):
+    """Timeline and report SHA-256 (None unless ``report_pinned``), actions
+    and calendar pushes of one run of ``config``."""
+    engine = SimulationEngine(config)
+    timeline = engine.run()
+    report = None
+    if report_pinned:
+        report = hashlib.sha256(compute_report(timeline, config).to_json().encode()).hexdigest()
+    return (hashlib.sha256(timeline.to_csv().encode()).hexdigest(), report,
+            engine._actions, engine.clock._calendar._next_seq)
+
 
 class TestPinnedTimelines:
     @pytest.mark.parametrize("scenario,strategy", sorted(PINNED_RUNS))
@@ -796,10 +959,10 @@ class TestPinnedTimelines:
     def test_run_bytes_and_work_unchanged(self, scenario, strategy, delay_ms):
         config = with_overrides(load_bundled_scenario(scenario), strategy=strategy,
                                 networkDelayMs=delay_ms)
-        engine = SimulationEngine(config)
-        timeline = engine.run()
-        report = compute_report(timeline, config)
-        observed = (hashlib.sha256(timeline.to_csv().encode()).hexdigest(),
-                    hashlib.sha256(report.to_json().encode()).hexdigest(),
-                    engine._actions, engine.clock._calendar._next_seq)
-        assert observed == PINNED_WORK[scenario, strategy, delay_ms]
+        assert observed_work(config) == PINNED_WORK[scenario, strategy, delay_ms]
+
+    @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
+    def test_shape_bytes_and_work_unchanged(self, shape, strategy):
+        pinned = PINNED_SHAPES[shape, strategy]
+        config = SHAPES[shape](strategy)
+        assert observed_work(config, report_pinned=pinned[1] is not None) == pinned
