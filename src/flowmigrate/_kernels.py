@@ -62,13 +62,6 @@ class EventCalendar:
         self._now = entry[0]
         return entry
 
-    def peek_time(self) -> int:
-        """Fire time of the next action; -1 when empty."""
-        heap = self._heap
-        if heap and (not self._fifo or heap[0][0] <= self._now):
-            return heap[0][0]
-        return self._now if self._fifo else -1
-
 
 class AckerTable:
     """Per-root XOR accumulators with timeout sweeps.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .metrics import (
     SINK_EXIT,
@@ -53,6 +54,9 @@ TOTAL_BOUND_FAST_MS = 50_000
 TOTAL_BOUND_SLOW_MS = 100_000
 STRESS_GAP_MIN_MS = 2_200
 SPIKE_SPACING_SLACK_MS = 2_000
+ORACLE_TREES = 1000
+ORACLE_SEED = 20_240_613
+DETERMINISM_SCENARIO = "diamond_scalein"
 
 
 @dataclass
@@ -247,11 +251,11 @@ def check_dcr_boundary(cache: RunCache) -> CriterionResult:
     return CriterionResult("DCR epoch boundary at the sink", passed, details)
 
 
-def check_xor_acker_oracle(trees: int = 1000, seed: int = 20_240_613) -> CriterionResult:
+def check_xor_acker_oracle() -> CriterionResult:
     """Random causal trees vs independent set-based bookkeeping."""
-    rng = random.Random(seed)
+    rng = random.Random(ORACLE_SEED)
     mismatches = 0
-    for _ in range(trees):
+    for _ in range(ORACLE_TREES):
         acker = AckerService(timeout_ms=10 ** 9)
         root = rng.getrandbits(64) or 1
         acker.register_root(root, 0)
@@ -283,7 +287,7 @@ def check_xor_acker_oracle(trees: int = 1000, seed: int = 20_240_613) -> Criteri
     return CriterionResult(
         "XOR acker matches set-based oracle",
         passed,
-        [f"{trees} random trees, mismatches={mismatches}"],
+        [f"{ORACLE_TREES} random trees, mismatches={mismatches}"],
     )
 
 
@@ -322,7 +326,7 @@ def check_stabilization(cache: RunCache) -> CriterionResult:
     return CriterionResult("stabilization ordering and DSM replay spikes", passed, details)
 
 
-def check_determinism(cache: RunCache, scenario: str = "diamond_scalein") -> CriterionResult:
+def check_determinism(cache: RunCache) -> CriterionResult:
     """Same scenario and seed twice: byte-identical timeline CSV.
 
     The first run is the cached one; only the second is computed here.
@@ -330,13 +334,13 @@ def check_determinism(cache: RunCache, scenario: str = "diamond_scalein") -> Cri
     its migration trigger, so this also checks a fork against a run from
     scratch.
     """
-    cached = cache.get(scenario, "CCR")
+    cached = cache.get(DETERMINISM_SCENARIO, "CCR")
     fresh = SimulationEngine(cached.config).run()
     passed = cached.timeline.to_csv() == fresh.to_csv()
     return CriterionResult(
         "determinism (byte-identical timelines)",
         passed,
-        [f"{scenario}/CCR run twice: identical={passed}"],
+        [f"{DETERMINISM_SCENARIO}/CCR run twice: identical={passed}"],
     )
 
 
@@ -418,6 +422,6 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(cache: RunCache | None = None) -> list[CriterionResult]:
-    cache = cache or RunCache()
-    return [fn(cache) for _name, fn in ALL_CRITERIA]
+def run_all(cache: RunCache) -> Iterator[CriterionResult]:
+    """Each criterion's result, in ALL_CRITERIA order, as it finishes."""
+    return (fn(cache) for _name, fn in ALL_CRITERIA)

@@ -31,6 +31,15 @@ REPLAY = "REPLAY"
 
 CSV_HEADER = "ts_ms,site,event_id,root_seq,epoch,replayed,phase"
 
+# Stabilization: the first window of this many 1 s output-rate buckets
+# that all stay within this relative band of the expected rate.
+STABILITY_WINDOW_S = 60
+STABILITY_TOLERANCE = 0.2
+# Replay bursts: replays closer than the gap form one burst, and bursts
+# smaller than the minimum are noise.
+BURST_GAP_MS = 5000
+BURST_MIN_SIZE = 5
+
 # A row's site is stored as its index in SITES.
 SITES = (SOURCE_EMIT, SINK_EXIT, PHASE, REPLAY)
 _EMIT, _SINK, _PHASE, _REPLAY = range(len(SITES))
@@ -145,9 +154,6 @@ class Timeline:
         lines.append("")
         return "\n".join(lines)
 
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "Timeline":
         timeline = cls()
@@ -196,24 +202,12 @@ class TimelineRecords:
             yield TimelineRecord(ts, SITES[site], eid, rseq, epoch, bool(replayed),
                                  names.get(row, ""))
 
-    def __getitem__(self, index: int) -> TimelineRecord:
-        tl = self._timeline
-        row = range(len(tl))[index]
-        name = next((name for r, _ts, name in tl.phases if r == row), "")
-        return TimelineRecord(tl.ts[row], SITES[tl.sites[row]], tl.event_ids[row],
-                              tl.root_seqs[row], tl.epochs[row], bool(tl.replayed[row]), name)
-
     def __delitem__(self, index: int) -> None:
         tl = self._timeline
         row = range(len(tl))[index]
         for column in (tl.ts, tl.sites, tl.event_ids, tl.root_seqs, tl.epochs, tl.replayed):
             del column[row]
         tl.phases = [(r - (r > row), ts, name) for r, ts, name in tl.phases if r != row]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (TimelineRecords, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 @dataclass
@@ -312,36 +306,32 @@ def output_rate_buckets(timeline: Timeline, horizon_ms: int) -> list[int]:
     return buckets
 
 
-def compute_stabilization(timeline: Timeline, expected_rate: float,
-                          horizon_ms: int, window_s: int = 60,
-                          tolerance: float = 0.2) -> int:
-    """Start of the first 60 s window (at or after the request) in which
-    every 1 s output-rate bucket stays within the tolerance band."""
+def compute_stabilization(timeline: Timeline, expected_rate: float, horizon_ms: int) -> int:
+    """Start of the first STABILITY_WINDOW_S window (at or after the
+    request) in which every 1 s output-rate bucket stays within the
+    STABILITY_TOLERANCE band."""
     request = timeline.request_ts()
     buckets = output_rate_buckets(timeline, horizon_ms)
-    lo = expected_rate * (1 - tolerance)
-    hi = expected_rate * (1 + tolerance)
+    lo = expected_rate * (1 - STABILITY_TOLERANCE)
+    hi = expected_rate * (1 + STABILITY_TOLERANCE)
     start_s = request // 1000
     run = 0
     for sec in range(start_s, len(buckets)):
         if lo <= buckets[sec] <= hi:
             run += 1
-            if run == window_s:
-                return (sec - window_s + 1) * 1000 - request
+            if run == STABILITY_WINDOW_S:
+                return (sec - STABILITY_WINDOW_S + 1) * 1000 - request
         else:
             run = 0
     raise NeverStabilizedError(
-        f"output never stayed within ±{tolerance:.0%} of {expected_rate:g}/s "
-        f"for {window_s}s"
+        f"output never stayed within ±{STABILITY_TOLERANCE:.0%} of {expected_rate:g}/s "
+        f"for {STABILITY_WINDOW_S}s"
     )
 
 
-def count_replays(timeline: Timeline, since: int | None = None) -> int:
-    if since is None:
-        try:
-            since = timeline.request_ts()
-        except MetricsError:
-            since = 0
+def count_replays(timeline: Timeline) -> int:
+    """Replays at or after the request."""
+    since = timeline.request_ts()
     return sum(1 for ts in timeline.select(REPLAY, timeline.ts) if ts >= since)
 
 
@@ -377,26 +367,25 @@ def sink_multiset(timeline: Timeline) -> dict[int, int]:
     return Counter(timeline.select(SINK_EXIT, timeline.root_seqs))
 
 
-def replay_bursts(timeline: Timeline, since: int | None = None,
-                  gap_ms: int = 5000, min_size: int = 5) -> list[tuple[int, int]]:
-    """Cluster replay records into bursts: [(start_ts, size), ...].
+def replay_bursts(timeline: Timeline, since: int) -> list[tuple[int, int]]:
+    """Cluster the replay records at or after ``since`` into bursts:
+    [(start_ts, size), ...].
 
-    Consecutive replays closer than ``gap_ms`` belong to one burst; bursts
-    smaller than ``min_size`` are dropped as noise.
+    Consecutive replays closer than BURST_GAP_MS belong to one burst;
+    bursts smaller than BURST_MIN_SIZE are dropped as noise.
     """
-    times = sorted(ts for ts in timeline.select(REPLAY, timeline.ts)
-                   if since is None or ts >= since)
+    times = sorted(ts for ts in timeline.select(REPLAY, timeline.ts) if ts >= since)
     bursts: list[tuple[int, int]] = []
     start = prev = None
     size = 0
     for ts in times:
-        if start is None or ts - prev > gap_ms:
-            if start is not None and size >= min_size:
+        if start is None or ts - prev > BURST_GAP_MS:
+            if start is not None and size >= BURST_MIN_SIZE:
                 bursts.append((start, size))
             start, size = ts, 0
         size += 1
         prev = ts
-    if start is not None and size >= min_size:
+    if start is not None and size >= BURST_MIN_SIZE:
         bursts.append((start, size))
     return bursts
 

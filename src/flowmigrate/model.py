@@ -117,6 +117,10 @@ class Schedule:
         for inst in instances:
             if inst not in self.placements:
                 raise ConfigError(f"instance {inst} has no placement")
+        extra = sorted(set(self.placements).difference(instances))
+        if extra:
+            raise ConfigError(f"placement of {', '.join(extra)}: no such instance "
+                              f"(source and sink instances are never placed)")
         for inst, (vm_id, slot) in self.placements.items():
             if vm_id not in slot_counts:
                 raise ConfigError(f"placement of {inst} names unknown VM {vm_id}")
@@ -418,11 +422,11 @@ def _resolve_schedule(raw, dag: DagDef, vms: list[VmDef], where: str) -> Schedul
     ]
     if raw is None or raw == "roundRobin":
         return round_robin_placement(instances, vms)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected 'roundRobin' or a placements object")
-    placements_raw = raw.get("placements", raw)
+    if not isinstance(raw, dict) or not isinstance(raw.get("placements"), dict):
+        raise ConfigError(f"{where}: expected 'roundRobin' or {{\"placements\": {{...}}}}")
+    _reject_unknown(raw, {"placements"}, where)
     placements = {}
-    for inst, loc in placements_raw.items():
+    for inst, loc in raw["placements"].items():
         if not isinstance(loc, (list, tuple)) or len(loc) != 2:
             raise ConfigError(f"{where}: placement of {inst} must be [vmId, slotIndex]")
         placements[inst] = (_scalar(loc[0], str, f"{where}: placement of {inst}: vmId"),

@@ -68,7 +68,6 @@ class WaveState:
     kind: str
     routing: str
     rootId: int
-    startedTs: int
     expected: frozenset
     ackedBy: set = field(default_factory=set)
     complete: bool = False
@@ -132,7 +131,6 @@ class CheckpointCoordinator:
             kind=kind,
             routing=routing,
             rootId=root,
-            startedTs=eng.now,
             expected=self.alive_ids(),
             drained=drained,
         )
@@ -244,8 +242,8 @@ class CheckpointCoordinator:
                                       inst, env, wave, inst.generation)
 
     def _prepare_done(self, inst, env, wave, gen) -> None:
-        if gen != inst.generation or inst.status == KILLED:
-            return
+        if gen != inst.generation:
+            return  # killed while preparing
         inst.in_service = None
         # The snapshot stays PREPARED until commit.  A broadcast PREPARE
         # (CCR) also freezes the queue: from here on, arriving data goes to
@@ -264,7 +262,12 @@ class CheckpointCoordinator:
         if not self._aligned(inst, wave):
             self._ack_copy(wave, inst, env, counts=False)
             return
-        record = self.commit_record(inst, wave)
+        record = self.engine.store.get(inst.instanceId, wave.checkpointId)
+        if record is None:
+            # Surfaces as commit-without-prepare in the store.
+            record = CheckpointRecord(inst.instanceId, wave.checkpointId, b"")
+        elif inst.captureFlag:
+            record.pendingEventsBlob = serialize_pending(inst.pendingList)
         latency = self.engine.store.write_latency_ms(record)
         inst.in_service = env  # persisting occupies the single service slot
         self.engine.clock.schedule_in(latency, self._commit_persisted,
@@ -272,23 +275,14 @@ class CheckpointCoordinator:
 
     def _commit_persisted(self, inst, env, wave, record, gen) -> None:
         eng = self.engine
-        if gen != inst.generation or inst.status == KILLED:
-            return
+        if gen != inst.generation:
+            return  # killed while persisting
         inst.in_service = None
         eng.store.commit(inst.instanceId, wave.checkpointId)
         self.commit_after_persist(inst, record)
         self._forward_wave(wave, inst)
         self._ack_copy(wave, inst, env, counts=True)
         eng._pump(inst)
-
-    def commit_record(self, inst: TaskInstanceRuntime, wave: WaveState) -> CheckpointRecord:
-        record = self.engine.store.get(inst.instanceId, wave.checkpointId)
-        if record is None:
-            # Surfaces as commit-without-prepare in the store.
-            return CheckpointRecord(inst.instanceId, wave.checkpointId, b"")
-        if inst.captureFlag:
-            record.pendingEventsBlob = serialize_pending(inst.pendingList)
-        return record
 
     def commit_after_persist(self, inst: TaskInstanceRuntime,
                              record: CheckpointRecord) -> None:

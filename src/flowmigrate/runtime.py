@@ -178,6 +178,17 @@ class TaskInstanceRuntime:
         self.rr_targets.clear()
         self.sole_sent = 0
 
+    def drop_work(self) -> None:
+        """Drop every event held, on kill and on respawn.  The new
+        generation cancels each completion already scheduled here."""
+        self.generation += 1
+        self.queue.clear()
+        self.preInit.clear()
+        self.pendingList.clear()
+        self.deferred_acks.clear()
+        self.barrier_counts.clear()
+        self.in_service = None
+
 
 def emission_time(tick: int, rate: float) -> int:
     """Virtual ms of the source's ``tick``-th pacing tick at ``rate`` events/s."""
@@ -188,7 +199,7 @@ class SourceRuntime:
     """Paced root-event emitter with pause/backlog/burst semantics."""
 
     __slots__ = ("paused", "backlog", "root_cache", "next_seq", "next_tick",
-                 "unacked", "rr_edges", "rr_targets")
+                 "rr_edges", "rr_targets")
 
     def __init__(self) -> None:
         self.paused = False
@@ -196,7 +207,6 @@ class SourceRuntime:
         self.root_cache: dict[int, EventEnvelope] = {}
         self.next_seq = 0   # root sequence numbers, advanced per emission
         self.next_tick = 0  # pacing ticks, advanced per period
-        self.unacked = 0
         self.rr_edges = 0
         self.rr_targets: dict[int, int] = {}
 
@@ -459,7 +469,7 @@ class SimulationEngine:
 
     def _source_tick(self) -> None:
         src = self.source
-        if src.paused or (self.acking_data and src.unacked >= _MAX_PENDING_ROOTS):
+        if src.paused or (self.acking_data and len(src.root_cache) >= _MAX_PENDING_ROOTS):
             # Paused, or the pending cap is reached: defer this emission.
             src.backlog += 1
         else:
@@ -476,7 +486,6 @@ class SimulationEngine:
         if self.acking_data:
             self.acker.register_root(root_id, now)
             src.root_cache[root_id] = env
-            src.unacked += 1
         self.timeline.record_emit(now, root_id, env.rootSeqNo, env.epoch)
         self._route_emission(src, self.source_task_id, env)
 
@@ -495,10 +504,9 @@ class SimulationEngine:
     def _on_root_completed(self, root_id: int) -> None:
         src = self.source
         if src.root_cache.pop(root_id, None) is not None:
-            src.unacked -= 1
             self.acker.discard(root_id)
             # A pending slot freed: release one cap-deferred emission.
-            if src.backlog and not src.paused and src.unacked < _MAX_PENDING_ROOTS:
+            if src.backlog and not src.paused and len(src.root_cache) < _MAX_PENDING_ROOTS:
                 src.backlog -= 1
                 self._emit_root()
 
@@ -631,7 +639,7 @@ class SimulationEngine:
         only fields a child keeps (DSM never forks, so no twin shares it).
         The parent's own ``(rootId, eventId)`` is read first, for its ack.
         """
-        if gen != inst.generation or inst.status == KILLED:
+        if gen != inst.generation:
             return  # instance was killed while this event was in service
         if inst.in_service is not env:
             raise InvariantViolation(f"{inst.instanceId}: service slot corrupted")
@@ -694,13 +702,7 @@ class SimulationEngine:
             raise FlowMigrateError(f"{inst_id} is already killed")
         self.kill_snapshots[inst_id] = inst.state.processedCount
         inst.status = KILLED
-        inst.generation += 1
-        inst.queue.clear()
-        inst.preInit.clear()
-        inst.pendingList.clear()
-        inst.deferred_acks.clear()
-        inst.barrier_counts.clear()
-        inst.in_service = None
+        inst.drop_work()
 
     def mark_respawning(self, inst_id: str) -> None:
         self.instances[inst_id].status = RESPAWNING
@@ -713,13 +715,7 @@ class SimulationEngine:
         inst.status = RUNNING
         inst.initialized = False
         inst.captureFlag = False
-        inst.generation += 1
-        inst.queue.clear()
-        inst.preInit.clear()
-        inst.pendingList.clear()
-        inst.deferred_acks.clear()
-        inst.barrier_counts.clear()
-        inst.in_service = None
+        inst.drop_work()
         inst.state = DemoUserTask()
         inst.reset_routing()
 

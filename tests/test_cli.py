@@ -135,6 +135,25 @@ class TestRun:
         assert "ackTimeout: 0.0004 s rounds to 0 ms" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stray", ["ghost#0", "sink#0"])
+    def test_placement_of_a_stray_id_exits_2(self, tmp_path, no_engine_runs, capsys, stray):
+        # Both schedules place the stray id, on different VMs: an unknown id
+        # once crashed the run at its kill (exit 1, nothing written), and a
+        # placed sink migrated.
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        for key, vms in (("scheduleBefore", "vmsBefore"), ("scheduleAfter", "vmsAfter")):
+            vm = doc[vms][0]["vmId"]
+            doc[vms] = [{"vmId": vm, "slotCount": 6}]
+            doc[key] = {"placements": {**{f"T{i}#0": [vm, i - 1] for i in range(1, 6)},
+                                       stray: [vm, 5]}}
+        bad = tmp_path / "stray.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("run", str(bad), "--out", str(out)) == 2
+        assert f"placement of {stray}: no such instance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_restore_with_no_output_left_is_reported(self, tmp_path):
         # CCR restores the dataflow after the last sink output of the run:
         # a null restore duration, not a crash.

@@ -61,10 +61,10 @@ class TestEventCalendar:
 
     def test_peek_and_len(self):
         cal = EventCalendar()
-        assert cal.peek_time() == -1
         cal.push(7, None)
-        assert cal.peek_time() == 7
         assert len(cal) == 1
+        assert cal.pop() == (7, 0, None)
+        assert len(cal) == 0
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -94,10 +94,9 @@ class TestEventCalendar:
                 reference.sort()
                 seq += 1
             assert len(cal) == len(reference)
-            assert cal.peek_time() == (reference[0][0] if reference else -1)
         while reference:
             assert cal.pop()[:2] == reference.pop(0)
-        assert len(cal) == 0 and cal.peek_time() == -1
+        assert len(cal) == 0
         with pytest.raises(IndexError):
             cal.pop()
 

@@ -344,6 +344,30 @@ class TestParseScenario:
         config = parse_scenario(doc)
         assert config.scheduleBefore.placements["T3#0"] == ("m", 2)
 
+    def test_placement_outside_the_migratable_instances_rejected(self):
+        # An unknown id once crashed the run at its kill, and a placed
+        # sink migrated although sources and sinks never do.
+        for stray in ("ghost#0", "sink#0", "src#0"):
+            doc = self.minimal_doc()
+            doc["vmsBefore"] = [{"vmId": "m", "slotCount": 6}]
+            doc["scheduleBefore"] = {"placements": {
+                **{f"T{i}#0": ["m", i - 1] for i in range(1, 6)}, stray: ["m", 5]}}
+            with pytest.raises(ConfigError, match=f"placement of {stray}: no such instance"):
+                parse_scenario(doc)
+
+    def test_schedule_object_is_exactly_placements(self):
+        placements = {f"T{i}#0": ["m", i - 1] for i in range(1, 6)}
+        for schedule, match in (
+                (placements, "expected 'roundRobin' or"),  # a bare mapping
+                ({"placements": placements, "note": 1}, r"unknown field\(s\) note"),
+                ({"placements": [["T1#0", "m", 0]]}, "expected 'roundRobin' or"),
+                ({}, "expected 'roundRobin' or")):
+            doc = self.minimal_doc()
+            doc["vmsBefore"] = [{"vmId": "m", "slotCount": 5}]
+            doc["scheduleBefore"] = schedule
+            with pytest.raises(ConfigError, match=f"scheduleBefore: {match}"):
+                parse_scenario(doc)
+
     def test_double_booked_slot_rejected(self):
         doc = self.minimal_doc()
         doc["vmsBefore"] = [{"vmId": "m", "slotCount": 5}]

@@ -131,13 +131,13 @@ class TestCcr:
         config = make_scenario(make_chain_dag(3), "CCR", run_s=90, trigger_s=20)
         engine = SimulationEngine(config)
         pending_totals = {}
-        original = engine.coordinator.commit_record
+        original = engine.coordinator._handle_commit
 
-        def spy(inst, wave):
+        def spy(inst, env, wave):
             pending_totals[inst.instanceId] = len(inst.pendingList)
-            return original(inst, wave)
+            return original(inst, env, wave)
 
-        engine.coordinator.commit_record = spy
+        engine.coordinator._handle_commit = spy
         engine.run()
         assert sum(pending_totals.values()) > 0
 

@@ -32,7 +32,10 @@ from flowmigrate.model import (
     to_ms,
     with_overrides,
 )
+from flowmigrate.protocol import SEQUENTIAL
+from flowmigrate.reliability import PREPARED
 from flowmigrate.runtime import (
+    COMMIT,
     DATA,
     KILLED,
     PREPARE,
@@ -84,10 +87,12 @@ class TestSourcePacing:
         engine.clock.schedule_at(1000, engine.pause_source)
         # Run manually through the window [0s, 11s).
         engine._schedule_emission(0)
-        cal = engine.clock._calendar
-        while len(cal) and cal.peek_time() < 11_000:
+        # Scheduled before the 11 s tick, so it fires before that tick.
+        backlog = []
+        engine.clock.schedule_at(11_000, lambda: backlog.append(engine.source.backlog))
+        while not backlog:
             fire_next(engine)
-        assert engine.source.backlog == 80  # 10s paused at 8/s
+        assert backlog == [80]  # 10s paused at 8/s
 
     def test_unpause_bursts_whole_backlog(self):
         config = make_scenario(make_chain_dag(2), run_s=40, trigger_s=35, strategy="DCR")
@@ -131,6 +136,28 @@ class TestSourcePacing:
         # Chain latency is ~300ms, so at most a handful of roots in flight.
         assert max(cache_sizes) <= 8
         assert engine.source.root_cache == {} or len(engine.source.root_cache) <= 3
+
+    def test_pending_cap_defers_emissions_until_a_root_completes(self):
+        # DSM caps the roots awaiting their acks at 240.  With the sink
+        # killed no root completes: the source cache stops at the cap and
+        # every later tick joins the backlog, one per 125 ms tick at 8/s.
+        engine = quick_engine(strategy="DSM")
+        engine.kill_instance("sink#0")
+        engine._schedule_emission(0)
+        src = engine.source
+        samples = []
+        for at in (40_000, 40_125, 40_250):  # each probe fires before that tick
+            engine.clock.schedule_at(
+                at, lambda: samples.append((len(src.root_cache), src.backlog)))
+        while len(samples) < 3:
+            fire_next(engine)
+        assert samples == [(240, 80), (240, 81), (240, 82)]
+        # One completion frees one slot: exactly one deferred root goes out.
+        root_id = next(iter(src.root_cache))
+        emitted = src.next_seq
+        engine._on_root_completed(root_id)
+        assert root_id not in src.root_cache
+        assert (len(src.root_cache), src.backlog, src.next_seq) == (240, 81, emitted + 1)
 
 
 class TestClock:
@@ -309,8 +336,7 @@ class TestArrive:
         engine.deliver(env, inst)
         assert fire_next(engine) == 1_000  # the arrival
         assert inst.in_service is env and not inst.queue
-        cal = engine.clock._calendar
-        assert len(cal) == 1 and cal.peek_time() == 1_000 + inst.service_ms
+        assert len(engine.clock._calendar) == 1
         assert fire_next(engine) == 1_100  # the service completion
         assert inst.in_service is None
         assert inst.state.processedCount == 1
@@ -608,6 +634,45 @@ class TestKillRespawn:
         engine.initialize_instance(inst, 1, None, None)
         assert inst.initialized and inst.status == RUNNING
         assert inst.in_service is not None  # buffered event went into service
+
+    @pytest.mark.parametrize("respawn", [False, True])
+    def test_kill_cancels_a_scheduled_service_completion(self, respawn):
+        # After a respawn the instance is RUNNING again: only its
+        # generation tells the stale completion apart.
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        engine.deliver(make_event(), inst)
+        fire_next(engine)  # the arrival puts the event in service
+        assert inst.in_service is not None
+        engine.kill_instance("T1#0")
+        if respawn:
+            engine.respawn_instance("T1#0")
+        assert fire_next(engine) == inst.service_ms  # the stale completion
+        assert inst.in_service is None and inst.state.processedCount == 0
+        assert len(engine.clock._calendar) == 0  # no child was sent
+
+    @pytest.mark.parametrize("respawn", [False, True])
+    @pytest.mark.parametrize("kind", [PREPARE, COMMIT])
+    def test_kill_cancels_a_scheduled_checkpoint_step(self, kind, respawn):
+        # A DSM checkpoint: a sequential PREPARE wave, then its COMMIT
+        # wave.  T1#0 is killed while it prepares or persists, so its
+        # scheduled _prepare_done or _commit_persisted must do nothing.
+        engine = quick_engine(strategy="DSM")
+        inst = engine.instances["T1#0"]
+        engine.coordinator.start_wave(PREPARE, SEQUENTIAL, 1)
+        while inst.in_service is None or inst.in_service.kind != kind:
+            fire_next(engine)
+        engine.kill_instance("T1#0")
+        if respawn:
+            engine.respawn_instance("T1#0")
+        cal = engine.clock._calendar
+        while len(cal):
+            fire_next(engine)
+        assert inst.in_service is None
+        phase = None if kind == PREPARE else PREPARED
+        for inst_id in ("T1#0", "T2#0"):  # nothing done, nothing forwarded
+            record = engine.store.get(inst_id, 1)
+            assert (record and record.phase) == phase, inst_id
 
 
 def fork_case(name: str):

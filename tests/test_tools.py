@@ -3,7 +3,9 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import flowmigrate
 from conftest import make_chain_dag, make_scenario
+from flowmigrate.metrics import SOURCE_EMIT, Timeline
 from flowmigrate.model import load_bundled_scenario, with_overrides
 from flowmigrate.runtime import SimulationEngine, run_scenario
 
@@ -85,6 +87,23 @@ def test_benchmark_tracer_counts_the_ccr_prepare_path(monkeypatch):
         "protocol.wave_copies": 20, "reliability.store.prepares": 4,
         "reliability.store.commits": 4, "reliability.store.bytes_written": 102,
     }
+
+
+def test_benchmark_kernel_probes_backend_and_row_deletion(monkeypatch):
+    # Names the benchmark uses outside its tracer: the kernel probes, the
+    # backend field of its environment record, and the row deletion of
+    # its corrupted-timeline test.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import micro
+
+    assert micro.calendar_ns_per_op(1, n=30, repeats=1) > 0
+    assert micro.acker_ns_per_op(1, n=32, repeats=1) > 0
+    assert flowmigrate.active_backend() == "pure"
+    timeline = Timeline()
+    timeline.record_emit(0, 1, 0, 0)
+    timeline.record_sink_exit(300, 2, 0, 0, False)
+    del timeline.records[1]
+    assert [r.site for r in timeline.records] == [SOURCE_EMIT]
 
 
 def perf_record(workload, seed, wall, prints, source="tree-a"):
