@@ -203,6 +203,8 @@ def validate_dag(dag: DagDef) -> ValidationResult:
                 f"edge {e.fromTask}->{e.toTask}: unknown grouping {e.grouping}"
             )
 
+    if len(dag.sourceTasks) != 1:
+        violations.append(f"{len(dag.sourceTasks)} source tasks declared; a dag has one")
     for s in dag.sourceTasks:
         if s not in id_set:
             violations.append(f"source task {s} not declared")
@@ -229,6 +231,16 @@ def validate_dag(dag: DagDef) -> ValidationResult:
             violations.append(
                 f"not reachable from any source: {', '.join(unreachable)}"
             )
+        # An event at a task that leads to no sink is never acked: under
+        # DSM its root never completes and the source stalls at its cap.
+        feeds_sink = set(dag.sinkTasks)
+        for tid in reversed(order):
+            if any(e.toTask in feeds_sink for e in dag.out_edges(tid)):
+                feeds_sink.add(tid)
+        dead_ends = [tid for tid in ids if tid not in feeds_sink]
+        if dead_ends:
+            violations.append(f"reaches no sink: {', '.join(dead_ends)} "
+                              f"(list a terminal task in sinkTasks)")
 
     return ValidationResult(tuple(violations))
 
@@ -393,10 +405,14 @@ def parse_dag(doc: dict, name: str = "") -> DagDef:
         )
     except KeyError as exc:
         raise ConfigError(f"dag: missing field {exc.args[0]}") from None
+    _require_valid_dag(dag)
+    return dag
+
+
+def _require_valid_dag(dag: DagDef) -> None:
     result = validate_dag(dag)
     if not result.ok:
         raise ConfigError("invalid dag: " + "; ".join(result.violations))
-    return dag
 
 
 def _parse_vms(raw: list, where: str) -> list[VmDef]:
@@ -471,6 +487,7 @@ def parse_scenario(doc: dict, name: str = "") -> ScenarioConfig:
 
 
 def validate_scenario(config: ScenarioConfig) -> None:
+    _require_valid_dag(config.dag)
     if config.strategy not in STRATEGIES:
         raise ConfigError(
             f"scenario field strategy: expected one of {'/'.join(STRATEGIES)}, "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation, WaveConflictError
+from .errors import CommitWithoutPrepareError, InvariantViolation, WaveConflictError
 from .model import to_ms
 from .reliability import CheckpointRecord
 from .runtime import (
@@ -85,10 +85,6 @@ class CheckpointCoordinator:
         self.next_checkpoint_id = 1
         self.waves: dict[int, WaveState] = {}
         self.active: dict[str, WaveState] = {}
-        self.markers: dict[str, int] = {}
-        self.migration_ckpt = 0
-        self.migration_done = False
-        self.aborted = False
 
     # -- lifecycle hooks ------------------------------------------------------
 
@@ -102,10 +98,6 @@ class CheckpointCoordinator:
         raise NotImplementedError
 
     # -- helpers ----------------------------------------------------------------
-
-    def mark(self, name: str) -> None:
-        self.markers[name] = self.engine.now
-        self.engine.record_phase(name)
 
     def alive_ids(self) -> frozenset:
         return frozenset(
@@ -144,13 +136,12 @@ class CheckpointCoordinator:
         return wave
 
     def send_wave_copies(self, wave: WaveState, only: frozenset | None = None) -> None:
+        """Inject the wave: a broadcast copy to each expected instance (or to
+        ``only``, a subset of them), or a sequential copy to each entry."""
         eng = self.engine
         if wave.routing == BROADCAST:
-            targets = [
-                inst for inst in eng.instances.values()
-                if inst.instanceId in wave.expected
-                and (only is None or inst.instanceId in only)
-            ]
+            wanted = wave.expected if only is None else only
+            targets = [inst for inst in eng.instances.values() if inst.instanceId in wanted]
         else:
             targets = eng.entry_instances()
         for inst in targets:
@@ -179,8 +170,8 @@ class CheckpointCoordinator:
             return
         wave.ackedBy.add(inst.instanceId)
         # INIT waves start only after the migration trigger.
-        if wave.kind == INIT and FIRST_INIT_ACKED not in self.markers:
-            self.mark(FIRST_INIT_ACKED)
+        if wave.kind == INIT and self.engine.timeline.phase_ts(FIRST_INIT_ACKED) is None:
+            self.engine.record_phase(FIRST_INIT_ACKED)
         if wave.expected <= wave.ackedBy:
             wave.complete = True
             if wave.kind in (PREPARE, COMMIT) and not self.engine.wave_acker.is_completed(wave.rootId):
@@ -225,7 +216,7 @@ class CheckpointCoordinator:
         inst.barrier_counts.pop(wave.rootId, None)
         return True
 
-    # -- PREPARE -----------------------------------------------------------------------
+    # -- PREPARE and COMMIT ---------------------------------------------------------
 
     def _handle_prepare(self, inst, env, wave) -> None:
         if not self._aligned(inst, wave):
@@ -237,26 +228,7 @@ class CheckpointCoordinator:
             )
         # Assembling the snapshot runs through the task like one more
         # event: the barrier costs a service time at every hop.
-        inst.in_service = env
-        self.engine.clock.schedule_in(inst.service_ms, self._prepare_done,
-                                      inst, env, wave, inst.generation)
-
-    def _prepare_done(self, inst, env, wave, gen) -> None:
-        if gen != inst.generation:
-            return  # killed while preparing
-        inst.in_service = None
-        # The snapshot stays PREPARED until commit.  A broadcast PREPARE
-        # (CCR) also freezes the queue: from here on, arriving data goes to
-        # the pending list, persisted with the snapshot at commit.
-        snapshot = inst.state.snapshot() if inst.stateful else b""
-        self.engine.store.prepare(CheckpointRecord(inst.instanceId, wave.checkpointId, snapshot))
-        if wave.routing == BROADCAST:
-            inst.captureFlag = True
-        self._forward_wave(wave, inst)
-        self._ack_copy(wave, inst, env, counts=True)
-        self.engine._pump(inst)
-
-    # -- COMMIT -------------------------------------------------------------------------
+        self._hold_slot(inst, env, wave, inst.service_ms)
 
     def _handle_commit(self, inst, env, wave) -> None:
         if not self._aligned(inst, wave):
@@ -264,22 +236,36 @@ class CheckpointCoordinator:
             return
         record = self.engine.store.get(inst.instanceId, wave.checkpointId)
         if record is None:
-            # Surfaces as commit-without-prepare in the store.
-            record = CheckpointRecord(inst.instanceId, wave.checkpointId, b"")
-        elif inst.captureFlag:
+            raise CommitWithoutPrepareError(
+                f"no prepared record for ({inst.instanceId}, {wave.checkpointId})"
+            )
+        if inst.captureFlag:
             record.pendingEventsBlob = serialize_pending(inst.pendingList)
-        latency = self.engine.store.write_latency_ms(record)
-        inst.in_service = env  # persisting occupies the single service slot
-        self.engine.clock.schedule_in(latency, self._commit_persisted,
-                                      inst, env, wave, record, inst.generation)
+        # Persisting occupies the single service slot.
+        self._hold_slot(inst, env, wave, self.engine.store.write_latency_ms(record))
 
-    def _commit_persisted(self, inst, env, wave, record, gen) -> None:
+    def _hold_slot(self, inst, env, wave, delay_ms: int) -> None:
+        inst.in_service = env
+        self.engine.clock.schedule_in(delay_ms, self._slot_released,
+                                      inst, env, wave, inst.generation)
+
+    def _slot_released(self, inst, env, wave, gen) -> None:
+        """End a PREPARE or COMMIT step: snapshot or persist, then pass the
+        wave on."""
         eng = self.engine
         if gen != inst.generation:
-            return  # killed while persisting
+            return  # killed while holding the slot
         inst.in_service = None
-        eng.store.commit(inst.instanceId, wave.checkpointId)
-        self.commit_after_persist(inst, record)
+        if env.kind == PREPARE:
+            # The snapshot stays PREPARED until commit.  A broadcast PREPARE
+            # (CCR) also freezes the queue: from here on, arriving data goes
+            # to the pending list, persisted with the snapshot at commit.
+            snapshot = inst.state.snapshot() if inst.stateful else b""
+            eng.store.prepare(CheckpointRecord(inst.instanceId, wave.checkpointId, snapshot))
+            if wave.routing == BROADCAST:
+                inst.captureFlag = True
+        else:
+            self.commit_after_persist(inst, eng.store.commit(inst.instanceId, wave.checkpointId))
         self._forward_wave(wave, inst)
         self._ack_copy(wave, inst, env, counts=True)
         eng._pump(inst)
@@ -292,7 +278,8 @@ class CheckpointCoordinator:
 
     def _handle_init(self, inst, env, wave) -> None:
         if self.init_needs_restore(inst, wave):
-            self.init_restore(inst, wave)
+            self.engine.initialize_instance(inst, wave.checkpointId,
+                                            self.restore_record(inst, wave))
         self._forward_wave(wave, inst)
         self._ack_copy(wave, inst, env, counts=True)
 
@@ -300,13 +287,10 @@ class CheckpointCoordinator:
         # A duplicate INIT at an already-restored task is skipped.
         return inst.last_restored_ckpt != wave.checkpointId
 
-    def init_restore(self, inst: TaskInstanceRuntime, wave: WaveState) -> None:
-        record = self.engine.store.get(inst.instanceId, wave.checkpointId)
-        user_blob = record.userStateBlob if record is not None else None
-        pending = None
-        if record is not None and record.pendingEventsBlob is not None:
-            pending = deserialize_pending(record.pendingEventsBlob)
-        self.engine.initialize_instance(inst, wave.checkpointId, user_blob or None, pending)
+    def restore_record(self, inst: TaskInstanceRuntime,
+                       wave: WaveState) -> CheckpointRecord | None:
+        """The checkpoint an INIT restores ``inst`` from: the wave's own."""
+        return self.engine.store.get(inst.instanceId, wave.checkpointId)
 
     # -- ROLLBACK ----------------------------------------------------------------------------
 
@@ -324,7 +308,7 @@ class CheckpointCoordinator:
 
     def start_rebalance(self) -> None:
         eng = self.engine
-        self.mark(REBALANCE_START)
+        eng.record_phase(REBALANCE_START)
         for inst_id in eng.migrating:
             eng.kill_instance(inst_id)
         eng.clock.schedule_in(to_ms(eng.config.rebalanceDuration), self._rebalance_done)
@@ -340,19 +324,8 @@ class CheckpointCoordinator:
                 eng.config.workerStartupMinMs, eng.config.workerStartupMaxMs
             )
             eng.clock.schedule_in(delay, eng.respawn_instance, inst_id)
-        self.mark(REBALANCE_DONE)
+        eng.record_phase(REBALANCE_DONE)
         self.on_rebalance_done()
-
-    # -- shared failure path ------------------------------------------------------------------------
-
-    def _check_prepare(self, wave: WaveState) -> None:
-        if wave.complete or wave.superseded or self.aborted:
-            return
-        wave.superseded = True
-        self.aborted = True
-        self.migration_done = True
-        self.start_wave(ROLLBACK, BROADCAST, wave.checkpointId)
-        self.engine.unpause_source()
 
 
 class DcrCoordinator(CheckpointCoordinator):
@@ -368,9 +341,14 @@ class DcrCoordinator(CheckpointCoordinator):
     prepared_marker = DRAIN_DONE
     init_routing = SEQUENTIAL
 
+    def __init__(self, engine: SimulationEngine) -> None:
+        super().__init__(engine)
+        self.migration_ckpt = 0
+        self.aborted = False
+
     def on_migration_trigger(self) -> None:
         eng = self.engine
-        self.mark(REQUEST)
+        eng.record_phase(REQUEST)
         eng.pause_source()
         self.migration_ckpt = self.next_checkpoint_id
         self.next_checkpoint_id += 1
@@ -378,11 +356,19 @@ class DcrCoordinator(CheckpointCoordinator):
                                drained=self.prepare_routing == SEQUENTIAL)
         eng.clock.schedule_in(eng.ack_timeout_ms, self._check_prepare, wave)
 
-    def on_wave_complete(self, wave: WaveState) -> None:
-        if self.aborted:
+    def _check_prepare(self, wave: WaveState) -> None:
+        # Scheduled once per migration; only this abort supersedes the wave.
+        if wave.complete:
             return
+        wave.superseded = True
+        self.aborted = True
+        self.start_wave(ROLLBACK, BROADCAST, wave.checkpointId)
+        self.engine.unpause_source()
+
+    def on_wave_complete(self, wave: WaveState) -> None:
+        # After an abort only the ROLLBACK wave completes: no branch acts.
         if wave.kind == PREPARE:
-            self.mark(self.prepared_marker)
+            self.engine.record_phase(self.prepared_marker)
             self.start_wave(COMMIT, SEQUENTIAL, self.migration_ckpt)
         elif wave.kind == COMMIT:
             self.start_rebalance()
@@ -409,9 +395,8 @@ class DcrCoordinator(CheckpointCoordinator):
         self._schedule_resend()
 
     def _finish_migration(self) -> None:
-        self.mark(ALL_INIT_ACKED)
-        self.mark(SOURCE_UNPAUSED)
-        self.migration_done = True
+        self.engine.record_phase(ALL_INIT_ACKED)
+        self.engine.record_phase(SOURCE_UNPAUSED)
         self.engine.unpause_source()
 
 
@@ -436,6 +421,7 @@ class DsmCoordinator(CheckpointCoordinator):
     def __init__(self, engine: SimulationEngine) -> None:
         super().__init__(engine)
         self.last_committed_ckpt = 0
+        self.migration_done = False
 
     @property
     def defers_stateful_acks(self) -> bool:
@@ -455,7 +441,7 @@ class DsmCoordinator(CheckpointCoordinator):
         eng = self.engine
         if eng.now >= eng.run_end_ms:
             return
-        migration_active = REQUEST in self.markers and not self.migration_done
+        migration_active = eng.timeline.phase_ts(REQUEST) is not None and not self.migration_done
         prepare_busy = any(
             w is not None and not w.complete and not w.superseded
             for w in (self.active.get(PREPARE), self.active.get(COMMIT))
@@ -467,7 +453,7 @@ class DsmCoordinator(CheckpointCoordinator):
         self._schedule_periodic()
 
     def on_migration_trigger(self) -> None:
-        self.mark(REQUEST)
+        self.engine.record_phase(REQUEST)
         # Abandon any checkpoint wave caught mid-flight by the kill.
         for kind in (PREPARE, COMMIT):
             wave = self.active.get(kind)
@@ -496,14 +482,8 @@ class DsmCoordinator(CheckpointCoordinator):
         # (uninitialized) tasks roll back to the last periodic checkpoint.
         return not inst.initialized
 
-    def init_restore(self, inst, wave) -> None:
-        record = self.engine.store.get_latest_committed(inst.instanceId)
-        if record is None:
-            self.engine.initialize_instance(inst, 0, None, None)
-        else:
-            self.engine.initialize_instance(
-                inst, record.checkpointId, record.userStateBlob or None, None
-            )
+    def restore_record(self, inst, wave) -> CheckpointRecord | None:
+        return self.engine.store.get_latest_committed(inst.instanceId)
 
     def commit_after_persist(self, inst, record) -> None:
         # Input events processed since the previous checkpoint are acked
@@ -517,7 +497,7 @@ class DsmCoordinator(CheckpointCoordinator):
         elif wave.kind == COMMIT:
             self.last_committed_ckpt = wave.checkpointId
         elif wave.kind == INIT:
-            self.mark(ALL_INIT_ACKED)
+            self.engine.record_phase(ALL_INIT_ACKED)
             self.migration_done = True
             for inst in self.engine.instances.values():
                 if inst.deferred_acks:

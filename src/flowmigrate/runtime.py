@@ -17,7 +17,7 @@ from collections import deque
 
 from . import _kernels
 from ._kernels import ACK_COMPLETED
-from .errors import ConfigError, FlowMigrateError, InvariantViolation
+from .errors import FlowMigrateError, InvariantViolation
 from .metrics import Timeline
 from .model import (
     DUPLICATE,
@@ -25,9 +25,10 @@ from .model import (
     instance_id as make_instance_id,
     migrating_instances,
     to_ms,
+    validate_scenario,
     with_overrides,
 )
-from .reliability import AckerService, StateStore
+from .reliability import AckerService, CheckpointRecord, StateStore
 
 DATA = "DATA"
 PREPARE = "PREPARE"
@@ -240,13 +241,10 @@ class SimulationEngine:
     """Owns all runtime state for one scenario run."""
 
     def __init__(self, config: ScenarioConfig, migrate: bool = True) -> None:
-        if len(config.dag.sourceTasks) != 1:
-            raise ConfigError("the engine supports exactly one source task")
-        # The hot paths push ``now + delay`` without the clock's check, so
-        # every delay they use is checked here, once.
-        if config.networkDelayMs < 0:
-            raise InvariantViolation(
-                f"networkDelayMs {config.networkDelayMs} < 0 schedules into the past")
+        # A hand-built config skips the loader.  The hot paths push
+        # ``now + delay`` without the clock's check, so every delay they
+        # use is checked here, once, by the loader's own rules.
+        validate_scenario(config)
         self.migrate = migrate
         self.config = config
         self.dag = config.dag
@@ -273,9 +271,6 @@ class SimulationEngine:
             if tid == self.source_task_id:
                 continue
             task = self.dag.task(tid)
-            if task.serviceTimeMs <= 0:
-                raise InvariantViolation(
-                    f"task {tid}: serviceTimeMs {task.serviceTimeMs} must be > 0")
             ids = []
             for i in range(task.instanceCount):
                 iid = make_instance_id(tid, i)
@@ -506,7 +501,7 @@ class SimulationEngine:
         if src.root_cache.pop(root_id, None) is not None:
             self.acker.discard(root_id)
             # A pending slot freed: release one cap-deferred emission.
-            if src.backlog and not src.paused and len(src.root_cache) < _MAX_PENDING_ROOTS:
+            if src.backlog and not src.paused:
                 src.backlog -= 1
                 self._emit_root()
 
@@ -571,9 +566,8 @@ class SimulationEngine:
             if self.acking_data:
                 self.acker.table.anchor(env.rootId, copy.eventId)
             self.deliver(copy, target)
-        # Reached with several targets, or with none (nothing was sent).
-        if (chosen and self.acking_data
-                and self.acker.table.ack(env.rootId, retired_id) == ACK_COMPLETED):
+        # Reached with several targets: retire the original.
+        if self.acking_data and self.acker.table.ack(env.rootId, retired_id) == ACK_COMPLETED:
             self._on_root_completed(env.rootId)
 
     def deliver(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
@@ -727,21 +721,28 @@ class SimulationEngine:
             inst.reset_routing()
 
     def initialize_instance(self, inst: TaskInstanceRuntime, checkpoint_id: int,
-                            user_blob: bytes | None,
-                            pending: list[EventEnvelope] | None) -> None:
-        """Restore state and resume processing (INIT handling)."""
-        if user_blob:
-            inst.state = DemoUserTask.restore(user_blob)
+                            record: CheckpointRecord | None) -> None:
+        """Restore from ``record`` and resume processing (INIT handling).
+
+        ``checkpoint_id`` is the INIT wave's, which a duplicate INIT then
+        skips.  The record's user state replaces the task's, and its captured
+        events are served first; with no record the task keeps its state.
+        """
+        if inst.pendingList:
+            raise InvariantViolation(
+                f"{inst.instanceId}: locally captured events present at restore"
+            )
+        resumed = []
+        if record is not None:
+            if record.userStateBlob:
+                inst.state = DemoUserTask.restore(record.userStateBlob)
+            if record.pendingEventsBlob is not None:
+                resumed = deserialize_pending(record.pendingEventsBlob)
         if inst.instanceId not in self.restore_snapshots:
             self.restore_snapshots[inst.instanceId] = inst.state.processedCount
         inst.captureFlag = False
         inst.initialized = True
         inst.last_restored_ckpt = checkpoint_id
-        resumed = list(pending or [])
-        if inst.pendingList:
-            raise InvariantViolation(
-                f"{inst.instanceId}: locally captured events present at restore"
-            )
         if resumed or inst.preInit:
             inst.queue = deque(resumed + inst.preInit + list(inst.queue))
             inst.preInit = []

@@ -19,6 +19,17 @@ def suite_cache():
     return acceptance.RunCache()
 
 
+def phase_times(engine) -> dict[str, int]:
+    """``{phase name: ts}`` of the PHASE rows an engine recorded (the last
+    row of a name wins)."""
+    return {name: ts for _row, ts, name in engine.timeline.phases}
+
+
+def work_of(engine) -> tuple[int, int]:
+    """Actions fired and calendar pushes of an engine so far."""
+    return engine._actions, engine.clock._calendar._next_seq
+
+
 def make_chain_dag(n_tasks: int = 3, stateful: tuple[int, ...] = (2,),
                    sink_instances: int = 1) -> DagDef:
     tasks = [TaskDef("src", serviceTimeMs=1)]

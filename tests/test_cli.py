@@ -27,6 +27,22 @@ def no_engine_runs(monkeypatch):
     monkeypatch.setattr(SimulationEngine, "fork_at_trigger", run)
 
 
+def defective_linear_dag(defect: str) -> dict:
+    """The bundled linear dag document with one defect the loader rejects:
+    ``"dead_end"`` adds a task ``dead`` that T2 feeds and that feeds
+    nothing; ``"two_sources"`` adds a second source ``src2`` feeding T1."""
+    doc = json.loads((resources.files("flowmigrate") / "scenarios" / "dags" / "linear.json")
+                     .read_text())
+    if defect == "dead_end":
+        doc["tasks"].append({"taskId": "dead"})
+        doc["edges"].append({"fromTask": "T2", "toTask": "dead"})
+    else:
+        doc["tasks"].append({"taskId": "src2", "serviceTimeMs": 1})
+        doc["edges"].append({"fromTask": "src2", "toTask": "T1"})
+        doc["sourceTasks"].append("src2")
+    return doc
+
+
 def files_under(path: Path) -> list[Path]:
     return sorted(p for p in path.rglob("*") if p.is_file())
 
@@ -152,6 +168,21 @@ class TestRun:
         out = tmp_path / "o"
         assert run_cli("run", str(bad), "--out", str(out)) == 2
         assert f"placement of {stray}: no such instance" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect,message", [
+        ("dead_end", "reaches no sink: dead"), ("two_sources", "2 source tasks declared")])
+    def test_invalid_dag_exits_2(self, tmp_path, no_engine_runs, capsys, defect, message):
+        # A dead end once ran to a starved DSM report (exit 0); two sources
+        # were refused only at engine construction.
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        doc["dag"] = defective_linear_dag(defect)
+        bad = tmp_path / f"{defect}.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("run", str(bad), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_restore_with_no_output_left_is_reported(self, tmp_path):

@@ -82,6 +82,21 @@ class TestValidateDag:
         result = validate_dag(DagDef("lin", tasks, dag.edges, dag.sourceTasks, dag.sinkTasks))
         assert any("orphan" in v for v in result.violations)
 
+    def test_task_reaching_no_sink(self):
+        # T2 feeds both T3 and "dead": only the dead end is named.
+        dag = linear_dag(extra_edges=(Edge("T2", "dead"),))
+        dag = DagDef("lin", dag.tasks + (TaskDef("dead"),), dag.edges, ("src",), ("sink",))
+        assert validate_dag(dag).violations == (
+            "reaches no sink: dead (list a terminal task in sinkTasks)",)
+
+    def test_exactly_one_source(self):
+        dag = linear_dag(extra_edges=(Edge("src2", "T1"),))
+        tasks = dag.tasks + (TaskDef("src2", serviceTimeMs=1),)
+        two = DagDef("lin", tasks, dag.edges, ("src", "src2"), ("sink",))
+        assert validate_dag(two).violations == ("2 source tasks declared; a dag has one",)
+        none = DagDef("lin", dag.tasks, linear_dag().edges, (), ("sink",))
+        assert "0 source tasks declared; a dag has one" in validate_dag(none).violations
+
     def test_bad_fields(self):
         dag = linear_dag()
         tasks = (TaskDef("bad", serviceTimeMs=0, selectivity=-1, instanceCount=0),) + dag.tasks[1:]

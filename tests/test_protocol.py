@@ -2,8 +2,8 @@ import hashlib
 
 import pytest
 
-from conftest import make_chain_dag, make_scenario
-from flowmigrate.errors import WaveConflictError
+from conftest import make_chain_dag, make_scenario, phase_times, work_of
+from flowmigrate.errors import CommitWithoutPrepareError, WaveConflictError
 from flowmigrate.metrics import PHASE, SINK_EXIT, sink_multiset
 from flowmigrate.protocol import (
     ALL_INIT_ACKED,
@@ -20,8 +20,10 @@ from flowmigrate.protocol import (
 )
 from flowmigrate.reliability import COMMITTED
 from flowmigrate.runtime import (
+    COMMIT,
     INIT,
     PREPARE,
+    ROLLBACK,
     DemoUserTask,
     SimulationEngine,
     deserialize_pending,
@@ -41,13 +43,14 @@ class TestWaveMechanics:
         config = make_scenario(make_chain_dag(3), "CCR", run_s=60, trigger_s=20)
         engine = SimulationEngine(config)
         captured = []
-        original = engine.coordinator._prepare_done
+        original = engine.coordinator._slot_released
 
         def spy(inst, env, wave, gen):
-            captured.append((engine.now, inst.instanceId))
+            if env.kind == PREPARE:
+                captured.append((engine.now, inst.instanceId))
             original(inst, env, wave, gen)
 
-        engine.coordinator._prepare_done = spy
+        engine.coordinator._slot_released = spy
         engine.run()
         names = {inst for _, inst in captured}
         assert names == {"T1#0", "T2#0", "T3#0", "sink#0"}
@@ -59,13 +62,14 @@ class TestWaveMechanics:
         config = make_scenario(make_chain_dag(5), "DCR", run_s=90, trigger_s=20)
         engine = SimulationEngine(config)
         order = []
-        original = engine.coordinator._prepare_done
+        original = engine.coordinator._slot_released
 
         def spy(inst, env, wave, gen):
             original(inst, env, wave, gen)
-            order.append(inst.instanceId)
+            if env.kind == PREPARE:
+                order.append(inst.instanceId)
 
-        engine.coordinator._prepare_done = spy
+        engine.coordinator._slot_released = spy
         engine.run()
         assert order == [f"T{i}#0" for i in range(1, 6)] + ["sink#0"]
 
@@ -76,6 +80,33 @@ class TestWaveMechanics:
         coordinator.start_wave(PREPARE, SEQUENTIAL, 1)
         with pytest.raises(WaveConflictError):
             coordinator.start_wave(PREPARE, SEQUENTIAL, 2)
+
+    def test_broadcast_init_resend_reaches_only_unacked_instances(self):
+        # The respawning T1..T3 drop the first INIT copies while the sink,
+        # which stayed put, acks at once: each resend goes to the rest.
+        config = make_scenario(make_chain_dag(3), "CCR", run_s=60, trigger_s=20)
+        engine = SimulationEngine(config)
+        sends = {}
+        original = engine.coordinator._send_copy
+
+        def spy(wave, inst):
+            if wave.kind == INIT:
+                assert inst.instanceId not in wave.ackedBy
+                sends.setdefault(engine.now, set()).add(inst.instanceId)
+            original(wave, inst)
+
+        engine.coordinator._send_copy = spy
+        engine.run()
+        first, *resends = sends.values()
+        assert first == {"T1#0", "T2#0", "T3#0", "sink#0"}
+        assert resends[0] == {"T1#0", "T2#0", "T3#0"}
+        assert all(later <= resends[0] for later in resends)
+
+    def test_commit_without_prepared_record_raises(self):
+        engine = SimulationEngine(make_scenario(make_chain_dag(2), "DCR"), migrate=False)
+        engine.coordinator.start_wave(COMMIT, SEQUENTIAL, 1)
+        with pytest.raises(CommitWithoutPrepareError, match=r"\(T1#0, 1\)"):
+            engine.run()
 
     def test_duplicate_init_skipped_but_acked(self):
         timeline, engine = run_quick(make_chain_dag(3), "DCR",
@@ -92,7 +123,7 @@ class TestWaveMechanics:
 class TestDcr:
     def test_markers_in_order(self):
         timeline, engine = run_quick(make_chain_dag(3), "DCR", run_s=90, trigger_s=20)
-        markers = engine.coordinator.markers
+        markers = phase_times(engine)
         expected = [REQUEST, DRAIN_DONE, REBALANCE_START, REBALANCE_DONE,
                     "FIRST_INIT_ACKED", ALL_INIT_ACKED, SOURCE_UNPAUSED]
         assert [m for m in MARKER_ORDER if m in markers] == expected
@@ -106,10 +137,17 @@ class TestDcr:
         engine = SimulationEngine(config)
         engine.clock.schedule_at(25_000, engine.pause_source)
         engine.run()
-        markers = engine.coordinator.markers
+        markers = phase_times(engine)
         drain = markers[DRAIN_DONE] - markers[REQUEST]
         assert drain >= 400
         assert drain < 1500
+
+    def test_completed_prepare_is_not_rolled_back(self):
+        # The PREPARE check fires ackTimeout after the trigger (50 s here),
+        # long after the wave completed: it must leave the migration alone.
+        _, engine = run_quick(make_chain_dag(3), "DCR", run_s=90, trigger_s=20)
+        assert not engine.coordinator.aborted
+        assert ROLLBACK not in {wave.kind for wave in engine.coordinator.waves.values()}
 
     def test_no_data_loss_each_root_reaches_sink_once(self):
         timeline, engine = run_quick(make_chain_dag(4), "DCR", run_s=120, trigger_s=30)
@@ -145,8 +183,8 @@ class TestCcr:
         dag = make_chain_dag(4)
         _, dcr = run_quick(dag, "DCR", run_s=120, trigger_s=30)
         _, ccr = run_quick(dag, "CCR", run_s=120, trigger_s=30)
-        drain = dcr.coordinator.markers[REBALANCE_START] - dcr.coordinator.markers[REQUEST]
-        capture = ccr.coordinator.markers[REBALANCE_START] - ccr.coordinator.markers[REQUEST]
+        drain = phase_times(dcr)[REBALANCE_START] - phase_times(dcr)[REQUEST]
+        capture = phase_times(ccr)[REBALANCE_START] - phase_times(ccr)[REQUEST]
         assert capture < drain
 
     def test_capture_commits_snapshot_with_pending_events(self):
@@ -169,7 +207,7 @@ class TestCcr:
 
     def test_markers_use_capture_done(self):
         _, engine = run_quick(make_chain_dag(3), "CCR", run_s=90, trigger_s=20)
-        markers = engine.coordinator.markers
+        markers = phase_times(engine)
         assert CAPTURE_DONE in markers and DRAIN_DONE not in markers
 
     def test_resumed_events_reach_sink_exactly_once(self):
@@ -182,7 +220,7 @@ class TestCcr:
 class TestDsm:
     def test_source_never_pauses(self):
         _, engine = run_quick(make_chain_dag(3), "DSM", run_s=150, trigger_s=30)
-        markers = engine.coordinator.markers
+        markers = phase_times(engine)
         assert SOURCE_UNPAUSED not in markers
         assert markers[REBALANCE_START] == markers[REQUEST]
 
@@ -239,8 +277,7 @@ ROLLBACK_PINS = {
 
 
 def assert_rolled_back(engine, timeline, pins):
-    observed = (hashlib.sha256(timeline.to_csv().encode()).hexdigest(),
-                engine._actions, engine.clock._calendar._next_seq)
+    observed = (hashlib.sha256(timeline.to_csv().encode()).hexdigest(), *work_of(engine))
     assert observed == pins
     # ROLLBACK discarded every record prepared for the abandoned checkpoint.
     ckpt = engine.coordinator.migration_ckpt
@@ -256,9 +293,8 @@ class TestRollback:
         engine = SimulationEngine(config)
         engine.clock.schedule_at(20_000, lambda: engine.kill_instance("T2#0"))
         timeline = engine.run()
-        coordinator = engine.coordinator
-        assert coordinator.aborted
-        assert REBALANCE_START not in coordinator.markers
+        assert engine.coordinator.aborted
+        assert REBALANCE_START not in phase_times(engine)
         assert not engine.source.paused
         # The survivors resumed processing after the rollback.
         post_abort = [r for r in timeline.records
@@ -288,7 +324,7 @@ class TestRebalance:
                                identity=True)
         engine = SimulationEngine(config)
         timeline = engine.run()
-        markers = engine.coordinator.markers
+        markers = phase_times(engine)
         assert markers[REBALANCE_DONE] - markers[REBALANCE_START] == 7260
         assert not engine.kill_snapshots
         assert not list(timeline.replays())
@@ -312,5 +348,5 @@ class TestRebalance:
 
         engine.respawn_instance = spy
         engine.run()
-        done = engine.coordinator.markers[REBALANCE_DONE]
+        done = phase_times(engine)[REBALANCE_DONE]
         assert all(t == done + 3000 for t in ready_at.values())

@@ -11,9 +11,10 @@ from conftest import (
     make_scenario,
     selective_chain_dag,
     shuffle_split_dag,
+    work_of,
 )
 from flowmigrate import _kernels, runtime
-from flowmigrate.errors import FlowMigrateError, InvariantViolation
+from flowmigrate.errors import ConfigError, FlowMigrateError, InvariantViolation
 from flowmigrate.metrics import (
     REPLAY,
     SINK_EXIT,
@@ -202,9 +203,9 @@ class TestClock:
 
     def test_negative_network_delay_rejected_at_construction(self):
         # Deliveries push now + networkDelayMs unchecked; a hand-built config
-        # skips validate_scenario, so the engine checks the delay itself.
+        # skips the loader, so the engine validates the scenario itself.
         config = make_scenario(make_chain_dag(3), "DCR")
-        with pytest.raises(InvariantViolation, match="networkDelayMs"):
+        with pytest.raises(ConfigError, match="non-negative"):
             SimulationEngine(dataclasses.replace(config, networkDelayMs=-5))
 
     def test_zero_service_time_rejected_at_construction(self):
@@ -212,9 +213,18 @@ class TestClock:
         dag = config.dag
         tasks = tuple(dataclasses.replace(t, serviceTimeMs=0) if t.taskId == "T2" else t
                       for t in dag.tasks)
-        with pytest.raises(InvariantViolation, match="task T2: serviceTimeMs"):
+        with pytest.raises(ConfigError, match="task T2: serviceTimeMs"):
             SimulationEngine(dataclasses.replace(
                 config, dag=dataclasses.replace(dag, tasks=tasks)))
+
+    def test_dead_end_rejected_at_construction(self):
+        # Every task but a sink has an out-edge, so the router always sends.
+        config = make_scenario(make_chain_dag(3), "DCR")
+        dag = config.dag
+        dead = dataclasses.replace(dag, tasks=dag.tasks + (TaskDef("dead"),),
+                                   edges=dag.edges + (Edge("T1", "dead"),))
+        with pytest.raises(ConfigError, match="reaches no sink: dead"):
+            SimulationEngine(dataclasses.replace(config, dag=dead))
 
 
 class TestRunLoop:
@@ -251,8 +261,8 @@ class TestRunLoop:
         assert engine.clock._calendar._next_seq == 341_213
         assert misshapen == []
         assert fired_by >= {"_source_tick", "_arrive", "_complete_service", "_sweep_tick",
-                            "_trigger_migration", "_periodic_tick", "_prepare_done",
-                            "_commit_persisted", "_rebalance_done", "respawn_instance",
+                            "_trigger_migration", "_periodic_tick", "_slot_released",
+                            "_rebalance_done", "respawn_instance",
                             "_check_init"}
 
     def test_overrides_set_before_run_see_every_event(self):
@@ -477,7 +487,7 @@ class TestSoleTarget:
         engine.rewire_channels()
         assert engine.instances["T2#0"] is target
         assert engine.instances["T1#0"].sole_edge == (target,)
-        engine.initialize_instance(target, 1, None, None)
+        engine.initialize_instance(target, 1, None)
         env = make_event()
         engine._arrive(env, engine.instances["T1#0"])
         fire_next(engine)
@@ -501,7 +511,7 @@ class TestSoleTarget:
             sent += targets(2)
             engine.kill_instance("T3#0")
             engine.respawn_instance("T3#0")
-            engine.initialize_instance(inst, 1, None, None)
+            engine.initialize_instance(inst, 1, None)
             return sent + targets(3)
 
         assert sequence(use_router=False) == sequence(use_router=True) == [
@@ -631,7 +641,7 @@ class TestKillRespawn:
         inst.queue.append(EventEnvelope(1, 1, 0, DATA, 0, False, 0))
         engine._pump(inst)
         assert inst.preInit and inst.in_service is None
-        engine.initialize_instance(inst, 1, None, None)
+        engine.initialize_instance(inst, 1, None)
         assert inst.initialized and inst.status == RUNNING
         assert inst.in_service is not None  # buffered event went into service
 
@@ -656,7 +666,7 @@ class TestKillRespawn:
     def test_kill_cancels_a_scheduled_checkpoint_step(self, kind, respawn):
         # A DSM checkpoint: a sequential PREPARE wave, then its COMMIT
         # wave.  T1#0 is killed while it prepares or persists, so its
-        # scheduled _prepare_done or _commit_persisted must do nothing.
+        # scheduled _slot_released must do nothing.
         engine = quick_engine(strategy="DSM")
         inst = engine.instances["T1#0"]
         engine.coordinator.start_wave(PREPARE, SEQUENTIAL, 1)
@@ -687,7 +697,7 @@ def outcome(engine):
     """What a finished run must reproduce: timeline and report bytes,
     actions fired and calendar pushes."""
     return (engine.timeline.to_csv(), compute_report(engine.timeline, engine.config).to_json(),
-            engine._actions, engine.clock._calendar._next_seq)
+            *work_of(engine))
 
 
 @functools.cache
@@ -1008,8 +1018,7 @@ def observed_work(config, report_pinned=True):
     report = None
     if report_pinned:
         report = hashlib.sha256(compute_report(timeline, config).to_json().encode()).hexdigest()
-    return (hashlib.sha256(timeline.to_csv().encode()).hexdigest(), report,
-            engine._actions, engine.clock._calendar._next_seq)
+    return (hashlib.sha256(timeline.to_csv().encode()).hexdigest(), report, *work_of(engine))
 
 
 class TestPinnedTimelines:
