@@ -8,7 +8,6 @@ tracks causal trees for at-least-once delivery.  Both are deterministic
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 
 # ack() result codes
@@ -23,44 +22,28 @@ class EventCalendar:
 
     Sequence numbers are assigned on push, so actions scheduled for the
     same millisecond fire in insertion order.  Payloads are never compared.
-
-    Two levels: a push for the current millisecond (the latest fire time
-    popped) joins a FIFO lane; any other push goes to a min-heap.  A heap
-    entry at or before the current millisecond was pushed before any lane
-    entry (the lane fills only once that millisecond is current), so
-    popping those heap entries first, then the lane, then advancing along
-    the heap is exact (time, seq) order.  Zero-delay actions skip the heap.
+    One binary heap holds every entry.  Most zero-delay data hops never
+    reach it: the engine serves them in the sending action (see
+    SimulationEngine.deliver).
     """
 
-    __slots__ = ("_heap", "_fifo", "_now", "_next_seq")
+    __slots__ = ("_heap", "_next_seq")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, object]] = []
-        self._fifo: deque[tuple[int, int, object]] = deque()
-        self._now = 0
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._fifo)
+        return len(self._heap)
 
     def push(self, fire_ms: int, payload: object) -> int:
         seq = self._next_seq
         self._next_seq = seq + 1
-        if fire_ms == self._now:
-            self._fifo.append((fire_ms, seq, payload))
-        else:
-            heappush(self._heap, (fire_ms, seq, payload))
+        heappush(self._heap, (fire_ms, seq, payload))
         return seq
 
     def pop(self) -> tuple[int, int, object]:
-        heap = self._heap
-        if heap and heap[0][0] <= self._now:
-            return heappop(heap)
-        if self._fifo:
-            return self._fifo.popleft()
-        entry = heappop(heap)  # IndexError when the calendar is empty
-        self._now = entry[0]
-        return entry
+        return heappop(self._heap)  # IndexError when the calendar is empty
 
 
 class AckerTable:

@@ -41,6 +41,7 @@ KILLED = "KILLED"
 RESPAWNING = "RESPAWNING"
 
 _MAX_ACTIONS = 200_000_000  # hard stop against runaway schedules
+_RUNAWAY = "action budget exceeded; runaway schedule"
 _TRANSPORT_RETRY_MS = 500  # reconnect cadence toward a starting worker
 # Cap on unacked roots when data acking is on: the source defers paced
 # emissions beyond it, as a real spout's pending limit would.
@@ -141,7 +142,7 @@ class TaskInstanceRuntime:
         "sel_frac", "sole_edge", "sole_sent", "status", "initialized", "captureFlag",
         "queue", "pendingList", "preInit", "in_service", "generation", "state",
         "rr_edges", "rr_targets", "barrier_counts", "deferred_acks",
-        "last_restored_ckpt",
+        "last_restored_ckpt", "in_flight",
     )
 
     def __init__(self, inst_id: str, task, is_sink: bool) -> None:
@@ -173,6 +174,10 @@ class TaskInstanceRuntime:
         self.barrier_counts: dict[int, int] = {}
         self.deferred_acks: list[tuple[int, int]] = []
         self.last_restored_ckpt = -1
+        # Arrivals to this instance in the calendar (see
+        # SimulationEngine.deliver); a kill or respawn keeps the count,
+        # because those arrivals still fire.
+        self.in_flight = 0
 
     def reset_routing(self) -> None:
         self.rr_edges = 0
@@ -200,7 +205,7 @@ class SourceRuntime:
     """Paced root-event emitter with pause/backlog/burst semantics."""
 
     __slots__ = ("paused", "backlog", "root_cache", "next_seq", "next_tick",
-                 "rr_edges", "rr_targets")
+                 "rr_edges", "rr_targets", "sole_edge", "sole_sent")
 
     def __init__(self) -> None:
         self.paused = False
@@ -210,6 +215,11 @@ class SourceRuntime:
         self.next_tick = 0  # pacing ticks, advanced per period
         self.rr_edges = 0
         self.rr_targets: dict[int, int] = {}
+        # As on TaskInstanceRuntime: the one edge every root takes, if any.
+        self.sole_edge: tuple[TaskInstanceRuntime, ...] | None = None
+        self.sole_sent = 0
+
+    reset_routing = TaskInstanceRuntime.reset_routing
 
 
 class SimClock:
@@ -302,9 +312,10 @@ class SimulationEngine:
         objects is safe: respawn resets them in place.
 
         A task with no DUPLICATE edge and one SHUFFLE edge has no edge to
-        choose: its instances get that edge's targets as ``sole_edge``, and
-        ``_complete_service`` hands children to them in turn, in the order
-        ``_route_emission`` would (a single target is the length-1 case).
+        choose: its instances (or the source) get that edge's targets as
+        ``sole_edge``, and ``_complete_service`` (or ``_send_root``) hands
+        events to them in turn, in the order ``_route_emission`` would (a
+        single target is the length-1 case).
         """
         targets_of = {tid: tuple(self.instances[iid] for iid in ids)
                       for tid, ids in self.instances_of.items()}
@@ -322,11 +333,12 @@ class SimulationEngine:
                 fed_by_source.add(e.toTask)
             else:
                 upstream[e.toTask] = upstream.get(e.toTask, 0) + len(targets_of[e.fromTask])
-        for tid, ids in self.instances_of.items():
+        senders = [(self.source_task_id, self.source)]
+        senders += [(inst.task.taskId, inst) for inst in self.instances.values()]
+        for tid, sender in senders:
             lanes = shuffle.get(tid, ())
             if tid not in dup and len(lanes) == 1:
-                for iid in ids:
-                    self.instances[iid].sole_edge = lanes[0][1]
+                sender.sole_edge = lanes[0][1]
         tasks = [self.source_task_id, *self.instances_of]
         self._plans = {tid: (tuple(dup.get(tid, ())), tuple(shuffle.get(tid, ())))
                        for tid in tasks}
@@ -430,24 +442,24 @@ class SimulationEngine:
         self.coordinator.on_run_start()
 
     def _fire(self) -> None:
-        """Fire actions in (time, seq) order until the calendar is empty."""
+        """Fire actions in (time, seq) order until the calendar is empty.
+
+        ``_actions`` counts each fired action, and each arrival that
+        ``deliver`` hands over inside one, against the budget.
+        """
         clock = self.clock
         pop = clock._calendar.pop
         max_actions = _MAX_ACTIONS
-        actions = self._actions
-        try:
-            while True:
-                try:
-                    fire_ms, _seq, (fn, args) = pop()
-                except IndexError:
-                    break  # the calendar is empty
-                clock.now = fire_ms
-                fn(*args)
-                actions += 1
-                if actions > max_actions:
-                    raise InvariantViolation("action budget exceeded; runaway schedule")
-        finally:
-            self._actions = actions
+        while True:
+            try:
+                fire_ms, _seq, (fn, args) = pop()
+            except IndexError:
+                break  # the calendar is empty
+            clock.now = fire_ms
+            fn(*args)
+            self._actions += 1
+            if self._actions > max_actions:
+                raise InvariantViolation(_RUNAWAY)
 
     def _trigger_migration(self) -> None:
         if self._stage == _PREFIX:
@@ -482,7 +494,18 @@ class SimulationEngine:
             self.acker.register_root(root_id, now)
             src.root_cache[root_id] = env
         self.timeline.record_emit(now, root_id, env.rootSeqNo, env.epoch)
-        self._route_emission(src, self.source_task_id, env)
+        self._send_root(env)
+
+    def _send_root(self, env: EventEnvelope) -> None:
+        """Send an emitted or replayed root along the source's out-edges."""
+        src = self.source
+        sole = src.sole_edge
+        if sole is None:
+            self._route_emission(src, self.source_task_id, env)
+        else:
+            sent = src.sole_sent
+            src.sole_sent = sent + 1
+            self.deliver(env, sole[sent % len(sole)])
 
     def pause_source(self) -> None:
         self.source.paused = True
@@ -522,7 +545,7 @@ class SimulationEngine:
         env = EventEnvelope(original.rootId, original.rootId, original.rootSeqNo,
                             DATA, original.epoch, True, self.now)
         self.timeline.record_replay(self.now, env.rootId, env.rootSeqNo, env.epoch)
-        self._route_emission(self.source, self.source_task_id, env)
+        self._send_root(env)
 
     # -- routing and delivery -------------------------------------------------
 
@@ -571,7 +594,26 @@ class SimulationEngine:
             self._on_root_completed(env.rootId)
 
     def deliver(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
-        self._push(self.clock.now + self.net_delay_ms, (self._arrive_fn, (env, target)))
+        """Send ``env`` to ``target``: its arrival fires ``net_delay_ms`` later.
+
+        A zero-delay DATA hop to a target that takes data now (RUNNING,
+        initialized, not capturing) with no arrival in flight to it arrives
+        at once, in the sender's action: ``_arrive`` runs here and counts
+        as one action, and only what it schedules is pushed.  Every other
+        hop pushes its arrival.  The target's ``in_flight`` count of pushed
+        arrivals keeps its input FIFO: no hop overtakes one in the calendar,
+        so data sent after a barrier arrives after it.
+        """
+        in_flight = target.in_flight
+        target.in_flight = in_flight + 1
+        if (in_flight or self.net_delay_ms or env.kind != DATA or target.status != RUNNING
+                or not target.initialized or target.captureFlag):
+            self._push(self.clock.now + self.net_delay_ms, (self._arrive_fn, (env, target)))
+            return
+        self._actions += 1
+        if self._actions > _MAX_ACTIONS:
+            raise InvariantViolation(_RUNAWAY)
+        self._arrive_fn(env, target)
 
     def _arrive(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
         """Hand a delivered event to its target instance.
@@ -582,8 +624,10 @@ class SimulationEngine:
         that finds it busy joins the queue, which the end of the service
         pumps.  Every other event takes the queue and ``_pump``.  A KILLED
         instance drops the event (a lost DATA event is recovered via ack
-        timeout), and a RESPAWNING one has its DATA retried by the transport.
+        timeout), and a RESPAWNING one has its DATA retried by the transport,
+        which keeps it in flight.
         """
+        target.in_flight -= 1
         if target.status == RUNNING:
             if target.in_service is not None:
                 target.queue.append(env)
@@ -599,6 +643,7 @@ class SimulationEngine:
             # The worker process is starting: the transport holds data and
             # reconnects, while control copies are dropped (wave resends
             # own their recovery).
+            target.in_flight += 1
             self._push(self.clock.now + _TRANSPORT_RETRY_MS, (self._arrive_fn, (env, target)))
 
     # -- instance processing ---------------------------------------------------
@@ -715,8 +760,7 @@ class SimulationEngine:
 
     def rewire_channels(self) -> None:
         """Reset routing counters after a rebalance rewires the dataflow."""
-        self.source.rr_edges = 0
-        self.source.rr_targets.clear()
+        self.source.reset_routing()
         for inst in self.instances.values():
             inst.reset_routing()
 

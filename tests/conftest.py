@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from flowmigrate import acceptance
@@ -23,6 +25,17 @@ def phase_times(engine) -> dict[str, int]:
     """``{phase name: ts}`` of the PHASE rows an engine recorded (the last
     row of a name wins)."""
     return {name: ts for _row, ts, name in engine.timeline.phases}
+
+
+def behaviour_digest(timeline) -> str:
+    """SHA-256 of what a run did, whatever the tie order: its sorted
+    ``(site, rootSeqNo, epoch, replayed)`` rows, then its phases with
+    their timestamps.  Event ids, row order and the timestamps of data
+    rows are left out; a timeline pin covers those."""
+    rows = sorted(zip(timeline.sites, timeline.root_seqs, timeline.epochs, timeline.replayed))
+    digest = hashlib.sha256(repr(rows).encode())
+    digest.update(repr([(ts, name) for _row, ts, name in timeline.phases]).encode())
+    return digest.hexdigest()
 
 
 def work_of(engine) -> tuple[int, int]:

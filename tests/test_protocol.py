@@ -271,8 +271,8 @@ class TestDsm:
 # Timeline SHA-256, actions fired and calendar pushes of the two rolled-back
 # runs below: the one path where a PREPARE wave is abandoned.
 ROLLBACK_PINS = {
-    "DCR": ("6e298734726ef9a03ac76c7707d63c639dd8399832356c71bbc168a0ed82f3cd", 4645, 4645),
-    "CCR": ("38a05365474b844d4b4f89d3c784fe7064c4ef2648531b2efe647bbe9c5f8535", 5049, 5049),
+    "DCR": ("6e298734726ef9a03ac76c7707d63c639dd8399832356c71bbc168a0ed82f3cd", 4645, 3248),
+    "CCR": ("38a05365474b844d4b4f89d3c784fe7064c4ef2648531b2efe647bbe9c5f8535", 5049, 3412),
 }
 
 

@@ -4,11 +4,15 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    behaviour_digest,
     fan_out_join_dag,
     make_chain_dag,
     make_scenario,
+    phase_times,
     selective_chain_dag,
     shuffle_split_dag,
     work_of,
@@ -38,8 +42,10 @@ from flowmigrate.reliability import PREPARED
 from flowmigrate.runtime import (
     COMMIT,
     DATA,
+    INIT,
     KILLED,
     PREPARE,
+    RESPAWNING,
     RUNNING,
     EventEnvelope,
     SimulationEngine,
@@ -58,12 +64,30 @@ def drain(engine):
     return [cal.pop() for _ in range(len(cal))]
 
 
+def spy_sends(engine):
+    """Record each ``(env, target)`` that ``engine.deliver`` is given from
+    now on, in send order, and deliver it; returns the record."""
+    sent = []
+    deliver = engine.deliver
+
+    def spy(env, target):
+        sent.append((env, target))
+        deliver(env, target)
+
+    engine.deliver = spy
+    return sent
+
+
 def serve(engine, inst, env):
     """Complete ``env``'s service at ``inst`` by hand; the ``(child,
-    target)`` deliveries it made, in send order."""
+    target)`` deliveries it made, in send order.  What they scheduled is
+    dropped unfired."""
+    sent = spy_sends(engine)
     inst.in_service = env
     engine._complete_service(inst, env, inst.generation)
-    return [args for _t, _s, (_fn, args) in drain(engine)]
+    del engine.deliver
+    drain(engine)
+    return sent
 
 
 def fire_next(engine):
@@ -258,7 +282,7 @@ class TestRunLoop:
         config = with_overrides(load_bundled_scenario("grid_scalein"), strategy="DSM")
         engine = SimulationEngine(config)
         engine.run()
-        assert engine.clock._calendar._next_seq == 341_213
+        assert work_of(engine) == (341_213, 178_106)
         assert misshapen == []
         assert fired_by >= {"_source_tick", "_arrive", "_complete_service", "_sweep_tick",
                             "_trigger_migration", "_periodic_tick", "_slot_released",
@@ -297,6 +321,16 @@ class TestRunLoop:
             engine.run()
         assert engine._actions == 1001
 
+    def test_a_hop_that_arrives_at_once_counts_against_the_budget(self, monkeypatch):
+        # The excess action may be a zero-delay hop arriving inside its
+        # sender's action: the guard stops it there, unserved.
+        monkeypatch.setattr(runtime, "_MAX_ACTIONS", 0)
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        with pytest.raises(InvariantViolation, match="action budget"):
+            engine.deliver(make_event(), inst)
+        assert engine._actions == 1 and inst.in_service is None
+
 
 class TestDelivery:
     def test_zero_delay_keeps_send_order(self):
@@ -305,11 +339,42 @@ class TestDelivery:
         events = [EventEnvelope(i, i, i, DATA, 0, False, 0) for i in (1, 2, 3)]
         for env in events:
             engine.deliver(env, inst)
-        for _ in events:  # the three arrivals; no service completes at 0 ms
-            fire_next(engine)
-        # The first event found T1 idle and went into service; the others
-        # queued behind it in send order.
+        # Each zero-delay hop arrived in this action: the first event found
+        # T1 idle and went into service; the others queued behind it in
+        # send order.
         assert [inst.in_service.eventId] + [e.eventId for e in inst.queue] == [1, 2, 3]
+
+    def test_data_sent_after_a_barrier_arrives_after_it(self, monkeypatch):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        seen = []
+        monkeypatch.setattr(engine.coordinator, "on_control_event",
+                            lambda i, e: seen.append(e))
+        barrier, data = make_event(1, kind=PREPARE), make_event(2)
+        engine.deliver(barrier, inst)
+        engine.deliver(data, inst)  # the barrier's arrival is in flight
+        assert inst.in_service is None and inst.in_flight == 2
+        fire_next(engine)
+        assert seen == [barrier] and inst.in_service is None
+        fire_next(engine)
+        assert inst.in_service is data and inst.in_flight == 0
+        later = make_event(3)
+        engine.deliver(later, inst)  # nothing in flight: it arrives at once
+        assert list(inst.queue) == [later]
+        assert len(engine.clock._calendar) == 1  # the data's completion
+
+    def test_a_transport_retry_stays_in_flight(self):
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        engine.kill_instance("T1#0")
+        engine.mark_respawning("T1#0")
+        engine.deliver(make_event(1), inst)
+        fire_next(engine)  # T1 is starting: the transport retries
+        assert inst.in_flight == 1
+        engine.respawn_instance("T1#0")
+        engine.initialize_instance(inst, 1, None)
+        engine.deliver(make_event(2), inst)  # a retry is in flight: pushed
+        assert inst.in_service is None and inst.in_flight == 2
 
     def test_delivery_to_killed_instance_dropped(self):
         config = make_scenario(make_chain_dag(3), "DSM", run_s=120, trigger_s=110)
@@ -335,6 +400,61 @@ def make_event(event_id: int = 1, kind: str = DATA) -> EventEnvelope:
     return EventEnvelope(event_id, event_id, 0, kind, 0, False, 0)
 
 
+class TestSendOrder:
+    """Zero-delay hops that arrive in their sender's action keep every
+    instance's input in send order."""
+
+    @pytest.mark.parametrize("scenario,strategy", [
+        ("linear_scalein", "DCR"), ("linear_scalein", "CCR"), ("diamond_scalein", "DSM")])
+    def test_each_instance_receives_in_send_order(self, scenario, strategy):
+        # Through a whole migration: checkpoint waves, kills, respawns and
+        # INIT.  A transport retry re-sends an event by design, so the
+        # events retried are left out of both sequences.
+        engine = SimulationEngine(with_overrides(load_bundled_scenario(scenario),
+                                                 strategy=strategy))
+        sent, received, retried = {}, {}, set()
+        deliver, arrive = engine.deliver, engine._arrive
+
+        def spy_deliver(env, target):
+            sent.setdefault(target.instanceId, []).append(env)
+            deliver(env, target)
+
+        def spy_arrive(env, target):
+            if target.status == RESPAWNING and env.kind == DATA:
+                retried.add(env)
+            received.setdefault(target.instanceId, []).append(env)
+            arrive(env, target)
+
+        engine.deliver = spy_deliver
+        engine._arrive = spy_arrive
+        engine.run()
+        assert "ALL_INIT_ACKED" in phase_times(engine) and engine.kill_snapshots
+        assert {env.kind for events in sent.values() for env in events} == {
+            DATA, PREPARE, COMMIT, INIT}
+        assert work_of(engine)[1] < engine._actions  # some hops arrived at once
+        for inst_id, events in sent.items():
+            assert ([env for env in received[inst_id] if env not in retried]
+                    == [env for env in events if env not in retried]), inst_id
+
+    @settings(max_examples=20, deadline=None)
+    @given(dag=st.one_of(
+               st.builds(make_chain_dag, st.integers(1, 4),
+                         st.sets(st.integers(1, 4)).map(tuple), st.integers(1, 2)),
+               st.builds(fan_out_join_dag)),
+           strategy=st.sampled_from(["DCR", "CCR"]),
+           trigger_ms=st.integers(1, 30_000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_zero_delay_migration_delivers_exactly_once(self, dag, strategy,
+                                                        trigger_ms, seed):
+        config = make_scenario(dag, strategy, run_s=60, trigger_s=trigger_ms / 1000,
+                               seed=seed)
+        timeline, engine = run_scenario(config)
+        assert "ALL_INIT_ACKED" in phase_times(engine)
+        assert not exactly_once_audit(timeline, dag)
+        assert not any(True for _ in timeline.replays())
+        assert run_scenario(config)[0].to_csv() == timeline.to_csv()
+
+
 class TestArrive:
     """Every branch of ``_arrive``: the idle fast path and the queue path."""
 
@@ -343,8 +463,7 @@ class TestArrive:
         inst = engine.instances["T1#0"]
         engine.clock.now = 1_000
         env = make_event()
-        engine.deliver(env, inst)
-        assert fire_next(engine) == 1_000  # the arrival
+        engine.deliver(env, inst)  # a zero-delay hop arrives at once
         assert inst.in_service is env and not inst.queue
         assert len(engine.clock._calendar) == 1
         assert fire_next(engine) == 1_100  # the service completion
@@ -467,13 +586,45 @@ class TestSoleTarget:
         engine = quick_engine()
         assert engine.instances["sink#0"].sole_edge is None
 
+    def test_set_for_the_source_unless_it_duplicates(self):
+        engine = quick_engine()
+        assert engine.source.sole_edge == (engine.instances["T1#0"],)
+        tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("A"), TaskDef("B"), TaskDef("sink"))
+        edges = (Edge("src", "A", DUPLICATE), Edge("src", "B", DUPLICATE),
+                 Edge("A", "sink"), Edge("B", "sink"))
+        dag = DagDef("dup_head", tasks, edges, ("src",), ("sink",))
+        assert quick_engine(dag).source.sole_edge is None
+
+    def test_source_round_robin_matches_the_router_across_rewire(self):
+        tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("T1", instanceCount=2),
+                 TaskDef("sink"))
+        dag = DagDef("wide_head", tasks, (Edge("src", "T1"), Edge("T1", "sink")),
+                     ("src",), ("sink",))
+
+        def sequence(use_router):
+            engine = quick_engine(dag)
+            if use_router:
+                engine.source.sole_edge = None
+            sent = spy_sends(engine)
+            for _ in range(3):
+                engine._emit_root()
+            engine.rewire_channels()
+            for _ in range(2):
+                engine._emit_root()
+            return [to.instanceId for _env, to in sent]
+
+        assert sequence(use_router=False) == sequence(use_router=True) == [
+            "T1#0", "T1#1", "T1#0",  # rewired
+            "T1#0", "T1#1"]
+
     def test_children_are_delivered_to_the_sole_target(self):
         engine = quick_engine()
         sender, target = engine.instances["T1#0"], engine.instances["T2#0"]
         env = make_event()
         engine._arrive(env, sender)
+        sent = spy_sends(engine)
         done = fire_next(engine)  # T1 completes service and emits one child
-        _, _, (_fn, (child, to)) = engine.clock._calendar.pop()
+        (child, to), = sent
         # The one child is the serviced envelope itself, forwarded anew.
         assert to is target and child is env
         assert child.eventId != 1 and child.emitTs == done
@@ -490,8 +641,7 @@ class TestSoleTarget:
         engine.initialize_instance(target, 1, None)
         env = make_event()
         engine._arrive(env, engine.instances["T1#0"])
-        fire_next(engine)
-        fire_next(engine)  # the child's arrival at the sole target
+        fire_next(engine)  # the child arrives at the sole target at once
         assert target.in_service is not None
         assert target.in_service.rootId == env.rootId
 
@@ -540,14 +690,12 @@ class TestEnvelopeOwnership:
         engine = quick_engine(strategy="DSM")
         engine._emit_root()
         (root_id, root), = engine.source.root_cache.items()
-        fire_next(engine)  # the root's arrival at T1 starts its service
         fire_next(engine)  # T1 forwards the root envelope itself to T2
         assert engine.source.root_cache[root_id] is root and root.eventId != root_id
         engine.clock.now = engine.ack_timeout_ms + 1
+        sent = spy_sends(engine)
         engine._sweep_tick()  # the root is overdue: it replays
-        sent = [args[0] for _t, _s, (_fn, args) in drain(engine)
-                if args and isinstance(args[0], EventEnvelope)]
-        replay, = (env for env in sent if env.replayed)
+        replay, = (env for env, _target in sent if env.replayed)
         assert replay is not root
         assert (replay.eventId, replay.rootId, replay.rootSeqNo, replay.epoch) == (
             root_id, root_id, 0, 0)
@@ -651,8 +799,7 @@ class TestKillRespawn:
         # generation tells the stale completion apart.
         engine = quick_engine()
         inst = engine.instances["T1#0"]
-        engine.deliver(make_event(), inst)
-        fire_next(engine)  # the arrival puts the event in service
+        engine.deliver(make_event(), inst)  # arrives at once, into service
         assert inst.in_service is not None
         engine.kill_instance("T1#0")
         if respawn:
@@ -819,104 +966,105 @@ class TestDeterminism:
 # every bundled run the suite cache makes: the ten paper scenarios under
 # DSM, DCR and CCR, plus the 50-task stress scenario under DCR and CCR.
 # They cover DUPLICATE and SHUFFLE routing, data acking, checkpoint waves,
-# kill and respawn.  Engine changes must leave them byte-identical; a
-# model change that alters them must say why.
+# kill and respawn.  A change that alters them must say why; where only
+# same-millisecond tie order or event ids moved, every report pin and
+# PINNED_BEHAVIOUR digest holds.
 PINNED_RUNS = {
     ("linear_scalein", "DSM"): (
-        "d6388d2fd5a420ac577f4e429dfd94afb8ec4e2d1c5d4cc913876d26b30128f3",
+        "b0b9f084232f7d06b3e6d5fde59f151341af81ec425720e18e5d18835c9a6784",
         "2f856b13dc31fefb9d28459556a2afec2c0f3bb61c60dff7bab3bf126a7c738b"),
     ("linear_scalein", "DCR"): (
-        "de2ae8cb7de72e52a67a45e12386694093e30caf745a2886ba46a46dbd681ce7",
+        "f0c00864d34bd7a50c805f50255a62742d23ae37a421db860623a7ecbad4a92b",
         "a529d7e6f31b31fac34a0b8f9e19125b64e8e51f2db59151161b9fed16f6effa"),
     ("linear_scalein", "CCR"): (
-        "cd5ebc3d3b20bdd2aa05e61c73403590ce68cda842b30127d8fdf33639fad1f1",
+        "c5ac32c1413d03c4d151031305416d0d8fe77e0e3adbddfe4a843bfa54dd27e2",
         "1c7d4cb2b59545c87bb1a6555df445ff9cb9dff5f0cd9ac993ab39770c70cceb"),
     ("linear_scaleout", "DSM"): (
-        "37b5a20cf017f1073999075815f9af8bd3ca5fad49af08047913f8104785d2c9",
+        "63793e855f2263aef522b267540fab959020aaf8788831a732edf0de553381f4",
         "ac604bf8f9bc539e4166ac4021a21a7371427fe74747e32479eb8cb79d708961"),
     ("linear_scaleout", "DCR"): (
-        "ab38b01ff3a3a0677032ef0daab5231d69830309a6b22e4477680d453b81b816",
+        "4f41dfb39a4b8633382fde603e352d4ab125e7f32ba0d6b544f2af053d114725",
         "dbcbf80acc732515d2d9e4d7254cc446981d6d3f669d9b4f781ba1b4f4c2fd49"),
     ("linear_scaleout", "CCR"): (
-        "9cd0d61a2b5d987be59993898ee5964ba7caf9c1dcc14edd5373ce93a2da68ec",
+        "1108510e8919a386521efd92e7657597da244bf9de03e6b62c1e5f8e6fab0a5c",
         "a6dd01815e800d860ce74487924f1310f695a72f28837ad688a62c37f4a1bb6d"),
     ("diamond_scalein", "DSM"): (
-        "3f37b780ed3a2022b3e21f95249125126c2acbda47ce6ab27a476769b5a67b13",
+        "18a640e04286cee9180ad2675209c955e859f9be0f9549214ada2f16b1fa8741",
         "cea67cb89d041139967b3f6cfa47f226580d9715b8fd490af8d579da71c437d1"),
     ("diamond_scalein", "DCR"): (
-        "bf9d4d436a1f98b905aebdc63db425b8615af9f96d0516f5098bcb543a103317",
+        "64301ec3ce860e2fe8641cd0ea2d850e9d06b71cf8b67d4742ee0771eb80be8b",
         "8feccb6c590d41e99fb85b93feef20dc6e552987a6a0dce99338efe30aa1a9a4"),
     ("diamond_scalein", "CCR"): (
-        "7d7bfc640356f58a4bce7baa8148ff37b9a7d974d0b0cb09062ade739c7822b4",
+        "82603c86ab94c3c1e96fef2d5ba911970966921f8936d6a60b256e05e6670df8",
         "5b6e7cd69a74e211fb90e2a419af54dcecee93b5423a9d8ccbe4a3c4dcf9989f"),
     ("diamond_scaleout", "DSM"): (
-        "5b422786f89ed1bdf4a2ba899048384a5ca9c09cb55d151ccd413e527ad09ca1",
+        "46b742dbfd0333ae411d530b1b44fe395770e5cb34a56fbb3439fec3ff8efda8",
         "9ffff5f3df8079393000274510cab1102deec2c756cab5a27854577fdd04e8aa"),
     ("diamond_scaleout", "DCR"): (
-        "1be354f983a7a5c4e4a710a93f122231657a0ca91da9d4bb84478864547c6b5f",
+        "dd6e25e62f979e4180ea02f5569f3ca8cf9565e75ec1f459da35b1a950dc8d0a",
         "bc6cc9bca62c6a98d0e8d7650809f5749531b477ef1f6a69b75f412cc01ded24"),
     ("diamond_scaleout", "CCR"): (
-        "c37982e1d90703a04d716e0d97fe1142e95edb1587fa687d9f2467b677451486",
+        "856e9e8ead4a5170e3c66d23367f2d14aebab383076cb4aa734b3ff16c9849e2",
         "4300647463ec186d8bc7636e20cd704e064e383be6871768501031b4f3ad319a"),
     ("star_scalein", "DSM"): (
-        "2c0748209ed160ca21799d65306b31efbfa3f35637806d40daf2279f4a18a906",
+        "d898483a351193662382bf956acc6e2031a2984883f6e0dfc552e79fd8ed8678",
         "3609f43089fc9a5d5c89f107e44cf5582954ce41e204a32249edcaf8a596bff0"),
     ("star_scalein", "DCR"): (
-        "0627486e854c1e324b0a22ed6eaeaaac57e3a6092aaad26e26a380ad022c8c23",
+        "5a9ea504720e6f84b40d3c24fa821541c0fbff9977b18f8ded139ab32d1aebe1",
         "8382f2b7e6c934ec7e75768ff736befbfb8cecbc30c4e6d8caae7bc0a328446c"),
     ("star_scalein", "CCR"): (
-        "3fca5a68e97464e73393f271e65a035a8fd1310a60e8486aff7c8d1631fbaffc",
+        "9b4ce8308b3df62253b32f9a25a9727fc015a0e8aec2533021b7b43dcfbf3744",
         "18fbcd0d6b78a5f36b5ff5f5f0e01af4924f2acc810f9e95262d53609c777de4"),
     ("star_scaleout", "DSM"): (
-        "9f934c4ce320ad5f56664d7b0558666ebca30cab8cfef35597f4ede68ac406ad",
+        "375da3bf7589211c213cb2df46ac9ab29fa4f9c1e5cc5353cb726a7263b92f2e",
         "e22a5a2f8c1b0dc5a04021871ad4aee7f5c85b8f60a680e91af0319bbe363554"),
     ("star_scaleout", "DCR"): (
-        "70e61e71687aaa2e085e74b230374e72f6f16ffa73362cb60b78846b2fcd063a",
+        "6f76d5a0823aca0e679096cee421eac87968c52d5af7f38f08c81d12647300d5",
         "4182d276e22d4b43131f8f0f641ca3fd3839cd94959ba4b3354b52417a4b1d35"),
     ("star_scaleout", "CCR"): (
-        "77ebb7e263377ded5303836c36eeb36e54af31a8eb8865364407c975389d7286",
+        "9d8368958b0392b1aedc289767333e994caebee7b25b910622a1293bfed5d439",
         "e1c503f48d0b8e51933cb6705c6e7cd9ad586434cc8701e02a0ce08ea91b3004"),
     ("grid_scalein", "DSM"): (
-        "a3b0ca0cde06aed397c25480af4c3af35557726356cd23dd3b394d257b505d74",
+        "6e42294b69e5eb52ce2f95e745f5ce3d63d8e046c4f61a07c0f6a11389f08c27",
         "9a69c3ebee423fe79b303250d1cceb762c967e5ddb4815353df365dc5cc2b9d3"),
     ("grid_scalein", "DCR"): (
-        "2279dd6113841b1c9146d3abe135f7e26d345fbcf5c0a4f95b5483681a907381",
+        "ab2ac925545f8ddbf92dbbe6461885aeace9fc3f632ceb46b3b8514a1c2db333",
         "c8e814f60ae59eb2a630fc9366e226274391e5457ccd2eb8c1aec512fb6205ae"),
     ("grid_scalein", "CCR"): (
-        "ec70b2294f0b6206a45a545d1d8855d0b7ebbedc1f7daf18b5c98d60883b1880",
+        "23b6762c2122d5288d3dd6c6c11dd99662a19bec5c4d8e68b5811faaccce6edd",
         "96ae7249ee8401e4afc52df93df21f0aa0db90124297daed5507a193f98f0d98"),
     ("grid_scaleout", "DSM"): (
-        "5d6d8a925870a85e27c7332995a2a130b035d1150227583e2afa6a6c7662e96f",
+        "dbde38d30cb62c0dd0fd786c50d5f70e3fa677aa7940b16b102b43d3c4d3467f",
         "55db9a1ac7e94ee9687c80063a312f9555fc0d5764e36f09068c00487ead99a1"),
     ("grid_scaleout", "DCR"): (
-        "e19949e3f544c8716a89a90acb4d441069de971462a2fb2a8382ae94b2f047f7",
+        "5f2555bd824dc9503d39c172938bb1435949ca1a51c8752186e30e946d1dede1",
         "e12b5b9b048e3590edcc5a3e04dfbe38b92be6dc17b319dc57fdd7973f8ff1e7"),
     ("grid_scaleout", "CCR"): (
-        "4982f1f3e5142ac4edda3b37b399e81315950421d1777a415fae8aa8194175ca",
+        "526fbe0f159a515a3fd5e4f3494c74163ab4e86e1b3fb82b311f8db99f0715eb",
         "d4e4494ebf9ce011bc860bcc0bc92bb6e9b63d7401efbd9c715839654169758a"),
     ("traffic_scalein", "DSM"): (
-        "cee06a49d4d442e40efc51244370d6a439878b28e14cdbc9ed3ab60762f32ea2",
+        "228d1a6a34d935d7307077ceba9d8e501ffc6f404121bbe82ddefb50af6ba443",
         "1a9ea7c2b02fdbea5a3751f76432e857fb4638e5569ef78ff82d42dc9926e424"),
     ("traffic_scalein", "DCR"): (
-        "3320c60a1c2b827e42113543167ddab43ae9af84a5a1628197c9d7ca5d6c62c4",
+        "d832383a2b9b4d66663004fbbaf189d5ef4b376275c384e8c961049b249df61f",
         "75fab4e546762c973976ad7a469b3266774077259e2e741d2fad9da63bb2b26e"),
     ("traffic_scalein", "CCR"): (
-        "f7095450532891a0ce790744181ff8c6afe84017616078ea4591e9e794417527",
+        "740d73aa068aab6c15663bb630b9ea504e5a4118a92d1377d2e4110d2edf52fe",
         "f78e20b9ba05cc5179eb8d1137775aad8a816c7adf40d4c2414e35fe7a9f1eb1"),
     ("traffic_scaleout", "DSM"): (
-        "e4ee732e4ac419c1b7d4e111b11c7bc7eccf8b437bf950f247907073963f24ee",
+        "611c407dfb382cd7461fee92ab58450aa6a69eeb92722019e746c015e26f6be5",
         "7a78e756000167a64cb9b573e44d23d85a530328f55cb7dbef6fa3539c06214a"),
     ("traffic_scaleout", "DCR"): (
-        "08b4e27ee2dda730ff3628a50ccd4faf048475ea61c017a6aa487ebd82097e8e",
+        "e341497a3fe41978c3750b30bf620a760da09f5c2f5bf3802c29c43652813ed7",
         "7d2c50019fe3813b969d76132830d2d3f4220bc96bf15ba470d24d3648be9de9"),
     ("traffic_scaleout", "CCR"): (
-        "b61c43136cf38aa40bde0aab206b34144c72a4460d2e4bb0f4a47576346f0c10",
+        "15711dc8876f26c9d99ef3ff502b3c10c75d7db9a57fdad5713b91148b123351",
         "d0d026b22b94cdb3975aefcd8cf893ccb04b952c44d153c9ea86078047d98688"),
     ("linear50_stress", "DCR"): (
-        "a5c48e830a9a94d42bc0f528293e51036419c54155296c0cfe4bb81c6b6d41f9",
+        "4ce778a3d870f0ac43624db1cd08f5a9133468c8888e07c5918c3d31bd8b9d5a",
         "2017b762fec34b4d9fd33ee7c6cd727d86146244fc6cdd46dc7fc6438443987e"),
     ("linear50_stress", "CCR"): (
-        "c74852376185a488682f456d7e7436fa6919ef6ca7f0f3c2048e3d6e3662af61",
+        "f1c49242d613fda46183819a414e12eb4660ae572364fd5eaa5967c0a7038e2e",
         "f6aefb0465aae1deee232e55384e07cf2088997cb848ad7e49b66b85db61e805"),
 }
 
@@ -935,9 +1083,9 @@ PINNED_WORK = {
         "5800a1a5071e9af8e2f0512f09acdbcdef9bdbafc5dca27dceef023c8dab75b7",
         249_340, 249_340),
     ("grid_scalein", "DSM", 0): (
-        "a3b0ca0cde06aed397c25480af4c3af35557726356cd23dd3b394d257b505d74",
+        "6e42294b69e5eb52ce2f95e745f5ce3d63d8e046c4f61a07c0f6a11389f08c27",
         "9a69c3ebee423fe79b303250d1cceb762c967e5ddb4815353df365dc5cc2b9d3",
-        341_213, 341_213),
+        341_213, 178_106),
 }
 
 # The same four pins for short runs of shapes the bundled runs lack:
@@ -959,17 +1107,17 @@ SHAPES = {
 
 PINNED_SHAPES = {
     ("fan_out_join", "DSM"): (
-        "1881b92c67430b4990f180d1a0defae1121e42034239ea1eb7b36c4d9c74a194",
+        "2cee0c5ca371e31943d5024c75206c32c399c00f5654163c91aa86b153f6206c",
         "656506fa9edc0eb6668854f134d4beb70d257d254556e48794bfa9ff9b4701e1",
-        15_348, 15_348),
+        15_348, 8_168),
     ("fan_out_join", "DCR"): (
-        "e6e61b848f099f0b3ce1a3f85f1a99008593e006953a4f09fd79909152b6083c",
+        "bc1acae4476b91537c51a2531d35599b69e539c6fa153d8eefdd21c23e821d97",
         "60ff07fd13f3b5e7b1cc296381ac6c71b710e2b99002a4fa93b6ceed67f66701",
-        10_856, 10_856),
+        10_856, 5_816),
     ("fan_out_join", "CCR"): (
-        "93d1f3598af0fd9454c9c17b48e3d125229fc2fa2ee2b57e59e6c0f8d3ca2a20",
+        "47f234b0f947b6349e5e6d62f33800268a6ab31cbce9e8cb0a4a66bd54f08a4b",
         "b4043d25aed3b6afd27ec501c65dd49192584cac08513d974b59bda4d842b114",
-        10_858, 10_858),
+        10_858, 5_818),
     ("shuffle_split_7ms", "DSM"): (
         "d87a4acc87769f12fbfc40cd7e45f71bea003f438930f7951246ef7c49f9e746",
         "c05955ba7cf3310c81859f023206a62c5aaf991417528dba83f91341942050f8",
@@ -983,48 +1131,154 @@ PINNED_SHAPES = {
         "8eb28883ad56d3f1249329bb066321a3a965c27a110610bbced1a53dfafaeb02",
         5_079, 5_079),
     ("selectivity_2", "DSM"): (
-        "3a3a4e3a9611dcb59804095c0528f398804d14b269b4e8dd9c8f904b339e89a8",
+        "e7b677db05d3e709f18ae6742c69f4204886b6eeb1472bf9189ec813a4fcd25a",
         "6910192d35c9ec05380ecc12658e753e44fe12760baf2b671a46647b2741ff88",
-        10_807, 10_807),
+        10_807, 5_895),
     ("selectivity_2", "DCR"): (
-        "914481ea9947ab94356315f19be803adacf22a2df5f7cf3e39cfa3f4f5898f65",
+        "e2998b49c05dc6645667e508ad2929f17cfdfd33a75c15700bcf6831e6b460e5",
         "7ac5d33b78a6ccb99dc9604daf62f2413a57b59c3b9ae8d731d14e06212d39f3",
-        7_962, 7_962),
+        7_962, 4_362),
     ("selectivity_2", "CCR"): (
-        "8abf98448c862d3b7068e8e02aa28839a654d7da21a1e38c0cb8fec6f0ab4722",
+        "8bdf266b6f4a6d235ef92054a4e6d40b166718e04f241b441c0017b9320e1747",
         "ac93aa8c689db296f0232cccce3b77ce88b6be22c95a4ff2c1787a3de6760e54",
-        7_965, 7_965),
+        7_965, 4_365),
     ("selectivity_1.5", "DSM"): (
-        "e5faa9144bf650dfbcf08eecb47713fe65d0bf21aba36c8bdebac95cbfe5e648", None,
-        8_753, 8_753),
+        "e88c1431ac5b52f27b6c75229fdc0ff26e2af3f5214671853bf41e1e7afc1e84", None,
+        8_769, 4_876),
     ("selectivity_1.5", "DCR"): (
-        "27a6f38cf2c90afc6534e252b61578d43cc44b290611a940f1f473b4799034cc", None,
-        6_616, 6_616),
+        "4d6a22d3b5aa0036a0843f562cfc85cff59437f4d9ae809882cc1a638bdd994f", None,
+        6_596, 3_682),
     ("selectivity_1.5", "CCR"): (
-        "4b588844119699984ff0c2285a9a1a03260b85f67411496ed2ad5c1e63d16040", None,
-        6_565, 6_565),
+        "d1a4293b3bf7c0264dce0e7bb851f9ce5320c4589f50bd4ec3da98f6b65b379a", None,
+        6_609, 3_687),
     ("linear_scalein_ack10", "DSM"): (
-        "112dcfcce473e181f7aabbb235de40cb7cc2405a5a2d1e66f30044bb54c43a8d",
+        "8ef1aa15f413be19ccc06eea447d57688c459751c070e939250caba6c6aa95fd",
         "30d0fda6dfb4ca96aa769b96508125195bc87335a2b031f3c4b81d6af1eb2e40",
-        265_263, 265_263),
+        265_263, 148_190),
+}
+
+
+# conftest.behaviour_digest of each pinned run and shape: what the run did
+# (its sorted (site, rootSeqNo, epoch, replayed) rows and its timed phases),
+# apart from event ids and tie order: a change that only reorders
+# same-millisecond ties, or draws ids in another order, keeps it.
+PINNED_BEHAVIOUR = {
+    ("diamond_scalein", "CCR"):
+        "1adc7fbeea88df23f151f53a356c5c4b74f375d772f1fc38f1d5af0339b898f9",
+    ("diamond_scalein", "DCR"):
+        "9d0437516ab9767f5fd027bab0f95506bb02bd0bbb752dac0944c57e049950a8",
+    ("diamond_scalein", "DSM"):
+        "8acd4bdcd80b6b88bad034b36f49dd6340a837c783f2828f998d660f3c7e6a2b",
+    ("diamond_scaleout", "CCR"):
+        "1bfde8e0157ff923f701bcf825254f779057bd4ba74abd7778c8ae9db35db861",
+    ("diamond_scaleout", "DCR"):
+        "668d6e5c5c02168acd7d392a24a5517202ea7b16e55366a233f852b1a1c82946",
+    ("diamond_scaleout", "DSM"):
+        "8acd4bdcd80b6b88bad034b36f49dd6340a837c783f2828f998d660f3c7e6a2b",
+    ("grid_scalein", "CCR"):
+        "7948719d2413a909f60eb65cba58fe9117a279a3d142859e0376dce8787c8bcc",
+    ("grid_scalein", "DCR"):
+        "6be363d3e6a06a7f6d9e2d1296c3454d57b5d6d0d0bf0eca2c112554a58eeb82",
+    ("grid_scalein", "DSM"):
+        "9d3cec7f5b1ff919f0c2f647388537226a31651af571d8825fc76e6a62a4837b",
+    ("grid_scaleout", "CCR"):
+        "7948719d2413a909f60eb65cba58fe9117a279a3d142859e0376dce8787c8bcc",
+    ("grid_scaleout", "DCR"):
+        "59bbfc4ae62e57d28154e4573ec4e41cec3f48523115500d352e89d4142d9d9d",
+    ("grid_scaleout", "DSM"):
+        "9d3cec7f5b1ff919f0c2f647388537226a31651af571d8825fc76e6a62a4837b",
+    ("linear50_stress", "CCR"):
+        "0612e7493579dd9e8944e1936ee44aea2dfc2d59076ac6e74ec73a6978c21cc7",
+    ("linear50_stress", "DCR"):
+        "4e69903237bec418fc5a221489658f6fa7dc423aacef7f546dcbb1f9503067cd",
+    ("linear_scalein", "CCR"):
+        "382599cc3f0a886f4045658af502f419f7627416bbd740b450108dd8588a309b",
+    ("linear_scalein", "DCR"):
+        "ac90f536ab9545c2a1a7acde17b5e58495f50e9c9b06a6316c05a368ebf88cd9",
+    ("linear_scalein", "DSM"):
+        "f5bf2b8cc9d23536a53fcc2e2b3eaba916e6c28a378539f73fc84266d90026ee",
+    ("linear_scaleout", "CCR"):
+        "7287cadfe5813af0e66d957eafcb6b8aa5614c3f2289f8499f1e99a14373e247",
+    ("linear_scaleout", "DCR"):
+        "b0bbe62f23d43931136909463ec11f2ab99f449b723297cf2b7cd241a29cd043",
+    ("linear_scaleout", "DSM"):
+        "f5bf2b8cc9d23536a53fcc2e2b3eaba916e6c28a378539f73fc84266d90026ee",
+    ("star_scalein", "CCR"):
+        "871401e93a5d48066a390e6f96da0d7cbdaaf43aabbf6abcc4fc72f6ac4c31ed",
+    ("star_scalein", "DCR"):
+        "3f5f410cf44a2ee535c4cae688cff3d2c0222ebda85e15b4a05323fbf2f385b9",
+    ("star_scalein", "DSM"):
+        "06e191a7038a123c0218c72e6f6eabb32c2a2e0df782da3b675954edf10cc70f",
+    ("star_scaleout", "CCR"):
+        "871401e93a5d48066a390e6f96da0d7cbdaaf43aabbf6abcc4fc72f6ac4c31ed",
+    ("star_scaleout", "DCR"):
+        "c6e330209b7f508c2438591fe9eab30a6ce16b8df4e7adf064228722e1b9f25c",
+    ("star_scaleout", "DSM"):
+        "06e191a7038a123c0218c72e6f6eabb32c2a2e0df782da3b675954edf10cc70f",
+    ("traffic_scalein", "CCR"):
+        "bd46a4f03f00a9eddbec4591b805b80b59a20fca3fe1b1b63e0730d60c601779",
+    ("traffic_scalein", "DCR"):
+        "744d058c1d1203f9c794411e0627171a1076698e28fc41b59d20e9adc2b90d49",
+    ("traffic_scalein", "DSM"):
+        "f365ec0a173a8adc746703f5a8a196451ce8b371168ffb99dc5bcece549b6485",
+    ("traffic_scaleout", "CCR"):
+        "bd46a4f03f00a9eddbec4591b805b80b59a20fca3fe1b1b63e0730d60c601779",
+    ("traffic_scaleout", "DCR"):
+        "e4b63d017c69c03a871c84972af190098eeaef5571e277ca506afc812a71db27",
+    ("traffic_scaleout", "DSM"):
+        "f365ec0a173a8adc746703f5a8a196451ce8b371168ffb99dc5bcece549b6485",
+}
+
+# The selectivity_1.5 shapes are the exception: each completion there
+# draws a coin flip from the run's generator, so serving events in another
+# order flips other coins, and a tie-order change moves their digests too.
+SHAPE_BEHAVIOUR = {
+    ("fan_out_join", "CCR"):
+        "2477fb0daf4eb08497761bdc236f665eaab73cafd8f37ad26704cfa84c89f070",
+    ("fan_out_join", "DCR"):
+        "c79d58064f527064a120a5156dfcf41f91daf2273fb1e97cbee89cfe21be8605",
+    ("fan_out_join", "DSM"):
+        "1c47a58e3f684f76357e66b0f798f8774db43fa7ba3218eb4af540bc89dddfb1",
+    ("linear_scalein_ack10", "DSM"):
+        "f58cf6c634b5b7502f2cad5c9f1d470b9d79da67a9ac20873342b41c171e4e66",
+    ("selectivity_1.5", "CCR"):
+        "3963a1b146a282e251c22922e0172d111b228d157fa3c2968747eadba3a3fa88",
+    ("selectivity_1.5", "DCR"):
+        "be2af186c9b6ea9e19c36ff77e4f15767929266591ab2cbc2b5320781a82697d",
+    ("selectivity_1.5", "DSM"):
+        "506a09965ddee958d71ccbd45b6011339cada169a2734feb00f25d5d2d92ec02",
+    ("selectivity_2", "CCR"):
+        "5dab0fbcd11c0ab06b47b1b6f1b89bd877f4eeaa52f91a5484008171944dc498",
+    ("selectivity_2", "DCR"):
+        "d65c61ffcc02ac3510a797d5e88f73dbf41b25cdbfb72e53ab3e460b3c56a44f",
+    ("selectivity_2", "DSM"):
+        "b08cec43b22a18feaef5f3b061c3a39b11654516643806855ff493e9b0afadf0",
+    ("shuffle_split_7ms", "CCR"):
+        "c35a2173c2f5200d010d569b53971140017828bca5102de372ad9d713fedd8e1",
+    ("shuffle_split_7ms", "DCR"):
+        "59af6fc855e8033da33257ebd402fe3e71ee914e55b82378240b9c23163020a7",
+    ("shuffle_split_7ms", "DSM"):
+        "ab6e038fb4c282fcc05952c2f2a6c0f665d5ccf65adb205cd310d2d4aa7bbc6b",
 }
 
 
 def observed_work(config, report_pinned=True):
     """Timeline and report SHA-256 (None unless ``report_pinned``), actions
-    and calendar pushes of one run of ``config``."""
+    and calendar pushes of one run of ``config``, and its behaviour digest."""
     engine = SimulationEngine(config)
     timeline = engine.run()
     report = None
     if report_pinned:
         report = hashlib.sha256(compute_report(timeline, config).to_json().encode()).hexdigest()
-    return (hashlib.sha256(timeline.to_csv().encode()).hexdigest(), report, *work_of(engine))
+    return ((hashlib.sha256(timeline.to_csv().encode()).hexdigest(), report, *work_of(engine)),
+            behaviour_digest(timeline))
 
 
 class TestPinnedTimelines:
     @pytest.mark.parametrize("scenario,strategy", sorted(PINNED_RUNS))
     def test_bundled_run_bytes_unchanged(self, suite_cache, scenario, strategy):
         run = suite_cache.get(scenario, strategy)
+        assert behaviour_digest(run.timeline) == PINNED_BEHAVIOUR[scenario, strategy]
         digests = (hashlib.sha256(run.timeline.to_csv().encode()).hexdigest(),
                    hashlib.sha256(run.report.to_json().encode()).hexdigest())
         assert digests == PINNED_RUNS[scenario, strategy]
@@ -1033,10 +1287,12 @@ class TestPinnedTimelines:
     def test_run_bytes_and_work_unchanged(self, scenario, strategy, delay_ms):
         config = with_overrides(load_bundled_scenario(scenario), strategy=strategy,
                                 networkDelayMs=delay_ms)
-        assert observed_work(config) == PINNED_WORK[scenario, strategy, delay_ms]
+        assert observed_work(config)[0] == PINNED_WORK[scenario, strategy, delay_ms]
 
     @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
     def test_shape_bytes_and_work_unchanged(self, shape, strategy):
         pinned = PINNED_SHAPES[shape, strategy]
         config = SHAPES[shape](strategy)
-        assert observed_work(config, report_pinned=pinned[1] is not None) == pinned
+        work, behaviour = observed_work(config, report_pinned=pinned[1] is not None)
+        assert behaviour == SHAPE_BEHAVIOUR[shape, strategy]
+        assert work == pinned
