@@ -4,6 +4,10 @@ Two data structures dominate the inner loop of every run: the time-ordered
 action calendar that drives the virtual clock, and the XOR hash table that
 tracks causal trees for at-least-once delivery.  Both are deterministic
 (same pop order, same sweep results), so runs are bit-reproducible.
+
+The calendar groups its entries by fire time: most pushes land on a
+millisecond that already waits (a degenerate calendar queue, Brown, CACM
+1988), so only a push to a new millisecond touches a heap.
 """
 
 from __future__ import annotations
@@ -22,28 +26,75 @@ class EventCalendar:
 
     Sequence numbers are assigned on push, so actions scheduled for the
     same millisecond fire in insertion order.  Payloads are never compared.
-    One binary heap holds every entry.  Most zero-delay data hops never
-    reach it: the engine serves them in the sending action (see
-    SimulationEngine.deliver).
+
+    Entries wait in one list per millisecond, in push order; a heap holds
+    only the distinct pending milliseconds.  ``pop`` walks the earliest
+    millisecond's list, the open one, by index: a push to the open
+    millisecond or to another pending one appends to its list, and only a
+    push to a new millisecond touches the heap.  A push earlier than the
+    open millisecond (the engine never makes one) puts the open list's
+    unpopped rest back as a pending list and opens its own millisecond,
+    so any push sequence pops in exact (time, seq) order.  Every pending
+    millisecond is later than the open one, which starts at 0 with an
+    empty list; no fire time is reserved, so negative times are legal.
+    Popped entries stay in the open list until the next millisecond opens.
+    Most zero-delay data hops never reach the calendar: the engine serves
+    them in the sending action (see SimulationEngine.deliver).
     """
 
-    __slots__ = ("_heap", "_next_seq")
+    __slots__ = ("_times", "_waiting", "_open", "_open_ms", "_i", "_popped", "_next_seq")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, object]] = []
+        self._times: list[int] = []  # heap of the milliseconds in _waiting
+        self._waiting: dict[int, list[tuple[int, int, object]]] = {}
+        self._open: list[tuple[int, int, object]] = []
+        self._open_ms = 0
+        self._i = 0  # index of the open list's next entry
+        self._popped = 0  # entries popped before the open list
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._next_seq - self._popped - self._i
 
     def push(self, fire_ms: int, payload: object) -> int:
         seq = self._next_seq
         self._next_seq = seq + 1
-        heappush(self._heap, (fire_ms, seq, payload))
+        if fire_ms == self._open_ms:
+            self._open.append((fire_ms, seq, payload))
+        else:
+            entries = self._waiting.get(fire_ms)
+            if entries is not None:
+                entries.append((fire_ms, seq, payload))
+            elif fire_ms > self._open_ms:
+                self._waiting[fire_ms] = [(fire_ms, seq, payload)]
+                heappush(self._times, fire_ms)
+            else:
+                self._reopen((fire_ms, seq, payload))
         return seq
 
     def pop(self) -> tuple[int, int, object]:
-        return heappop(self._heap)  # IndexError when the calendar is empty
+        i = self._i
+        entries = self._open
+        if i < len(entries):
+            self._i = i + 1
+            return entries[i]
+        fire_ms = heappop(self._times)  # IndexError when the calendar is empty
+        self._popped += i
+        self._open = entries = self._waiting.pop(fire_ms)
+        self._open_ms = fire_ms
+        self._i = 1
+        return entries[0]
+
+    def _reopen(self, entry: tuple[int, int, object]) -> None:
+        """Open the millisecond of ``entry``, earlier than the open one."""
+        i = self._i
+        if i < len(self._open):
+            self._waiting[self._open_ms] = self._open[i:]
+            heappush(self._times, self._open_ms)
+        self._popped += i
+        self._open = [entry]
+        self._open_ms = entry[0]
+        self._i = 0
 
 
 class AckerTable:

@@ -671,11 +671,13 @@ class SimulationEngine:
 
         The last child is ``env`` itself, forwarded with a fresh id and
         ``emitTs``; the children before it are new envelopes, and the ids
-        are drawn in child order either way.  Nothing else holds a serviced
+        are drawn in child order either way.  Nothing else reads a serviced
         envelope: the queue, ``pendingList``, ``preInit`` and the service
-        slot have let go of it, and so has the popped calendar entry.  A CCR
-        checkpoint keeps bytes, not envelopes, and DSM's ``root_cache`` reads
-        only fields a child keeps (DSM never forks, so no twin shares it).
+        slot have let go of it, and the popped calendar entry, which its
+        millisecond's list keeps until the next millisecond opens, is never
+        read again.  A CCR checkpoint keeps bytes, not envelopes, and DSM's
+        ``root_cache`` reads only fields a child keeps (DSM never forks, so
+        no twin shares it).
         The parent's own ``(rootId, eventId)`` is read first, for its ack.
         """
         if gen != inst.generation:

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -99,6 +100,62 @@ class TestEventCalendar:
         assert len(cal) == 0
         with pytest.raises(IndexError):
             cal.pop()
+
+    def test_negative_times_pop_first(self):
+        cal = EventCalendar()
+        cal.push(-3, "a")
+        cal.push(-1, "b")
+        cal.push(0, "c")
+        assert [cal.pop()[:2] for _ in range(3)] == [(-3, 0), (-1, 1), (0, 2)]
+
+    def test_earlier_push_interrupts_an_open_millisecond(self):
+        cal = EventCalendar()
+        for tag in "abcd":
+            cal.push(10, tag)
+        cal.push(12, "e")
+        assert cal.pop() == (10, 0, "a")
+        assert cal.pop() == (10, 1, "b")
+        assert len(cal) == 3
+        cal.push(7, "x")  # earlier than the half-popped millisecond 10
+        assert len(cal) == 4
+        assert cal.pop() == (7, 5, "x")
+        assert len(cal) == 3
+        cal.push(10, "f")  # joins the rest of millisecond 10, after it
+        assert len(cal) == 4
+        assert [cal.pop() for _ in range(4)] == [
+            (10, 2, "c"), (10, 3, "d"), (10, 6, "f"), (12, 4, "e")]
+        assert len(cal) == 0
+
+    def test_push_and_pop_work_after_an_empty_pop(self):
+        cal = EventCalendar()
+        cal.push(4, "a")
+        cal.pop()
+        with pytest.raises(IndexError):
+            cal.pop()
+        assert len(cal) == 0
+        cal.push(4, "b")
+        cal.push(2, "c")
+        assert cal.pop() == (2, 2, "c")
+        assert cal.pop() == (4, 1, "b")
+        with pytest.raises(IndexError):
+            cal.pop()
+        cal.push(9, "d")
+        assert cal.pop() == (9, 3, "d")
+        assert len(cal) == 0
+
+    def test_deep_copy_mid_millisecond_pops_the_same_sequence(self):
+        # fork_at_trigger deep-copies the calendar at the trigger's millisecond.
+        cal = EventCalendar()
+        for i, t in enumerate((5, 5, 5, 8, 5, 3)):
+            cal.push(t, i)
+        assert cal.pop()[:2] == (3, 5)
+        assert cal.pop()[:2] == (5, 0)
+        twin = copy.deepcopy(cal)
+        for c in (cal, twin):
+            c.push(5, "late")
+            c.push(1, "early")
+        drain = [[c.pop()[:2] for _ in range(len(c))] for c in (cal, twin)]
+        assert drain[0] == drain[1] == [(1, 7), (5, 1), (5, 2), (5, 4), (5, 6), (8, 3)]
 
     def test_growth_beyond_initial_capacity(self):
         cal = EventCalendar()

@@ -52,10 +52,12 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
 
 
 def test_benchmark_tracer_sees_every_push_and_action(monkeypatch):
-    # The engine binds the calendar's push once per run; a push that
-    # bypasses EventCalendar.push would escape the benchmark's counters.
-    # The engine is built before the tracer is installed, so run() must
-    # pick up the traced push itself.
+    # The engine binds the calendar's push and pop once per run; a push
+    # that bypasses EventCalendar.push, or a pop that drains a millisecond's
+    # entries behind EventCalendar.pop, would escape the benchmark's
+    # counters (pushes, peak_len, zero_delay_share).  The engine is built
+    # before the tracer is installed, so run() must pick up the traced
+    # methods itself.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracer
 
@@ -65,6 +67,7 @@ def test_benchmark_tracer_sees_every_push_and_action(monkeypatch):
         engine.run()
     layers = traced.layer_metrics(obs.fingerprints())
     assert layers["kernels.calendar.pushes"][0] == engine.clock._calendar._next_seq
+    assert traced.stats["kernels.calendar.pop"][0] == engine.clock._calendar._next_seq
     assert layers["runtime.actions"][0] == engine._actions
 
 
