@@ -38,8 +38,9 @@ class EventCalendar:
     millisecond is later than the open one, which starts at 0 with an
     empty list; no fire time is reserved, so negative times are legal.
     Popped entries stay in the open list until the next millisecond opens.
-    Most zero-delay data hops never reach the calendar: the engine serves
-    them in the sending action (see SimulationEngine.deliver).
+    Most zero-delay data hops never reach the calendar: the engine places
+    them in the sending action, into the target's service slot or queue
+    (see SimulationEngine.deliver), and pushes only the completions.
     """
 
     __slots__ = ("_times", "_waiting", "_open", "_open_ms", "_i", "_popped", "_next_seq")

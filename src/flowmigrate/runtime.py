@@ -370,10 +370,12 @@ class SimulationEngine:
 
         Bound again by run(), after any wrapper of EventCalendar.push or
         override of the two hot actions is installed; bound at construction
-        for callers that drive the calendar by hand.  A deep copy keeps a
-        builtin bound method as it is, so a twin's ``_getrandbits`` would
-        still draw from the original's generator: fork_at_trigger binds the
-        twin's own.
+        for callers that drive the calendar by hand.  An ``_arrive``
+        override sees scheduled arrivals only (a ready zero-delay hop is
+        placed inside ``deliver``); a ``_complete_service`` override sees
+        every completion.  A deep copy keeps a builtin bound method as it
+        is, so a twin's ``_getrandbits`` would still draw from the
+        original's generator: fork_at_trigger binds the twin's own.
         """
         self._getrandbits = self.rng.getrandbits
         self._push = self.clock._calendar.push
@@ -444,8 +446,8 @@ class SimulationEngine:
     def _fire(self) -> None:
         """Fire actions in (time, seq) order until the calendar is empty.
 
-        ``_actions`` counts each fired action, and each arrival that
-        ``deliver`` hands over inside one, against the budget.
+        ``_actions`` counts each fired action, and each hop that
+        ``deliver`` places inside one, against the budget.
         """
         clock = self.clock
         pop = clock._calendar.pop
@@ -597,32 +599,42 @@ class SimulationEngine:
         """Send ``env`` to ``target``: its arrival fires ``net_delay_ms`` later.
 
         A zero-delay DATA hop to a target that takes data now (RUNNING,
-        initialized, not capturing) with no arrival in flight to it arrives
-        at once, in the sender's action: ``_arrive`` runs here and counts
-        as one action, and only what it schedules is pushed.  Every other
-        hop pushes its arrival.  The target's ``in_flight`` count of pushed
-        arrivals keeps its input FIFO: no hop overtakes one in the calendar,
-        so data sent after a barrier arrives after it.
+        initialized, not capturing) with no arrival in flight to it is
+        placed here, in the sender's action, and counts as one action: it
+        takes the service slot if the target is idle with an empty queue,
+        pushing only its completion, and otherwise joins the queue tail.
+        Every other hop pushes its arrival (``_arrive``).  The target's
+        ``in_flight`` count of pushed arrivals keeps its input FIFO: no hop
+        overtakes one in the calendar, so data sent after a barrier arrives
+        after it.
         """
-        in_flight = target.in_flight
-        target.in_flight = in_flight + 1
-        if (in_flight or self.net_delay_ms or env.kind != DATA or target.status != RUNNING
-                or not target.initialized or target.captureFlag):
+        if (target.in_flight or self.net_delay_ms or env.kind != DATA
+                or target.status != RUNNING or not target.initialized or target.captureFlag):
+            target.in_flight += 1
             self._push(self.clock.now + self.net_delay_ms, (self._arrive_fn, (env, target)))
             return
         self._actions += 1
         if self._actions > _MAX_ACTIONS:
             raise InvariantViolation(_RUNAWAY)
-        self._arrive_fn(env, target)
+        if target.in_service is not None:
+            target.queue.append(env)
+        elif target.queue:
+            target.queue.append(env)
+            self._pump(target)
+        else:
+            target.in_service = env
+            self._push(self.clock.now + target.service_ms,
+                       (self._complete_fn, (target, env, target.generation)))
 
     def _arrive(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
-        """Hand a delivered event to its target instance.
+        """Hand a scheduled arrival to its target instance (a hop that
+        ``deliver`` placed at once never comes here).
 
         At a RUNNING instance, a DATA event that finds it idle and accepting
         (initialized, not capturing, queue empty, nothing in service) goes
         straight into service, as ``_pump`` would have put it.  An event
         that finds it busy joins the queue, which the end of the service
-        pumps.  Every other event takes the queue and ``_pump``.  A KILLED
+        serves.  Every other event takes the queue and ``_pump``.  A KILLED
         instance drops the event (a lost DATA event is recovered via ack
         timeout), and a RESPAWNING one has its DATA retried by the transport,
         which keeps it in flight.
@@ -649,6 +661,14 @@ class SimulationEngine:
     # -- instance processing ---------------------------------------------------
 
     def _pump(self, inst: TaskInstanceRuntime) -> None:
+        """Take events off the queue head while ``inst`` is RUNNING and idle.
+
+        A control event goes to the coordinator; DATA goes to
+        ``pendingList`` while capturing, to ``preInit`` until initialized,
+        and otherwise into service.  A finished service starts a DATA head
+        at a ready instance itself (see ``_complete_service``) and comes
+        here only for any other head.
+        """
         while inst.queue and inst.in_service is None and inst.status == RUNNING:
             env = inst.queue.popleft()
             if env.kind != DATA:
@@ -666,8 +686,13 @@ class SimulationEngine:
 
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
                           gen: int) -> None:
-        """Finish the service of DATA event ``env``: emit its children and
-        ack it.
+        """Finish the service of DATA event ``env``: emit its children, ack
+        it, and start the next queued event.
+
+        A DATA head at an instance still RUNNING, idle, initialized and not
+        capturing goes into service here, in the same action, exactly as
+        the first pass of ``_pump`` would put it; any other head goes
+        through ``_pump``.
 
         The last child is ``env`` itself, forwarded with a fresh id and
         ``emitTs``; the children before it are new envelopes, and the ids
@@ -726,8 +751,16 @@ class SimulationEngine:
                 inst.deferred_acks.append((root_id, event_id))
             elif self.acker.table.ack(root_id, event_id) == ACK_COMPLETED:
                 self._on_root_completed(root_id)
-        if inst.queue:
-            self._pump(inst)
+        queue = inst.queue
+        if queue:
+            if (queue[0].kind == DATA and inst.in_service is None and inst.status == RUNNING
+                    and inst.initialized and not inst.captureFlag):
+                env = queue.popleft()
+                inst.in_service = env
+                self._push(now + inst.service_ms,
+                           (self._complete_fn, (inst, env, inst.generation)))
+            else:
+                self._pump(inst)
 
     def flush_deferred_acks(self, inst: TaskInstanceRuntime) -> None:
         acks, inst.deferred_acks = inst.deferred_acks, []

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_chain_dag, make_scenario, phase_times, work_of
 from flowmigrate.errors import CommitWithoutPrepareError, WaveConflictError
-from flowmigrate.metrics import PHASE, SINK_EXIT, sink_multiset
+from flowmigrate.metrics import PHASE, SINK_EXIT, exactly_once_audit, sink_multiset
 from flowmigrate.protocol import (
     ALL_INIT_ACKED,
     CAPTURE_DONE,
@@ -215,6 +215,20 @@ class TestCcr:
         migrated, _ = run_scenario(config)
         baseline, _ = run_scenario(config, migrate=False)
         assert sink_multiset(migrated) == sink_multiset(baseline)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "INIT resends stop at run_end_ms, so an instance whose INIT copy was "
+        "dropped while it started is never initialized once the horizon passes; "
+        "ROADMAP item 4 decides whether resends end at the horizon or at the migration"))
+    def test_a_respawn_at_the_horizon_is_still_initialized(self):
+        # A trigger at 20 s of a 30 s run: T1#0 and T3#0 respawn at 29.9 s,
+        # after the INIT copies sent to them were dropped, and the next
+        # resend tick falls past the horizon.
+        dag = make_chain_dag(3, sink_instances=2)
+        timeline, engine = run_quick(dag, "CCR", run_s=30, trigger_s=20, seed=3)
+        assert ALL_INIT_ACKED in phase_times(engine)
+        assert all(inst.initialized for inst in engine.instances.values())
+        assert not exactly_once_audit(timeline, dag)
 
 
 class TestDsm:

@@ -292,27 +292,40 @@ class TestRunLoop:
     def test_overrides_set_before_run_see_every_event(self):
         # run() binds the two hot actions after any override is installed.
         # A chain without migration fires only source ticks, arrivals and
-        # completions: every one of the latter two passes the overrides.
-        config = make_scenario(make_chain_dag(3), "DCR", run_s=10, trigger_s=5)
-        engine = SimulationEngine(config, migrate=False)
-        arrived, completed = [], []
-        arrive, complete = engine._arrive, engine._complete_service
+        # completions.  At 5 ms network delay every arrival is scheduled, so
+        # every arrival and completion passes the overrides.  At zero delay
+        # every hop lands inside deliver (it never reaches _arrive) and
+        # still counts as one action; every completion passes the override.
+        def spied_run(delay_ms):
+            config = make_scenario(make_chain_dag(3), "DCR", run_s=10, trigger_s=5,
+                                   networkDelayMs=delay_ms)
+            engine = SimulationEngine(config, migrate=False)
+            arrived, completed = [], []
+            arrive, complete = engine._arrive, engine._complete_service
 
-        def spy_arrive(env, target):
-            arrived.append(env)
-            arrive(env, target)
+            def spy_arrive(env, target):
+                arrived.append(env)
+                arrive(env, target)
 
-        def spy_complete(inst, env, gen):
-            completed.append(env)
-            complete(inst, env, gen)
+            def spy_complete(inst, env, gen):
+                completed.append(env)
+                complete(inst, env, gen)
 
-        engine._arrive = spy_arrive
-        engine._complete_service = spy_complete
-        engine.run()
+            engine._arrive = spy_arrive
+            engine._complete_service = spy_complete
+            engine.run()
+            return engine, arrived, completed
+
+        engine, arrived, completed = spied_run(5)
         roots = engine.source.next_seq
         assert roots == 80
         assert len(arrived) == len(completed) == 4 * roots  # T1, T2, T3, sink
         assert engine._actions == roots + len(arrived) + len(completed)
+
+        engine, arrived, completed = spied_run(0)
+        assert engine.source.next_seq == roots
+        assert arrived == [] and len(completed) == 4 * roots
+        assert engine._actions == roots + 4 * roots + len(completed)  # hops placed in deliver
 
     def test_action_budget_stops_a_run(self, monkeypatch):
         monkeypatch.setattr(runtime, "_MAX_ACTIONS", 1000)
@@ -339,10 +352,12 @@ class TestDelivery:
         events = [EventEnvelope(i, i, i, DATA, 0, False, 0) for i in (1, 2, 3)]
         for env in events:
             engine.deliver(env, inst)
-        # Each zero-delay hop arrived in this action: the first event found
-        # T1 idle and went into service; the others queued behind it in
-        # send order.
+        # Each zero-delay hop was placed inside deliver, one action each:
+        # the first event found T1 idle and went into service; the others
+        # joined the queue tail in send order.
         assert [inst.in_service.eventId] + [e.eventId for e in inst.queue] == [1, 2, 3]
+        assert engine._actions == 3 and inst.in_flight == 0
+        assert len(engine.clock._calendar) == 1  # the first completion
 
     def test_data_sent_after_a_barrier_arrives_after_it(self, monkeypatch):
         engine = quick_engine()
@@ -417,7 +432,10 @@ class TestSendOrder:
 
         def spy_deliver(env, target):
             sent.setdefault(target.instanceId, []).append(env)
+            in_flight = target.in_flight
             deliver(env, target)
+            if target.in_flight == in_flight:  # placed inside deliver: received now
+                received.setdefault(target.instanceId, []).append(env)
 
         def spy_arrive(env, target):
             if target.status == RESPAWNING and env.kind == DATA:
@@ -463,10 +481,14 @@ class TestArrive:
         inst = engine.instances["T1#0"]
         engine.clock.now = 1_000
         env = make_event()
-        engine.deliver(env, inst)  # a zero-delay hop arrives at once
+        engine.deliver(env, inst)  # a zero-delay hop is placed inside deliver
         assert inst.in_service is env and not inst.queue
+        assert engine._actions == 1 and inst.in_flight == 0
         assert len(engine.clock._calendar) == 1
-        assert fire_next(engine) == 1_100  # the service completion
+        t, _seq, (fn, args) = engine.clock._calendar.pop()  # the service completion
+        assert (t, fn, args) == (1_100, engine._complete_service, (inst, env, inst.generation))
+        engine.clock.now = t
+        fn(*args)
         assert inst.in_service is None
         assert inst.state.processedCount == 1
 
@@ -545,6 +567,88 @@ class TestArrive:
         t, _, (_fn, args) = engine.clock._calendar.pop()
         assert t == 2_000 + runtime._TRANSPORT_RETRY_MS
         assert args == (env, inst)
+
+
+class TestPlacement:
+    """The two sites that start a ready event without an arrival action of
+    its own: ``deliver`` for a ready zero-delay hop, and the end of
+    ``_complete_service`` for a DATA event at the queue head.  A hop to an
+    idle or a busy instance is checked in TestArrive and TestDelivery."""
+
+    def test_a_ready_hop_behind_a_queued_barrier_pumps_it(self, monkeypatch):
+        # Idle with a barrier still queued: the hop queues behind it, and
+        # _pump hands the barrier on before the hop takes the slot.
+        engine = quick_engine()
+        inst = engine.instances["T1#0"]
+        seen = []
+        monkeypatch.setattr(engine.coordinator, "on_control_event",
+                            lambda i, e: seen.append(e))
+        barrier, data = make_event(1, kind=PREPARE), make_event(2)
+        inst.queue.append(barrier)
+        engine.deliver(data, inst)
+        assert seen == [barrier] and inst.in_service is data and not inst.queue
+        assert engine._actions == 1 and inst.in_flight == 0
+
+    def test_a_finished_service_starts_a_data_head_in_the_same_action(self):
+        engine = quick_engine()
+        inst = engine.instances["sink#0"]  # a sink sends no children
+        first, second = make_event(1), make_event(2)
+        engine.deliver(first, inst)
+        engine.deliver(second, inst)
+        pumped = []
+        engine._pump = pumped.append
+        assert fire_next(engine) == 100  # the first completion
+        assert inst.in_service is second and not inst.queue and pumped == []
+        (t, _seq, (fn, args)), = drain(engine)
+        assert (t, fn, args) == (200, engine._complete_service, (inst, second, inst.generation))
+
+    def test_a_slot_refilled_during_the_service_is_left_alone(self):
+        # Under DSM an entry instance's own ack can complete a root and
+        # release a deferred root to it, whose hop pumps its queue head
+        # into the slot before the service finishes: the finished service
+        # must then start nothing.
+        engine = quick_engine(strategy="DSM")
+        inst = engine.instances["T1#0"]
+        inst.sel_count = 0  # T1 sends no child, as a selectivity below 1 may draw
+        engine._emit_root()  # root 0 takes T1's slot
+        queued = make_event(7)
+        inst.queue.append(queued)
+        engine.source.backlog = 1
+        fire_next(engine)  # T1 acks root 0; root 1 queues behind `queued`, which takes the slot
+        assert inst.in_service is queued
+        assert [env.rootSeqNo for env in inst.queue] == [1]
+        (_t, _seq, (_fn, args)), = drain(engine)  # queued's completion only
+        assert args == (inst, queued, inst.generation)
+
+    @pytest.mark.parametrize("case", ["barrier", "capturing", "uninitialized"])
+    def test_any_other_head_goes_through_pump(self, case, monkeypatch):
+        engine = quick_engine()
+        inst = engine.instances["sink#0"]
+        seen, pumped = [], []
+        monkeypatch.setattr(engine.coordinator, "on_control_event",
+                            lambda i, e: seen.append(e))
+        pump = engine._pump
+
+        def spy_pump(i):
+            pumped.append(i)
+            pump(i)
+
+        engine._pump = spy_pump
+        engine.deliver(make_event(1), inst)
+        head = make_event(2, kind=PREPARE if case == "barrier" else DATA)
+        inst.queue.append(head)
+        if case == "capturing":
+            inst.captureFlag = True
+        elif case == "uninitialized":
+            inst.initialized = False
+        fire_next(engine)  # the first completion
+        assert pumped == [inst] and not inst.queue and inst.in_service is None
+        assert (seen, inst.pendingList, inst.preInit) == {
+            "barrier": ([head], [], []),
+            "capturing": ([], [head], []),
+            "uninitialized": ([], [], [head]),
+        }[case]
+        assert len(engine.clock._calendar) == 0
 
 
 def fan_out_dag(*groupings: str) -> DagDef:

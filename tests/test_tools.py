@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -194,3 +195,97 @@ def test_bench_record_refuses_mixed_trees_and_unequal_runs(tmp_path, capsys):
     assert "seed 1: samples differ in their runs" in capsys.readouterr().err
     assert rec.main([str(tmp_path / "none"), *argv]) == 2
     assert not bench.exists()
+
+
+STUB_RUN = '''\
+"""A stand-in for perfbench/run.py: writes one record per run, always to the
+same path, with the next wall time from stub.json, and logs its arguments."""
+import argparse
+import json
+import sys
+import sys
+from pathlib import Path
+
+here = Path(__file__).resolve().parent
+tree = here.parent
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+stub = json.loads((tree / "stub.json").read_text())
+log = Path(stub["log"])
+done = sum(line.startswith(stub["label"] + " ") for line in
+           (log.read_text().splitlines() if log.exists() else []))
+with log.open("a") as f:
+    f.write(f"{stub['label']} {args.workload} {args.seed} {args.seconds} {args.trace}\\n")
+if stub["walls"][done] is None:
+    sys.exit(1)
+record = stub["record"]
+record["metrics"]["wall_ref_s"]["value"] = stub["walls"][done]
+(here / "out").mkdir(exist_ok=True)
+path = here / "out" / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
+path.write_text(json.dumps(record))
+print(f"record: {path.relative_to(tree)}")
+'''
+
+
+def stub_tree(root, label, walls, log):
+    """A source tree whose benchmark is STUB_RUN, reading ``walls`` in turn."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN)
+    write_json(root / "BENCHMARK.json", {
+        "command": [sys.executable, "perfbench/run.py"], "run_seconds": 3,
+        "end_to_end": [{"name": "wall_ref_s", "unit": "s", "better": "lower"},
+                       {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]})
+    prints = [fingerprint("grid", "DSM", "t")]
+    write_json(root / "stub.json", {
+        "label": label, "walls": walls, "log": str(log),
+        "record": perf_record("grid_dsm", 7, 0.0, prints, source=label)})
+    return root
+
+
+def test_bench_pairs_alternates_and_keeps_every_record(tmp_path, capsys):
+    pairs = load_tool("bench_pairs")
+    rec = load_tool("bench_record")
+    log = tmp_path / "runs.log"
+    walls = {"parent": [1.0, 1.1, 0.9, 1.2, 1.0], "change": [0.8, 0.9, 1.15, 0.85, 0.82]}
+    trees = [str(stub_tree(tmp_path / label, label, walls[label], log)) for label in walls]
+    out = tmp_path / "pairs"
+    assert pairs.main([*trees, "--workload", "grid_dsm", "--pairs", "5", "--seed", "7",
+                       "--out", str(out)]) == 0
+
+    # Parent first in odd pairs, change first in even ones, at run_seconds.
+    order = ["parent", "change", "change", "parent", "parent", "change",
+             "change", "parent", "parent", "change"]
+    assert log.read_text().splitlines() == [f"{label} grid_dsm 7 3 0" for label in order]
+    # Every run's record is kept, though each run rewrote the same path.
+    for label, values in walls.items():
+        for i, wall in enumerate(values, start=1):
+            doc = json.loads((out / label / str(i) / "grid_dsm-seed7-trace0.json").read_text())
+            assert doc["metrics"]["wall_ref_s"]["value"] == wall
+    report = capsys.readouterr().out
+    assert "failed checks parent 0, change 0" in report
+    wall_line, = (line for line in report.splitlines() if line.startswith("wall_ref_s"))
+    assert "parent 1 [1, 1.1]  change 0.85 [0.82, 0.9]" in wall_line
+    assert "change won 4/5 pairs (under 9 in 10)" in wall_line
+    assert "median gap 0.15 exceeds parent IQR 0.1" in wall_line
+    rss_line, = (line for line in report.splitlines() if line.startswith("peak_rss_mb"))
+    assert "change won 0/5 pairs" in rss_line and "within parent IQR 0" in rss_line
+
+    # The copies feed bench_record as they are.
+    bench = tmp_path / "BENCH.json"
+    assert rec.main([str(out / "change"), "--label", "change", "--output", str(bench)]) == 0
+    point = json.loads(bench.read_text())["points"]["change"]
+    assert point["workloads"]["grid_dsm"]["metrics"]["wall_ref_s"]["median"] == 0.85
+    assert point["workloads"]["grid_dsm"]["samples"] == 5
+
+
+def test_bench_pairs_stops_on_a_failed_run(tmp_path, capsys):
+    pairs = load_tool("bench_pairs")
+    log = tmp_path / "runs.log"
+    parent = stub_tree(tmp_path / "parent", "parent", [1.0, 1.0], log)
+    change = stub_tree(tmp_path / "change", "change", [None], log)
+    assert pairs.main([str(parent), str(change), "--workload", "grid_dsm", "--pairs", "2",
+                       "--out", str(tmp_path / "pairs")]) == 2
+    assert "exited 1" in capsys.readouterr().err
+    assert log.read_text().splitlines() == ["parent grid_dsm None 3 0", "change grid_dsm None 3 0"]

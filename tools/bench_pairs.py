@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Time a parent tree against a change tree in alternating benchmark pairs.
+
+    git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
+    python3 tools/bench_pairs.py /tmp/parent . --workload grid_dsm --pairs 10 \\
+        --out /tmp/pairs
+    python3 tools/bench_record.py --label parent --output BENCH_20.json /tmp/pairs/parent
+    python3 tools/bench_record.py --label change --output BENCH_20.json /tmp/pairs/change
+
+Each run is ``perfbench/run.py --workload W --trace 0 --seconds S`` (the
+command of ``BENCHMARK.json``, ``S`` its ``run_seconds``), started in the
+tree it measures.  The parent runs first in odd pairs and the change first in
+even ones, so drift in host speed falls on both sides alike.  After each run
+the record it wrote is copied to ``<out>/<label>/<i>/``: a later run of the
+same workload and seed rewrites the record in ``perfbench/out/``, and the
+copies keep every sample for ``tools/bench_record.py``.
+
+For every gated end-to-end metric it prints both sides' median and
+quartiles, the pairs the change won, whether it won at least nine in ten,
+and whether the median gap exceeds the parent's interquartile range.  It
+reads ``perfbench/`` and ``BENCHMARK.json`` and edits neither.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_record import spread  # noqa: E402
+
+LABELS = ("parent", "change")
+
+
+def run_once(tree: Path, command: list[str], workload: str, seconds: float,
+             seed: int | None) -> tuple[Path, dict]:
+    """Run the benchmark once in ``tree``; the record it wrote, and its doc."""
+    argv = [*command, "--workload", workload, "--trace", "0", "--seconds", str(seconds)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{tree}: {' '.join(argv)} exited {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    lines = [line for line in done.stdout.splitlines() if line.startswith("record: ")]
+    if not lines:
+        raise RuntimeError(f"{tree}: the benchmark printed no record line")
+    record = tree / lines[-1].removeprefix("record: ").strip()
+    return record, json.loads(record.read_text())
+
+
+def pair_order(pair: int) -> tuple[str, str]:
+    """The parent runs first in odd pairs (counting from 1), the change in even."""
+    return LABELS if pair % 2 else LABELS[::-1]
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """One line comparing the two sides' samples of ``metric``, pair by pair."""
+    lower = metric["better"] == "lower"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    before, after = spread(parent), spread(change)
+    gap = (before["median"] - after["median"]) * (1 if lower else -1)
+    n = len(parent)
+    return (f"{metric['name']} ({metric['unit']}, {metric['better']} is better): "
+            f"parent {before['median']:.4g} [{before['q1']:.4g}, {before['q3']:.4g}]  "
+            f"change {after['median']:.4g} [{after['q1']:.4g}, {after['q3']:.4g}]  "
+            f"change won {wins}/{n} pairs ({'at least' if 10 * wins >= 9 * n else 'under'} "
+            f"9 in 10)  median gap {gap:.4g} "
+            f"{'exceeds' if gap > before['iqr'] else 'within'} parent IQR {before['iqr']:.4g}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="the parent's source tree")
+    parser.add_argument("change", type=Path, help="the change's source tree")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--seed", type=int, default=None, help="workload seed (default: bundled)")
+    parser.add_argument("--out", required=True, type=Path,
+                        help="folder for the copied records, one per label and run")
+    args = parser.parse_args(argv)
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    samples: dict[str, list[dict]] = {label: [] for label in LABELS}
+    for pair in range(1, args.pairs + 1):
+        for label in pair_order(pair):
+            try:
+                record, doc = run_once(trees[label], bench["command"], args.workload,
+                                       bench["run_seconds"], args.seed)
+            except RuntimeError as exc:
+                print(f"bench_pairs: {exc}", file=sys.stderr)
+                return 2
+            keep = args.out / label / str(pair)
+            keep.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(record, keep / record.name)
+            samples[label].append(doc)
+            print(f"pair {pair} {label}: " + ", ".join(
+                f"{m['name']} {doc['metrics'][m['name']]['value']:.4g}"
+                for m in bench["end_to_end"]), flush=True)
+
+    print(f"{args.workload} seed={args.seed}: {args.pairs} pairs, failed checks "
+          + ", ".join(f"{label} {sum(len(d['failed']) for d in samples[label])}"
+                      for label in LABELS))
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        parent, change = ([d["metrics"][name]["value"] for d in samples[label]]
+                          for label in LABELS)
+        print(verdict(metric, parent, change))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
