@@ -101,7 +101,13 @@ class Timeline:
 
     def record_sink_exit(self, ts: int, event_id: int, root_seq: int, epoch: int,
                          replayed: bool) -> None:
-        self._append(ts, _SINK, event_id, root_seq, epoch, replayed)
+        # _append's body, inline: one row per served sink event.
+        self.ts.append(ts)
+        self.sites.append(_SINK)
+        self.event_ids.append(event_id)
+        self.root_seqs.append(root_seq)
+        self.epochs.append(epoch)
+        self.replayed.append(replayed)
 
     def record_phase(self, ts: int, name: str) -> None:
         self.phases.append((len(self.ts), ts, name))

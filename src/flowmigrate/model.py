@@ -195,8 +195,10 @@ def validate_dag(dag: DagDef) -> ValidationResult:
         if t.instanceCount < 1:
             violations.append(f"task {t.taskId}: instanceCount must be >= 1")
 
+    dangling = False
     for e in dag.edges:
         if e.fromTask not in id_set or e.toTask not in id_set:
+            dangling = True
             violations.append(f"edge {e.fromTask}->{e.toTask} references unknown task")
         if e.grouping not in GROUPINGS:
             violations.append(
@@ -215,6 +217,8 @@ def validate_dag(dag: DagDef) -> ValidationResult:
             violations.append(f"sink task {s} not declared")
         elif dag.out_edges(s):
             violations.append(f"sink {s} has out-edge")
+    if dangling:  # the checks below follow edges, so each end must be a task
+        return ValidationResult(tuple(violations))
 
     order = dag.topological_order()
     if len(order) != len(dag.tasks):
@@ -297,6 +301,9 @@ def validate_sizing(dag: DagDef, source_rate: float, rate_per_instance: float) -
     violations = []
     for t in dag.user_tasks():
         rate = rates[t.taskId]
+        if not math.isfinite(rate):
+            violations.append(f"task {t.taskId}: input rate {rate:g} events/sec")
+            continue
         need = min_instances(rate, rate_per_instance)
         if t.instanceCount < need:
             violations.append(f"task {t.taskId}: instanceCount {t.instanceCount} < "
@@ -358,14 +365,15 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
 
 
-# The JSON values a scalar field of each type accepts.  JSON's true and
-# false are never numbers, although Python's bool is an int.
-_JSON_SCALARS = {bool: bool, int: int, float: (int, float), str: str}
+# The JSON values a field of each type accepts (a JSON object is a dict, an
+# array a list).  JSON's true and false are never numbers, although
+# Python's bool is an int.
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, dict: dict, list: list}
 
 
-def _scalar(value, kind: type, what: str):
+def _typed(value, kind: type, what: str):
     """``value`` as a ``kind``, accepted only with its JSON type."""
-    if not isinstance(value, _JSON_SCALARS[kind]) or (kind is not bool and isinstance(value, bool)):
+    if not isinstance(value, _JSON_TYPES[kind]) or (kind is not bool and isinstance(value, bool)):
         raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
     return kind(value)
 
@@ -374,34 +382,36 @@ def _defaulted_fields(cls, raw: dict, where: str) -> dict:
     """The fields of ``cls`` that have a default, read from ``raw`` and
     checked against the default's type; a missing field takes its default."""
     return {
-        f.name: _scalar(raw.get(f.name, f.default), type(f.default), f"{where} field {f.name}")
+        f.name: _typed(raw.get(f.name, f.default), type(f.default), f"{where} field {f.name}")
         for f in fields(cls) if f.default is not MISSING
     }
 
 
 def parse_dag(doc: dict, name: str = "") -> DagDef:
-    _reject_unknown(doc, _DAG_FIELDS, "dag")
+    _reject_unknown(_typed(doc, dict, "dag"), _DAG_FIELDS, "dag")
     try:
         tasks = []
-        for raw in doc["tasks"]:
-            task_id = _scalar(raw["taskId"], str, "task field taskId")
+        for raw in _typed(doc["tasks"], list, "dag field tasks"):
+            task_id = _typed(_typed(raw, dict, "task")["taskId"], str, "task field taskId")
             where = f"task {task_id}"
             _reject_unknown(raw, _TASK_FIELDS, where)
             # A task's name defaults to its id.
             values = _defaulted_fields(TaskDef, {"name": task_id, **raw}, where)
             tasks.append(TaskDef(taskId=task_id, **values))
         edges = []
-        for raw in doc.get("edges", []):
-            _reject_unknown(raw, _EDGE_FIELDS, "edge")
-            edges.append(Edge(_scalar(raw["fromTask"], str, "edge field fromTask"),
-                              _scalar(raw["toTask"], str, "edge field toTask"),
+        for raw in _typed(doc.get("edges", []), list, "dag field edges"):
+            _reject_unknown(_typed(raw, dict, "edge"), _EDGE_FIELDS, "edge")
+            edges.append(Edge(_typed(raw["fromTask"], str, "edge field fromTask"),
+                              _typed(raw["toTask"], str, "edge field toTask"),
                               **_defaulted_fields(Edge, raw, "edge")))
         dag = DagDef(
-            name=_scalar(doc.get("name", name), str, "dag field name"),
+            name=_typed(doc.get("name", name), str, "dag field name"),
             tasks=tuple(tasks),
             edges=tuple(edges),
-            sourceTasks=tuple(_scalar(s, str, "dag field sourceTasks") for s in doc["sourceTasks"]),
-            sinkTasks=tuple(_scalar(s, str, "dag field sinkTasks") for s in doc["sinkTasks"]),
+            sourceTasks=tuple(_typed(s, str, "dag field sourceTasks")
+                              for s in _typed(doc["sourceTasks"], list, "dag field sourceTasks")),
+            sinkTasks=tuple(_typed(s, str, "dag field sinkTasks")
+                            for s in _typed(doc["sinkTasks"], list, "dag field sinkTasks")),
         )
     except KeyError as exc:
         raise ConfigError(f"dag: missing field {exc.args[0]}") from None
@@ -417,10 +427,10 @@ def _require_valid_dag(dag: DagDef) -> None:
 
 def _parse_vms(raw: list, where: str) -> list[VmDef]:
     vms = []
-    for item in raw:
-        _reject_unknown(item, {f.name for f in fields(VmDef)}, where)
-        vm_id = _scalar(item["vmId"], str, f"{where}: vmId")
-        vm = VmDef(vm_id, _scalar(item["slotCount"], int, f"{where}: VM {vm_id} slotCount"))
+    for item in _typed(raw, list, where):
+        _reject_unknown(_typed(item, dict, where), {f.name for f in fields(VmDef)}, where)
+        vm_id = _typed(item["vmId"], str, f"{where}: vmId")
+        vm = VmDef(vm_id, _typed(item["slotCount"], int, f"{where}: VM {vm_id} slotCount"))
         if vm.slotCount < 1:
             raise ConfigError(f"{where}: VM {vm.vmId} slotCount must be >= 1")
         vms.append(vm)
@@ -430,12 +440,13 @@ def _parse_vms(raw: list, where: str) -> list[VmDef]:
 
 
 def _resolve_schedule(raw, dag: DagDef, vms: list[VmDef], where: str) -> Schedule:
-    instances = [
-        inst
-        for tid in dag.topological_order()
-        for inst in dag.task(tid).instance_ids()
-        if tid not in dag.sourceTasks and tid not in dag.sinkTasks
-    ]
+    tasks = [dag.task(tid) for tid in dag.topological_order()
+             if tid not in dag.sourceTasks and tid not in dag.sinkTasks]
+    # Checked before the ids are listed, so a huge instanceCount never is.
+    needed, slots = sum(t.instanceCount for t in tasks), sum(vm.slotCount for vm in vms)
+    if needed > slots:
+        raise InsufficientSlotsError(f"{where}: {needed} instances do not fit in {slots} slots")
+    instances = [inst for t in tasks for inst in t.instance_ids()]
     if raw is None or raw == "roundRobin":
         return round_robin_placement(instances, vms)
     if not isinstance(raw, dict) or not isinstance(raw.get("placements"), dict):
@@ -445,8 +456,8 @@ def _resolve_schedule(raw, dag: DagDef, vms: list[VmDef], where: str) -> Schedul
     for inst, loc in raw["placements"].items():
         if not isinstance(loc, (list, tuple)) or len(loc) != 2:
             raise ConfigError(f"{where}: placement of {inst} must be [vmId, slotIndex]")
-        placements[inst] = (_scalar(loc[0], str, f"{where}: placement of {inst}: vmId"),
-                            _scalar(loc[1], int, f"{where}: placement of {inst}: slot index"))
+        placements[inst] = (_typed(loc[0], str, f"{where}: placement of {inst}: vmId"),
+                            _typed(loc[1], int, f"{where}: placement of {inst}: slot index"))
     schedule = Schedule(placements)
     schedule.validate(instances, vms)
     return schedule
@@ -473,13 +484,13 @@ def parse_scenario(doc: dict, name: str = "") -> ScenarioConfig:
         raise ConfigError(f"scenario: missing field {exc.args[0]}") from None
 
     config = ScenarioConfig(
-        name=_scalar(doc.get("name", name), str, "scenario field name"),
+        name=_typed(doc.get("name", name), str, "scenario field name"),
         dag=dag,
         vmsBefore=vms_before,
         vmsAfter=vms_after,
         scheduleBefore=_resolve_schedule(doc.get("scheduleBefore"), dag, vms_before, "scheduleBefore"),
         scheduleAfter=_resolve_schedule(doc.get("scheduleAfter"), dag, vms_after, "scheduleAfter"),
-        strategy=_scalar(doc.get("strategy", ""), str, "scenario field strategy").upper(),
+        strategy=_typed(doc.get("strategy", ""), str, "scenario field strategy").upper(),
         **_defaulted_fields(ScenarioConfig, doc, "scenario"),
     )
     validate_scenario(config)
@@ -493,15 +504,16 @@ def validate_scenario(config: ScenarioConfig) -> None:
             f"scenario field strategy: expected one of {'/'.join(STRATEGIES)}, "
             f"got {config.strategy!r}"
         )
+    # NaN fails every comparison, and seconds that overflow as ms are inf.
     for field_name in ("sourceRate", "runDuration", "migrationTriggerAt", "ackTimeout"):
-        if getattr(config, field_name) <= 0:
-            raise ConfigError(f"scenario field {field_name}: must be > 0")
+        if not 0 < getattr(config, field_name) * 1000 < math.inf:
+            raise ConfigError(f"scenario field {field_name}: must be > 0 and finite")
     if to_ms(config.ackTimeout) == 0:
         # A 0 ms timeout would sweep for overdue roots at one instant forever.
         raise ConfigError(
             f"scenario field ackTimeout: {config.ackTimeout} s rounds to 0 ms; must be >= 1 ms")
-    if config.rebalanceDuration < 0 or config.networkDelayMs < 0:
-        raise ConfigError("scenario: durations must be non-negative")
+    if not 0 <= config.rebalanceDuration * 1000 < math.inf or config.networkDelayMs < 0:
+        raise ConfigError("scenario: durations must be non-negative and finite")
     if config.migrationTriggerAt >= config.runDuration:
         raise ConfigError(
             "scenario field migrationTriggerAt: must be < runDuration "

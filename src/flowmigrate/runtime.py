@@ -113,17 +113,14 @@ def deserialize_pending(blob: bytes) -> list[EventEnvelope]:
 
 
 class DemoUserTask:
-    """Reference stateful task logic: counts events it has processed."""
+    """Reference stateful task: an event count and last root seq, kept by
+    SimulationEngine._complete_service."""
 
     __slots__ = ("processedCount", "lastSeqNo")
 
     def __init__(self, processed: int = 0, last_seq: int = -1) -> None:
         self.processedCount = processed
         self.lastSeqNo = last_seq
-
-    def on_event(self, env: EventEnvelope) -> None:
-        self.processedCount += 1
-        self.lastSeqNo = env.rootSeqNo
 
     def snapshot(self) -> bytes:
         return struct.pack("<qq", self.processedCount, self.lastSeqNo)
@@ -606,7 +603,8 @@ class SimulationEngine:
         Every other hop pushes its arrival (``_arrive``).  The target's
         ``in_flight`` count of pushed arrivals keeps its input FIFO: no hop
         overtakes one in the calendar, so data sent after a barrier arrives
-        after it.
+        after it.  A ``deliver`` override sees every hop but a serviced
+        event's sole-edge child, which ``_complete_service`` sends by this rule.
         """
         if (target.in_flight or self.net_delay_ms or env.kind != DATA
                 or target.status != RUNNING or not target.initialized or target.captureFlag):
@@ -686,8 +684,9 @@ class SimulationEngine:
 
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
                           gen: int) -> None:
-        """Finish the service of DATA event ``env``: emit its children, ack
-        it, and start the next queued event.
+        """Finish the service of DATA event ``env``: emit its children (a
+        sole edge's by ``deliver``'s rule, inline), ack it, and start the
+        next queued event.
 
         A DATA head at an instance still RUNNING, idle, initialized and not
         capturing goes into service here, in the same action, exactly as
@@ -710,7 +709,8 @@ class SimulationEngine:
         if inst.in_service is not env:
             raise InvariantViolation(f"{inst.instanceId}: service slot corrupted")
         inst.in_service = None
-        inst.state.on_event(env)
+        inst.state.processedCount += 1
+        inst.state.lastSeqNo = env.rootSeqNo
 
         acking = self.acking_data
         root_id = env.rootId
@@ -739,10 +739,28 @@ class SimulationEngine:
                     self.acker.table.anchor(root_id, child.eventId)
                 if sole is None:
                     self._route_emission(inst, inst.task.taskId, child)
+                    continue
+                # deliver's test and placement, inline for the sole edge.
+                sent = inst.sole_sent
+                inst.sole_sent = sent + 1
+                target = sole[sent % len(sole)]
+                if (target.in_flight or self.net_delay_ms or target.status != RUNNING
+                        or not target.initialized or target.captureFlag):
+                    target.in_flight += 1
+                    self._push(now + self.net_delay_ms, (self._arrive_fn, (child, target)))
+                    continue
+                self._actions += 1
+                if self._actions > _MAX_ACTIONS:
+                    raise InvariantViolation(_RUNAWAY)
+                if target.in_service is not None:
+                    target.queue.append(child)
+                elif target.queue:
+                    target.queue.append(child)
+                    self._pump(target)
                 else:
-                    sent = inst.sole_sent
-                    inst.sole_sent = sent + 1
-                    self.deliver(child, sole[sent % len(sole)])
+                    target.in_service = child
+                    self._push(now + target.service_ms,
+                               (self._complete_fn, (target, child, target.generation)))
 
         if acking:
             if inst.stateful and self.coordinator.defers_stateful_acks:

@@ -30,12 +30,16 @@ def no_engine_runs(monkeypatch):
 def defective_linear_dag(defect: str) -> dict:
     """The bundled linear dag document with one defect the loader rejects:
     ``"dead_end"`` adds a task ``dead`` that T2 feeds and that feeds
-    nothing; ``"two_sources"`` adds a second source ``src2`` feeding T1."""
+    nothing; ``"unknown_edge_end"`` adds an edge from T2 to an undeclared
+    task ``nowhere``; ``"two_sources"`` adds a second source ``src2``
+    feeding T1."""
     doc = json.loads((resources.files("flowmigrate") / "scenarios" / "dags" / "linear.json")
                      .read_text())
     if defect == "dead_end":
         doc["tasks"].append({"taskId": "dead"})
         doc["edges"].append({"fromTask": "T2", "toTask": "dead"})
+    elif defect == "unknown_edge_end":
+        doc["edges"].append({"fromTask": "T2", "toTask": "nowhere"})
     else:
         doc["tasks"].append({"taskId": "src2", "serviceTimeMs": 1})
         doc["edges"].append({"fromTask": "src2", "toTask": "T1"})
@@ -184,6 +188,25 @@ class TestRun:
         assert run_cli("run", str(bad), "--out", str(out)) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["vmsBefore"].__setitem__(0, None), "vmsBefore: expected dict"),
+        (lambda doc: doc.update(vmsAfter=[1]), "vmsAfter: expected dict"),
+        (lambda doc: doc.update(dag=[]), "dag: expected dict"),
+        (lambda doc: doc.update(dag=defective_linear_dag("unknown_edge_end")),
+         "invalid dag: edge T2->nowhere references unknown task"),
+    ], ids=["null_vm", "numeric_vm", "list_dag", "unknown_edge_end"])
+    def test_mistyped_document_exits_2(self, tmp_path, no_engine_runs, capsys, edit,
+                                       message):
+        # Each once escaped the loader as a TypeError or KeyError (exit 1).
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        edit(doc)
+        bad = tmp_path / "mistyped.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", str(bad), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err and "Traceback" not in err
 
     def test_restore_with_no_output_left_is_reported(self, tmp_path):
         # CCR restores the dataflow after the last sink output of the run:

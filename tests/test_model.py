@@ -3,6 +3,8 @@ from dataclasses import MISSING, fields
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowmigrate.errors import ConfigError, InsufficientSlotsError
 from flowmigrate.model import (
@@ -339,6 +341,29 @@ class TestParseScenario:
             with pytest.raises(ConfigError, match=f"{match}: expected str"):
                 parse_scenario(doc)
 
+    def test_non_finite_or_overflowing_number_rejected(self):
+        # json.loads reads NaN and Infinity; none of these has a whole ms.
+        for field, value in (("sourceRate", float("nan")), ("runDuration", float("inf")),
+                             ("ackTimeout", 1e308)):
+            with pytest.raises(ConfigError,
+                               match=f"scenario field {field}: must be > 0 and finite"):
+                parse_scenario(self.minimal_doc(**{field: value}))
+        with pytest.raises(ConfigError, match="durations must be non-negative and finite"):
+            parse_scenario(self.minimal_doc(rebalanceDuration=float("nan")))
+        doc = self.minimal_doc()
+        doc["dag"] = bundled_dag_doc("linear")
+        doc["dag"]["tasks"][2]["selectivity"] = 1e308  # overflows downstream
+        with pytest.raises(ConfigError, match="task T3: input rate inf events/sec"):
+            parse_scenario(doc)
+
+    def test_huge_instance_count_rejected_before_its_ids_are_listed(self):
+        doc = self.minimal_doc()
+        doc["dag"] = bundled_dag_doc("linear")
+        doc["dag"]["tasks"][3]["instanceCount"] = 10**15
+        with pytest.raises(InsufficientSlotsError,
+                           match=f"scheduleBefore: {10**15 + 4} instances do not fit in 6 slots"):
+            parse_scenario(doc)
+
     def test_overloaded_task_rejected(self):
         # One instance is enough for 8 events/sec by count, but at 200 ms
         # per event it serves only 5 events/sec.
@@ -445,3 +470,52 @@ class TestBundled:
         config = load_bundled_scenario("grid_scaleout")
         assert all(vm.slotCount == 1 for vm in config.vmsAfter)
         assert len(config.vmsAfter) == 21
+
+
+# Any value json.loads can return, NaN and infinity included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def field_paths(node, prefix=()):
+    """The key path of every object field and array item under ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+def mutation_bases():
+    """Two valid scenario documents: linear_scalein naming its dag, and
+    diamond_scalein with its dag inline."""
+    root = resources.files("flowmigrate") / "scenarios"
+    linear = json.loads((root / "linear_scalein.json").read_text())
+    diamond = json.loads((root / "diamond_scalein.json").read_text())
+    diamond["dag"] = bundled_dag_doc("diamond")
+    return [linear, diamond]
+
+
+class TestLoaderMutations:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_field_is_accepted_or_a_config_error(self, data):
+        # One field or array item of a valid document becomes any JSON
+        # value.  No other exception may escape the loader.
+        doc = data.draw(st.sampled_from(mutation_bases()))
+        *parents, key = data.draw(st.sampled_from(list(field_paths(doc))))
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = data.draw(JSON_VALUES)
+        try:
+            parse_scenario(doc)
+        except ConfigError:
+            pass

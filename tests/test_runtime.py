@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -78,16 +80,70 @@ def spy_sends(engine):
     return sent
 
 
+@contextlib.contextmanager
+def watch_inputs(engine, on_entry):
+    """Call ``on_entry(env, instance)`` for each envelope that enters an
+    instance's input inside the block, in entry order: appended at its
+    queue tail, or put in its service slot other than off its own queue.
+
+    Every hop that reaches a RUNNING instance enters this way, whichever of
+    ``deliver``, ``_arrive`` and ``_complete_service`` places it, so this
+    sees the sole-edge children that ``_complete_service`` sends without
+    ``deliver``.  The instances are watched in place: each takes a subclass
+    with the same slots, whose ``in_service`` and ``queue`` report entries.
+    """
+    base = runtime.TaskInstanceRuntime
+    slot, queue = base.in_service, base.queue
+
+    class Input(deque):
+        def __init__(self, events, inst):
+            super().__init__(events)
+            self.inst, self.head = inst, None
+
+        def append(self, env):
+            on_entry(env, self.inst)
+            super().append(env)
+
+        def popleft(self):
+            self.head = super().popleft()
+            return self.head
+
+    def set_slot(inst, env):
+        if env is not None and env is not queue.__get__(inst).head:
+            on_entry(env, inst)
+        slot.__set__(inst, env)
+
+    def set_queue(inst, events):
+        queue.__set__(inst, Input(events, inst))
+
+    watched = type("WatchedInstance", (base,), {
+        "__slots__": (),
+        "in_service": property(slot.__get__, set_slot),
+        "queue": property(queue.__get__, set_queue),
+    })
+    instances = list(engine.instances.values())
+    for inst in instances:
+        inst.__class__ = watched
+        inst.queue = inst.queue
+    try:
+        yield
+    finally:
+        for inst in instances:
+            inst.__class__ = base
+            inst.queue = deque(inst.queue)
+
+
 def serve(engine, inst, env):
     """Complete ``env``'s service at ``inst`` by hand; the ``(child,
-    target)`` deliveries it made, in send order.  What they scheduled is
-    dropped unfired."""
-    sent = spy_sends(engine)
+    target)`` pairs whose child entered the target's input, in send order.
+    What the service scheduled (completions only: every child here enters
+    at once) is dropped unfired."""
     inst.in_service = env
-    engine._complete_service(inst, env, inst.generation)
-    del engine.deliver
-    drain(engine)
-    return sent
+    entered = []
+    with watch_inputs(engine, lambda child, target: entered.append((child, target))):
+        engine._complete_service(inst, env, inst.generation)
+    assert not any(fn == engine._arrive_fn for _t, _seq, (fn, _args) in drain(engine))
+    return entered
 
 
 def fire_next(engine):
@@ -421,31 +477,44 @@ class TestSendOrder:
 
     @pytest.mark.parametrize("scenario,strategy", [
         ("linear_scalein", "DCR"), ("linear_scalein", "CCR"), ("diamond_scalein", "DSM")])
-    def test_each_instance_receives_in_send_order(self, scenario, strategy):
+    def test_each_instance_receives_in_send_order(self, scenario, strategy, monkeypatch):
         # Through a whole migration: checkpoint waves, kills, respawns and
-        # INIT.  A transport retry re-sends an event by design, so the
-        # events retried are left out of both sequences.
+        # INIT.  A hop is sent when its arrival is pushed, or when it enters
+        # its target's input at once (placed by deliver or by
+        # _complete_service); it is received when its arrival fires, or when
+        # it enters at once.  A transport retry re-sends an event by design,
+        # so the events retried are left out of both sequences.
         engine = SimulationEngine(with_overrides(load_bundled_scenario(scenario),
                                                  strategy=strategy))
         sent, received, retried = {}, {}, set()
-        deliver, arrive = engine.deliver, engine._arrive
+        arrive, push = engine._arrive, _kernels.EventCalendar.push
+        arriving = None  # the envelope whose arrival is firing
 
-        def spy_deliver(env, target):
-            sent.setdefault(target.instanceId, []).append(env)
-            in_flight = target.in_flight
-            deliver(env, target)
-            if target.in_flight == in_flight:  # placed inside deliver: received now
-                received.setdefault(target.instanceId, []).append(env)
+        def spy_push(calendar, fire_ms, action):
+            fn, args = action
+            if fn is spy_arrive:
+                env, target = args
+                sent.setdefault(target.instanceId, []).append(env)
+            return push(calendar, fire_ms, action)
 
         def spy_arrive(env, target):
+            nonlocal arriving
             if target.status == RESPAWNING and env.kind == DATA:
                 retried.add(env)
             received.setdefault(target.instanceId, []).append(env)
+            arriving = env
             arrive(env, target)
+            arriving = None
 
-        engine.deliver = spy_deliver
+        def on_entry(env, target):
+            if env is not arriving:  # entered at once: sent and received now
+                sent.setdefault(target.instanceId, []).append(env)
+                received.setdefault(target.instanceId, []).append(env)
+
+        monkeypatch.setattr(_kernels.EventCalendar, "push", spy_push)
         engine._arrive = spy_arrive
-        engine.run()
+        with watch_inputs(engine, on_entry):
+            engine.run()
         assert "ALL_INIT_ACKED" in phase_times(engine) and engine.kill_snapshots
         assert {env.kind for events in sent.values() for env in events} == {
             DATA, PREPARE, COMMIT, INIT}
@@ -726,9 +795,11 @@ class TestSoleTarget:
         sender, target = engine.instances["T1#0"], engine.instances["T2#0"]
         env = make_event()
         engine._arrive(env, sender)
-        sent = spy_sends(engine)
-        done = fire_next(engine)  # T1 completes service and emits one child
-        (child, to), = sent
+        entered = []
+        with watch_inputs(engine, lambda child, to: entered.append((child, to))):
+            done = fire_next(engine)  # T1 completes service and emits one child
+        (child, to), = entered
+        assert target.in_service is child  # the idle target serves it at once
         # The one child is the serviced envelope itself, forwarded anew.
         assert to is target and child is env
         assert child.eventId != 1 and child.emitTs == done
@@ -1366,10 +1437,26 @@ SHAPE_BEHAVIOUR = {
 }
 
 
-def observed_work(config, report_pinned=True):
+# Actions and calendar pushes of three small bundled runs, one per
+# strategy, beside their PINNED_RUNS bytes: the general-path oracle below
+# holds its runs of them to all three.
+PINNED_RUN_WORK = {
+    ("linear_scalein", "DSM"): (90_384, 51_635),
+    ("linear_scalein", "DCR"): (74_991, 40_431),
+    ("diamond_scalein", "CCR"): (121_360, 63_764),
+}
+
+
+def observed_work(config, report_pinned=True, sole_edges=True):
     """Timeline and report SHA-256 (None unless ``report_pinned``), actions
-    and calendar pushes of one run of ``config``, and its behaviour digest."""
+    and calendar pushes of one run of ``config``, and its behaviour digest.
+    Without ``sole_edges`` every sender's ``sole_edge`` is cleared after
+    construction, so each send takes the general path: ``_route_emission``,
+    then ``deliver``."""
     engine = SimulationEngine(config)
+    if not sole_edges:
+        for sender in (engine.source, *engine.instances.values()):
+            sender.sole_edge = None
     timeline = engine.run()
     report = None
     if report_pinned:
@@ -1400,3 +1487,24 @@ class TestPinnedTimelines:
         work, behaviour = observed_work(config, report_pinned=pinned[1] is not None)
         assert behaviour == SHAPE_BEHAVIOUR[shape, strategy]
         assert work == pinned
+
+
+class TestGeneralPathOracle:
+    """The sole-edge sends in ``_send_root`` and ``_complete_service`` are
+    shortcuts for the general path: with every ``sole_edge`` cleared, runs
+    must still give the pinned bytes, actions and pushes."""
+
+    @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
+    def test_shape_pins_hold(self, shape, strategy):
+        pinned = PINNED_SHAPES[shape, strategy]
+        work, behaviour = observed_work(SHAPES[shape](strategy),
+                                        report_pinned=pinned[1] is not None, sole_edges=False)
+        assert behaviour == SHAPE_BEHAVIOUR[shape, strategy]
+        assert work == pinned
+
+    @pytest.mark.parametrize("scenario,strategy", sorted(PINNED_RUN_WORK))
+    def test_bundled_run_pins_hold(self, scenario, strategy):
+        config = with_overrides(load_bundled_scenario(scenario), strategy=strategy)
+        work, behaviour = observed_work(config, sole_edges=False)
+        assert behaviour == PINNED_BEHAVIOUR[scenario, strategy]
+        assert work == (*PINNED_RUNS[scenario, strategy], *PINNED_RUN_WORK[scenario, strategy])

@@ -110,14 +110,17 @@ def test_benchmark_kernel_probes_backend_and_row_deletion(monkeypatch):
     assert [r.site for r in timeline.records] == [SOURCE_EMIT]
 
 
-def perf_record(workload, seed, wall, prints, source="tree-a"):
-    """A minimal untraced perfbench record."""
+def perf_record(workload, seed, wall, prints, source="tree-a", host_wall=None):
+    """A minimal untraced perfbench record; its host ``wall_s`` is
+    ``host_wall``, by default twice ``wall``."""
     return {
         "workload": workload, "seed": seed, "trace": False,
         "environment": {"git_sha": "abc", "source_sha256": source,
                         "python": "3.11.7", "nproc": 2},
         "metrics": {"wall_ref_s": {"value": wall, "unit": "s"},
                     "peak_rss_mb": {"value": 40.0, "unit": "MB"}},
+        "host": {"wall_s": {"value": 2 * wall if host_wall is None else host_wall,
+                            "unit": "s"}},
         "failed": [],
         "passes": [{"actions": sum(f["actions"] for f in prints)}],
         "fingerprints": prints,
@@ -135,13 +138,14 @@ def write_json(path, doc):
     path.write_text(json.dumps(doc))
 
 
-def test_bench_record_summarizes_samples(tmp_path):
+def test_bench_record_summarizes_samples(tmp_path, capsys):
     rec = load_tool("bench_record")
     out = tmp_path / "out"
-    for seed, wall in ((1, 1.0), (2, 2.0), (3, 4.0), (4, 3.0), (5, 5.0)):
+    for seed, wall, host_wall in ((1, 1.0, 9.0), (2, 2.0, 7.0), (3, 4.0, 8.0),
+                                  (4, 3.0, 6.0), (5, 5.0, 10.0)):
         prints = [fingerprint("chain", "DCR", f"t{seed}", actions=10 * seed)]
         write_json(out / f"chain50_delay-seed{seed}-trace0.json",
-                   perf_record("chain50_delay", seed, wall, prints))
+                   perf_record("chain50_delay", seed, wall, prints, host_wall=host_wall))
     # reproduce rewrites one file: each sample is a copy of the out folder.
     rerun = dict(fingerprint("lin", "DCR", "x"), report_sha256=None)  # no report made
     repro = [fingerprint("lin", "DCR", "x"), rerun,
@@ -161,6 +165,10 @@ def test_bench_record_summarizes_samples(tmp_path):
     assert chain["samples"] == 5  # the folder passed twice counts once
     assert chain["metrics"]["wall_ref_s"] == {
         "unit": "s", "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0, "n": 5}
+    # The host wall time's spread sits beside the gated metrics, not among them.
+    assert chain["host"]["wall_s"] == {
+        "unit": "s", "median": 8.0, "q1": 7.0, "q3": 9.0, "iqr": 2.0, "n": 5}
+    assert "chain50_delay: wall_ref_s 3 [2, 4]  host wall_s 8 [7, 9]" in capsys.readouterr().out
     assert chain["counters_by_seed"]["3"] == {
         "actions": 30, "calendar_pushes": 30, "timeline_records": 10,
         "engine_runs": 1, "distinct_timelines": 1}
@@ -222,6 +230,7 @@ if stub["walls"][done] is None:
     sys.exit(1)
 record = stub["record"]
 record["metrics"]["wall_ref_s"]["value"] = stub["walls"][done]
+record["host"]["wall_s"]["value"] = stub["host_walls"][done]
 (here / "out").mkdir(exist_ok=True)
 path = here / "out" / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
 path.write_text(json.dumps(record))
@@ -229,8 +238,9 @@ print(f"record: {path.relative_to(tree)}")
 '''
 
 
-def stub_tree(root, label, walls, log):
-    """A source tree whose benchmark is STUB_RUN, reading ``walls`` in turn."""
+def stub_tree(root, label, walls, log, host_walls=None):
+    """A source tree whose benchmark is STUB_RUN, reading ``walls`` and
+    ``host_walls`` (by default twice each wall) in turn."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(STUB_RUN)
     write_json(root / "BENCHMARK.json", {
@@ -240,6 +250,7 @@ def stub_tree(root, label, walls, log):
     prints = [fingerprint("grid", "DSM", "t")]
     write_json(root / "stub.json", {
         "label": label, "walls": walls, "log": str(log),
+        "host_walls": host_walls or [2 * (wall or 0) for wall in walls],
         "record": perf_record("grid_dsm", 7, 0.0, prints, source=label)})
     return root
 
@@ -249,7 +260,11 @@ def test_bench_pairs_alternates_and_keeps_every_record(tmp_path, capsys):
     rec = load_tool("bench_record")
     log = tmp_path / "runs.log"
     walls = {"parent": [1.0, 1.1, 0.9, 1.2, 1.0], "change": [0.8, 0.9, 1.15, 0.85, 0.82]}
-    trees = [str(stub_tree(tmp_path / label, label, walls[label], log)) for label in walls]
+    # Host time agrees with wall_ref_s in pairs 1, 3 and 4, and moves the
+    # other way in pairs 2 and 5.
+    host_walls = {"parent": [2.0, 2.0, 2.0, 2.0, 2.0], "change": [1.9, 2.1, 2.2, 1.5, 2.05]}
+    trees = [str(stub_tree(tmp_path / label, label, walls[label], log, host_walls[label]))
+             for label in walls]
     out = tmp_path / "pairs"
     assert pairs.main([*trees, "--workload", "grid_dsm", "--pairs", "5", "--seed", "7",
                        "--out", str(out)]) == 0
@@ -271,6 +286,12 @@ def test_bench_pairs_alternates_and_keeps_every_record(tmp_path, capsys):
     assert "median gap 0.15 exceeds parent IQR 0.1" in wall_line
     rss_line, = (line for line in report.splitlines() if line.startswith("peak_rss_mb"))
     assert "change won 0/5 pairs" in rss_line and "within parent IQR 0" in rss_line
+    host_line, = (line for line in report.splitlines() if line.startswith("host wall_s"))
+    assert "parent 2 [2, 2]  change 2.05 [1.9, 2.1]  change won 2/5 pairs" in host_line
+    # A change worse by more than the parent's spread reads as such.
+    assert "median gap -0.05 exceeds parent IQR 0" in host_line
+    assert "pair 2 change: wall_ref_s 0.9, peak_rss_mb 40, host wall_s 2.1" in report
+    assert "pairs whose wall_s and wall_ref_s gaps disagree in sign: 2, 5\n" in report
 
     # The copies feed bench_record as they are.
     bench = tmp_path / "BENCH.json"

@@ -17,8 +17,13 @@ copies keep every sample for ``tools/bench_record.py``.
 
 For every gated end-to-end metric it prints both sides' median and
 quartiles, the pairs the change won, whether it won at least nine in ten,
-and whether the median gap exceeds the parent's interquartile range.  It
-reads ``perfbench/`` and ``BENCHMARK.json`` and edits neither.
+and whether the median gap (negative when the change is worse) exceeds the
+parent's interquartile range.  Beside
+``wall_ref_s`` it prints the same for the host ``wall_s``, and flags each
+pair whose ``wall_s`` and ``wall_ref_s`` gaps disagree in sign: the
+reference probe and the host saw the pair differently, so its
+``wall_ref_s`` gap is suspect.  It reads ``perfbench/`` and
+``BENCHMARK.json`` and edits neither.
 """
 
 from __future__ import annotations
@@ -58,6 +63,18 @@ def pair_order(pair: int) -> tuple[str, str]:
     return LABELS if pair % 2 else LABELS[::-1]
 
 
+def disagreeing_pairs(parent: list[dict], change: list[dict]) -> list[int]:
+    """The pairs (counting from 1) whose host ``wall_s`` gap and
+    ``wall_ref_s`` gap have opposite signs."""
+    flagged = []
+    for pair, (p, c) in enumerate(zip(parent, change), start=1):
+        ref = c["metrics"]["wall_ref_s"]["value"] - p["metrics"]["wall_ref_s"]["value"]
+        host = c["host"]["wall_s"]["value"] - p["host"]["wall_s"]["value"]
+        if ref * host < 0:
+            flagged.append(pair)
+    return flagged
+
+
 def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
     """One line comparing the two sides' samples of ``metric``, pair by pair."""
     lower = metric["better"] == "lower"
@@ -70,7 +87,7 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
             f"change {after['median']:.4g} [{after['q1']:.4g}, {after['q3']:.4g}]  "
             f"change won {wins}/{n} pairs ({'at least' if 10 * wins >= 9 * n else 'under'} "
             f"9 in 10)  median gap {gap:.4g} "
-            f"{'exceeds' if gap > before['iqr'] else 'within'} parent IQR {before['iqr']:.4g}")
+            f"{'exceeds' if abs(gap) > before['iqr'] else 'within'} parent IQR {before['iqr']:.4g}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
             samples[label].append(doc)
             print(f"pair {pair} {label}: " + ", ".join(
                 f"{m['name']} {doc['metrics'][m['name']]['value']:.4g}"
-                for m in bench["end_to_end"]), flush=True)
+                for m in bench["end_to_end"])
+                + f", host wall_s {doc['host']['wall_s']['value']:.4g}", flush=True)
 
     print(f"{args.workload} seed={args.seed}: {args.pairs} pairs, failed checks "
           + ", ".join(f"{label} {sum(len(d['failed']) for d in samples[label])}"
@@ -111,6 +129,12 @@ def main(argv: list[str] | None = None) -> int:
         parent, change = ([d["metrics"][name]["value"] for d in samples[label]]
                           for label in LABELS)
         print(verdict(metric, parent, change))
+    host = {"name": "host wall_s", "unit": "s", "better": "lower"}
+    print(verdict(host, *([d["host"]["wall_s"]["value"] for d in samples[label]]
+                          for label in LABELS)))
+    flagged = disagreeing_pairs(samples["parent"], samples["change"])
+    print("pairs whose wall_s and wall_ref_s gaps disagree in sign: "
+          + (", ".join(map(str, flagged)) if flagged else "none"))
     return 0
 
 

@@ -15,7 +15,9 @@ pass every copy.  A record found twice (the same bytes) counts once.
 
 A point holds, per workload:
 
-* the median, quartiles and IQR of every gated end-to-end metric;
+* the median, quartiles and IQR of every gated end-to-end metric, and
+  beside them of every host-time measure (``wall_s`` and the others under
+  a record's ``host``), which no gate reads;
 * per seed, the noise-free counters of one pass: engine actions, calendar
   pushes, timeline records, engine runs and distinct timelines;
 * the failed checks of all samples;
@@ -122,6 +124,8 @@ def summarize(records: list[dict]) -> dict:
             "samples": len(group),
             "metrics": {m: {"unit": unit, **spread([r["metrics"][m]["value"] for r in group])}
                         for m, unit in units.items()},
+            "host": {m: {"unit": v["unit"], **spread([r["host"][m]["value"] for r in group])}
+                     for m, v in group[0]["host"].items()},
             "counters_by_seed": {seed: counters(r) for seed, r in sorted(first_of_seed.items())},
             "failed_checks": sum(len(r["failed"]) for r in group),
         }
@@ -152,6 +156,10 @@ def main(argv: list[str] | None = None) -> int:
     write_point(args.output, args.label, point)
     samples = ", ".join(f"{n} x{w['samples']}" for n, w in point["workloads"].items())
     print(f"wrote {args.label} to {args.output}: {samples}")
+    for name, workload in point["workloads"].items():
+        ref, host = workload["metrics"]["wall_ref_s"], workload["host"]["wall_s"]
+        print(f"{name}: wall_ref_s {ref['median']:.4g} [{ref['q1']:.4g}, {ref['q3']:.4g}]  "
+              f"host wall_s {host['median']:.4g} [{host['q1']:.4g}, {host['q3']:.4g}]")
     return 0
 
 
