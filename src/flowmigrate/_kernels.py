@@ -38,9 +38,9 @@ class EventCalendar:
     millisecond is later than the open one, which starts at 0 with an
     empty list; no fire time is reserved, so negative times are legal.
     Popped entries stay in the open list until the next millisecond opens.
-    Most zero-delay data hops never reach the calendar: the engine places
-    them in the sending action, into the target's service slot or queue
-    (see SimulationEngine.deliver), and pushes only the completions.
+    Many data hops never reach the calendar as arrivals: the engine places
+    them in the sending action, into a ready target's service slot (or, at
+    zero delay, queue) and pushes only the completions (SimulationEngine.deliver).
     """
 
     __slots__ = ("_times", "_waiting", "_open", "_open_ms", "_i", "_popped", "_next_seq")

@@ -25,6 +25,10 @@ STRATEGIES = ("DSM", "DCR", "CCR")
 # One task instance is provisioned per this many events/sec of input.
 RATE_PER_INSTANCE = 8.0
 
+# Timeline timestamps are int64 ms, and a run records times some durations
+# past its end: each duration or delay stays below 2**53 ms (285,000 years).
+MAX_MS = 2**53
+
 
 def to_ms(seconds: float) -> int:
     """Seconds of simulated time as whole milliseconds."""
@@ -514,6 +518,10 @@ def validate_scenario(config: ScenarioConfig) -> None:
             f"scenario field ackTimeout: {config.ackTimeout} s rounds to 0 ms; must be >= 1 ms")
     if not 0 <= config.rebalanceDuration * 1000 < math.inf or config.networkDelayMs < 0:
         raise ConfigError("scenario: durations must be non-negative and finite")
+    for field_name in ("runDuration", "ackTimeout", "rebalanceDuration", "networkDelayMs",
+                       "workerStartupMaxMs"):
+        if getattr(config, field_name) * (1 if field_name.endswith("Ms") else 1000) >= MAX_MS:
+            raise ConfigError(f"scenario field {field_name}: must be below 2**53 ms")
     if config.migrationTriggerAt >= config.runDuration:
         raise ConfigError(
             "scenario field migrationTriggerAt: must be < runDuration "

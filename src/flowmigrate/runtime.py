@@ -262,6 +262,8 @@ class SimulationEngine:
         self.run_end_ms = to_ms(config.runDuration)
         self.ack_timeout_ms = to_ms(config.ackTimeout)
         self.net_delay_ms = config.networkDelayMs
+        # deliver places a delayed hop early only if no respawn can beat it.
+        self._lookahead = to_ms(config.rebalanceDuration) >= self.net_delay_ms
         self.acking_data = config.strategy == "DSM"  # only DSM acks DATA events
         self.acker = AckerService(self.ack_timeout_ms)
         self.wave_acker = AckerService(self.ack_timeout_ms)
@@ -368,8 +370,8 @@ class SimulationEngine:
         Bound again by run(), after any wrapper of EventCalendar.push or
         override of the two hot actions is installed; bound at construction
         for callers that drive the calendar by hand.  An ``_arrive``
-        override sees scheduled arrivals only (a ready zero-delay hop is
-        placed inside ``deliver``); a ``_complete_service`` override sees
+        override sees scheduled arrivals only (``deliver`` places a hop to a
+        ready instance at send time); a ``_complete_service`` override sees
         every completion.  A deep copy keeps a builtin bound method as it
         is, so a twin's ``_getrandbits`` would still draw from the
         original's generator: fork_at_trigger binds the twin's own.
@@ -593,23 +595,30 @@ class SimulationEngine:
             self._on_root_completed(env.rootId)
 
     def deliver(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
-        """Send ``env`` to ``target``: its arrival fires ``net_delay_ms`` later.
+        """Send ``env`` to ``target``: it lands ``net_delay_ms`` later.
 
-        A zero-delay DATA hop to a target that takes data now (RUNNING,
-        initialized, not capturing) with no arrival in flight to it is
-        placed here, in the sender's action, and counts as one action: it
-        takes the service slot if the target is idle with an empty queue,
-        pushing only its completion, and otherwise joins the queue tail.
-        Every other hop pushes its arrival (``_arrive``).  The target's
-        ``in_flight`` count of pushed arrivals keeps its input FIFO: no hop
-        overtakes one in the calendar, so data sent after a barrier arrives
-        after it.  A ``deliver`` override sees every hop but a serviced
-        event's sole-edge child, which ``_complete_service`` sends by this rule.
+        A DATA hop to a target that takes data now (RUNNING, initialized,
+        not capturing) with no arrival in flight to it is placed here, in
+        the sender's action, as one action.  At an idle target with an
+        empty queue it takes the service slot now, pushing its completion
+        at the delay plus the service time: with one link delay, anything
+        that could reach the target first is an arrival in flight now.  A
+        kill before the hop lands cancels that completion, as the arrival
+        would have found the target KILLED; if ``rebalanceDuration`` is
+        shorter than the delay, no hop is placed early.  At zero delay a
+        hop to a busy target joins its queue tail.  Every other hop pushes
+        its arrival (``_arrive``); the target's ``in_flight`` count of them
+        keeps its input FIFO, so data sent after a barrier arrives after it.
+        A ``deliver`` override sees every hop but a serviced event's
+        sole-edge child, which ``_complete_service`` sends by this rule.
         """
-        if (target.in_flight or self.net_delay_ms or env.kind != DATA
-                or target.status != RUNNING or not target.initialized or target.captureFlag):
+        delay = self.net_delay_ms
+        if (target.in_flight or env.kind != DATA or target.status != RUNNING
+                or not target.initialized or target.captureFlag
+                or delay and (target.in_service is not None or target.queue
+                              or not self._lookahead)):
             target.in_flight += 1
-            self._push(self.clock.now + self.net_delay_ms, (self._arrive_fn, (env, target)))
+            self._push(self.clock.now + delay, (self._arrive_fn, (env, target)))
             return
         self._actions += 1
         if self._actions > _MAX_ACTIONS:
@@ -621,12 +630,13 @@ class SimulationEngine:
             self._pump(target)
         else:
             target.in_service = env
-            self._push(self.clock.now + target.service_ms,
+            self._push(self.clock.now + delay + target.service_ms,
                        (self._complete_fn, (target, env, target.generation)))
 
     def _arrive(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
-        """Hand a scheduled arrival to its target instance (a hop that
-        ``deliver`` placed at once never comes here).
+        """Hand a scheduled arrival to its target instance: a control copy,
+        a transport retry, or a DATA hop whose target was busy, not ready,
+        or had an arrival in flight when ``deliver``'s rule sent it.
 
         At a RUNNING instance, a DATA event that finds it idle and accepting
         (initialized, not capturing, queue empty, nothing in service) goes
@@ -685,8 +695,8 @@ class SimulationEngine:
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
                           gen: int) -> None:
         """Finish the service of DATA event ``env``: emit its children (a
-        sole edge's by ``deliver``'s rule, inline), ack it, and start the
-        next queued event.
+        sole edge's inline, by ``deliver``'s rule at any delay), ack it,
+        and start the next queued event.
 
         A DATA head at an instance still RUNNING, idle, initialized and not
         capturing goes into service here, in the same action, exactly as
@@ -725,7 +735,7 @@ class SimulationEngine:
             count = inst.sel_count
             if inst.sel_frac > 0 and self.rng.random() < inst.sel_frac:
                 count += 1
-            sole = inst.sole_edge
+            sole, delay = inst.sole_edge, self.net_delay_ms
             while count:
                 count -= 1
                 if count:  # more children follow: a fresh envelope
@@ -744,10 +754,12 @@ class SimulationEngine:
                 sent = inst.sole_sent
                 inst.sole_sent = sent + 1
                 target = sole[sent % len(sole)]
-                if (target.in_flight or self.net_delay_ms or target.status != RUNNING
-                        or not target.initialized or target.captureFlag):
+                if (target.in_flight or target.status != RUNNING or not target.initialized
+                        or target.captureFlag
+                        or delay and (target.in_service is not None or target.queue
+                                      or not self._lookahead)):
                     target.in_flight += 1
-                    self._push(now + self.net_delay_ms, (self._arrive_fn, (child, target)))
+                    self._push(now + delay, (self._arrive_fn, (child, target)))
                     continue
                 self._actions += 1
                 if self._actions > _MAX_ACTIONS:
@@ -759,7 +771,7 @@ class SimulationEngine:
                     self._pump(target)
                 else:
                     target.in_service = child
-                    self._push(now + target.service_ms,
+                    self._push(now + delay + target.service_ms,
                                (self._complete_fn, (target, child, target.generation)))
 
         if acking:

@@ -208,6 +208,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"configuration error: {message}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("networkDelayMs", 10**19), ("rebalanceDuration", 1e17)])
+    def test_duration_past_the_timestamp_range_exits_2(self, tmp_path, no_engine_runs,
+                                                       capsys, field, value):
+        # Each passed the loader, then the run died on the timeline's int64
+        # ts column with an OverflowError (exit 1).
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        doc.update({"strategy": "DCR", field: value})
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", str(bad), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: scenario field {field}: must be below 2**53 ms" in err
+        assert "Traceback" not in err
+
     def test_restore_with_no_output_left_is_reported(self, tmp_path):
         # CCR restores the dataflow after the last sink output of the run:
         # a null restore duration, not a crash.

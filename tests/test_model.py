@@ -356,6 +356,18 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match="task T3: input rate inf events/sec"):
             parse_scenario(doc)
 
+    def test_duration_past_the_timestamp_range_rejected(self):
+        # Timeline timestamps are int64 ms; every duration and delay stays
+        # below 2**53 ms (about 9.007e15), each field on its own.
+        fields = {"runDuration": 1e13, "ackTimeout": 1e13, "rebalanceDuration": 1e13,
+                  "networkDelayMs": 10**16, "workerStartupMaxMs": 10**16}
+        for field, value in fields.items():
+            with pytest.raises(ConfigError, match=f"scenario field {field}: must be below"):
+                parse_scenario(self.minimal_doc(**{field: value}))
+        below = {field: value / 10 if isinstance(value, float) else value // 10
+                 for field, value in fields.items()}
+        assert parse_scenario(self.minimal_doc(**below)).networkDelayMs == 10**15
+
     def test_huge_instance_count_rejected_before_its_ids_are_listed(self):
         doc = self.minimal_doc()
         doc["dag"] = bundled_dag_doc("linear")

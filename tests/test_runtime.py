@@ -347,41 +347,48 @@ class TestRunLoop:
 
     def test_overrides_set_before_run_see_every_event(self):
         # run() binds the two hot actions after any override is installed.
-        # A chain without migration fires only source ticks, arrivals and
-        # completions.  At 5 ms network delay every arrival is scheduled, so
-        # every arrival and completion passes the overrides.  At zero delay
-        # every hop lands inside deliver (it never reaches _arrive) and
-        # still counts as one action; every completion passes the override.
+        # A fan-out into a join without migration fires only source ticks,
+        # arrivals and completions, and every completion passes the
+        # override.  A DATA hop to a ready instance with nothing in flight
+        # is placed in its sender's action and counts as one action: it
+        # pushes no arrival and never reaches _arrive, so a completion
+        # whose event id no arrival carried is such a hop.  At 5 ms a hop
+        # is placed only into an idle instance's slot; one that finds its
+        # target busy (as the join's second copy of each event does) is a
+        # scheduled arrival.  At zero delay every hop is placed.
         def spied_run(delay_ms):
-            config = make_scenario(make_chain_dag(3), "DCR", run_s=10, trigger_s=5,
+            config = make_scenario(fan_out_join_dag(), "DCR", run_s=10, trigger_s=5,
                                    networkDelayMs=delay_ms)
             engine = SimulationEngine(config, migrate=False)
             arrived, completed = [], []
             arrive, complete = engine._arrive, engine._complete_service
 
             def spy_arrive(env, target):
-                arrived.append(env)
+                arrived.append(env.eventId)
                 arrive(env, target)
 
             def spy_complete(inst, env, gen):
-                completed.append(env)
+                completed.append(env.eventId)
                 complete(inst, env, gen)
 
             engine._arrive = spy_arrive
             engine._complete_service = spy_complete
             engine.run()
-            return engine, arrived, completed
+            placed = len(set(completed) - set(arrived))
+            return engine, arrived, completed, placed
 
-        engine, arrived, completed = spied_run(5)
+        engine, arrived, completed, placed = spied_run(5)
         roots = engine.source.next_seq
-        assert roots == 80
-        assert len(arrived) == len(completed) == 4 * roots  # T1, T2, T3, sink
-        assert engine._actions == roots + len(arrived) + len(completed)
+        hops = 7 * roots  # A, B, C, two at the join and two at the sink
+        assert roots == 80 and len(completed) == hops
+        assert 0 < len(arrived) < hops and len(arrived) + placed == hops
+        assert engine._actions == roots + len(arrived) + len(completed) + placed
+        assert work_of(engine)[1] == roots + len(arrived) + len(completed)  # pushes
 
-        engine, arrived, completed = spied_run(0)
+        engine, arrived, completed, placed = spied_run(0)
         assert engine.source.next_seq == roots
-        assert arrived == [] and len(completed) == 4 * roots
-        assert engine._actions == roots + 4 * roots + len(completed)  # hops placed in deliver
+        assert arrived == [] and len(completed) == placed == hops
+        assert engine._actions == roots + len(completed) + placed
 
     def test_action_budget_stops_a_run(self, monkeypatch):
         monkeypatch.setattr(runtime, "_MAX_ACTIONS", 1000)
@@ -688,6 +695,36 @@ class TestPlacement:
         assert [env.rootSeqNo for env in inst.queue] == [1]
         (_t, _seq, (_fn, args)), = drain(engine)  # queued's completion only
         assert args == (inst, queued, inst.generation)
+
+    def test_a_delayed_hop_to_an_idle_instance_takes_its_slot_at_send(self):
+        # Nothing is in flight to T1, so nothing reaches it before the hop
+        # would land: the service starts at the send, due after the delay
+        # plus the service time, and a kill meanwhile cancels it.
+        engine = quick_engine(networkDelayMs=5)
+        inst = engine.instances["T1#0"]
+        env = make_event(1)
+        engine.deliver(env, inst)
+        assert inst.in_service is env and inst.in_flight == 0 and engine._actions == 1
+        (t, _seq, (fn, args)), = drain(engine)
+        assert (t, fn, args) == (105, engine._complete_service, (inst, env, 0))
+        engine.kill_instance("T1#0")
+        fn(*args)
+        assert inst.state.processedCount == 0 and inst.in_service is None
+
+    def test_a_delayed_hop_to_an_idle_instance_with_a_queue_is_scheduled(self):
+        # As above, at 5 ms: root 1's hop finds T1 idle with `queued`
+        # still in its queue, so it must not take the slot ahead of it.
+        engine = quick_engine(strategy="DSM", networkDelayMs=5)
+        inst = engine.instances["T1#0"]
+        inst.sel_count = 0
+        engine._emit_root()  # root 0 takes T1's slot at its send
+        queued = make_event(7)
+        inst.queue.append(queued)
+        engine.source.backlog = 1
+        assert fire_next(engine) == 105  # T1 acks root 0 and root 1 is sent
+        assert inst.in_service is queued and not inst.queue and inst.in_flight == 1
+        assert [(t, fn) for t, _seq, (fn, _args) in drain(engine)] == [
+            (110, engine._arrive), (205, engine._complete_service)]
 
     @pytest.mark.parametrize("case", ["barrier", "capturing", "uninitialized"])
     def test_any_other_head_goes_through_pump(self, case, monkeypatch):
@@ -1009,10 +1046,12 @@ class TestKillRespawn:
 
 def fork_case(name: str):
     """Parent config of a fork test: a bundled scenario under DCR, or a
-    fan-out to two DUPLICATE branches joined at the sink under CCR."""
+    fan-out to two DUPLICATE branches joined at the sink under CCR, at zero
+    delay or at 5 ms (where the fork copies hops placed at their send)."""
     if name == "linear_scalein":
         return with_overrides(load_bundled_scenario(name), strategy="DCR")
-    return make_scenario(fan_out_dag(DUPLICATE, DUPLICATE), "CCR")
+    return make_scenario(fan_out_dag(DUPLICATE, DUPLICATE), "CCR",
+                         networkDelayMs=5 if name == "fan_join_5ms" else 0)
 
 
 def outcome(engine):
@@ -1030,7 +1069,7 @@ def outcome_from_scratch(name: str, strategy: str):
 
 
 class TestForkAtTrigger:
-    @pytest.mark.parametrize("name", ["linear_scalein", "fan_join"])
+    @pytest.mark.parametrize("name", ["linear_scalein", "fan_join", "fan_join_5ms"])
     @pytest.mark.parametrize("twin_first", [True, False])
     def test_parent_and_twin_equal_runs_from_scratch(self, name, twin_first):
         # The twin draws from its own generator: with a copy of the
@@ -1250,13 +1289,13 @@ PINNED_RUNS = {
 # must not change what a run does: the actions and pushes pin that.
 PINNED_WORK = {
     ("linear50_stress", "DCR", 5): (
-        "3fa2a503d8aa020ec3473cd85603465a71375a525e57ba58a4f07c4fa4745ddc",
+        "e9f32243a6f5b7e8eca44057637360af54aea46b9b8f3fc78433b0de76a0e739",
         "f6b9202d562c4325fc63c85e34bd530c63a2551f844c7bdfc217e1ca6691b5b9",
-        247_585, 247_585),
+        247_585, 198_574),
     ("linear50_stress", "CCR", 5): (
-        "7fb695aaf0257fad1dbb24baf07e14a7af5f4a36c130067a951cba0203ce45af",
+        "63560fc794f4b2e6fcb4c057fb73379c993d2e2e441b84023a0223e3d423e2c1",
         "5800a1a5071e9af8e2f0512f09acdbcdef9bdbafc5dca27dceef023c8dab75b7",
-        249_340, 249_340),
+        249_340, 201_032),
     ("grid_scalein", "DSM", 0): (
         "6e42294b69e5eb52ce2f95e745f5ce3d63d8e046c4f61a07c0f6a11389f08c27",
         "9a69c3ebee423fe79b303250d1cceb762c967e5ddb4815353df365dc5cc2b9d3",
@@ -1296,15 +1335,15 @@ PINNED_SHAPES = {
     ("shuffle_split_7ms", "DSM"): (
         "d87a4acc87769f12fbfc40cd7e45f71bea003f438930f7951246ef7c49f9e746",
         "c05955ba7cf3310c81859f023206a62c5aaf991417528dba83f91341942050f8",
-        6_150, 6_150),
+        6_150, 4_783),
     ("shuffle_split_7ms", "DCR"): (
         "880e57fd1e50028f3fb4e5fa3d983722e26cc3e89a3c37f7aad9f5b1e07352cf",
         "af19df45c82e73cae73b8f998ee8d7e4b4bfb8086e97ed1e195d52d420bdb546",
-        5_076, 5_076),
+        5_076, 3_766),
     ("shuffle_split_7ms", "CCR"): (
         "e226d9263519d6a194e35044e43cdf288fdfec412613024b2045ad7df4f38341",
         "8eb28883ad56d3f1249329bb066321a3a965c27a110610bbced1a53dfafaeb02",
-        5_079, 5_079),
+        5_079, 3_758),
     ("selectivity_2", "DSM"): (
         "e7b677db05d3e709f18ae6742c69f4204886b6eeb1472bf9189ec813a4fcd25a",
         "6910192d35c9ec05380ecc12658e753e44fe12760baf2b671a46647b2741ff88",
@@ -1447,16 +1486,21 @@ PINNED_RUN_WORK = {
 }
 
 
-def observed_work(config, report_pinned=True, sole_edges=True):
+def observed_work(config, report_pinned=True, sole_edges=True, scheduled=False):
     """Timeline and report SHA-256 (None unless ``report_pinned``), actions
     and calendar pushes of one run of ``config``, and its behaviour digest.
     Without ``sole_edges`` every sender's ``sole_edge`` is cleared after
     construction, so each send takes the general path: ``_route_emission``,
-    then ``deliver``."""
+    then ``deliver``.  With ``scheduled`` every instance starts with one
+    arrival counted in flight that never lands, so every hop to it
+    schedules its ``_arrive``: no hop is placed in its sender's action."""
     engine = SimulationEngine(config)
     if not sole_edges:
         for sender in (engine.source, *engine.instances.values()):
             sender.sole_edge = None
+    if scheduled:
+        for inst in engine.instances.values():
+            inst.in_flight = 1
     timeline = engine.run()
     report = None
     if report_pinned:
@@ -1508,3 +1552,55 @@ class TestGeneralPathOracle:
         work, behaviour = observed_work(config, sole_edges=False)
         assert behaviour == PINNED_BEHAVIOUR[scenario, strategy]
         assert work == (*PINNED_RUNS[scenario, strategy], *PINNED_RUN_WORK[scenario, strategy])
+
+
+class TestAllScheduledOracle:
+    """Placing a hop in its sender's action (into a ready instance's queue
+    at zero delay, into an idle one's slot at any delay) is a shortcut for
+    scheduling its arrival.  With every hop scheduled instead, only the
+    order of same-millisecond ties may move: each run must keep its
+    behaviour digest and its report.  The selectivity_1.5 shapes are left
+    out: their coin flips follow the service order (see SHAPE_BEHAVIOUR)."""
+
+    @pytest.mark.parametrize("shape,strategy", sorted(
+        key for key in PINNED_SHAPES if key[0] != "selectivity_1.5"))
+    def test_shape_behaviour_holds(self, shape, strategy):
+        work, behaviour = observed_work(SHAPES[shape](strategy), scheduled=True)
+        assert behaviour == SHAPE_BEHAVIOUR[shape, strategy]
+        assert work[1] == PINNED_SHAPES[shape, strategy][1]
+
+    @pytest.mark.parametrize("scenario,strategy", sorted(PINNED_RUN_WORK))
+    def test_bundled_run_behaviour_holds(self, scenario, strategy):
+        config = with_overrides(load_bundled_scenario(scenario), strategy=strategy)
+        work, behaviour = observed_work(config, scheduled=True)
+        assert behaviour == PINNED_BEHAVIOUR[scenario, strategy]
+        assert work[1] == PINNED_RUNS[scenario, strategy][1]
+
+    @pytest.mark.parametrize("scenario,strategy,delay_ms", [
+        *((scenario, strategy, 5) for scenario in ("linear_scalein", "diamond_scalein")
+          for strategy in ("DSM", "DCR", "CCR")),
+        ("linear_scalein", "DSM", 20)])
+    def test_delayed_run_matches_its_scheduled_twin(self, scenario, strategy, delay_ms):
+        # 300 s of the 720 s run: the migration at 180 s has restored
+        # every instance by 250 s under each strategy.
+        config = with_overrides(load_bundled_scenario(scenario), strategy=strategy,
+                                networkDelayMs=delay_ms, runDuration=300)
+        (_csv, report, actions, pushes), behaviour = observed_work(config)
+        (_, twin_report, twin_actions, twin_pushes), twin_behaviour = observed_work(
+            config, scheduled=True)
+        assert (behaviour, report) == (twin_behaviour, twin_report)
+        assert pushes < twin_pushes
+        if delay_ms == 20:
+            # The kill at the trigger meets hops that took their target's
+            # slot when sent: each fires one more action, the completion
+            # the kill cancels, where its arrival would have been dropped.
+            assert actions == twin_actions + 4
+        else:
+            assert actions == twin_actions
+
+    def test_no_lookahead_when_a_respawn_can_beat_the_delay(self):
+        # A rebalance of 10 ms under a 20 ms delay could respawn a killed
+        # target before a hop lands: no hop is placed early.
+        config = with_overrides(load_bundled_scenario("linear_scalein"), strategy="DSM",
+                                networkDelayMs=20, rebalanceDuration=0.01)
+        assert observed_work(config) == observed_work(config, scheduled=True)
