@@ -105,6 +105,15 @@ class AckerTable:
     anchored, once when it is acked.  A hash returning to zero on an ack
     marks the causal tree complete.  Completed entries stay visible (for
     the at-least-once bookkeeping of the caller) until discarded.
+
+    An entry is the list ``[hash, register_ts, done]``, and ``register``
+    returns it, so a caller may hold it as a handle and fold ids into it
+    without a lookup: an anchor is ``if not e[2]: e[0] ^= id``, and an ack
+    is the same fold that sets ``e[2]`` when the hash reaches 0.  The
+    handle stays exact: ``sweep`` re-arms an entry in place, so a replay
+    holds the same object, and ``discard`` sets ``done`` before it drops
+    the entry, so a held handle is inert from then on, as a lookup by id
+    would answer ``ACK_UNKNOWN``.
     """
 
     __slots__ = ("_entries",)
@@ -116,16 +125,17 @@ class AckerTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def register(self, root_id: int, ts_ms: int) -> bool:
+    def register(self, root_id: int, ts_ms: int) -> list | None:
         """Track a new root; the root id counts as anchored once.
 
-        Returns False if the root is already tracked (caller raises).
-        A swept root is re-armed by ``sweep`` itself.
+        Returns the root's entry (the handle), or None if the root is
+        already tracked (caller raises).  A swept root is re-armed by
+        ``sweep`` itself.
         """
         if root_id in self._entries:
-            return False
-        self._entries[root_id] = [root_id, ts_ms, False]
-        return True
+            return None
+        entry = self._entries[root_id] = [root_id, ts_ms, False]
+        return entry
 
     def anchor(self, root_id: int, event_id: int) -> int:
         """XOR a newly created event into the tree. Result codes as ack()."""
@@ -164,7 +174,10 @@ class AckerTable:
         return entry[0]
 
     def discard(self, root_id: int) -> None:
-        self._entries.pop(root_id, None)
+        """Stop tracking a root; a handle still held becomes inert."""
+        entry = self._entries.pop(root_id, None)
+        if entry is not None:
+            entry[2] = True
 
     def pending_count(self) -> int:
         n = 0

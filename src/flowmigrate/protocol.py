@@ -422,14 +422,12 @@ class DsmCoordinator(CheckpointCoordinator):
         super().__init__(engine)
         self.last_committed_ckpt = 0
         self.migration_done = False
-
-    @property
-    def defers_stateful_acks(self) -> bool:
         # Checkpoint-gated acking ties replay to state rollback.  Once the
         # migration has restored every task there is no rollback point
         # left in the run, so holding acks would only manufacture replay
-        # churn; gate them exactly while a rollback is still possible.
-        return not self.migration_done
+        # churn; gate them exactly while a rollback is still possible
+        # (cleared with migration_done).
+        self.defers_stateful_acks = True
 
     def on_run_start(self) -> None:
         self._schedule_periodic()
@@ -499,6 +497,7 @@ class DsmCoordinator(CheckpointCoordinator):
         elif wave.kind == INIT:
             self.engine.record_phase(ALL_INIT_ACKED)
             self.migration_done = True
+            self.defers_stateful_acks = False
             for inst in self.engine.instances.values():
                 if inst.deferred_acks:
                     self.engine.flush_deferred_acks(inst)

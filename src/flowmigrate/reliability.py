@@ -25,8 +25,10 @@ COMMITTED = "COMMITTED"
 class AckerService:
     """Causal-tree tracking via 64-bit XOR hashes, with timeout sweeps.
 
-    ``table`` is public: the engine's per-event data path anchors and acks
-    on it directly, skipping a wrapper call per event.
+    ``table`` is public.  The engine's per-event data path holds each
+    root's table entry, from ``register_root``, and folds anchors and acks
+    into it inline, skipping a call and a lookup per event (see
+    ``_kernels.AckerTable`` for the handle contract).
     """
 
     def __init__(self, timeout_ms: int) -> None:
@@ -36,10 +38,13 @@ class AckerService:
     def __len__(self) -> int:
         return len(self.table)
 
-    def register_root(self, root_id: int, ts_ms: int) -> None:
-        """Start tracking a root; its own id counts as anchored once."""
-        if not self.table.register(root_id, ts_ms):
+    def register_root(self, root_id: int, ts_ms: int) -> list:
+        """Start tracking a root; its own id counts as anchored once.
+        Returns the root's entry, ``[hash, register_ts, done]``."""
+        entry = self.table.register(root_id, ts_ms)
+        if entry is None:
             raise DuplicateRootError(f"root {root_id:#x} already registered")
+        return entry
 
     def anchor_emit(self, root_id: int, child_event_id: int) -> None:
         """Fold a newly emitted event into its root's tree."""

@@ -16,7 +16,6 @@ import struct
 from collections import deque
 
 from . import _kernels
-from ._kernels import ACK_COMPLETED
 from .errors import FlowMigrateError, InvariantViolation
 from .metrics import Timeline
 from .model import (
@@ -72,12 +71,21 @@ class EventEnvelope:
     and a routed event that fans out becomes its own last copy, each time
     with a fresh ``eventId`` and ``emitTs`` (see
     SimulationEngine._complete_service).
+
+    ``tree`` is the root's acker entry, ``[hash, register_ts, done]``, when
+    the engine acks data (DSM), else None.  ``_emit_root`` sets it from
+    ``AckerService.register_root``; every copy and child, and a replay of
+    the root, carries the same list, so the engine anchors and acks by
+    folding into it, with no lookup by ``rootId`` (the handle contract is
+    ``_kernels.AckerTable``'s).  It is not serialized: no DSM checkpoint
+    holds envelopes, and a control event's is None.
     """
 
-    __slots__ = ("eventId", "rootId", "rootSeqNo", "kind", "epoch", "replayed", "emitTs")
+    __slots__ = ("eventId", "rootId", "rootSeqNo", "kind", "epoch", "replayed", "emitTs",
+                 "tree")
 
     def __init__(self, eventId: int, rootId: int, rootSeqNo: int, kind: str,
-                 epoch: int, replayed: bool, emitTs: int) -> None:
+                 epoch: int, replayed: bool, emitTs: int, tree: list | None = None) -> None:
         self.eventId = eventId
         self.rootId = rootId
         self.rootSeqNo = rootSeqNo
@@ -85,6 +93,7 @@ class EventEnvelope:
         self.epoch = epoch
         self.replayed = replayed
         self.emitTs = emitTs
+        self.tree = tree
 
     def __repr__(self) -> str:  # debugging aid only
         return (f"<{self.kind} id={self.eventId:#x} root={self.rootId:#x} "
@@ -169,7 +178,7 @@ class TaskInstanceRuntime:
         self.rr_edges = 0
         self.rr_targets: dict[int, int] = {}
         self.barrier_counts: dict[int, int] = {}
-        self.deferred_acks: list[tuple[int, int]] = []
+        self.deferred_acks: list[tuple[list, int, int]] = []  # (tree, root, event)
         self.last_restored_ckpt = -1
         # Arrivals to this instance in the calendar (see
         # SimulationEngine.deliver); a kill or respawn keeps the count,
@@ -492,7 +501,7 @@ class SimulationEngine:
         env = EventEnvelope(root_id, root_id, src.next_seq, DATA, self.epoch, False, now)
         src.next_seq += 1
         if self.acking_data:
-            self.acker.register_root(root_id, now)
+            env.tree = self.acker.register_root(root_id, now)
             src.root_cache[root_id] = env
         self.timeline.record_emit(now, root_id, env.rootSeqNo, env.epoch)
         self._send_root(env)
@@ -543,8 +552,9 @@ class SimulationEngine:
         self._schedule_sweep(self.now + self.ack_timeout_ms)
 
     def _replay_root(self, original: EventEnvelope) -> None:
+        # The sweep re-armed the root's entry in place: the same handle.
         env = EventEnvelope(original.rootId, original.rootId, original.rootSeqNo,
-                            DATA, original.epoch, True, self.now)
+                            DATA, original.epoch, True, self.now, original.tree)
         self.timeline.record_replay(self.now, env.rootId, env.rootSeqNo, env.epoch)
         self._send_root(env)
 
@@ -561,9 +571,10 @@ class SimulationEngine:
         itself travels on as the last copy, its own id read first for the
         retiring ack.  That is safe because the caller lets go of ``env``:
         a serviced parent is done with, and DSM's ``root_cache`` reads only
-        ``rootId``, ``rootSeqNo`` and ``epoch``, which a copy keeps.  Acks
-        for roots already completed or discarded are ignored: late traffic
-        is normal under at-least-once delivery.
+        ``rootId``, ``rootSeqNo``, ``epoch`` and ``tree``, which a copy
+        keeps.  Anchors and acks fold into ``env.tree``; those for roots
+        already completed or discarded are ignored (the entry is done):
+        late traffic is normal under at-least-once delivery.
         """
         chosen, shuffle = self._plans[task_id]
         if shuffle:
@@ -573,6 +584,7 @@ class SimulationEngine:
         counters = sender.rr_targets
         last = len(chosen) - 1
         retired_id = env.eventId
+        acking, tree = self.acking_data, env.tree
         for i, (edge_idx, targets) in enumerate(chosen):
             counter = counters.get(edge_idx, 0)
             counters[edge_idx] = counter + 1
@@ -582,17 +594,20 @@ class SimulationEngine:
                 return
             if i < last:
                 copy = EventEnvelope(self._getrandbits(64) or 1, env.rootId, env.rootSeqNo,
-                                     env.kind, env.epoch, env.replayed, self.clock.now)
+                                     env.kind, env.epoch, env.replayed, self.clock.now, tree)
             else:
                 copy = env
                 env.eventId = self._getrandbits(64) or 1
                 env.emitTs = self.clock.now
-            if self.acking_data:
-                self.acker.table.anchor(env.rootId, copy.eventId)
+            if acking and not tree[2]:
+                tree[0] ^= copy.eventId
             self.deliver(copy, target)
         # Reached with several targets: retire the original.
-        if self.acking_data and self.acker.table.ack(env.rootId, retired_id) == ACK_COMPLETED:
-            self._on_root_completed(env.rootId)
+        if acking and not tree[2]:
+            tree[0] ^= retired_id
+            if not tree[0]:
+                tree[2] = True
+                self._on_root_completed(env.rootId)
 
     def deliver(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
         """Send ``env`` to ``target``: it lands ``net_delay_ms`` later.
@@ -696,12 +711,17 @@ class SimulationEngine:
                           gen: int) -> None:
         """Finish the service of DATA event ``env``: emit its children (a
         sole edge's inline, by ``deliver``'s rule at any delay), ack it,
-        and start the next queued event.
+        and start the next queued event.  Under DSM each anchor and the ack
+        fold into the root's entry, ``env.tree``, inline.
 
-        A DATA head at an instance still RUNNING, idle, initialized and not
+        A DATA head at an instance still idle, initialized and not
         capturing goes into service here, in the same action, exactly as
         the first pass of ``_pump`` would put it; any other head goes
-        through ``_pump``.
+        through ``_pump``.  A queued instance is RUNNING: only a RUNNING
+        instance queues, and kill and respawn empty the queue.  The inline
+        sole-edge send skips ``deliver``'s queue test: a sole-edge target is
+        another instance, and when an action starts no ready, idle instance
+        holds a queue.
 
         The last child is ``env`` itself, forwarded with a fresh id and
         ``emitTs``; the children before it are new envelopes, and the ids
@@ -725,6 +745,7 @@ class SimulationEngine:
         acking = self.acking_data
         root_id = env.rootId
         event_id = env.eventId
+        tree = env.tree
         now = self.clock.now
         if inst.is_sink:
             self.timeline.record_sink_exit(now, event_id, env.rootSeqNo,
@@ -740,13 +761,13 @@ class SimulationEngine:
                 count -= 1
                 if count:  # more children follow: a fresh envelope
                     child = EventEnvelope(self._getrandbits(64) or 1, root_id, env.rootSeqNo,
-                                          DATA, env.epoch, env.replayed, now)
+                                          DATA, env.epoch, env.replayed, now, tree)
                 else:  # the last child: env itself, forwarded
                     child = env
                     env.eventId = self._getrandbits(64) or 1
                     env.emitTs = now
-                if acking:
-                    self.acker.table.anchor(root_id, child.eventId)
+                if acking and not tree[2]:
+                    tree[0] ^= child.eventId
                 if sole is None:
                     self._route_emission(inst, inst.task.taskId, child)
                     continue
@@ -756,8 +777,7 @@ class SimulationEngine:
                 target = sole[sent % len(sole)]
                 if (target.in_flight or target.status != RUNNING or not target.initialized
                         or target.captureFlag
-                        or delay and (target.in_service is not None or target.queue
-                                      or not self._lookahead)):
+                        or delay and (target.in_service is not None or not self._lookahead)):
                     target.in_flight += 1
                     self._push(now + delay, (self._arrive_fn, (child, target)))
                     continue
@@ -766,9 +786,6 @@ class SimulationEngine:
                     raise InvariantViolation(_RUNAWAY)
                 if target.in_service is not None:
                     target.queue.append(child)
-                elif target.queue:
-                    target.queue.append(child)
-                    self._pump(target)
                 else:
                     target.in_service = child
                     self._push(now + delay + target.service_ms,
@@ -778,12 +795,15 @@ class SimulationEngine:
             if inst.stateful and self.coordinator.defers_stateful_acks:
                 # Held until this instance's next checkpoint commit, so a
                 # post-restore replay re-covers the rolled-back window.
-                inst.deferred_acks.append((root_id, event_id))
-            elif self.acker.table.ack(root_id, event_id) == ACK_COMPLETED:
-                self._on_root_completed(root_id)
+                inst.deferred_acks.append((tree, root_id, event_id))
+            elif not tree[2]:
+                tree[0] ^= event_id
+                if not tree[0]:
+                    tree[2] = True
+                    self._on_root_completed(root_id)
         queue = inst.queue
         if queue:
-            if (queue[0].kind == DATA and inst.in_service is None and inst.status == RUNNING
+            if (queue[0].kind == DATA and inst.in_service is None
                     and inst.initialized and not inst.captureFlag):
                 env = queue.popleft()
                 inst.in_service = env
@@ -793,10 +813,14 @@ class SimulationEngine:
                 self._pump(inst)
 
     def flush_deferred_acks(self, inst: TaskInstanceRuntime) -> None:
+        """Fold the acks ``inst`` held into their roots' entries."""
         acks, inst.deferred_acks = inst.deferred_acks, []
-        for root_id, event_id in acks:
-            if self.acker.ack_if_tracked(root_id, event_id):
-                self._on_root_completed(root_id)
+        for tree, root_id, event_id in acks:
+            if not tree[2]:
+                tree[0] ^= event_id
+                if not tree[0]:
+                    tree[2] = True
+                    self._on_root_completed(root_id)
 
     # -- kill / respawn ---------------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowmigrate._kernels import AckerTable, EventCalendar
+from flowmigrate._kernels import ACK_COMPLETED, ACK_UNKNOWN, AckerTable, EventCalendar
 
 # One calendar operation: push at the last-popped millisecond, push later
 # or earlier than it by some milliseconds, or pop.
@@ -206,6 +206,82 @@ class TestAckerTable:
         table.register(1, 0)
         table.ack(1, 1)
         assert table.sweep(100_000, 30_000) == []
+
+    def test_register_returns_the_entry(self):
+        table = AckerTable()
+        entry = table.register(0x5, 7)
+        assert entry == [0x5, 7, False]
+        table.anchor(0x5, 0x3)
+        assert entry[0] == table.hash_of(0x5) == 0x6
+
+    @given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(0, 400))
+    def test_folding_by_handle_matches_calls_by_id(self, seed, n_ops):
+        # Two tables see the same random trees: one through anchor and ack
+        # by root id, one through the engine's inline folds into the
+        # entries that register returned.  Sweeps and discards go through
+        # both by id, and roots stay in play after a discard (late traffic).
+        rng = random.Random(seed)
+        by_id, by_handle = AckerTable(), AckerTable()
+        roots = [rng.getrandbits(64) or 1 for _ in range(rng.randint(1, 8))]
+        handles = {}
+        live = {}  # root -> ids anchored and not yet acked, as the engine sees them
+        for root in roots:
+            by_id.register(root, 0)
+            handles[root] = by_handle.register(root, 0)
+            live[root] = [root]
+        now = 0
+        for _ in range(n_ops):
+            root = rng.choice(roots)
+            entry = handles[root]
+            op = rng.random()
+            if op < 0.4:
+                event = rng.getrandbits(64) or 1
+                by_id.anchor(root, event)
+                if not entry[2]:
+                    entry[0] ^= event
+                live[root].append(event)
+            elif op < 0.85:
+                pending = live[root]
+                event = (pending.pop(rng.randrange(len(pending))) if pending
+                         else rng.getrandbits(64) or 1)
+                completed = by_id.ack(root, event) == ACK_COMPLETED
+                folded = False
+                if not entry[2]:
+                    entry[0] ^= event
+                    if not entry[0]:
+                        entry[2] = folded = True
+                assert folded == completed
+            elif op < 0.95:
+                now += rng.randint(1, 20_000)
+                swept = by_id.sweep(now, 30_000)
+                assert by_handle.sweep(now, 30_000) == swept
+                for root_id in swept:
+                    live[root_id] = [root_id]
+            else:
+                by_id.discard(root)
+                by_handle.discard(root)
+            assert by_handle._entries == by_id._entries
+            for root_id, tracked in by_handle._entries.items():
+                assert tracked is handles[root_id]
+
+    def test_a_handle_held_across_discard_is_inert(self):
+        table = AckerTable()
+        entry = table.register(0x5, 0)
+        table.anchor(0x5, 0x3)
+        table.discard(0x5)  # before the tree completed: hash 0x6
+        assert table.ack(0x5, 0x6) == ACK_UNKNOWN
+        # The engine folds only into an entry not done.
+        assert entry[2]
+        assert entry == [0x6, 0, True]
+
+    def test_sweep_rearms_the_same_entry(self):
+        table = AckerTable()
+        entry = table.register(1, 0)
+        table.anchor(1, 77)
+        assert table.sweep(30_000, 30_000) == [1]
+        assert entry == [1, 30_000, False]
+        table.anchor(1, 0x10)  # by id: lands in the handle held since register
+        assert entry[0] == 1 ^ 0x10
 
     def test_discarded_roots_disappear(self):
         table = AckerTable()

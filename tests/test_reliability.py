@@ -29,6 +29,24 @@ class TestAckerBasics:
         acker.register_root(0x5, 0)
         assert acker.hash_of(0x5) == 0x5
 
+    def test_register_returns_the_tables_entry(self):
+        acker = make_acker()
+        entry = acker.register_root(0x5, 7)
+        assert entry == [0x5, 7, False]
+        acker.anchor_emit(0x5, 0x3)
+        assert entry[0] == acker.hash_of(0x5) == 0x6
+        assert acker.sweep_timeouts(30_007) == [0x5]
+        assert entry == [0x5, 30_007, False]  # re-armed in place
+
+    def test_discard_leaves_a_held_entry_inert(self):
+        acker = make_acker()
+        entry = acker.register_root(0x5, 0)
+        acker.anchor_emit(0x5, 0x3)
+        acker.discard(0x5)
+        assert entry[2] and not acker.is_tracked(0x5)
+        assert not acker.ack_if_tracked(0x5, 0x6)
+        assert entry[0] == 0x6
+
     def test_duplicate_register_raises(self):
         acker = make_acker()
         acker.register_root(0x5, 0)
@@ -116,6 +134,38 @@ def test_xor_matches_set_oracle(script):
         hash_zero = acker.is_completed(root) or acker.hash_of(root) == 0
         assert hash_zero == (not outstanding)
     assert acker.is_completed(root)
+
+
+@given(tree_script())
+@settings(max_examples=200, deadline=None)
+def test_handle_folds_match_the_service(script):
+    """The engine's inline folds into the entry register_root returned
+    complete the tree exactly when the service's acks by id would."""
+    ids, _ = script
+    root, children = ids[0], ids[1:]
+    rng = random.Random(root)
+    acker, twin = make_acker(), make_acker()
+    tree = acker.register_root(root, 0)
+    twin.register_root(root, 0)
+    to_anchor = list(children)
+    live = [root]
+    while to_anchor or live:
+        if to_anchor and (len(live) <= 1 or rng.random() < 0.5):
+            event = to_anchor.pop()
+            if not tree[2]:
+                tree[0] ^= event
+            twin.anchor_emit(root, event)
+            live.append(event)
+        else:
+            event = live.pop(rng.randrange(len(live)))
+            completed = False
+            if not tree[2]:
+                tree[0] ^= event
+                if not tree[0]:
+                    tree[2] = completed = True
+            assert completed == twin.ack_event(root, event)
+        assert tree[0] == twin.hash_of(root) == acker.hash_of(root)
+    assert tree[2] and acker.is_completed(root)
 
 
 class TestStateStore:

@@ -478,6 +478,14 @@ def make_event(event_id: int = 1, kind: str = DATA) -> EventEnvelope:
     return EventEnvelope(event_id, event_id, 0, kind, 0, False, 0)
 
 
+# The generator's DAGs: chains of up to 4 tasks (any of them stateful, one
+# or two sinks) and the DUPLICATE fan-out into a join.
+_SMALL_DAGS = st.one_of(
+    st.builds(make_chain_dag, st.integers(1, 4),
+              st.sets(st.integers(1, 4)).map(tuple), st.integers(1, 2)),
+    st.builds(fan_out_join_dag))
+
+
 class TestSendOrder:
     """Zero-delay hops that arrive in their sender's action keep every
     instance's input in send order."""
@@ -531,10 +539,7 @@ class TestSendOrder:
                     == [env for env in events if env not in retried]), inst_id
 
     @settings(max_examples=20, deadline=None)
-    @given(dag=st.one_of(
-               st.builds(make_chain_dag, st.integers(1, 4),
-                         st.sets(st.integers(1, 4)).map(tuple), st.integers(1, 2)),
-               st.builds(fan_out_join_dag)),
+    @given(dag=_SMALL_DAGS,
            strategy=st.sampled_from(["DCR", "CCR"]),
            trigger_ms=st.integers(1, 30_000),
            seed=st.integers(0, 2**32 - 1))
@@ -546,6 +551,29 @@ class TestSendOrder:
         assert "ALL_INIT_ACKED" in phase_times(engine)
         assert not exactly_once_audit(timeline, dag)
         assert not any(True for _ in timeline.replays())
+        assert run_scenario(config)[0].to_csv() == timeline.to_csv()
+
+    @settings(max_examples=20, deadline=None)
+    @given(dag=_SMALL_DAGS,
+           delay_ms=st.integers(0, 20),
+           ack_timeout_s=st.integers(2, 10),
+           trigger_ms=st.integers(1, 30_000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dsm_migration_delivers_at_least_once(self, dag, delay_ms, ack_timeout_s,
+                                                  trigger_ms, seed):
+        # An ack timeout of 10 s or less sweeps and replays several times in
+        # a 60 s run.  The engine acks through each envelope's handle on its
+        # root's entry: every root still pending must hold the very entry
+        # the acker tracks, and the two must track the same roots.
+        config = make_scenario(dag, "DSM", run_s=60, trigger_s=trigger_ms / 1000,
+                               seed=seed, networkDelayMs=delay_ms,
+                               ackTimeout=float(ack_timeout_s))
+        timeline, engine = run_scenario(config)
+        assert engine.kill_snapshots
+        assert not exactly_once_audit(timeline, dag, at_least=True)
+        pending, entries = engine.source.root_cache, engine.acker.table._entries
+        assert pending.keys() == entries.keys()
+        assert all(env.tree is entries[root_id] for root_id, env in pending.items())
         assert run_scenario(config)[0].to_csv() == timeline.to_csv()
 
 
@@ -1476,6 +1504,24 @@ SHAPE_BEHAVIOUR = {
 }
 
 
+# Timeline SHA-256, actions and calendar pushes of two DSM runs through the
+# acker paths, keyed by scenario and the one field overridden:
+# diamond_scalein at a 10 s ack timeout (6,363 replays, so sweeps re-arm
+# entries that envelopes in flight hold) and star_scalein at 5 ms network
+# delay (deferred acks flushed at each commit and at the end of the
+# migration).  Both restore instances from a checkpoint.  Each is cut to
+# the first 300 s of its 720 s run; the migration at 180 s has restored
+# every instance by 250 s.
+PINNED_DSM_PATHS = {
+    ("diamond_scalein", "ackTimeout", 10.0): (
+        "488adb42d953475c3403f7b24ee0a954f283455d647ace0238bcb3c4be125f90",
+        156_117, 91_622),
+    ("star_scalein", "networkDelayMs", 5): (
+        "c0e686b4f1eac570a738c9d40b9ccfda4459cb7ff230af6aa54e8b436524c88b",
+        81_601, 69_683),
+}
+
+
 # Actions and calendar pushes of three small bundled runs, one per
 # strategy, beside their PINNED_RUNS bytes: the general-path oracle below
 # holds its runs of them to all three.
@@ -1523,6 +1569,13 @@ class TestPinnedTimelines:
         config = with_overrides(load_bundled_scenario(scenario), strategy=strategy,
                                 networkDelayMs=delay_ms)
         assert observed_work(config)[0] == PINNED_WORK[scenario, strategy, delay_ms]
+
+    @pytest.mark.parametrize("scenario,field,value", sorted(PINNED_DSM_PATHS))
+    def test_dsm_acker_path_bytes_and_work_unchanged(self, scenario, field, value):
+        config = with_overrides(load_bundled_scenario(scenario), strategy="DSM",
+                                runDuration=300, **{field: value})
+        (csv, _report, actions, pushes), _behaviour = observed_work(config, report_pinned=False)
+        assert (csv, actions, pushes) == PINNED_DSM_PATHS[scenario, field, value]
 
     @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
     def test_shape_bytes_and_work_unchanged(self, shape, strategy):

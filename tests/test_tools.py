@@ -292,6 +292,12 @@ def test_bench_pairs_alternates_and_keeps_every_record(tmp_path, capsys):
     assert "median gap -0.05 exceeds parent IQR 0" in host_line
     assert "pair 2 change: wall_ref_s 0.9, peak_rss_mb 40, host wall_s 2.1" in report
     assert "pairs whose wall_s and wall_ref_s gaps disagree in sign: 2, 5\n" in report
+    # Host time stayed flat while wall_ref_s fell: the probe's ratio moved.
+    ratio_line, = (line for line in report.splitlines() if line.startswith("probe ratio"))
+    assert ratio_line == ("probe ratio (host wall_s / wall_ref_s): parent 2 [1.818, 2]  "
+                          "change 2.333 [1.913, 2.375]  median gap 0.3333 vs parent IQR "
+                          "0.1818: FLAGGED: the reference probe, not the program, may carry "
+                          "the wall_ref_s gap")
 
     # The copies feed bench_record as they are.
     bench = tmp_path / "BENCH.json"
@@ -299,6 +305,25 @@ def test_bench_pairs_alternates_and_keeps_every_record(tmp_path, capsys):
     point = json.loads(bench.read_text())["points"]["change"]
     assert point["workloads"]["grid_dsm"]["metrics"]["wall_ref_s"]["median"] == 0.85
     assert point["workloads"]["grid_dsm"]["samples"] == 5
+
+
+def test_bench_pairs_probe_ratio_flags_only_a_shift_past_the_parent_iqr():
+    pairs = load_tool("bench_pairs")
+
+    def docs(ratios, ref=0.5):
+        return [{"metrics": {"wall_ref_s": {"value": ref}},
+                 "host": {"wall_s": {"value": ratio * ref}}} for ratio in ratios]
+
+    parent = docs([1.40, 1.45, 1.50, 1.55, 1.60])  # median 1.5, IQR 0.1
+    # The program got faster on both clocks: the ratio holds.
+    same = pairs.probe_ratio(parent, docs([1.42, 1.47, 1.52, 1.57, 1.62], ref=0.4))
+    assert same.endswith("median gap 0.02 vs parent IQR 0.1: within")
+    assert same.startswith(
+        "probe ratio (host wall_s / wall_ref_s): parent 1.5 [1.45, 1.55]  change 1.52 ")
+    # The probe read slow on the change's side: the ratio rose past the IQR.
+    shifted = pairs.probe_ratio(parent, docs([1.60, 1.65, 1.70, 1.75, 1.80]))
+    assert "median gap 0.2 vs parent IQR 0.1: FLAGGED" in shifted
+    assert "median gap -0.2 " in pairs.probe_ratio(parent, docs([1.2, 1.25, 1.3, 1.35, 1.4]))
 
 
 def test_bench_pairs_stops_on_a_failed_run(tmp_path, capsys):

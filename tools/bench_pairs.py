@@ -22,8 +22,13 @@ parent's interquartile range.  Beside
 ``wall_ref_s`` it prints the same for the host ``wall_s``, and flags each
 pair whose ``wall_s`` and ``wall_ref_s`` gaps disagree in sign: the
 reference probe and the host saw the pair differently, so its
-``wall_ref_s`` gap is suspect.  It reads ``perfbench/`` and
-``BENCHMARK.json`` and edits neither.
+``wall_ref_s`` gap is suspect.  It also prints each side's median ratio of
+host ``wall_s`` to ``wall_ref_s``, read from every record: that ratio is
+about the reference probe's time over its reference time, which a change to
+the program does not move.  The round is flagged when the two medians differ by more than the parent's IQR
+of the ratio, since then the probe, not the program, may carry a
+``wall_ref_s`` gain.  It reads ``perfbench/`` and ``BENCHMARK.json`` and
+edits neither.
 """
 
 from __future__ import annotations
@@ -73,6 +78,20 @@ def disagreeing_pairs(parent: list[dict], change: list[dict]) -> list[int]:
         if ref * host < 0:
             flagged.append(pair)
     return flagged
+
+
+def probe_ratio(parent: list[dict], change: list[dict]) -> str:
+    """One line comparing the two sides' host ``wall_s`` / ``wall_ref_s``
+    ratios, flagged when their medians differ by more than the parent's IQR."""
+    before, after = (spread([d["host"]["wall_s"]["value"] / d["metrics"]["wall_ref_s"]["value"]
+                             for d in docs]) for docs in (parent, change))
+    gap = after["median"] - before["median"]
+    flag = ("FLAGGED: the reference probe, not the program, may carry the wall_ref_s gap"
+            if abs(gap) > before["iqr"] else "within")
+    return (f"probe ratio (host wall_s / wall_ref_s): parent {before['median']:.4g} "
+            f"[{before['q1']:.4g}, {before['q3']:.4g}]  change {after['median']:.4g} "
+            f"[{after['q1']:.4g}, {after['q3']:.4g}]  median gap {gap:.4g} vs parent IQR "
+            f"{before['iqr']:.4g}: {flag}")
 
 
 def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
@@ -135,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     flagged = disagreeing_pairs(samples["parent"], samples["change"])
     print("pairs whose wall_s and wall_ref_s gaps disagree in sign: "
           + (", ".join(map(str, flagged)) if flagged else "none"))
+    print(probe_ratio(samples["parent"], samples["change"]))
     return 0
 
 
