@@ -66,8 +66,12 @@ def _load(args, strategy: str | None = None):
 
 
 def _check_fresh(*out_dirs: Path) -> None:
-    """Refuse output directories that already hold a run, before any runs."""
+    """Refuse output directories that already hold a run, or whose place a
+    file holds, before any runs."""
     for out_dir in out_dirs:
+        found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not found.is_dir():
+            raise ConfigError(f"{found} is not a directory; pick another --out")
         for path in (out_dir / "timeline.csv", out_dir / "report.json"):
             if path.exists():
                 raise ConfigError(

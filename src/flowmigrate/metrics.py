@@ -2,7 +2,8 @@
 
 The engine appends one record per source emission, replay, sink exit and
 phase transition.  All metrics are pure functions of the finished
-timeline, so recomputation is idempotent and the CSV round-trips.
+timeline, so recomputation is idempotent.  ``timeline.csv`` is written
+for readers outside the program; nothing reads it back.
 
 The timeline stores its records as typed columns, about 27 bytes a row,
 and each metric scans only the columns it reads: ``Timeline.select``
@@ -18,7 +19,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MetricsError, NeverStabilizedError, NoSinkOutputError
@@ -43,7 +43,6 @@ BURST_MIN_SIZE = 5
 # A row's site is stored as its index in SITES.
 SITES = (SOURCE_EMIT, SINK_EXIT, PHASE, REPLAY)
 _EMIT, _SINK, _PHASE, _REPLAY = range(len(SITES))
-_SITE_CODE = {site: code for code, site in enumerate(SITES)}
 # bytes.translate tables mapping the sites column to a 0/1 selector per site.
 _SELECTOR = {site: bytes(int(b == code) for b in range(256))
              for code, site in enumerate(SITES)}
@@ -159,33 +158,6 @@ class Timeline:
             lines[row + 1] += name
         lines.append("")
         return "\n".join(lines)
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "Timeline":
-        timeline = cls()
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != CSV_HEADER:
-                raise MetricsError(f"unexpected timeline header: {header}")
-            rows = [line.rstrip("\n").split(",") for line in fh]
-        if not rows:
-            return timeline
-        try:
-            ts, sites, eids, rseqs, epochs, replayed, names = zip(*rows, strict=True)
-            timeline.ts = array("q", map(int, ts))
-            timeline.sites = bytearray(_SITE_CODE[site] for site in sites)
-            timeline.event_ids = array("Q", map(int, eids))
-            timeline.root_seqs = array("q", map(int, rseqs))
-            timeline.epochs = bytearray(map(int, epochs))
-        except (KeyError, ValueError, OverflowError) as err:
-            raise MetricsError(f"malformed timeline row: {err!r}") from None
-        timeline.replayed = bytearray(flag == "1" for flag in replayed)
-        timeline.phases = [(row, ts, name) for row, (site, ts, name)
-                           in enumerate(zip(timeline.sites, timeline.ts, names))
-                           if site == _PHASE]
-        if any(name for site, name in zip(timeline.sites, names) if site != _PHASE):
-            raise MetricsError("a phase name on a row that is not a PHASE row")
-        return timeline
 
 
 class TimelineRecords:
@@ -394,48 +366,6 @@ def replay_bursts(timeline: Timeline, since: int) -> list[tuple[int, int]]:
     if start is not None and size >= BURST_MIN_SIZE:
         bursts.append((start, size))
     return bursts
-
-
-class RateSeries:
-    """Input/output event counts per fixed window plus a latency series."""
-
-    def __init__(self, timeline: Timeline, horizon_ms: int, window_ms: int = 1000) -> None:
-        self.window_ms = window_ms
-        n = -(-horizon_ms // window_ms)
-        self.input_counts = [0] * n
-        self.output_counts = [0] * n
-        first_emit: dict[int, int] = {}
-        exits: list[tuple[int, int]] = []
-        for ts, site, root_seq in zip(timeline.ts, timeline.sites, timeline.root_seqs):
-            if ts >= horizon_ms:
-                continue
-            if site == _EMIT or site == _REPLAY:
-                self.input_counts[ts // window_ms] += 1
-                if site == _EMIT:
-                    first_emit.setdefault(root_seq, ts)
-            elif site == _SINK:
-                self.output_counts[ts // window_ms] += 1
-                exits.append((ts, root_seq))
-        self._exits = exits
-        self._first_emit = first_emit
-
-    def latency_series(self, window_ms: int = 10_000) -> list[tuple[int, float]]:
-        """(window_end_ts, mean end-to-end latency) over a moving window.
-
-        Latency pairs each sink exit with its root's first emission, so
-        replay delay is included.
-        """
-        out: list[tuple[int, float]] = []
-        window: list[tuple[int, int]] = []
-        for ts, root_seq in self._exits:
-            emit = self._first_emit.get(root_seq)
-            if emit is None:
-                continue
-            window.append((ts, ts - emit))
-            while window and window[0][0] < ts - window_ms:
-                window.pop(0)
-            out.append((ts, sum(lat for _, lat in window) / len(window)))
-        return out
 
 
 def compute_report(timeline: Timeline, config: ScenarioConfig) -> MetricsReport:

@@ -170,19 +170,11 @@ class ScenarioConfig:
     workerStartupMaxMs: int = 36_000
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_dag(dag: DagDef) -> ValidationResult:
+def validate_dag(dag: DagDef) -> tuple[str, ...]:
     """Check the structural invariants of a dataflow definition.
 
     Violations are data, not exceptions: callers decide whether to raise.
+    An empty tuple means the dag is valid.
     """
     violations: list[str] = []
     ids = [t.taskId for t in dag.tasks]
@@ -222,7 +214,7 @@ def validate_dag(dag: DagDef) -> ValidationResult:
         elif dag.out_edges(s):
             violations.append(f"sink {s} has out-edge")
     if dangling:  # the checks below follow edges, so each end must be a task
-        return ValidationResult(tuple(violations))
+        return tuple(violations)
 
     order = dag.topological_order()
     if len(order) != len(dag.tasks):
@@ -250,7 +242,7 @@ def validate_dag(dag: DagDef) -> ValidationResult:
             violations.append(f"reaches no sink: {', '.join(dead_ends)} "
                               f"(list a terminal task in sinkTasks)")
 
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 def compute_cumulative_rates(dag: DagDef, source_rate: float) -> dict[str, float]:
@@ -298,7 +290,7 @@ def min_instances(rate: float, rate_per_instance: float) -> int:
     return max(1, math.ceil(rate / rate_per_instance - 1e-9))
 
 
-def validate_sizing(dag: DagDef, source_rate: float, rate_per_instance: float) -> ValidationResult:
+def validate_sizing(dag: DagDef, source_rate: float, rate_per_instance: float) -> tuple[str, ...]:
     """Check every user task has enough instances for its input rate, and
     enough service capacity (1000 / serviceTimeMs events/sec per instance)."""
     rates = compute_cumulative_rates(dag, source_rate)
@@ -315,7 +307,7 @@ def validate_sizing(dag: DagDef, source_rate: float, rate_per_instance: float) -
         elif rate * t.serviceTimeMs >= 1000 * t.instanceCount:
             violations.append(f"task {t.taskId}: serviceTimeMs {t.serviceTimeMs} overloads "
                               f"{t.instanceCount} instance(s) at {rate:g} events/sec")
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 def round_robin_placement(instances: list[str], vms: list[VmDef]) -> Schedule:
@@ -424,9 +416,9 @@ def parse_dag(doc: dict, name: str = "") -> DagDef:
 
 
 def _require_valid_dag(dag: DagDef) -> None:
-    result = validate_dag(dag)
-    if not result.ok:
-        raise ConfigError("invalid dag: " + "; ".join(result.violations))
+    violations = validate_dag(dag)
+    if violations:
+        raise ConfigError("invalid dag: " + "; ".join(violations))
 
 
 def _parse_vms(raw: list, where: str) -> list[VmDef]:
@@ -522,6 +514,9 @@ def validate_scenario(config: ScenarioConfig) -> None:
                        "workerStartupMaxMs"):
         if getattr(config, field_name) * (1 if field_name.endswith("Ms") else 1000) >= MAX_MS:
             raise ConfigError(f"scenario field {field_name}: must be below 2**53 ms")
+    if 1000 / config.sourceRate >= MAX_MS:
+        raise ConfigError("scenario field sourceRate: its pacing period, 1000 / sourceRate, "
+                          "must be below 2**53 ms")
     if config.migrationTriggerAt >= config.runDuration:
         raise ConfigError(
             "scenario field migrationTriggerAt: must be < runDuration "
@@ -531,9 +526,9 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ConfigError("scenario field workerStartupMinMs: must be >= 0")
     if config.workerStartupMinMs > config.workerStartupMaxMs:
         raise ConfigError("scenario: workerStartupMinMs > workerStartupMaxMs")
-    sizing = validate_sizing(config.dag, config.sourceRate, RATE_PER_INSTANCE)
-    if not sizing.ok:
-        raise ConfigError("under-provisioned dag: " + "; ".join(sizing.violations))
+    violations = validate_sizing(config.dag, config.sourceRate, RATE_PER_INSTANCE)
+    if violations:
+        raise ConfigError("under-provisioned dag: " + "; ".join(violations))
 
 
 def load_scenario_file(path: str | Path) -> ScenarioConfig:
@@ -572,25 +567,19 @@ def bundled_dag_names() -> list[str]:
 
 
 def load_bundled_dag(name: str) -> DagDef:
-    res = _bundled_root() / "dags" / f"{name}.json"
-    try:
-        doc = json.loads(res.read_text())
-    except FileNotFoundError:
-        raise ConfigError(
-            f"unknown bundled dag {name!r}; available: {', '.join(bundled_dag_names())}"
-        ) from None
+    # Checked before any file is opened: a name is not a path.
+    names = bundled_dag_names()
+    if name not in names:
+        raise ConfigError(f"unknown bundled dag {name!r}; available: {', '.join(names)}")
+    doc = json.loads((_bundled_root() / "dags" / f"{name}.json").read_text())
     return parse_dag(doc, name=name)
 
 
 def load_bundled_scenario(name: str) -> ScenarioConfig:
-    res = _bundled_root() / f"{name}.json"
-    try:
-        doc = json.loads(res.read_text())
-    except FileNotFoundError:
-        raise ConfigError(
-            f"unknown bundled scenario {name!r}; available: "
-            f"{', '.join(bundled_scenario_names())}"
-        ) from None
+    names = bundled_scenario_names()
+    if name not in names:
+        raise ConfigError(f"unknown bundled scenario {name!r}; available: {', '.join(names)}")
+    doc = json.loads((_bundled_root() / f"{name}.json").read_text())
     return parse_scenario(doc, name=name)
 
 
@@ -601,7 +590,11 @@ def resolve_scenario(ref: str | Path) -> ScenarioConfig:
     path-shaped reference to a bundled file ('scenarios/grid_scalein.json').
     """
     path = Path(ref)
-    if path.exists():
+    try:
+        is_path = path.exists()
+    except (OSError, ValueError):  # too long to stat, or a NUL byte
+        is_path = False
+    if is_path:
         return load_scenario_file(path)
     stem = path.name[: -len(".json")] if path.name.endswith(".json") else path.name
     try:

@@ -344,7 +344,6 @@ class DcrCoordinator(CheckpointCoordinator):
     def __init__(self, engine: SimulationEngine) -> None:
         super().__init__(engine)
         self.migration_ckpt = 0
-        self.aborted = False
 
     def on_migration_trigger(self) -> None:
         eng = self.engine
@@ -361,7 +360,6 @@ class DcrCoordinator(CheckpointCoordinator):
         if wave.complete:
             return
         wave.superseded = True
-        self.aborted = True
         self.start_wave(ROLLBACK, BROADCAST, wave.checkpointId)
         self.engine.unpause_source()
 
@@ -421,12 +419,11 @@ class DsmCoordinator(CheckpointCoordinator):
     def __init__(self, engine: SimulationEngine) -> None:
         super().__init__(engine)
         self.last_committed_ckpt = 0
-        self.migration_done = False
         # Checkpoint-gated acking ties replay to state rollback.  Once the
         # migration has restored every task there is no rollback point
         # left in the run, so holding acks would only manufacture replay
-        # churn; gate them exactly while a rollback is still possible
-        # (cleared with migration_done).
+        # churn; gate them exactly while a rollback is still possible, that
+        # is until the migration is done.
         self.defers_stateful_acks = True
 
     def on_run_start(self) -> None:
@@ -439,7 +436,7 @@ class DsmCoordinator(CheckpointCoordinator):
         eng = self.engine
         if eng.now >= eng.run_end_ms:
             return
-        migration_active = eng.timeline.phase_ts(REQUEST) is not None and not self.migration_done
+        migration_active = eng.timeline.phase_ts(REQUEST) is not None and self.defers_stateful_acks
         prepare_busy = any(
             w is not None and not w.complete and not w.superseded
             for w in (self.active.get(PREPARE), self.active.get(COMMIT))
@@ -496,7 +493,6 @@ class DsmCoordinator(CheckpointCoordinator):
             self.last_committed_ckpt = wave.checkpointId
         elif wave.kind == INIT:
             self.engine.record_phase(ALL_INIT_ACKED)
-            self.migration_done = True
             self.defers_stateful_acks = False
             for inst in self.engine.instances.values():
                 if inst.deferred_acks:

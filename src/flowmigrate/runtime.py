@@ -21,7 +21,6 @@ from .metrics import Timeline
 from .model import (
     DUPLICATE,
     ScenarioConfig,
-    instance_id as make_instance_id,
     migrating_instances,
     to_ms,
     validate_scenario,
@@ -289,12 +288,9 @@ class SimulationEngine:
             if tid == self.source_task_id:
                 continue
             task = self.dag.task(tid)
-            ids = []
-            for i in range(task.instanceCount):
-                iid = make_instance_id(tid, i)
+            self.instances_of[tid] = ids = task.instance_ids()
+            for iid in ids:
                 self.instances[iid] = TaskInstanceRuntime(iid, task, tid in self.sink_task_ids)
-                ids.append(iid)
-            self.instances_of[tid] = ids
 
         self.migrating = sorted(migrating_instances(config.scheduleBefore, config.scheduleAfter))
         self._compile_routes()
@@ -545,10 +541,10 @@ class SimulationEngine:
             self.clock.schedule_at(at_ms, self._sweep_tick)
 
     def _sweep_tick(self) -> None:
+        # The acker tracks exactly the roots in root_cache: both change only
+        # in _emit_root and _on_root_completed.
         for root_id in self.acker.sweep_timeouts(self.now):
-            env = self.source.root_cache.get(root_id)
-            if env is not None:
-                self._replay_root(env)
+            self._replay_root(self.source.root_cache[root_id])
         self._schedule_sweep(self.now + self.ack_timeout_ms)
 
     def _replay_root(self, original: EventEnvelope) -> None:
@@ -684,15 +680,16 @@ class SimulationEngine:
     # -- instance processing ---------------------------------------------------
 
     def _pump(self, inst: TaskInstanceRuntime) -> None:
-        """Take events off the queue head while ``inst`` is RUNNING and idle.
+        """Take events off the queue head while ``inst`` is idle.
 
         A control event goes to the coordinator; DATA goes to
         ``pendingList`` while capturing, to ``preInit`` until initialized,
         and otherwise into service.  A finished service starts a DATA head
         at a ready instance itself (see ``_complete_service``) and comes
-        here only for any other head.
+        here only for any other head.  A queued instance is RUNNING (see
+        ``_complete_service``).
         """
-        while inst.queue and inst.in_service is None and inst.status == RUNNING:
+        while inst.queue and inst.in_service is None:
             env = inst.queue.popleft()
             if env.kind != DATA:
                 self.coordinator.on_control_event(inst, env)

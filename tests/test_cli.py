@@ -224,6 +224,50 @@ class TestRun:
         assert f"configuration error: scenario field {field}: must be below 2**53 ms" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ref,dag,message", [
+        (None, "a\u0000b", "unknown bundled dag 'a\\x00b'"),
+        (None, "../dags/linear", "unknown bundled dag '../dags/linear'"),
+        ("x" * 300, None, "scenario not found: xxx"),
+    ], ids=["nul_dag", "traversal_dag", "overlong_reference"])
+    def test_a_reference_to_no_bundled_name_exits_2(self, tmp_path, no_engine_runs, capsys,
+                                                    ref, dag, message):
+        # A NUL byte (ValueError) and a name too long to stat (OSError) once
+        # ended in a traceback (exit 1); the traversal loaded linear.
+        if ref is None:
+            doc = json.loads((resources.files("flowmigrate") / "scenarios"
+                              / "linear_scalein.json").read_text())
+            doc["dag"] = dag
+            ref = tmp_path / "ref.json"
+            ref.write_text(json.dumps(doc))
+        assert run_cli("run", str(ref), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rate", [1e-310, 5e-324])
+    def test_a_pacing_period_past_the_timestamp_range_exits_2(self, tmp_path, no_engine_runs,
+                                                              capsys, rate):
+        # Each passed the loader, then the run died in emission_time with an
+        # OverflowError (exit 1): 1000 / rate is inf.
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        doc["sourceRate"] = rate
+        bad = tmp_path / "slow.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", str(bad), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: scenario field sourceRate: its pacing period, "
+                       "1000 / sourceRate, must be below 2**53 ms\n")
+
+    def test_an_out_that_is_a_file_is_refused_before_the_run(self, quick_scenario, tmp_path,
+                                                             no_engine_runs, capsys):
+        # The run once came first, then mkdir failed (FileExistsError, exit 1).
+        out = tmp_path / "taken"
+        out.write_text("x")
+        assert run_cli("run", str(quick_scenario), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {out} is not a directory; pick another --out\n")
+        assert out.read_text() == "x"
+
     def test_restore_with_no_output_left_is_reported(self, tmp_path):
         # CCR restores the dataflow after the last sink output of the run:
         # a null restore duration, not a crash.
@@ -331,6 +375,16 @@ class TestCompare:
         assert "timeline.csv already exists" in capsys.readouterr().err
         assert files_under(out) == [out / "dcr" / "timeline.csv"]
         assert not (out / "dsm").exists()
+
+    def test_an_out_that_is_a_file_is_refused_before_any_run(self, quick_scenario, tmp_path,
+                                                             no_engine_runs, capsys):
+        # The runs once came first, then mkdir failed (NotADirectoryError).
+        out = tmp_path / "taken"
+        out.write_text("x")
+        assert run_cli("compare", str(quick_scenario), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {out} is not a directory; pick another --out\n")
+        assert out.read_text() == "x"
 
     def test_compare_writes_per_strategy_outputs(self, quick_scenario, tmp_path):
         # DCR and CCR fork from one prefix; each output equals a run of its own.

@@ -63,47 +63,46 @@ def diamond_dag():
 
 class TestValidateDag:
     def test_valid_chain(self):
-        assert validate_dag(linear_dag()).ok
+        assert validate_dag(linear_dag()) == ()
 
     def test_cycle_detected(self):
-        result = validate_dag(linear_dag(extra_edges=(Edge("T5", "T1"),)))
-        assert not result.ok
-        assert any("cycle" in v for v in result.violations)
+        violations = validate_dag(linear_dag(extra_edges=(Edge("T5", "T1"),)))
+        assert any("cycle" in v for v in violations)
 
     def test_sink_with_out_edge(self):
-        result = validate_dag(linear_dag(extra_edges=(Edge("sink", "T1"),)))
-        assert any("sink" in v and "out-edge" in v for v in result.violations)
+        violations = validate_dag(linear_dag(extra_edges=(Edge("sink", "T1"),)))
+        assert any("sink" in v and "out-edge" in v for v in violations)
 
     def test_source_with_in_edge(self):
-        result = validate_dag(linear_dag(extra_edges=(Edge("T3", "src"),)))
-        assert any("source" in v for v in result.violations)
+        violations = validate_dag(linear_dag(extra_edges=(Edge("T3", "src"),)))
+        assert any("source" in v for v in violations)
 
     def test_unreachable_task(self):
         dag = linear_dag()
         tasks = dag.tasks + (TaskDef("orphan"),)
-        result = validate_dag(DagDef("lin", tasks, dag.edges, dag.sourceTasks, dag.sinkTasks))
-        assert any("orphan" in v for v in result.violations)
+        violations = validate_dag(DagDef("lin", tasks, dag.edges, dag.sourceTasks, dag.sinkTasks))
+        assert any("orphan" in v for v in violations)
 
     def test_task_reaching_no_sink(self):
         # T2 feeds both T3 and "dead": only the dead end is named.
         dag = linear_dag(extra_edges=(Edge("T2", "dead"),))
         dag = DagDef("lin", dag.tasks + (TaskDef("dead"),), dag.edges, ("src",), ("sink",))
-        assert validate_dag(dag).violations == (
+        assert validate_dag(dag) == (
             "reaches no sink: dead (list a terminal task in sinkTasks)",)
 
     def test_exactly_one_source(self):
         dag = linear_dag(extra_edges=(Edge("src2", "T1"),))
         tasks = dag.tasks + (TaskDef("src2", serviceTimeMs=1),)
         two = DagDef("lin", tasks, dag.edges, ("src", "src2"), ("sink",))
-        assert validate_dag(two).violations == ("2 source tasks declared; a dag has one",)
+        assert validate_dag(two) == ("2 source tasks declared; a dag has one",)
         none = DagDef("lin", dag.tasks, linear_dag().edges, (), ("sink",))
-        assert "0 source tasks declared; a dag has one" in validate_dag(none).violations
+        assert "0 source tasks declared; a dag has one" in validate_dag(none)
 
     def test_bad_fields(self):
         dag = linear_dag()
         tasks = (TaskDef("bad", serviceTimeMs=0, selectivity=-1, instanceCount=0),) + dag.tasks[1:]
-        result = validate_dag(DagDef("lin", tasks, dag.edges[1:], ("T1",), dag.sinkTasks))
-        joined = " ".join(result.violations)
+        joined = " ".join(validate_dag(DagDef("lin", tasks, dag.edges[1:], ("T1",),
+                                              dag.sinkTasks)))
         assert "serviceTimeMs" in joined and "selectivity" in joined and "instanceCount" in joined
 
 
@@ -159,7 +158,7 @@ class TestMinInstances:
 
     def test_bundled_sizing_is_sufficient(self):
         for name in bundled_dag_names():
-            assert validate_sizing(load_bundled_dag(name), 8, 8).ok, name
+            assert validate_sizing(load_bundled_dag(name), 8, 8) == (), name
 
 
 class TestRoundRobin:
@@ -367,6 +366,11 @@ class TestParseScenario:
         below = {field: value / 10 if isinstance(value, float) else value // 10
                  for field, value in fields.items()}
         assert parse_scenario(self.minimal_doc(**below)).networkDelayMs == 10**15
+        # So does the source's pacing period, 1000 / sourceRate.
+        for rate in (1e-310, 5e-324, 1000 / 2**53):
+            with pytest.raises(ConfigError, match="sourceRate: its pacing period"):
+                parse_scenario(self.minimal_doc(sourceRate=rate))
+        assert parse_scenario(self.minimal_doc(sourceRate=1000 / 2**52)).sourceRate > 0
 
     def test_huge_instance_count_rejected_before_its_ids_are_listed(self):
         doc = self.minimal_doc()
@@ -449,7 +453,7 @@ class TestParseScenario:
 class TestBundled:
     def test_all_bundled_dags_validate(self):
         for name in ("linear", "diamond", "star", "grid", "traffic"):
-            assert validate_dag(load_bundled_dag(name)).ok, name
+            assert validate_dag(load_bundled_dag(name)) == (), name
 
     def test_grid_multiplicity_is_four(self):
         assert path_multiplicity(load_bundled_dag("grid")) == 4

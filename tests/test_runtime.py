@@ -1607,6 +1607,45 @@ class TestGeneralPathOracle:
         assert work == (*PINNED_RUNS[scenario, strategy], *PINNED_RUN_WORK[scenario, strategy])
 
 
+class _CheckedCalendar(_kernels.EventCalendar):
+    """An event calendar that calls ``check()`` before each pop: after every
+    fired action, and once more when the calendar is empty."""
+
+    __slots__ = ("check",)
+
+    def pop(self):
+        self.check()
+        return super().pop()
+
+
+class TestStateBetweenActions:
+    """Two conditions the engine relies on without testing them: ``_pump``
+    serves any queue, since only a RUNNING instance holds one, and
+    ``_sweep_tick`` replays every swept root from ``root_cache``, since the
+    acker tracks exactly the cached roots."""
+
+    @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
+    def test_hold_after_every_action(self, shape, strategy):
+        engine = SimulationEngine(SHAPES[shape](strategy))
+        instances = tuple(engine.instances.values())
+        root_cache, entries = engine.source.root_cache, engine.acker.table._entries
+        checks = 0
+
+        def check():
+            nonlocal checks
+            checks += 1
+            assert all(inst.status == RUNNING for inst in instances if inst.queue)
+            assert root_cache.keys() == entries.keys()
+
+        engine.clock._calendar = _CheckedCalendar()
+        engine.clock._calendar.check = check
+        engine.run()
+        actions, pushes = work_of(engine)
+        assert (actions, pushes) == PINNED_SHAPES[shape, strategy][2:]
+        assert checks == pushes + 1
+        assert engine.kill_snapshots
+
+
 class TestAllScheduledOracle:
     """Placing a hop in its sender's action (into a ready instance's queue
     at zero delay, into an idle one's slot at any delay) is a shortcut for
