@@ -66,10 +66,13 @@ def _load(args, strategy: str | None = None):
 
 
 def _check_fresh(*out_dirs: Path) -> None:
-    """Refuse output directories that already hold a run, or whose place a
-    file holds, before any runs."""
+    """Refuse output directories that already hold a run, whose place a
+    file holds, or that cannot be looked up, before any runs."""
     for out_dir in out_dirs:
-        found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        try:
+            found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        except OSError as exc:  # a name too long to stat, say
+            raise ConfigError(f"cannot use {out_dir} as --out: {exc.strerror}") from None
         if not found.is_dir():
             raise ConfigError(f"{found} is not a directory; pick another --out")
         for path in (out_dir / "timeline.csv", out_dir / "report.json"):

@@ -67,9 +67,14 @@ class EventEnvelope:
 
     A DATA envelope has one holder at a time, so the engine forwards it
     rather than copying it: a serviced event becomes its own last child,
-    and a routed event that fans out becomes its own last copy, each time
     with a fresh ``eventId`` and ``emitTs`` (see
-    SimulationEngine._complete_service).
+    SimulationEngine._complete_service), and a routed event that fans out
+    becomes its own last copy, with a fresh ``eventId``.  ``emitTs`` is the
+    send time of the current hop: every DATA send stamps it (roots,
+    replays, router copies and forwarded children; an event reaches the
+    router stamped already), so a DATA event lands at ``emitTs +
+    networkDelayMs`` and starts service no earlier (see
+    SimulationEngine._pump); a transport retry keeps it.
 
     ``tree`` is the root's acker entry, ``[hash, register_ts, done]``, when
     the engine acks data (DSM), else None.  ``_emit_root`` sets it from
@@ -376,10 +381,10 @@ class SimulationEngine:
         override of the two hot actions is installed; bound at construction
         for callers that drive the calendar by hand.  An ``_arrive``
         override sees scheduled arrivals only (``deliver`` places a hop to a
-        ready instance at send time); a ``_complete_service`` override sees
-        every completion.  A deep copy keeps a builtin bound method as it
-        is, so a twin's ``_getrandbits`` would still draw from the
-        original's generator: fork_at_trigger binds the twin's own.
+        ready instance, idle or busy, at send time); a ``_complete_service``
+        override sees every completion.  A deep copy keeps a builtin bound
+        method as it is, so a twin's ``_getrandbits`` would still draw from
+        the original's generator: fork_at_trigger binds the twin's own.
         """
         self._getrandbits = self.rng.getrandbits
         self._push = self.clock._calendar.push
@@ -568,9 +573,10 @@ class SimulationEngine:
         retiring ack.  That is safe because the caller lets go of ``env``:
         a serviced parent is done with, and DSM's ``root_cache`` reads only
         ``rootId``, ``rootSeqNo``, ``epoch`` and ``tree``, which a copy
-        keeps.  Anchors and acks fold into ``env.tree``; those for roots
-        already completed or discarded are ignored (the entry is done):
-        late traffic is normal under at-least-once delivery.
+        keeps.  The caller has stamped ``env.emitTs`` with now, the send
+        time every copy carries.  Anchors and acks fold into ``env.tree``;
+        those for roots already completed or discarded are ignored (the
+        entry is done): late traffic is normal under at-least-once delivery.
         """
         chosen, shuffle = self._plans[task_id]
         if shuffle:
@@ -594,7 +600,6 @@ class SimulationEngine:
             else:
                 copy = env
                 env.eventId = self._getrandbits(64) or 1
-                env.emitTs = self.clock.now
             if acking and not tree[2]:
                 tree[0] ^= copy.eventId
             self.deliver(copy, target)
@@ -610,24 +615,26 @@ class SimulationEngine:
 
         A DATA hop to a target that takes data now (RUNNING, initialized,
         not capturing) with no arrival in flight to it is placed here, in
-        the sender's action, as one action.  At an idle target with an
-        empty queue it takes the service slot now, pushing its completion
-        at the delay plus the service time: with one link delay, anything
-        that could reach the target first is an arrival in flight now.  A
-        kill before the hop lands cancels that completion, as the arrival
-        would have found the target KILLED; if ``rebalanceDuration`` is
-        shorter than the delay, no hop is placed early.  At zero delay a
-        hop to a busy target joins its queue tail.  Every other hop pushes
-        its arrival (``_arrive``); the target's ``in_flight`` count of them
-        keeps its input FIFO, so data sent after a barrier arrives after it.
+        the sender's action, as one action, at any delay.  At an idle
+        target with an empty queue it takes the service slot now, pushing
+        its completion at the delay plus the service time; at a busy one
+        it joins the queue tail, and starts when it lands or when the
+        service before it ends, whichever is later (see ``_pump``).  With
+        one link delay the target serves its data in send order: anything
+        that could reach it first is in its queue or an arrival in flight
+        now.  A kill before the hop lands drops it from the queue or
+        cancels its completion, as the arrival would have found the target
+        KILLED; if ``rebalanceDuration`` is shorter than the delay, no hop
+        is placed early.  Every other hop pushes its arrival
+        (``_arrive``); the target's ``in_flight`` count of them keeps its
+        input FIFO, so data sent after a barrier arrives after it.
         A ``deliver`` override sees every hop but a serviced event's
         sole-edge child, which ``_complete_service`` sends by this rule.
         """
         delay = self.net_delay_ms
         if (target.in_flight or env.kind != DATA or target.status != RUNNING
                 or not target.initialized or target.captureFlag
-                or delay and (target.in_service is not None or target.queue
-                              or not self._lookahead)):
+                or delay and not self._lookahead):
             target.in_flight += 1
             self._push(self.clock.now + delay, (self._arrive_fn, (env, target)))
             return
@@ -646,8 +653,10 @@ class SimulationEngine:
 
     def _arrive(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
         """Hand a scheduled arrival to its target instance: a control copy,
-        a transport retry, or a DATA hop whose target was busy, not ready,
-        or had an arrival in flight when ``deliver``'s rule sent it.
+        a transport retry, or a DATA hop whose target was not ready or had
+        an arrival in flight when ``deliver``'s rule sent it (or any DATA
+        hop, when a respawn could beat the delay).  It fires at ``emitTs +
+        networkDelayMs``, so an event it starts has landed.
 
         At a RUNNING instance, a DATA event that finds it idle and accepting
         (initialized, not capturing, queue empty, nothing in service) goes
@@ -684,10 +693,14 @@ class SimulationEngine:
 
         A control event goes to the coordinator; DATA goes to
         ``pendingList`` while capturing, to ``preInit`` until initialized,
-        and otherwise into service.  A finished service starts a DATA head
-        at a ready instance itself (see ``_complete_service``) and comes
-        here only for any other head.  A queued instance is RUNNING (see
-        ``_complete_service``).
+        and otherwise into service, which starts when the event lands,
+        ``emitTs + networkDelayMs``, if that is later than now: ``deliver``
+        queues a hop at its send.  An event restored from ``preInit``,
+        ``pendingList`` or a checkpoint landed long ago and starts now.
+        At zero delay the landing is never later, and is not computed.  A
+        finished service starts a DATA head at a ready instance itself
+        (see ``_complete_service``) and comes here only for any other
+        head.  A queued instance is RUNNING (see ``_complete_service``).
         """
         while inst.queue and inst.in_service is None:
             env = inst.queue.popleft()
@@ -701,7 +714,10 @@ class SimulationEngine:
                 inst.preInit.append(env)
                 continue
             inst.in_service = env
-            self._push(self.clock.now + inst.service_ms,
+            start, delay = self.clock.now, self.net_delay_ms
+            if delay and env.emitTs + delay > start:
+                start = env.emitTs + delay  # it has not landed yet
+            self._push(start + inst.service_ms,
                        (self._complete_fn, (inst, env, inst.generation)))
 
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
@@ -713,12 +729,12 @@ class SimulationEngine:
 
         A DATA head at an instance still idle, initialized and not
         capturing goes into service here, in the same action, exactly as
-        the first pass of ``_pump`` would put it; any other head goes
-        through ``_pump``.  A queued instance is RUNNING: only a RUNNING
-        instance queues, and kill and respawn empty the queue.  The inline
-        sole-edge send skips ``deliver``'s queue test: a sole-edge target is
-        another instance, and when an action starts no ready, idle instance
-        holds a queue.
+        the first pass of ``_pump`` would put it, starting when it lands if
+        that is later; any other head goes through ``_pump``.  A queued
+        instance is RUNNING: only a RUNNING instance queues, and kill and
+        respawn empty the queue.  The inline sole-edge send skips
+        ``deliver``'s queue test: a sole-edge target is another instance,
+        and when an action starts no ready, idle instance holds a queue.
 
         The last child is ``env`` itself, forwarded with a fresh id and
         ``emitTs``; the children before it are new envelopes, and the ids
@@ -744,6 +760,7 @@ class SimulationEngine:
         event_id = env.eventId
         tree = env.tree
         now = self.clock.now
+        delay = self.net_delay_ms
         if inst.is_sink:
             self.timeline.record_sink_exit(now, event_id, env.rootSeqNo,
                                            env.epoch, env.replayed)
@@ -753,7 +770,7 @@ class SimulationEngine:
             count = inst.sel_count
             if inst.sel_frac > 0 and self.rng.random() < inst.sel_frac:
                 count += 1
-            sole, delay = inst.sole_edge, self.net_delay_ms
+            sole = inst.sole_edge
             while count:
                 count -= 1
                 if count:  # more children follow: a fresh envelope
@@ -773,8 +790,7 @@ class SimulationEngine:
                 inst.sole_sent = sent + 1
                 target = sole[sent % len(sole)]
                 if (target.in_flight or target.status != RUNNING or not target.initialized
-                        or target.captureFlag
-                        or delay and (target.in_service is not None or not self._lookahead)):
+                        or target.captureFlag or delay and not self._lookahead):
                     target.in_flight += 1
                     self._push(now + delay, (self._arrive_fn, (child, target)))
                     continue
@@ -804,7 +820,10 @@ class SimulationEngine:
                     and inst.initialized and not inst.captureFlag):
                 env = queue.popleft()
                 inst.in_service = env
-                self._push(now + inst.service_ms,
+                start = now
+                if delay and env.emitTs + delay > now:
+                    start = env.emitTs + delay  # it has not landed yet
+                self._push(start + inst.service_ms,
                            (self._complete_fn, (inst, env, inst.generation)))
             else:
                 self._pump(inst)

@@ -268,6 +268,14 @@ class TestRun:
             f"configuration error: {out} is not a directory; pick another --out\n")
         assert out.read_text() == "x"
 
+    def test_an_out_that_cannot_be_looked_up_exits_2(self, quick_scenario, tmp_path,
+                                                    no_engine_runs, capsys):
+        # An --out too long to stat once ended in an OSError traceback (exit 1).
+        out = tmp_path / ("x" * 300)
+        assert run_cli("run", str(quick_scenario), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot use {out} as --out: File name too long\n")
+
     def test_restore_with_no_output_left_is_reported(self, tmp_path):
         # CCR restores the dataflow after the last sink output of the run:
         # a null restore duration, not a crash.
@@ -385,6 +393,14 @@ class TestCompare:
         assert capsys.readouterr().err == (
             f"configuration error: {out} is not a directory; pick another --out\n")
         assert out.read_text() == "x"
+
+    def test_an_out_that_cannot_be_looked_up_exits_2(self, quick_scenario, tmp_path,
+                                                    no_engine_runs, capsys):
+        # An --out too long to stat once ended in an OSError traceback (exit 1).
+        out = tmp_path / ("x" * 300)
+        assert run_cli("compare", str(quick_scenario), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot use {out / 'dsm'} as --out: File name too long\n")
 
     def test_compare_writes_per_strategy_outputs(self, quick_scenario, tmp_path):
         # DCR and CCR fork from one prefix; each output equals a run of its own.

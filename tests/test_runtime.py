@@ -352,13 +352,14 @@ class TestRunLoop:
         # override.  A DATA hop to a ready instance with nothing in flight
         # is placed in its sender's action and counts as one action: it
         # pushes no arrival and never reaches _arrive, so a completion
-        # whose event id no arrival carried is such a hop.  At 5 ms a hop
-        # is placed only into an idle instance's slot; one that finds its
-        # target busy (as the join's second copy of each event does) is a
-        # scheduled arrival.  At zero delay every hop is placed.
-        def spied_run(delay_ms):
+        # whose event id no arrival carried is such a hop.  With nothing
+        # but data in flight, every hop is placed, at 5 ms as at zero
+        # delay.  A rebalance shorter than the delay turns placement off
+        # at 5 ms (a respawn could beat the hop), so every hop is then a
+        # scheduled arrival.
+        def spied_run(delay_ms, **overrides):
             config = make_scenario(fan_out_join_dag(), "DCR", run_s=10, trigger_s=5,
-                                   networkDelayMs=delay_ms)
+                                   networkDelayMs=delay_ms, **overrides)
             engine = SimulationEngine(config, migrate=False)
             arrived, completed = [], []
             arrive, complete = engine._arrive, engine._complete_service
@@ -377,18 +378,18 @@ class TestRunLoop:
             placed = len(set(completed) - set(arrived))
             return engine, arrived, completed, placed
 
-        engine, arrived, completed, placed = spied_run(5)
+        engine, arrived, completed, placed = spied_run(5, rebalanceDuration=0.001)
         roots = engine.source.next_seq
         hops = 7 * roots  # A, B, C, two at the join and two at the sink
-        assert roots == 80 and len(completed) == hops
-        assert 0 < len(arrived) < hops and len(arrived) + placed == hops
-        assert engine._actions == roots + len(arrived) + len(completed) + placed
-        assert work_of(engine)[1] == roots + len(arrived) + len(completed)  # pushes
+        assert roots == 80 and len(completed) == len(arrived) == hops and placed == 0
+        assert engine._actions == work_of(engine)[1] == roots + 2 * hops
 
-        engine, arrived, completed, placed = spied_run(0)
-        assert engine.source.next_seq == roots
-        assert arrived == [] and len(completed) == placed == hops
-        assert engine._actions == roots + len(completed) + placed
+        for delay_ms in (5, 0):
+            engine, arrived, completed, placed = spied_run(delay_ms)
+            assert engine.source.next_seq == roots
+            assert arrived == [] and len(completed) == placed == hops
+            assert engine._actions == roots + len(completed) + placed
+            assert work_of(engine)[1] == roots + len(completed)  # pushes
 
     def test_action_budget_stops_a_run(self, monkeypatch):
         monkeypatch.setattr(runtime, "_MAX_ACTIONS", 1000)
@@ -454,6 +455,42 @@ class TestDelivery:
         engine.deliver(make_event(2), inst)  # a retry is in flight: pushed
         assert inst.in_service is None and inst.in_flight == 2
 
+    @pytest.mark.parametrize("scenario,strategy", [
+        ("linear_scalein", "CCR"), ("star_scalein", "DSM")])
+    def test_data_lands_at_its_send_plus_the_delay(self, scenario, strategy):
+        # A hop placed at its send starts no earlier than emitTs + delay, so
+        # every DATA send must stamp emitTs with the send time: roots,
+        # replays, router copies (star fans out by DUPLICATE) and forwarded
+        # children.  With one arrival that never lands counted in flight at
+        # every instance, every hop is a scheduled arrival, and each DATA
+        # arrival shows the rule, but for a transport retry, which lands
+        # _TRANSPORT_RETRY_MS after the arrival that found its target
+        # starting.
+        config = with_overrides(load_bundled_scenario(scenario), strategy=strategy,
+                                networkDelayMs=5, runDuration=300)
+        engine = SimulationEngine(config)
+        for inst in engine.instances.values():
+            inst.in_flight = 1
+        arrive = engine._arrive
+        retrying, landed, late = set(), [], []
+
+        def spy_arrive(env, target):
+            if env.kind == DATA:
+                sent = (env.eventId, env.emitTs)
+                if sent not in retrying:
+                    landed.append(env)
+                    if engine.now != env.emitTs + 5:
+                        late.append((engine.now, env))
+                if target.status == RESPAWNING:
+                    retrying.add(sent)
+            arrive(env, target)
+
+        engine._arrive = spy_arrive
+        engine.run()
+        assert late == [] and landed and retrying
+        if strategy == "DSM":
+            assert any(env.replayed for env in landed)
+
     def test_delivery_to_killed_instance_dropped(self):
         config = make_scenario(make_chain_dag(3), "DSM", run_s=120, trigger_s=110)
         engine = SimulationEngine(config, migrate=False)
@@ -474,8 +511,9 @@ class TestDelivery:
         assert exits[0].ts == 3 * 40 + 2 * 100 + 100
 
 
-def make_event(event_id: int = 1, kind: str = DATA) -> EventEnvelope:
-    return EventEnvelope(event_id, event_id, 0, kind, 0, False, 0)
+def make_event(event_id: int = 1, kind: str = DATA, emit_ts: int = 0) -> EventEnvelope:
+    """An event sent at ``emit_ts``: every send stamps ``emitTs`` so."""
+    return EventEnvelope(event_id, event_id, 0, kind, 0, False, emit_ts)
 
 
 # The generator's DAGs: chains of up to 4 tasks (any of them stateful, one
@@ -487,8 +525,8 @@ _SMALL_DAGS = st.one_of(
 
 
 class TestSendOrder:
-    """Zero-delay hops that arrive in their sender's action keep every
-    instance's input in send order."""
+    """Hops placed in their sender's action keep every instance's input in
+    send order."""
 
     @pytest.mark.parametrize("scenario,strategy", [
         ("linear_scalein", "DCR"), ("linear_scalein", "CCR"), ("diamond_scalein", "DSM")])
@@ -541,12 +579,14 @@ class TestSendOrder:
     @settings(max_examples=20, deadline=None)
     @given(dag=_SMALL_DAGS,
            strategy=st.sampled_from(["DCR", "CCR"]),
+           delay_ms=st.integers(0, 50),
            trigger_ms=st.integers(1, 30_000),
            seed=st.integers(0, 2**32 - 1))
-    def test_zero_delay_migration_delivers_exactly_once(self, dag, strategy,
-                                                        trigger_ms, seed):
+    def test_migration_delivers_exactly_once(self, dag, strategy, delay_ms, trigger_ms, seed):
+        # At any delay a hop may be placed at its send, into a busy
+        # target's queue as into an idle one's slot.
         config = make_scenario(dag, strategy, run_s=60, trigger_s=trigger_ms / 1000,
-                               seed=seed)
+                               seed=seed, networkDelayMs=delay_ms)
         timeline, engine = run_scenario(config)
         assert "ALL_INIT_ACKED" in phase_times(engine)
         assert not exactly_once_audit(timeline, dag)
@@ -675,9 +715,11 @@ class TestArrive:
 
 class TestPlacement:
     """The two sites that start a ready event without an arrival action of
-    its own: ``deliver`` for a ready zero-delay hop, and the end of
-    ``_complete_service`` for a DATA event at the queue head.  A hop to an
-    idle or a busy instance is checked in TestArrive and TestDelivery."""
+    its own: ``deliver`` for a ready hop, and the end of
+    ``_complete_service`` for a DATA event at the queue head.  At a delay
+    above zero a hop placed at its send starts no earlier than it lands,
+    ``emitTs + networkDelayMs``.  A hop to an idle or a busy instance is
+    checked in TestArrive and TestDelivery."""
 
     def test_a_ready_hop_behind_a_queued_barrier_pumps_it(self, monkeypatch):
         # Idle with a barrier still queued: the hop queues behind it, and
@@ -739,9 +781,10 @@ class TestPlacement:
         fn(*args)
         assert inst.state.processedCount == 0 and inst.in_service is None
 
-    def test_a_delayed_hop_to_an_idle_instance_with_a_queue_is_scheduled(self):
-        # As above, at 5 ms: root 1's hop finds T1 idle with `queued`
-        # still in its queue, so it must not take the slot ahead of it.
+    def test_a_delayed_hop_to_an_idle_instance_with_a_queue_joins_it(self):
+        # As above, at 5 ms: root 1's hop finds T1 idle with `queued` still
+        # in its queue, so it joins the queue behind it, and `queued` takes
+        # the slot at once.  Root 1 lands at 110, before `queued` ends.
         engine = quick_engine(strategy="DSM", networkDelayMs=5)
         inst = engine.instances["T1#0"]
         inst.sel_count = 0
@@ -750,9 +793,95 @@ class TestPlacement:
         inst.queue.append(queued)
         engine.source.backlog = 1
         assert fire_next(engine) == 105  # T1 acks root 0 and root 1 is sent
-        assert inst.in_service is queued and not inst.queue and inst.in_flight == 1
+        assert inst.in_service is queued and inst.in_flight == 0
+        assert [env.rootSeqNo for env in inst.queue] == [1]
         assert [(t, fn) for t, _seq, (fn, _args) in drain(engine)] == [
-            (110, engine._arrive), (205, engine._complete_service)]
+            (205, engine._complete_service)]
+
+    @pytest.mark.parametrize("sent_ms,due_ms", [(102, 207), (50, 205)])
+    def test_a_delayed_hop_to_a_busy_instance_queues_at_send(self, sent_ms, due_ms):
+        # At 5 ms the first hop takes T1's slot, due at 105.  The second,
+        # sent while T1 is busy with nothing in flight to it, joins the
+        # queue at its send.  Its service starts when it lands (107, if sent
+        # at 102) or when the first service ends (105, if sent at 50),
+        # whichever is later.
+        engine = quick_engine(networkDelayMs=5)
+        inst = engine.instances["T1#0"]
+        first = make_event(1)
+        engine.deliver(first, inst)
+        engine.clock.now = sent_ms
+        hop = make_event(2, emit_ts=sent_ms)
+        engine.deliver(hop, inst)
+        assert inst.in_service is first and list(inst.queue) == [hop]
+        assert inst.in_flight == 0 and engine._actions == 2
+        assert len(engine.clock._calendar) == 1  # the first completion only
+        assert fire_next(engine) == 105
+        assert inst.in_service is hop and not inst.queue
+        assert [(t, args) for t, _seq, (_fn, args) in drain(engine) if args[0] is inst] == [
+            (due_ms, (inst, hop, inst.generation))]
+
+    def test_a_released_slot_starts_a_queued_hop_when_it_lands(self):
+        # A checkpoint step holds T1's slot; a hop sent at 102 queues behind
+        # it.  The step ends at 103 and pumps the queue: the hop starts when
+        # it lands, at 107.
+        engine = quick_engine(networkDelayMs=5)
+        inst = engine.instances["T1#0"]
+        inst.in_service = make_event(1, kind=PREPARE)
+        engine.clock.now = 102
+        hop = make_event(2, emit_ts=102)
+        engine.deliver(hop, inst)
+        assert list(inst.queue) == [hop] and inst.in_flight == 0
+        engine.clock.now = 103
+        inst.in_service = None
+        engine._pump(inst)
+        assert inst.in_service is hop and not inst.queue
+        (t, _seq, (_fn, args)), = drain(engine)
+        assert (t, args) == (207, (inst, hop, inst.generation))
+
+    @pytest.mark.parametrize("kill_ms", [103, 106])
+    def test_a_kill_before_a_queued_hop_lands_drops_it(self, kill_ms):
+        # The hop sent at 102 would land at 107 and find T1 KILLED.  The kill
+        # drops it from the queue (at 103), or cancels the service the end
+        # of the first one gave it at 105 (at 106).
+        engine = quick_engine(networkDelayMs=5)
+        inst = engine.instances["T1#0"]
+        engine.deliver(make_event(1), inst)
+        engine.clock.now = 102
+        engine.deliver(make_event(2, emit_ts=102), inst)
+        engine.clock.schedule_at(kill_ms, engine.kill_instance, "T1#0")
+        while len(engine.clock._calendar):
+            fire_next(engine)
+        # Only the first service, if any, completed before the kill.
+        assert inst.state.processedCount == engine.kill_snapshots["T1#0"] == (kill_ms > 105)
+        assert inst.in_service is None and not inst.queue
+
+    def test_hops_from_two_senders_are_served_in_send_order(self):
+        # The sink is busy until 15.  B1 sends at 4 (landing at 9) and B0
+        # at 22 (landing at 27): B1's hop starts when the sink frees, B0's
+        # when it lands, after B1's service ended at 25.
+        engine = SimulationEngine(make_scenario(fan_out_dag(DUPLICATE, DUPLICATE), "DCR",
+                                                networkDelayMs=5))
+        sink = engine.instances["sink#0"]
+        served = []
+        complete = engine._complete_service
+
+        def spy_complete(inst, env, gen):
+            if inst is sink:
+                served.append((engine.now, env))
+            complete(inst, env, gen)
+
+        engine._complete_fn = spy_complete
+        busy = make_event(1)
+        engine.deliver(busy, sink)  # due at 0 + 5 + 10
+        hops = {}
+        for sender, sent_ms in (("B1#0", 4), ("B0#0", 22)):
+            inst = engine.instances[sender]
+            inst.in_service = hops[sender] = make_event(len(hops) + 2)
+            engine.clock.schedule_at(sent_ms, spy_complete, inst, hops[sender], inst.generation)
+        while len(engine.clock._calendar):
+            fire_next(engine)
+        assert served == [(15, busy), (25, hops["B1#0"]), (37, hops["B0#0"])]
+        assert sink.in_flight == 0
 
     @pytest.mark.parametrize("case", ["barrier", "capturing", "uninitialized"])
     def test_any_other_head_goes_through_pump(self, case, monkeypatch):
@@ -1073,11 +1202,13 @@ class TestKillRespawn:
 
 
 def fork_case(name: str):
-    """Parent config of a fork test: a bundled scenario under DCR, or a
-    fan-out to two DUPLICATE branches joined at the sink under CCR, at zero
-    delay or at 5 ms (where the fork copies hops placed at their send)."""
-    if name == "linear_scalein":
-        return with_overrides(load_bundled_scenario(name), strategy="DCR")
+    """Parent config of a fork test: a bundled scenario under DCR, at zero
+    delay or at 20 ms, or a fan-out to two DUPLICATE branches joined at the
+    sink under CCR, at zero delay or at 5 ms.  At a delay the fork copies
+    hops placed at their send, in a slot or in a queue."""
+    if name.startswith("linear_scalein"):
+        return with_overrides(load_bundled_scenario("linear_scalein"), strategy="DCR",
+                              networkDelayMs=20 if name.endswith("_20ms") else 0)
     return make_scenario(fan_out_dag(DUPLICATE, DUPLICATE), "CCR",
                          networkDelayMs=5 if name == "fan_join_5ms" else 0)
 
@@ -1097,7 +1228,8 @@ def outcome_from_scratch(name: str, strategy: str):
 
 
 class TestForkAtTrigger:
-    @pytest.mark.parametrize("name", ["linear_scalein", "fan_join", "fan_join_5ms"])
+    @pytest.mark.parametrize("name", [
+        "linear_scalein", "linear_scalein_20ms", "fan_join", "fan_join_5ms"])
     @pytest.mark.parametrize("twin_first", [True, False])
     def test_parent_and_twin_equal_runs_from_scratch(self, name, twin_first):
         # The twin draws from its own generator: with a copy of the
@@ -1317,13 +1449,13 @@ PINNED_RUNS = {
 # must not change what a run does: the actions and pushes pin that.
 PINNED_WORK = {
     ("linear50_stress", "DCR", 5): (
-        "e9f32243a6f5b7e8eca44057637360af54aea46b9b8f3fc78433b0de76a0e739",
+        "b1a0b708c306c8cd04dbe7b3808ad0db987f58a7680366f94eca541bcc84c056",
         "f6b9202d562c4325fc63c85e34bd530c63a2551f844c7bdfc217e1ca6691b5b9",
-        247_585, 198_574),
+        247_585, 125_185),
     ("linear50_stress", "CCR", 5): (
-        "63560fc794f4b2e6fcb4c057fb73379c993d2e2e441b84023a0223e3d423e2c1",
+        "27da24761a624777d0ae1fd8cdaab35b307e686859d003a1314d5b7dd7401f4e",
         "5800a1a5071e9af8e2f0512f09acdbcdef9bdbafc5dca27dceef023c8dab75b7",
-        249_340, 201_032),
+        249_340, 126_982),
     ("grid_scalein", "DSM", 0): (
         "6e42294b69e5eb52ce2f95e745f5ce3d63d8e046c4f61a07c0f6a11389f08c27",
         "9a69c3ebee423fe79b303250d1cceb762c967e5ddb4815353df365dc5cc2b9d3",
@@ -1363,15 +1495,15 @@ PINNED_SHAPES = {
     ("shuffle_split_7ms", "DSM"): (
         "d87a4acc87769f12fbfc40cd7e45f71bea003f438930f7951246ef7c49f9e746",
         "c05955ba7cf3310c81859f023206a62c5aaf991417528dba83f91341942050f8",
-        6_150, 4_783),
+        6_150, 3_611),
     ("shuffle_split_7ms", "DCR"): (
         "880e57fd1e50028f3fb4e5fa3d983722e26cc3e89a3c37f7aad9f5b1e07352cf",
         "af19df45c82e73cae73b8f998ee8d7e4b4bfb8086e97ed1e195d52d420bdb546",
-        5_076, 3_766),
+        5_076, 2_916),
     ("shuffle_split_7ms", "CCR"): (
         "e226d9263519d6a194e35044e43cdf288fdfec412613024b2045ad7df4f38341",
         "8eb28883ad56d3f1249329bb066321a3a965c27a110610bbced1a53dfafaeb02",
-        5_079, 3_758),
+        5_079, 2_919),
     ("selectivity_2", "DSM"): (
         "e7b677db05d3e709f18ae6742c69f4204886b6eeb1472bf9189ec813a4fcd25a",
         "6910192d35c9ec05380ecc12658e753e44fe12760baf2b671a46647b2741ff88",
@@ -1517,10 +1649,25 @@ PINNED_DSM_PATHS = {
         "488adb42d953475c3403f7b24ee0a954f283455d647ace0238bcb3c4be125f90",
         156_117, 91_622),
     ("star_scalein", "networkDelayMs", 5): (
-        "c0e686b4f1eac570a738c9d40b9ccfda4459cb7ff230af6aa54e8b436524c88b",
-        81_601, 69_683),
+        "681e8dfdb64dfce8337c0c98bb881fb46996afd4513d0889cb35a3e7ffe9d95b",
+        81_601, 46_047),
 }
 
+
+# conftest.behaviour_digest of each PINNED_WORK and PINNED_DSM_PATHS run: a
+# change that moves their bytes by tie order only keeps it.
+WORK_BEHAVIOUR = {
+    ("grid_scalein", "DSM", 0):
+        "9d3cec7f5b1ff919f0c2f647388537226a31651af571d8825fc76e6a62a4837b",
+    ("linear50_stress", "CCR", 5):
+        "af7a0ebdea4ff5032b9f4e196a762d8af0220cd193100f02aed0d72342fee920",
+    ("linear50_stress", "DCR", 5):
+        "210fa9fe1a38ed5562a1e25f257ed3f55d2b658c6699110d48b207e7cdfac831",
+    ("diamond_scalein", "ackTimeout", 10.0):
+        "80eddd9522e295eb27989428b2d5bbe79a21ceb3b8f33a1c0385112e1b33be8a",
+    ("star_scalein", "networkDelayMs", 5):
+        "4df684989fed3bf68640868d9530f6aeb9b764bd013841a90724d9f9d528e7e0",
+}
 
 # Actions and calendar pushes of three small bundled runs, one per
 # strategy, beside their PINNED_RUNS bytes: the general-path oracle below
@@ -1568,13 +1715,16 @@ class TestPinnedTimelines:
     def test_run_bytes_and_work_unchanged(self, scenario, strategy, delay_ms):
         config = with_overrides(load_bundled_scenario(scenario), strategy=strategy,
                                 networkDelayMs=delay_ms)
-        assert observed_work(config)[0] == PINNED_WORK[scenario, strategy, delay_ms]
+        work, behaviour = observed_work(config)
+        assert behaviour == WORK_BEHAVIOUR[scenario, strategy, delay_ms]
+        assert work == PINNED_WORK[scenario, strategy, delay_ms]
 
     @pytest.mark.parametrize("scenario,field,value", sorted(PINNED_DSM_PATHS))
     def test_dsm_acker_path_bytes_and_work_unchanged(self, scenario, field, value):
         config = with_overrides(load_bundled_scenario(scenario), strategy="DSM",
                                 runDuration=300, **{field: value})
-        (csv, _report, actions, pushes), _behaviour = observed_work(config, report_pinned=False)
+        (csv, _report, actions, pushes), behaviour = observed_work(config, report_pinned=False)
+        assert behaviour == WORK_BEHAVIOUR[scenario, field, value]
         assert (csv, actions, pushes) == PINNED_DSM_PATHS[scenario, field, value]
 
     @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
