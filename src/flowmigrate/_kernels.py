@@ -39,8 +39,8 @@ class EventCalendar:
     empty list; no fire time is reserved, so negative times are legal.
     Popped entries stay in the open list until the next millisecond opens.
     Many data hops never reach the calendar as arrivals: the engine places
-    them in the sending action, into a ready target's service slot (or, at
-    zero delay, queue) and pushes only the completions (SimulationEngine.deliver).
+    them in the sending action, into a ready target's service slot or queue,
+    at any delay, and pushes only the completions (SimulationEngine.deliver).
     """
 
     __slots__ = ("_times", "_waiting", "_open", "_open_ms", "_i", "_popped", "_next_seq")

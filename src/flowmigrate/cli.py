@@ -69,6 +69,8 @@ def _check_fresh(*out_dirs: Path) -> None:
     """Refuse output directories that already hold a run, whose place a
     file holds, or that cannot be looked up, before any runs."""
     for out_dir in out_dirs:
+        if "\0" in str(out_dir):  # exists() reads it as missing; mkdir raises
+            raise ConfigError(f"cannot use {str(out_dir)!r} as --out: embedded null byte")
         try:
             found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
         except OSError as exc:  # a name too long to stat, say

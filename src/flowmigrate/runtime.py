@@ -212,10 +212,12 @@ def emission_time(tick: int, rate: float) -> int:
 
 
 class SourceRuntime:
-    """Paced root-event emitter with pause/backlog/burst semantics."""
+    """Paced root-event emitter with pause/backlog/burst semantics;
+    ``rr_edges`` and ``rr_targets`` are its router counters (see
+    SimulationEngine._send_root)."""
 
     __slots__ = ("paused", "backlog", "root_cache", "next_seq", "next_tick",
-                 "rr_edges", "rr_targets", "sole_edge", "sole_sent")
+                 "rr_edges", "rr_targets")
 
     def __init__(self) -> None:
         self.paused = False
@@ -225,11 +227,10 @@ class SourceRuntime:
         self.next_tick = 0  # pacing ticks, advanced per period
         self.rr_edges = 0
         self.rr_targets: dict[int, int] = {}
-        # As on TaskInstanceRuntime: the one edge every root takes, if any.
-        self.sole_edge: tuple[TaskInstanceRuntime, ...] | None = None
-        self.sole_sent = 0
 
-    reset_routing = TaskInstanceRuntime.reset_routing
+    def reset_routing(self) -> None:
+        self.rr_edges = 0
+        self.rr_targets.clear()
 
 
 class SimClock:
@@ -321,10 +322,11 @@ class SimulationEngine:
         objects is safe: respawn resets them in place.
 
         A task with no DUPLICATE edge and one SHUFFLE edge has no edge to
-        choose: its instances (or the source) get that edge's targets as
-        ``sole_edge``, and ``_complete_service`` (or ``_send_root``) hands
-        events to them in turn, in the order ``_route_emission`` would (a
-        single target is the length-1 case).
+        choose: its instances get that edge's targets as ``sole_edge``, and
+        ``_complete_service`` hands children to them in turn, in the order
+        ``_route_emission`` would (a single target is the length-1 case).
+        The source has none: its roots and replays, under a tenth of the
+        hops, take the router (see ``_send_root``).
         """
         targets_of = {tid: tuple(self.instances[iid] for iid in ids)
                       for tid, ids in self.instances_of.items()}
@@ -342,12 +344,10 @@ class SimulationEngine:
                 fed_by_source.add(e.toTask)
             else:
                 upstream[e.toTask] = upstream.get(e.toTask, 0) + len(targets_of[e.fromTask])
-        senders = [(self.source_task_id, self.source)]
-        senders += [(inst.task.taskId, inst) for inst in self.instances.values()]
-        for tid, sender in senders:
-            lanes = shuffle.get(tid, ())
-            if tid not in dup and len(lanes) == 1:
-                sender.sole_edge = lanes[0][1]
+        for inst in self.instances.values():
+            lanes = shuffle.get(inst.task.taskId, ())
+            if inst.task.taskId not in dup and len(lanes) == 1:
+                inst.sole_edge = lanes[0][1]
         tasks = [self.source_task_id, *self.instances_of]
         self._plans = {tid: (tuple(dup.get(tid, ())), tuple(shuffle.get(tid, ())))
                        for tid in tasks}
@@ -508,15 +508,10 @@ class SimulationEngine:
         self._send_root(env)
 
     def _send_root(self, env: EventEnvelope) -> None:
-        """Send an emitted or replayed root along the source's out-edges."""
-        src = self.source
-        sole = src.sole_edge
-        if sole is None:
-            self._route_emission(src, self.source_task_id, env)
-        else:
-            sent = src.sole_sent
-            src.sole_sent = sent + 1
-            self.deliver(env, sole[sent % len(sole)])
+        """Send an emitted or replayed root along the source's out-edges,
+        through the router: a single lane delivers ``env`` itself, in the
+        source's round robin, so a ``deliver`` override sees every root."""
+        self._route_emission(self.source, self.source_task_id, env)
 
     def pause_source(self) -> None:
         self.source.paused = True
@@ -656,28 +651,20 @@ class SimulationEngine:
         a transport retry, or a DATA hop whose target was not ready or had
         an arrival in flight when ``deliver``'s rule sent it (or any DATA
         hop, when a respawn could beat the delay).  It fires at ``emitTs +
-        networkDelayMs``, so an event it starts has landed.
+        networkDelayMs`` or later, for a retry.
 
-        At a RUNNING instance, a DATA event that finds it idle and accepting
-        (initialized, not capturing, queue empty, nothing in service) goes
-        straight into service, as ``_pump`` would have put it.  An event
-        that finds it busy joins the queue, which the end of the service
-        serves.  Every other event takes the queue and ``_pump``.  A KILLED
-        instance drops the event (a lost DATA event is recovered via ack
-        timeout), and a RESPAWNING one has its DATA retried by the transport,
-        which keeps it in flight.
+        A RUNNING instance queues the event; an idle one pumps it at once,
+        and ``_pump`` starts a DATA event now, since it has landed.  A busy
+        one leaves it to the end of the service.  A KILLED instance drops
+        the event (a lost DATA event is recovered via ack timeout), and a
+        RESPAWNING one has its DATA retried by the transport, which keeps it
+        in flight.  An arrival that finds a ready instance idle is rare
+        (tens per benchmark pass), so it has no start of its own.
         """
         target.in_flight -= 1
         if target.status == RUNNING:
-            if target.in_service is not None:
-                target.queue.append(env)
-            elif (not target.queue and env.kind == DATA and target.initialized
-                  and not target.captureFlag):
-                target.in_service = env
-                self._push(self.clock.now + target.service_ms,
-                           (self._complete_fn, (target, env, target.generation)))
-            else:
-                target.queue.append(env)
+            target.queue.append(env)
+            if target.in_service is None:
                 self._pump(target)
         elif target.status == RESPAWNING and env.kind == DATA:
             # The worker process is starting: the transport holds data and

@@ -276,6 +276,15 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"configuration error: cannot use {out} as --out: File name too long\n")
 
+    def test_an_out_with_a_nul_byte_exits_2(self, quick_scenario, tmp_path, no_engine_runs,
+                                            capsys):
+        # exists() reads such a path as missing: the run once came first,
+        # then mkdir raised ValueError (exit 1, traceback).
+        out = f"{tmp_path}/nul\x00dir"
+        assert run_cli("run", str(quick_scenario), "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot use {out!r} as --out: embedded null byte\n")
+
     def test_restore_with_no_output_left_is_reported(self, tmp_path):
         # CCR restores the dataflow after the last sink output of the run:
         # a null restore duration, not a crash.
@@ -401,6 +410,13 @@ class TestCompare:
         assert run_cli("compare", str(quick_scenario), "--out", str(out)) == 2
         assert capsys.readouterr().err == (
             f"configuration error: cannot use {out / 'dsm'} as --out: File name too long\n")
+
+    def test_an_out_with_a_nul_byte_exits_2(self, quick_scenario, tmp_path, no_engine_runs,
+                                            capsys):
+        out = f"{tmp_path}/nul\x00dir"
+        assert run_cli("compare", str(quick_scenario), "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot use {out + '/dsm'!r} as --out: embedded null byte\n")
 
     def test_compare_writes_per_strategy_outputs(self, quick_scenario, tmp_path):
         # DCR and CCR fork from one prefix; each output equals a run of its own.

@@ -618,7 +618,9 @@ class TestSendOrder:
 
 
 class TestArrive:
-    """Every branch of ``_arrive``: the idle fast path and the queue path."""
+    """Every branch of ``_arrive``: a RUNNING instance queues the event and,
+    when idle, pumps it; a KILLED one drops it; a RESPAWNING one retries
+    data."""
 
     def test_idle_instance_starts_service_in_the_arrival_action(self):
         engine = quick_engine()
@@ -635,6 +637,39 @@ class TestArrive:
         fn(*args)
         assert inst.in_service is None
         assert inst.state.processedCount == 1
+
+    def test_a_scheduled_arrival_at_an_idle_instance_starts_in_its_own_action(self):
+        # A rebalance shorter than the delay turns placement off, so the hop
+        # sent at 1000 is an arrival at 1005: it takes the idle slot there,
+        # due at its landing plus the service time.
+        engine = quick_engine(networkDelayMs=5, rebalanceDuration=0.001)
+        inst = engine.instances["T1#0"]
+        engine.clock.now = 1_000
+        env = make_event(emit_ts=1_000)
+        engine.deliver(env, inst)
+        assert inst.in_service is None and inst.in_flight == 1
+        assert fire_next(engine) == 1_005
+        assert inst.in_service is env and not inst.queue and inst.in_flight == 0
+        (t, _seq, (fn, args)), = drain(engine)
+        assert (t, fn, args) == (1_105, engine._complete_service, (inst, env, inst.generation))
+
+    def test_a_transport_retry_at_an_idle_instance_starts_when_it_fires(self):
+        # Sent at 1000 to a starting worker, the hop is retried at 1505 and
+        # finds T1 RUNNING and idle: it starts then, not at its landing 1005.
+        engine = quick_engine(networkDelayMs=5)
+        inst = engine.instances["T1#0"]
+        engine.kill_instance("T1#0")
+        engine.mark_respawning("T1#0")
+        engine.clock.now = 1_000
+        env = make_event(emit_ts=1_000)
+        engine.deliver(env, inst)
+        assert fire_next(engine) == 1_005  # T1 is starting: the transport retries
+        engine.respawn_instance("T1#0")
+        engine.initialize_instance(inst, 1, None)
+        assert fire_next(engine) == 1_000 + 5 + runtime._TRANSPORT_RETRY_MS
+        assert inst.in_service is env and inst.in_flight == 0
+        (t, _seq, (_fn, args)), = drain(engine)
+        assert (t, args) == (1_605, (inst, env, inst.generation))
 
     def test_busy_instance_queues_the_event(self):
         engine = quick_engine()
@@ -718,8 +753,9 @@ class TestPlacement:
     its own: ``deliver`` for a ready hop, and the end of
     ``_complete_service`` for a DATA event at the queue head.  At a delay
     above zero a hop placed at its send starts no earlier than it lands,
-    ``emitTs + networkDelayMs``.  A hop to an idle or a busy instance is
-    checked in TestArrive and TestDelivery."""
+    ``emitTs + networkDelayMs``.  A hop placed at an idle instance is
+    checked in TestArrive's first case and in TestDelivery; a scheduled
+    arrival, which ``_arrive`` queues and pumps, in the rest of TestArrive."""
 
     def test_a_ready_hop_behind_a_queued_barrier_pumps_it(self, monkeypatch):
         # Idle with a barrier still queued: the hop queues behind it, and
@@ -953,34 +989,20 @@ class TestSoleTarget:
         engine = quick_engine()
         assert engine.instances["sink#0"].sole_edge is None
 
-    def test_set_for_the_source_unless_it_duplicates(self):
-        engine = quick_engine()
-        assert engine.source.sole_edge == (engine.instances["T1#0"],)
-        tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("A"), TaskDef("B"), TaskDef("sink"))
-        edges = (Edge("src", "A", DUPLICATE), Edge("src", "B", DUPLICATE),
-                 Edge("A", "sink"), Edge("B", "sink"))
-        dag = DagDef("dup_head", tasks, edges, ("src",), ("sink",))
-        assert quick_engine(dag).source.sole_edge is None
-
     def test_source_round_robin_matches_the_router_across_rewire(self):
         tasks = (TaskDef("src", serviceTimeMs=1), TaskDef("T1", instanceCount=2),
                  TaskDef("sink"))
         dag = DagDef("wide_head", tasks, (Edge("src", "T1"), Edge("T1", "sink")),
                      ("src",), ("sink",))
 
-        def sequence(use_router):
-            engine = quick_engine(dag)
-            if use_router:
-                engine.source.sole_edge = None
-            sent = spy_sends(engine)
-            for _ in range(3):
-                engine._emit_root()
-            engine.rewire_channels()
-            for _ in range(2):
-                engine._emit_root()
-            return [to.instanceId for _env, to in sent]
-
-        assert sequence(use_router=False) == sequence(use_router=True) == [
+        engine = quick_engine(dag)
+        sent = spy_sends(engine)
+        for _ in range(3):
+            engine._emit_root()
+        engine.rewire_channels()
+        for _ in range(2):
+            engine._emit_root()
+        assert [to.instanceId for _env, to in sent] == [
             "T1#0", "T1#1", "T1#0",  # rewired
             "T1#0", "T1#1"]
 
@@ -1682,15 +1704,16 @@ PINNED_RUN_WORK = {
 def observed_work(config, report_pinned=True, sole_edges=True, scheduled=False):
     """Timeline and report SHA-256 (None unless ``report_pinned``), actions
     and calendar pushes of one run of ``config``, and its behaviour digest.
-    Without ``sole_edges`` every sender's ``sole_edge`` is cleared after
+    Without ``sole_edges`` every instance's ``sole_edge`` is cleared after
     construction, so each send takes the general path: ``_route_emission``,
-    then ``deliver``.  With ``scheduled`` every instance starts with one
-    arrival counted in flight that never lands, so every hop to it
-    schedules its ``_arrive``: no hop is placed in its sender's action."""
+    then ``deliver``, as the source's roots always do.  With ``scheduled``
+    every instance starts with one arrival counted in flight that never
+    lands, so every hop to it schedules its ``_arrive``: no hop is placed
+    in its sender's action."""
     engine = SimulationEngine(config)
     if not sole_edges:
-        for sender in (engine.source, *engine.instances.values()):
-            sender.sole_edge = None
+        for inst in engine.instances.values():
+            inst.sole_edge = None
     if scheduled:
         for inst in engine.instances.values():
             inst.in_flight = 1
@@ -1737,9 +1760,9 @@ class TestPinnedTimelines:
 
 
 class TestGeneralPathOracle:
-    """The sole-edge sends in ``_send_root`` and ``_complete_service`` are
-    shortcuts for the general path: with every ``sole_edge`` cleared, runs
-    must still give the pinned bytes, actions and pushes."""
+    """The sole-edge send in ``_complete_service`` is a shortcut for the
+    general path: with every ``sole_edge`` cleared, runs must still give the
+    pinned bytes, actions and pushes."""
 
     @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
     def test_shape_pins_hold(self, shape, strategy):
@@ -1759,26 +1782,43 @@ class TestGeneralPathOracle:
 
 class _CheckedCalendar(_kernels.EventCalendar):
     """An event calendar that calls ``check()`` before each pop: after every
-    fired action, and once more when the calendar is empty."""
+    fired action, and once more when the calendar is empty.  ``arrivals``
+    counts the ``_arrive`` actions it holds per target instance, kept on
+    push and pop rather than by a scan per action."""
 
-    __slots__ = ("check",)
+    __slots__ = ("check", "arrivals")
+
+    def push(self, fire_ms, payload):
+        fn, args = payload
+        if fn.__name__ == "_arrive":
+            self.arrivals[args[1]] += 1
+        return super().push(fire_ms, payload)
 
     def pop(self):
         self.check()
-        return super().pop()
+        entry = super().pop()
+        fn, args = entry[2]
+        if fn.__name__ == "_arrive":
+            self.arrivals[args[1]] -= 1
+        return entry
 
 
 class TestStateBetweenActions:
-    """Two conditions the engine relies on without testing them: ``_pump``
-    serves any queue, since only a RUNNING instance holds one, and
+    """Three conditions the engine relies on without testing them: ``_pump``
+    serves any queue, since only a RUNNING instance holds one;
     ``_sweep_tick`` replays every swept root from ``root_cache``, since the
-    acker tracks exactly the cached roots."""
+    acker tracks exactly the cached roots; and each instance's
+    ``in_flight`` equals the arrivals to it in the calendar, since
+    ``deliver`` places a hop only when none is, which keeps each input
+    FIFO."""
 
     @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
     def test_hold_after_every_action(self, shape, strategy):
         engine = SimulationEngine(SHAPES[shape](strategy))
         instances = tuple(engine.instances.values())
         root_cache, entries = engine.source.root_cache, engine.acker.table._entries
+        calendar = engine.clock._calendar = _CheckedCalendar()
+        arrivals = calendar.arrivals = dict.fromkeys(instances, 0)
         checks = 0
 
         def check():
@@ -1786,9 +1826,9 @@ class TestStateBetweenActions:
             checks += 1
             assert all(inst.status == RUNNING for inst in instances if inst.queue)
             assert root_cache.keys() == entries.keys()
+            assert all(inst.in_flight == arrivals[inst] for inst in instances)
 
-        engine.clock._calendar = _CheckedCalendar()
-        engine.clock._calendar.check = check
+        calendar.check = check
         engine.run()
         actions, pushes = work_of(engine)
         assert (actions, pushes) == PINNED_SHAPES[shape, strategy][2:]
