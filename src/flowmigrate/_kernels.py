@@ -108,12 +108,12 @@ class AckerTable:
 
     An entry is the list ``[hash, register_ts, done]``, and ``register``
     returns it, so a caller may hold it as a handle and fold ids into it
-    without a lookup: an anchor is ``if not e[2]: e[0] ^= id``, and an ack
-    is the same fold that sets ``e[2]`` when the hash reaches 0.  The
-    handle stays exact: ``sweep`` re-arms an entry in place, so a replay
-    holds the same object, and ``discard`` sets ``done`` before it drops
-    the entry, so a held handle is inert from then on, as a lookup by id
-    would answer ``ACK_UNKNOWN``.
+    without a lookup: an anchor or an ack is ``e[0] ^= id``, and an ack
+    that zeroes the hash completes the root.  The handle stays exact:
+    ``sweep`` re-arms an entry in place, so a replay holds the same object,
+    and ``discard`` sets ``done`` as it drops the entry.  A caller that
+    discards each root at completion may fold into a dropped handle
+    unguarded: no lookup reads the entry again.
     """
 
     __slots__ = ("_entries",)
@@ -174,7 +174,9 @@ class AckerTable:
         return entry[0]
 
     def discard(self, root_id: int) -> None:
-        """Stop tracking a root; a handle still held becomes inert."""
+        """Stop tracking a root: drop its entry and mark it done.  A caller
+        that discards at completion may still fold into a held handle,
+        unguarded: no lookup or sweep reads the dropped entry again."""
         entry = self._entries.pop(root_id, None)
         if entry is not None:
             entry[2] = True

@@ -145,7 +145,8 @@ class DemoUserTask:
 
 
 class TaskInstanceRuntime:
-    """One parallel executor of a task: FIFO queue, single service slot."""
+    """One parallel executor of a task: FIFO queue, single service slot; a
+    sole edge to one target takes every child, with no count."""
 
     __slots__ = (
         "instanceId", "task", "is_sink", "stateful", "service_ms", "sel_count",
@@ -167,7 +168,7 @@ class TaskInstanceRuntime:
         self.sel_frac = task.selectivity - self.sel_count
         # The target instances of the one edge every child takes, when
         # routing has no edge to choose (set by
-        # SimulationEngine._compile_routes), and the children sent along it.
+        # SimulationEngine._compile_routes), and the sends to several.
         self.sole_edge: tuple[TaskInstanceRuntime, ...] | None = None
         self.sole_sent = 0
         self.status = RUNNING
@@ -324,9 +325,9 @@ class SimulationEngine:
         A task with no DUPLICATE edge and one SHUFFLE edge has no edge to
         choose: its instances get that edge's targets as ``sole_edge``, and
         ``_complete_service`` hands children to them in turn, in the order
-        ``_route_emission`` would (a single target is the length-1 case).
-        The source has none: its roots and replays, under a tenth of the
-        hops, take the router (see ``_send_root``).
+        ``_route_emission`` would; a single target takes every child, with
+        no count.  The source has none: its roots and replays, under a tenth
+        of the hops, take the router (see ``_send_root``).
         """
         targets_of = {tid: tuple(self.instances[iid] for iid in ids)
                       for tid, ids in self.instances_of.items()}
@@ -569,9 +570,10 @@ class SimulationEngine:
         a serviced parent is done with, and DSM's ``root_cache`` reads only
         ``rootId``, ``rootSeqNo``, ``epoch`` and ``tree``, which a copy
         keeps.  The caller has stamped ``env.emitTs`` with now, the send
-        time every copy carries.  Anchors and acks fold into ``env.tree``;
-        those for roots already completed or discarded are ignored (the
-        entry is done): late traffic is normal under at-least-once delivery.
+        time every copy carries.  Anchors and acks fold into ``env.tree``
+        unguarded: a completed root has left ``root_cache`` and the acker,
+        so a late fold (normal under at-least-once delivery) at most
+        reaches a no-op ``_on_root_completed``.
         """
         chosen, shuffle = self._plans[task_id]
         if shuffle:
@@ -595,14 +597,12 @@ class SimulationEngine:
             else:
                 copy = env
                 env.eventId = self._getrandbits(64) or 1
-            if acking and not tree[2]:
+            if acking:
                 tree[0] ^= copy.eventId
             self.deliver(copy, target)
-        # Reached with several targets: retire the original.
-        if acking and not tree[2]:
+        if acking:  # retire the original
             tree[0] ^= retired_id
             if not tree[0]:
-                tree[2] = True
                 self._on_root_completed(env.rootId)
 
     def deliver(self, env: EventEnvelope, target: TaskInstanceRuntime) -> None:
@@ -710,9 +710,10 @@ class SimulationEngine:
     def _complete_service(self, inst: TaskInstanceRuntime, env: EventEnvelope,
                           gen: int) -> None:
         """Finish the service of DATA event ``env``: emit its children (a
-        sole edge's inline, by ``deliver``'s rule at any delay), ack it,
-        and start the next queued event.  Under DSM each anchor and the ack
-        fold into the root's entry, ``env.tree``, inline.
+        sole edge's inline, by ``deliver``'s rule at any delay, to
+        ``sole[0]`` if it has one target), ack it, and start the next
+        queued event.  Under DSM each anchor and the ack fold into the
+        root's entry, ``env.tree``, inline.
 
         A DATA head at an instance still idle, initialized and not
         capturing goes into service here, in the same action, exactly as
@@ -732,24 +733,26 @@ class SimulationEngine:
         read again.  A CCR checkpoint keeps bytes, not envelopes, and DSM's
         ``root_cache`` reads only fields a child keeps (DSM never forks, so
         no twin shares it).
-        The parent's own ``(rootId, eventId)`` is read first, for its ack.
+        Under DSM the parent's ``tree`` and own ``eventId`` are read first.
         """
         if gen != inst.generation:
             return  # instance was killed while this event was in service
         if inst.in_service is not env:
             raise InvariantViolation(f"{inst.instanceId}: service slot corrupted")
         inst.in_service = None
-        inst.state.processedCount += 1
-        inst.state.lastSeqNo = env.rootSeqNo
+        state = inst.state
+        state.processedCount += 1
+        state.lastSeqNo = env.rootSeqNo
 
         acking = self.acking_data
-        root_id = env.rootId
-        event_id = env.eventId
-        tree = env.tree
+        if acking:  # the parent's entry and own id, read before it is forwarded
+            tree = env.tree
+            event_id = env.eventId
         now = self.clock.now
         delay = self.net_delay_ms
+        push = self._push
         if inst.is_sink:
-            self.timeline.record_sink_exit(now, event_id, env.rootSeqNo,
+            self.timeline.record_sink_exit(now, env.eventId, env.rootSeqNo,
                                            env.epoch, env.replayed)
         else:
             # Emit the children: whole ones per event, and one more with
@@ -761,25 +764,27 @@ class SimulationEngine:
             while count:
                 count -= 1
                 if count:  # more children follow: a fresh envelope
-                    child = EventEnvelope(self._getrandbits(64) or 1, root_id, env.rootSeqNo,
-                                          DATA, env.epoch, env.replayed, now, tree)
+                    child = EventEnvelope(self._getrandbits(64) or 1, env.rootId, env.rootSeqNo,
+                                          DATA, env.epoch, env.replayed, now, env.tree)
                 else:  # the last child: env itself, forwarded
                     child = env
                     env.eventId = self._getrandbits(64) or 1
                     env.emitTs = now
-                if acking and not tree[2]:
+                if acking:
                     tree[0] ^= child.eventId
                 if sole is None:
                     self._route_emission(inst, inst.task.taskId, child)
                     continue
                 # deliver's test and placement, inline for the sole edge.
-                sent = inst.sole_sent
-                inst.sole_sent = sent + 1
-                target = sole[sent % len(sole)]
+                target = sole[0]
+                if len(sole) > 1:  # several targets take turns
+                    sent = inst.sole_sent
+                    inst.sole_sent = sent + 1
+                    target = sole[sent % len(sole)]
                 if (target.in_flight or target.status != RUNNING or not target.initialized
                         or target.captureFlag or delay and not self._lookahead):
                     target.in_flight += 1
-                    self._push(now + delay, (self._arrive_fn, (child, target)))
+                    push(now + delay, (self._arrive_fn, (child, target)))
                     continue
                 self._actions += 1
                 if self._actions > _MAX_ACTIONS:
@@ -788,19 +793,18 @@ class SimulationEngine:
                     target.queue.append(child)
                 else:
                     target.in_service = child
-                    self._push(now + delay + target.service_ms,
-                               (self._complete_fn, (target, child, target.generation)))
+                    push(now + delay + target.service_ms,
+                         (self._complete_fn, (target, child, target.generation)))
 
         if acking:
             if inst.stateful and self.coordinator.defers_stateful_acks:
                 # Held until this instance's next checkpoint commit, so a
                 # post-restore replay re-covers the rolled-back window.
-                inst.deferred_acks.append((tree, root_id, event_id))
-            elif not tree[2]:
+                inst.deferred_acks.append((tree, env.rootId, event_id))
+            else:
                 tree[0] ^= event_id
                 if not tree[0]:
-                    tree[2] = True
-                    self._on_root_completed(root_id)
+                    self._on_root_completed(env.rootId)
         queue = inst.queue
         if queue:
             if (queue[0].kind == DATA and inst.in_service is None
@@ -810,8 +814,7 @@ class SimulationEngine:
                 start = now
                 if delay and env.emitTs + delay > now:
                     start = env.emitTs + delay  # it has not landed yet
-                self._push(start + inst.service_ms,
-                           (self._complete_fn, (inst, env, inst.generation)))
+                push(start + inst.service_ms, (self._complete_fn, (inst, env, inst.generation)))
             else:
                 self._pump(inst)
 
@@ -819,11 +822,9 @@ class SimulationEngine:
         """Fold the acks ``inst`` held into their roots' entries."""
         acks, inst.deferred_acks = inst.deferred_acks, []
         for tree, root_id, event_id in acks:
-            if not tree[2]:
-                tree[0] ^= event_id
-                if not tree[0]:
-                    tree[2] = True
-                    self._on_root_completed(root_id)
+            tree[0] ^= event_id
+            if not tree[0]:
+                self._on_root_completed(root_id)
 
     # -- kill / respawn ---------------------------------------------------------
 

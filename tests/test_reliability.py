@@ -139,8 +139,10 @@ def test_xor_matches_set_oracle(script):
 @given(tree_script())
 @settings(max_examples=200, deadline=None)
 def test_handle_folds_match_the_service(script):
-    """The engine's inline folds into the entry register_root returned
-    complete the tree exactly when the service's acks by id would."""
+    """The engine's inline folds into the entry register_root returned,
+    with no done test and a discard at completion (as the engine's
+    _on_root_completed does), complete the tree exactly when the service's
+    acks by id would; a late fold into the dropped entry is inert."""
     ids, _ = script
     root, children = ids[0], ids[1:]
     rng = random.Random(root)
@@ -152,20 +154,21 @@ def test_handle_folds_match_the_service(script):
     while to_anchor or live:
         if to_anchor and (len(live) <= 1 or rng.random() < 0.5):
             event = to_anchor.pop()
-            if not tree[2]:
-                tree[0] ^= event
+            tree[0] ^= event
             twin.anchor_emit(root, event)
             live.append(event)
         else:
             event = live.pop(rng.randrange(len(live)))
-            completed = False
-            if not tree[2]:
-                tree[0] ^= event
-                if not tree[0]:
-                    tree[2] = completed = True
+            tree[0] ^= event
+            completed = not tree[0]
             assert completed == twin.ack_event(root, event)
-        assert tree[0] == twin.hash_of(root) == acker.hash_of(root)
-    assert tree[2] and acker.is_completed(root)
+            if completed:
+                acker.discard(root)
+        assert tree[0] == twin.hash_of(root)
+        assert acker.is_tracked(root) == (not twin.is_completed(root))
+    assert tree[2] and not acker.is_tracked(root) and twin.is_completed(root)
+    # The dropped entry is never swept, so no replay re-arms it.
+    assert acker.sweep_timeouts(10 ** 9) == []
 
 
 class TestStateStore:

@@ -240,6 +240,38 @@ class TestSourcePacing:
         assert root_id not in src.root_cache
         assert (len(src.root_cache), src.backlog, src.next_seq) == (240, 81, emitted + 1)
 
+    def test_a_late_copy_folded_into_a_completed_root_changes_nothing(self):
+        # The folds test no done flag: a late copy's anchor and acks reach
+        # the entry of a root already completed and discarded, and the hash
+        # returning to zero reaches _on_root_completed, which finds no root.
+        engine = quick_engine(make_chain_dag(2, stateful=()), strategy="DSM")
+        src = engine.source
+        engine._emit_root()
+        (root_id, root), = src.root_cache.items()
+        tree = root.tree
+        while src.root_cache:
+            fire_next(engine)
+        assert tree[2] and not engine.acker.table.contains(root_id)
+        src.backlog = 1  # a cap-deferred emission a completion would release
+        completions = []
+        on_completed = engine._on_root_completed
+
+        def spy(rid):
+            completions.append(rid)
+            on_completed(rid)
+
+        engine._on_root_completed = spy
+
+        late = EventEnvelope(7, root_id, 0, DATA, 0, True, engine.now, tree)
+        tree[0] ^= late.eventId  # anchored, as the router anchors a copy
+        engine.deliver(late, engine.instances["T1#0"])
+        while len(engine.clock._calendar):
+            fire_next(engine)
+        assert completions == [root_id]  # the hash did return to zero
+        assert (src.root_cache, src.backlog, src.next_seq) == ({}, 1, 1)
+        emits = [r.rootSeqNo for r in engine.timeline.records if r.site == SOURCE_EMIT]
+        assert emits == [0] and len(engine.acker.table) == 0
+
 
 class TestClock:
     def test_scheduling_into_the_past_raises(self):
@@ -1050,8 +1082,10 @@ class TestSoleTarget:
             sent = targets(3)
             engine.rewire_channels()
             sent += targets(2)
+            assert inst.sole_sent == (0 if use_router else 2)
             engine.kill_instance("T3#0")
-            engine.respawn_instance("T3#0")
+            engine.respawn_instance("T3#0")  # reset_routing restarts the turns
+            assert inst.sole_sent == 0
             engine.initialize_instance(inst, 1, None)
             return sent + targets(3)
 
@@ -1059,6 +1093,14 @@ class TestSoleTarget:
             "sink#0", "sink#1", "sink#0",  # rewired
             "sink#0", "sink#1",  # respawned
             "sink#0", "sink#1", "sink#0"]
+
+    def test_one_target_takes_every_child_uncounted(self):
+        engine = quick_engine()
+        inst, target = engine.instances["T1#0"], engine.instances["T2#0"]
+        for _ in range(3):
+            (_child, to), = serve(engine, inst, make_event())
+            assert to is target
+        assert inst.sole_sent == 0 and inst.sole_edge == (target,)
 
 
 class TestEnvelopeOwnership:

@@ -229,6 +229,7 @@ with log.open("a") as f:
 if stub["walls"][done] is None:
     sys.exit(1)
 record = stub["record"]
+record["workload"] = args.workload
 record["metrics"]["wall_ref_s"]["value"] = stub["walls"][done]
 record["host"]["wall_s"]["value"] = stub["host_walls"][done]
 (here / "out").mkdir(exist_ok=True)
@@ -276,7 +277,8 @@ def test_bench_pairs_alternates_and_keeps_every_record(tmp_path, capsys):
     # Every run's record is kept, though each run rewrote the same path.
     for label, values in walls.items():
         for i, wall in enumerate(values, start=1):
-            doc = json.loads((out / label / str(i) / "grid_dsm-seed7-trace0.json").read_text())
+            doc = json.loads(
+                (out / "grid_dsm" / label / str(i) / "grid_dsm-seed7-trace0.json").read_text())
             assert doc["metrics"]["wall_ref_s"]["value"] == wall
     report = capsys.readouterr().out
     assert "failed checks parent 0, change 0" in report
@@ -301,10 +303,48 @@ def test_bench_pairs_alternates_and_keeps_every_record(tmp_path, capsys):
 
     # The copies feed bench_record as they are.
     bench = tmp_path / "BENCH.json"
-    assert rec.main([str(out / "change"), "--label", "change", "--output", str(bench)]) == 0
+    assert rec.main([str(out / "grid_dsm" / "change"), "--label", "change",
+                     "--output", str(bench)]) == 0
     point = json.loads(bench.read_text())["points"]["change"]
     assert point["workloads"]["grid_dsm"]["metrics"]["wall_ref_s"]["median"] == 0.85
     assert point["workloads"]["grid_dsm"]["samples"] == 5
+
+
+def test_bench_pairs_runs_each_workloads_pairs_in_turn(tmp_path, capsys):
+    pairs = load_tool("bench_pairs")
+    rec = load_tool("bench_record")
+    log = tmp_path / "runs.log"
+    walls = {"parent": [1.0, 1.2, 3.0, 3.2], "change": [0.9, 1.1, 2.9, 3.1]}
+    trees = [str(stub_tree(tmp_path / label, label, walls[label], log)) for label in walls]
+    out = tmp_path / "pairs"
+    assert pairs.main([*trees, "--workload", "grid_dsm", "chain50_delay", "--pairs", "2",
+                       "--seed", "7", "--out", str(out)]) == 0
+
+    # One workload's pairs, then the next's, each alternating.
+    order = [(w, label) for w in ("grid_dsm", "chain50_delay")
+             for label in ("parent", "change", "change", "parent")]
+    assert log.read_text().splitlines() == [f"{label} {w} 7 3 0" for w, label in order]
+    for w, runs in (("grid_dsm", slice(0, 2)), ("chain50_delay", slice(2, 4))):
+        for label, values in walls.items():
+            for i, wall in enumerate(values[runs], start=1):
+                doc = json.loads((out / w / label / str(i) / f"{w}-seed7-trace0.json").read_text())
+                assert doc["metrics"]["wall_ref_s"]["value"] == wall
+    # Each workload gets its own verdicts.
+    report = capsys.readouterr().out
+    assert "grid_dsm seed=7: 2 pairs, failed checks parent 0, change 0" in report
+    assert "chain50_delay seed=7: 2 pairs, failed checks parent 0, change 0" in report
+    wall_lines = [line for line in report.splitlines() if line.startswith("wall_ref_s")]
+    assert [line.split("  change won ")[1][:3] for line in wall_lines] == ["2/2", "2/2"]
+    assert "parent 1.1 [1.05, 1.15]" in wall_lines[0]
+    assert "parent 3.1 [3.05, 3.15]" in wall_lines[1]
+
+    # One bench_record call takes every workload's copies for a label.
+    bench = tmp_path / "BENCH.json"
+    assert rec.main([*(str(out / w / "parent") for w in ("grid_dsm", "chain50_delay")),
+                     "--label", "parent", "--output", str(bench)]) == 0
+    point = json.loads(bench.read_text())["points"]["parent"]
+    assert {w: v["metrics"]["wall_ref_s"]["median"] for w, v in point["workloads"].items()} \
+        == {"grid_dsm": 1.1, "chain50_delay": 3.1}
 
 
 def test_bench_pairs_probe_ratio_flags_only_a_shift_past_the_parent_iqr():

@@ -2,33 +2,34 @@
 """Time a parent tree against a change tree in alternating benchmark pairs.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python3 tools/bench_pairs.py /tmp/parent . --workload grid_dsm --pairs 10 \\
-        --out /tmp/pairs
-    python3 tools/bench_record.py --label parent --output BENCH_20.json /tmp/pairs/parent
-    python3 tools/bench_record.py --label change --output BENCH_20.json /tmp/pairs/change
+    python3 tools/bench_pairs.py /tmp/parent . --pairs 10 --out /tmp/pairs \\
+        --workload grid_dsm chain50_delay reproduce
+    python3 tools/bench_record.py --label parent --output BENCH_20.json /tmp/pairs/*/parent
+    python3 tools/bench_record.py --label change --output BENCH_20.json /tmp/pairs/*/change
 
 Each run is ``perfbench/run.py --workload W --trace 0 --seconds S`` (the
 command of ``BENCHMARK.json``, ``S`` its ``run_seconds``), started in the
-tree it measures.  The parent runs first in odd pairs and the change first in
-even ones, so drift in host speed falls on both sides alike.  After each run
-the record it wrote is copied to ``<out>/<label>/<i>/``: a later run of the
-same workload and seed rewrites the record in ``perfbench/out/``, and the
-copies keep every sample for ``tools/bench_record.py``.
+tree it measures.  The workloads run in the order given, each one's pairs
+in turn.  The parent runs first in odd pairs and the change first in even
+ones, so drift in host speed falls on both sides alike.  After each run the
+record it wrote is copied to ``<out>/<workload>/<label>/<i>/``: a later run
+of the same workload and seed rewrites the record in ``perfbench/out/``, and
+the copies keep every sample for ``tools/bench_record.py``.
 
-For every gated end-to-end metric it prints both sides' median and
-quartiles, the pairs the change won, whether it won at least nine in ten,
-and whether the median gap (negative when the change is worse) exceeds the
-parent's interquartile range.  Beside
-``wall_ref_s`` it prints the same for the host ``wall_s``, and flags each
-pair whose ``wall_s`` and ``wall_ref_s`` gaps disagree in sign: the
-reference probe and the host saw the pair differently, so its
-``wall_ref_s`` gap is suspect.  It also prints each side's median ratio of
-host ``wall_s`` to ``wall_ref_s``, read from every record: that ratio is
-about the reference probe's time over its reference time, which a change to
-the program does not move.  The round is flagged when the two medians differ by more than the parent's IQR
-of the ratio, since then the probe, not the program, may carry a
-``wall_ref_s`` gain.  It reads ``perfbench/`` and ``BENCHMARK.json`` and
-edits neither.
+For each workload and every gated end-to-end metric it prints both sides'
+median and quartiles, the pairs the change won, whether it won at least
+nine in ten, and whether the median gap (negative when the change is worse)
+exceeds the parent's interquartile range.  Beside ``wall_ref_s`` it prints
+the same for the host ``wall_s``, and flags each pair whose ``wall_s`` and
+``wall_ref_s`` gaps disagree in sign: the reference probe and the host saw
+the pair differently, so its ``wall_ref_s`` gap is suspect.  It also prints
+each side's median ratio of host ``wall_s`` to ``wall_ref_s``, read from
+every record: that ratio is about the reference probe's time over its
+reference time, which a change to the program does not move.  The round is
+flagged when the two medians differ by more than the parent's IQR of the
+ratio, since then the probe, not the program, may carry a ``wall_ref_s``
+gain.  A failed run stops the tool with exit code 2.  It reads
+``perfbench/`` and ``BENCHMARK.json`` and edits neither.
 """
 
 from __future__ import annotations
@@ -109,38 +110,29 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
             f"{'exceeds' if abs(gap) > before['iqr'] else 'within'} parent IQR {before['iqr']:.4g}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="the parent's source tree")
-    parser.add_argument("change", type=Path, help="the change's source tree")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", required=True, type=int)
-    parser.add_argument("--seed", type=int, default=None, help="workload seed (default: bundled)")
-    parser.add_argument("--out", required=True, type=Path,
-                        help="folder for the copied records, one per label and run")
-    args = parser.parse_args(argv)
-
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+def run_pairs(trees: dict[str, Path], bench: dict, workload: str, pairs: int,
+              seed: int | None, out: Path) -> int:
+    """Run ``pairs`` alternating pairs of ``workload``, keep their records
+    under ``out`` and print the verdicts; 2 when a run fails, else 0."""
     samples: dict[str, list[dict]] = {label: [] for label in LABELS}
-    for pair in range(1, args.pairs + 1):
+    for pair in range(1, pairs + 1):
         for label in pair_order(pair):
             try:
-                record, doc = run_once(trees[label], bench["command"], args.workload,
-                                       bench["run_seconds"], args.seed)
+                record, doc = run_once(trees[label], bench["command"], workload,
+                                       bench["run_seconds"], seed)
             except RuntimeError as exc:
                 print(f"bench_pairs: {exc}", file=sys.stderr)
                 return 2
-            keep = args.out / label / str(pair)
+            keep = out / label / str(pair)
             keep.mkdir(parents=True, exist_ok=True)
             shutil.copy2(record, keep / record.name)
             samples[label].append(doc)
-            print(f"pair {pair} {label}: " + ", ".join(
+            print(f"{workload} pair {pair} {label}: " + ", ".join(
                 f"{m['name']} {doc['metrics'][m['name']]['value']:.4g}"
                 for m in bench["end_to_end"])
                 + f", host wall_s {doc['host']['wall_s']['value']:.4g}", flush=True)
 
-    print(f"{args.workload} seed={args.seed}: {args.pairs} pairs, failed checks "
+    print(f"{workload} seed={seed}: {pairs} pairs, failed checks "
           + ", ".join(f"{label} {sum(len(d['failed']) for d in samples[label])}"
                       for label in LABELS))
     for metric in bench["end_to_end"]:
@@ -154,7 +146,27 @@ def main(argv: list[str] | None = None) -> int:
     flagged = disagreeing_pairs(samples["parent"], samples["change"])
     print("pairs whose wall_s and wall_ref_s gaps disagree in sign: "
           + (", ".join(map(str, flagged)) if flagged else "none"))
-    print(probe_ratio(samples["parent"], samples["change"]))
+    print(probe_ratio(samples["parent"], samples["change"]), flush=True)
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="the parent's source tree")
+    parser.add_argument("change", type=Path, help="the change's source tree")
+    parser.add_argument("--workload", required=True, nargs="+",
+                        help="one or more workloads, measured in this order")
+    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--seed", type=int, default=None, help="workload seed (default: bundled)")
+    parser.add_argument("--out", required=True, type=Path,
+                        help="folder for the copied records, one per workload, label and run")
+    args = parser.parse_args(argv)
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    for workload in args.workload:
+        if run_pairs(trees, bench, workload, args.pairs, args.seed, args.out / workload):
+            return 2
     return 0
 
 
