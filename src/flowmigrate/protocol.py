@@ -64,6 +64,10 @@ MARKER_ORDER = (
 
 @dataclass
 class WaveState:
+    """A wave, keyed by its root in ``CheckpointCoordinator.waves``.  ``tree``
+    XORs the ids of its copies not yet acked; ``barriers`` counts, by
+    instance id, the sequential copies seen before the last one aligns."""
+
     checkpointId: int
     kind: str
     routing: str
@@ -73,6 +77,8 @@ class WaveState:
     complete: bool = False
     superseded: bool = False
     drained: bool = False  # PREPARE must find no data behind it (DCR)
+    tree: int = 0
+    barriers: dict = field(default_factory=dict)
 
 
 class CheckpointCoordinator:
@@ -85,6 +91,7 @@ class CheckpointCoordinator:
         self.next_checkpoint_id = 1
         self.waves: dict[int, WaveState] = {}
         self.active: dict[str, WaveState] = {}
+        self.restored_ckpt: dict[str, int] = {}  # instance id -> checkpoint restored last
 
     # -- lifecycle hooks ------------------------------------------------------
 
@@ -115,24 +122,11 @@ class CheckpointCoordinator:
             if not supersede:
                 raise WaveConflictError(f"a {kind} wave is already in flight")
             active.superseded = True
-        eng = self.engine
-        root = eng.new_id()
-        eng.wave_acker.register_root(root, eng.now)
-        wave = WaveState(
-            checkpointId=checkpoint_id,
-            kind=kind,
-            routing=routing,
-            rootId=root,
-            expected=self.alive_ids(),
-            drained=drained,
-        )
-        self.waves[root] = wave
+        wave = WaveState(checkpoint_id, kind, routing, self.engine.new_id(), self.alive_ids(),
+                         drained=drained)
+        self.waves[wave.rootId] = wave
         self.active[kind] = wave
         self.send_wave_copies(wave)
-        # The root itself is never delivered anywhere: retire its own
-        # anchor now that the first copies are in the tree, so the hash
-        # reaches zero exactly when every copy has been acked.
-        eng.wave_acker.ack_if_tracked(root, root)
         return wave
 
     def send_wave_copies(self, wave: WaveState, only: frozenset | None = None) -> None:
@@ -150,7 +144,7 @@ class CheckpointCoordinator:
     def _send_copy(self, wave: WaveState, inst: TaskInstanceRuntime) -> None:
         eng = self.engine
         copy_id = eng.new_id()
-        eng.wave_acker.anchor_if_tracked(wave.rootId, copy_id)
+        wave.tree ^= copy_id
         env = EventEnvelope(copy_id, wave.rootId, wave.checkpointId, wave.kind,
                             eng.epoch, False, eng.now)
         eng.deliver(env, inst)
@@ -165,7 +159,7 @@ class CheckpointCoordinator:
 
     def _ack_copy(self, wave: WaveState, inst: TaskInstanceRuntime,
                   env: EventEnvelope, counts: bool) -> None:
-        self.engine.wave_acker.ack_if_tracked(wave.rootId, env.eventId)
+        wave.tree ^= env.eventId
         if not counts or wave.complete or wave.superseded:
             return
         wave.ackedBy.add(inst.instanceId)
@@ -174,12 +168,11 @@ class CheckpointCoordinator:
             self.engine.record_phase(FIRST_INIT_ACKED)
         if wave.expected <= wave.ackedBy:
             wave.complete = True
-            if wave.kind in (PREPARE, COMMIT) and not self.engine.wave_acker.is_completed(wave.rootId):
+            if wave.kind in (PREPARE, COMMIT) and wave.tree:
                 raise InvariantViolation(
                     f"{wave.kind} wave covered all instances but its causal "
                     f"tree hash is nonzero"
                 )
-            self.engine.wave_acker.discard(wave.rootId)
             self.on_wave_complete(wave)
 
     def on_wave_complete(self, wave: WaveState) -> None:
@@ -190,9 +183,7 @@ class CheckpointCoordinator:
     def on_control_event(self, inst: TaskInstanceRuntime, env: EventEnvelope) -> None:
         wave = self.waves.get(env.rootId)
         if wave is None or wave.superseded or wave.complete:
-            # Stale or residual copy of a finished/abandoned wave.
-            self.engine.wave_acker.ack_if_tracked(env.rootId, env.eventId)
-            return
+            return  # stale or residual copy of a finished/abandoned wave
         if env.kind == PREPARE:
             self._handle_prepare(inst, env, wave)
         elif env.kind == COMMIT:
@@ -208,12 +199,11 @@ class CheckpointCoordinator:
         """Count barrier copies; True once every upstream channel delivered."""
         if wave.routing == BROADCAST:
             return True
-        seen = inst.barrier_counts.get(wave.rootId, 0) + 1
-        expected = self.engine.upstream_instance_count(inst.task.taskId)
-        if seen < expected:
-            inst.barrier_counts[wave.rootId] = seen
+        seen = wave.barriers.get(inst.instanceId, 0) + 1
+        if seen < self.engine.upstream_instance_count(inst.task.taskId):
+            wave.barriers[inst.instanceId] = seen
             return False
-        inst.barrier_counts.pop(wave.rootId, None)
+        wave.barriers.pop(inst.instanceId, None)
         return True
 
     # -- PREPARE and COMMIT ---------------------------------------------------------
@@ -278,14 +268,15 @@ class CheckpointCoordinator:
 
     def _handle_init(self, inst, env, wave) -> None:
         if self.init_needs_restore(inst, wave):
-            self.engine.initialize_instance(inst, wave.checkpointId,
-                                            self.restore_record(inst, wave))
+            # Set first: the restore pumps a queue that may hold this INIT again.
+            self.restored_ckpt[inst.instanceId] = wave.checkpointId
+            self.engine.initialize_instance(inst, self.restore_record(inst, wave))
         self._forward_wave(wave, inst)
         self._ack_copy(wave, inst, env, counts=True)
 
     def init_needs_restore(self, inst: TaskInstanceRuntime, wave: WaveState) -> bool:
         # A duplicate INIT at an already-restored task is skipped.
-        return inst.last_restored_ckpt != wave.checkpointId
+        return self.restored_ckpt.get(inst.instanceId) != wave.checkpointId
 
     def restore_record(self, inst: TaskInstanceRuntime,
                        wave: WaveState) -> CheckpointRecord | None:

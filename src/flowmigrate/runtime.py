@@ -62,8 +62,8 @@ class _TriggerHeld(Exception):
 
 
 class EventEnvelope:
-    """A data or control event; control events carry the wave id in
-    ``rootSeqNo`` and the wave's acker root in ``rootId``.
+    """A data or control event; a control event carries its wave's
+    checkpoint id in ``rootSeqNo`` and its wave's root in ``rootId``.
 
     A DATA envelope has one holder at a time, so the engine forwards it
     rather than copying it: a serviced event becomes its own last child,
@@ -152,8 +152,7 @@ class TaskInstanceRuntime:
         "instanceId", "task", "is_sink", "stateful", "service_ms", "sel_count",
         "sel_frac", "sole_edge", "sole_sent", "status", "initialized", "captureFlag",
         "queue", "pendingList", "preInit", "in_service", "generation", "state",
-        "rr_edges", "rr_targets", "barrier_counts", "deferred_acks",
-        "last_restored_ckpt", "in_flight",
+        "rr_edges", "rr_targets", "deferred_acks", "in_flight",
     )
 
     def __init__(self, inst_id: str, task, is_sink: bool) -> None:
@@ -182,9 +181,7 @@ class TaskInstanceRuntime:
         self.state = DemoUserTask()
         self.rr_edges = 0
         self.rr_targets: dict[int, int] = {}
-        self.barrier_counts: dict[int, int] = {}
         self.deferred_acks: list[tuple[list, int, int]] = []  # (tree, root, event)
-        self.last_restored_ckpt = -1
         # Arrivals to this instance in the calendar (see
         # SimulationEngine.deliver); a kill or respawn keeps the count,
         # because those arrivals still fire.
@@ -197,13 +194,13 @@ class TaskInstanceRuntime:
 
     def drop_work(self) -> None:
         """Drop every event held, on kill and on respawn.  The new
-        generation cancels each completion already scheduled here."""
+        generation cancels each completion already scheduled here; no
+        PREPARE or COMMIT wave, whose barriers align, is live at either."""
         self.generation += 1
         self.queue.clear()
         self.preInit.clear()
         self.pendingList.clear()
         self.deferred_acks.clear()
-        self.barrier_counts.clear()
         self.in_service = None
 
 
@@ -281,7 +278,6 @@ class SimulationEngine:
         self._lookahead = to_ms(config.rebalanceDuration) >= self.net_delay_ms
         self.acking_data = config.strategy == "DSM"  # only DSM acks DATA events
         self.acker = AckerService(self.ack_timeout_ms)
-        self.wave_acker = AckerService(self.ack_timeout_ms)
         self.store = StateStore()
 
         self.epoch = 0
@@ -857,13 +853,13 @@ class SimulationEngine:
         for inst in self.instances.values():
             inst.reset_routing()
 
-    def initialize_instance(self, inst: TaskInstanceRuntime, checkpoint_id: int,
+    def initialize_instance(self, inst: TaskInstanceRuntime,
                             record: CheckpointRecord | None) -> None:
         """Restore from ``record`` and resume processing (INIT handling).
 
-        ``checkpoint_id`` is the INIT wave's, which a duplicate INIT then
-        skips.  The record's user state replaces the task's, and its captured
-        events are served first; with no record the task keeps its state.
+        The record's user state replaces the task's, and its captured events
+        are served first; with no record the task keeps its state.  Which
+        checkpoint an instance last restored is the coordinator's to keep.
         """
         if inst.pendingList:
             raise InvariantViolation(
@@ -879,7 +875,6 @@ class SimulationEngine:
             self.restore_snapshots[inst.instanceId] = inst.state.processedCount
         inst.captureFlag = False
         inst.initialized = True
-        inst.last_restored_ckpt = checkpoint_id
         if resumed or inst.preInit:
             inst.queue = deque(resumed + inst.preInit + list(inst.queue))
             inst.preInit = []

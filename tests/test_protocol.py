@@ -3,10 +3,11 @@ import hashlib
 import pytest
 
 from conftest import make_chain_dag, make_scenario, phase_times, work_of
-from flowmigrate.errors import CommitWithoutPrepareError, WaveConflictError
+from flowmigrate.errors import CommitWithoutPrepareError, InvariantViolation, WaveConflictError
 from flowmigrate.metrics import PHASE, SINK_EXIT, exactly_once_audit, sink_multiset
 from flowmigrate.protocol import (
     ALL_INIT_ACKED,
+    BROADCAST,
     CAPTURE_DONE,
     CHECKPOINT_INTERVAL_MS,
     DRAIN_DONE,
@@ -108,6 +109,18 @@ class TestWaveMechanics:
         with pytest.raises(CommitWithoutPrepareError, match=r"\(T1#0, 1\)"):
             engine.run()
 
+    def test_a_wave_covering_every_instance_with_a_copy_unacked_raises(self):
+        # T2#0 is killed before its PREPARE copy lands and is no longer
+        # expected: the others' acks cover the wave, but the lost copy
+        # stays folded into the wave's XOR tree.
+        engine = SimulationEngine(make_scenario(make_chain_dag(3), "CCR"), migrate=False)
+        wave = engine.coordinator.start_wave(PREPARE, BROADCAST, 1)
+        engine.kill_instance("T2#0")
+        wave.expected -= {"T2#0"}
+        with pytest.raises(InvariantViolation, match="tree hash is nonzero"):
+            engine._fire()
+        assert wave.complete and wave.ackedBy == wave.expected
+
     def test_duplicate_init_skipped_but_acked(self):
         timeline, engine = run_quick(make_chain_dag(3), "DCR",
                                      run_s=90, trigger_s=20)
@@ -115,7 +128,7 @@ class TestWaveMechanics:
         # restored exactly once per checkpoint.
         ckpt = engine.coordinator.migration_ckpt
         for inst in engine.instances.values():
-            assert inst.last_restored_ckpt == ckpt
+            assert engine.coordinator.restored_ckpt[inst.instanceId] == ckpt
         counts = sink_multiset(timeline)
         assert all(v == 1 for v in counts.values())
 

@@ -146,6 +146,27 @@ def serve(engine, inst, env):
     return entered
 
 
+def check_no_live_checkpoint_wave(engine):
+    """Assert at each kill and respawn that no PREPARE or COMMIT wave is
+    live, neither complete nor superseded: barrier counts live on the wave
+    because a kill or respawn can then cut none short.  Returns the ids
+    killed or respawned, in order."""
+    waves, checked = engine.coordinator.waves, []
+
+    def guard(fn):
+        def guarded(inst_id):
+            live = [w.kind for w in waves.values() if w.kind in (PREPARE, COMMIT)
+                    and not w.complete and not w.superseded]
+            assert not live, (inst_id, live)
+            checked.append(inst_id)
+            fn(inst_id)
+        return guarded
+
+    engine.kill_instance = guard(engine.kill_instance)
+    engine.respawn_instance = guard(engine.respawn_instance)
+    return checked
+
+
 def fire_next(engine):
     """Pop and fire the next calendar action ``(fn, args)``; returns its fire time."""
     t, _, (fn, args) = engine.clock._calendar.pop()
@@ -483,7 +504,7 @@ class TestDelivery:
         fire_next(engine)  # T1 is starting: the transport retries
         assert inst.in_flight == 1
         engine.respawn_instance("T1#0")
-        engine.initialize_instance(inst, 1, None)
+        engine.initialize_instance(inst, None)
         engine.deliver(make_event(2), inst)  # a retry is in flight: pushed
         assert inst.in_service is None and inst.in_flight == 2
 
@@ -619,7 +640,9 @@ class TestSendOrder:
         # target's queue as into an idle one's slot.
         config = make_scenario(dag, strategy, run_s=60, trigger_s=trigger_ms / 1000,
                                seed=seed, networkDelayMs=delay_ms)
-        timeline, engine = run_scenario(config)
+        engine = SimulationEngine(config)
+        check_no_live_checkpoint_wave(engine)
+        timeline = engine.run()
         assert "ALL_INIT_ACKED" in phase_times(engine)
         assert not exactly_once_audit(timeline, dag)
         assert not any(True for _ in timeline.replays())
@@ -640,8 +663,10 @@ class TestSendOrder:
         config = make_scenario(dag, "DSM", run_s=60, trigger_s=trigger_ms / 1000,
                                seed=seed, networkDelayMs=delay_ms,
                                ackTimeout=float(ack_timeout_s))
-        timeline, engine = run_scenario(config)
-        assert engine.kill_snapshots
+        engine = SimulationEngine(config)
+        checked = check_no_live_checkpoint_wave(engine)
+        timeline = engine.run()
+        assert engine.kill_snapshots and checked
         assert not exactly_once_audit(timeline, dag, at_least=True)
         pending, entries = engine.source.root_cache, engine.acker.table._entries
         assert pending.keys() == entries.keys()
@@ -697,7 +722,7 @@ class TestArrive:
         engine.deliver(env, inst)
         assert fire_next(engine) == 1_005  # T1 is starting: the transport retries
         engine.respawn_instance("T1#0")
-        engine.initialize_instance(inst, 1, None)
+        engine.initialize_instance(inst, None)
         assert fire_next(engine) == 1_000 + 5 + runtime._TRANSPORT_RETRY_MS
         assert inst.in_service is env and inst.in_flight == 0
         (t, _seq, (_fn, args)), = drain(engine)
@@ -1061,7 +1086,7 @@ class TestSoleTarget:
         engine.rewire_channels()
         assert engine.instances["T2#0"] is target
         assert engine.instances["T1#0"].sole_edge == (target,)
-        engine.initialize_instance(target, 1, None)
+        engine.initialize_instance(target, None)
         env = make_event()
         engine._arrive(env, engine.instances["T1#0"])
         fire_next(engine)  # the child arrives at the sole target at once
@@ -1086,7 +1111,7 @@ class TestSoleTarget:
             engine.kill_instance("T3#0")
             engine.respawn_instance("T3#0")  # reset_routing restarts the turns
             assert inst.sole_sent == 0
-            engine.initialize_instance(inst, 1, None)
+            engine.initialize_instance(inst, None)
             return sent + targets(3)
 
         assert sequence(use_router=False) == sequence(use_router=True) == [
@@ -1222,7 +1247,7 @@ class TestKillRespawn:
         inst.queue.append(EventEnvelope(1, 1, 0, DATA, 0, False, 0))
         engine._pump(inst)
         assert inst.preInit and inst.in_service is None
-        engine.initialize_instance(inst, 1, None)
+        engine.initialize_instance(inst, None)
         assert inst.initialized and inst.status == RUNNING
         assert inst.in_service is not None  # buffered event went into service
 
@@ -1846,13 +1871,14 @@ class _CheckedCalendar(_kernels.EventCalendar):
 
 
 class TestStateBetweenActions:
-    """Three conditions the engine relies on without testing them: ``_pump``
+    """Four conditions the engine relies on without testing them: ``_pump``
     serves any queue, since only a RUNNING instance holds one;
     ``_sweep_tick`` replays every swept root from ``root_cache``, since the
-    acker tracks exactly the cached roots; and each instance's
-    ``in_flight`` equals the arrivals to it in the calendar, since
-    ``deliver`` places a hop only when none is, which keeps each input
-    FIFO."""
+    acker tracks exactly the cached roots; each instance's ``in_flight``
+    equals the arrivals to it in the calendar, since ``deliver`` places a
+    hop only when none is, which keeps each input FIFO; and no PREPARE or
+    COMMIT wave is live at a kill or respawn, so ``drop_work`` leaves the
+    waves' barrier counts alone."""
 
     @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
     def test_hold_after_every_action(self, shape, strategy):
@@ -1861,6 +1887,7 @@ class TestStateBetweenActions:
         root_cache, entries = engine.source.root_cache, engine.acker.table._entries
         calendar = engine.clock._calendar = _CheckedCalendar()
         arrivals = calendar.arrivals = dict.fromkeys(instances, 0)
+        killed_or_respawned = check_no_live_checkpoint_wave(engine)
         checks = 0
 
         def check():
@@ -1875,7 +1902,7 @@ class TestStateBetweenActions:
         actions, pushes = work_of(engine)
         assert (actions, pushes) == PINNED_SHAPES[shape, strategy][2:]
         assert checks == pushes + 1
-        assert engine.kill_snapshots
+        assert engine.kill_snapshots and killed_or_respawned
 
 
 class TestAllScheduledOracle:

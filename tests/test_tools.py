@@ -74,7 +74,8 @@ def test_benchmark_tracer_sees_every_push_and_action(monkeypatch):
 
 def test_benchmark_tracer_counts_the_ccr_prepare_path(monkeypatch):
     # CCR's capture is the shared PREPARE step of a broadcast wave: the
-    # benchmark's protocol and store counters must see it as before.
+    # benchmark's protocol and store counters must see it as before.  Each
+    # wave folds its own XOR tree, and CCR acks no data: the acker is idle.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracer
 
@@ -85,11 +86,13 @@ def test_benchmark_tracer_counts_the_ccr_prepare_path(monkeypatch):
     counts = {name: layers[name][0] for name in (
         "protocol.control_events", "protocol.waves_started", "protocol.wave_copies",
         "reliability.store.prepares", "reliability.store.commits",
-        "reliability.store.bytes_written")}
+        "reliability.store.bytes_written", "reliability.acker.ops",
+        "reliability.acker.peak_entries")}
     assert counts == {
         "protocol.control_events": 12, "protocol.waves_started": 3,
         "protocol.wave_copies": 20, "reliability.store.prepares": 4,
         "reliability.store.commits": 4, "reliability.store.bytes_written": 102,
+        "reliability.acker.ops": 0, "reliability.acker.peak_entries": 0,
     }
 
 
