@@ -35,11 +35,3 @@ class InvariantViolation(FlowMigrateError):
 
 class MetricsError(FlowMigrateError):
     """A metric could not be computed from the timeline."""
-
-
-class NoSinkOutputError(MetricsError):
-    """No sink output was observed after the migration request."""
-
-
-class NeverStabilizedError(MetricsError):
-    """The output rate never stayed inside the stability band long enough."""

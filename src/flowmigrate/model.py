@@ -534,11 +534,13 @@ def validate_scenario(config: ScenarioConfig) -> None:
 def load_scenario_file(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {path}: line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"scenario {path}: nested too deeply") from None
     return parse_scenario(doc, name=path.stem)
 
 

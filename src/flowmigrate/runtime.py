@@ -212,7 +212,7 @@ def emission_time(tick: int, rate: float) -> int:
 class SourceRuntime:
     """Paced root-event emitter with pause/backlog/burst semantics;
     ``rr_edges`` and ``rr_targets`` are its router counters (see
-    SimulationEngine._send_root)."""
+    SimulationEngine._route_emission)."""
 
     __slots__ = ("paused", "backlog", "root_cache", "next_seq", "next_tick",
                  "rr_edges", "rr_targets")
@@ -250,10 +250,7 @@ class SimClock:
         self._calendar.push(fire_ms, (fn, args))
 
     def schedule_in(self, delay_ms: int, fn, *args) -> None:
-        if delay_ms < 0:
-            raise InvariantViolation(
-                f"scheduling into the past: {self.now + delay_ms} < {self.now}")
-        self._calendar.push(self.now + delay_ms, (fn, args))
+        self.schedule_at(self.now + delay_ms, fn, *args)
 
 
 class SimulationEngine:
@@ -323,7 +320,7 @@ class SimulationEngine:
         ``_complete_service`` hands children to them in turn, in the order
         ``_route_emission`` would; a single target takes every child, with
         no count.  The source has none: its roots and replays, under a tenth
-        of the hops, take the router (see ``_send_root``).
+        of the hops, take ``_route_emission``.
         """
         targets_of = {tid: tuple(self.instances[iid] for iid in ids)
                       for tid, ids in self.instances_of.items()}
@@ -502,12 +499,6 @@ class SimulationEngine:
             env.tree = self.acker.register_root(root_id, now)
             src.root_cache[root_id] = env
         self.timeline.record_emit(now, root_id, env.rootSeqNo, env.epoch)
-        self._send_root(env)
-
-    def _send_root(self, env: EventEnvelope) -> None:
-        """Send an emitted or replayed root along the source's out-edges,
-        through the router: a single lane delivers ``env`` itself, in the
-        source's round robin, so a ``deliver`` override sees every root."""
         self._route_emission(self.source, self.source_task_id, env)
 
     def pause_source(self) -> None:
@@ -549,7 +540,7 @@ class SimulationEngine:
         env = EventEnvelope(original.rootId, original.rootId, original.rootSeqNo,
                             DATA, original.epoch, True, self.now, original.tree)
         self.timeline.record_replay(self.now, env.rootId, env.rootSeqNo, env.epoch)
-        self._send_root(env)
+        self._route_emission(self.source, self.source_task_id, env)
 
     # -- routing and delivery -------------------------------------------------
 

@@ -299,6 +299,33 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["restoreDurationMs"] is None
 
+    def test_a_run_duration_with_a_partial_second_is_reported(self, tmp_path):
+        # The trailing half second holds sink exits but no whole 1 s bucket.
+        doc = {"dag": "linear", "strategy": "CCR", "runDuration": 300.5,
+               "migrationTriggerAt": 180, "vmsBefore": [{"vmId": "a", "slotCount": 8}],
+               "vmsAfter": [{"vmId": "b", "slotCount": 8}]}
+        path = tmp_path / "half-second.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 0
+        assert (out / "timeline.csv").exists()
+        assert json.loads((out / "report.json").read_text())["strategy"] == "CCR"
+
+    def test_a_scenario_that_is_not_utf8_exits_2(self, tmp_path, no_engine_runs, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        assert run_cli("run", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read scenario {path}: ")
+        assert "utf-8" in err and err.count("\n") == 1
+
+    def test_a_deeply_nested_scenario_exits_2(self, tmp_path, no_engine_runs, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        assert run_cli("run", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: scenario {path}: nested too deeply\n")
+
     def test_fractional_selectivity_is_reported(self, tmp_path):
         # 1.5 children per event: 12 sink arrivals/s expected from 8 roots/s.
         doc = json.loads(

@@ -298,13 +298,14 @@ class TestClock:
     def test_scheduling_into_the_past_raises(self):
         engine = quick_engine()
         engine.clock.now = 1_000
-        with pytest.raises(InvariantViolation):
+        past = "scheduling into the past: 999 < 1000"
+        with pytest.raises(InvariantViolation, match=past):
             engine.clock.schedule_in(-1, engine.pause_source)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=past):
             engine.clock.schedule_at(engine.now - 1, engine.pause_source)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=past):
             engine.clock.schedule_in(-1, engine.kill_instance, "T1#0")
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=past):
             engine.clock.schedule_at(engine.now - 1, engine.kill_instance, "T1#0")
         assert len(engine.clock._calendar) == 0
 
@@ -1423,6 +1424,28 @@ class TestDeterminism:
         a, _ = run_scenario(c1)
         b, _ = run_scenario(c2)
         assert a.to_csv() != b.to_csv()
+
+    @pytest.mark.parametrize("strategy", ["DSM", "DCR", "CCR"])
+    def test_renaming_every_vm_changes_nothing(self, strategy):
+        # A metamorphic oracle: a VM id is only a name.  The new names sort
+        # in the reverse order of the old ones; declaration order is kept,
+        # since round-robin placement follows it.
+        config = with_overrides(load_bundled_scenario("linear_scalein"), strategy=strategy)
+        old = [vm.vmId for vm in config.vmsBefore + config.vmsAfter]
+        new = {vm_id: f"renamed-{len(old) - i:02d}" for i, vm_id in enumerate(old)}
+
+        def renamed(schedule):
+            return dataclasses.replace(schedule, placements={
+                inst: (new[vm_id], slot)
+                for inst, (vm_id, slot) in schedule.placements.items()})
+
+        twin = with_overrides(
+            config,
+            vmsBefore=[dataclasses.replace(vm, vmId=new[vm.vmId]) for vm in config.vmsBefore],
+            vmsAfter=[dataclasses.replace(vm, vmId=new[vm.vmId]) for vm in config.vmsAfter],
+            scheduleBefore=renamed(config.scheduleBefore),
+            scheduleAfter=renamed(config.scheduleAfter))
+        assert observed_work(twin) == observed_work(config)
 
 
 # Full SHA-256 of timeline.csv and report.json (to_csv()/to_json()) of
