@@ -81,15 +81,16 @@ class CriterionResult:
 
 class RunCache:
     """Lazily executes and memoizes the migrated scenario runs of the suite:
-    each bundled scenario is parsed once, and each (scenario, strategy)
-    pair runs once.  DCR and CCR share their run up to the migration
-    trigger: the first of the two requested runs that prefix and forks the
-    other there (see SimulationEngine.fork_at_trigger), which the cache
-    holds until it is requested."""
+    each scenario is parsed once, and each (scenario, strategy) pair runs
+    once.  ``scenarios`` maps names to configs already loaded; any other
+    name is a bundled scenario.  DCR and CCR share their run up to the
+    migration trigger: the first of the two requested runs that prefix and
+    forks the other there (see SimulationEngine.fork_at_trigger), which the
+    cache holds until it is requested."""
 
-    def __init__(self) -> None:
+    def __init__(self, scenarios: dict[str, ScenarioConfig] | None = None) -> None:
         self._runs: dict[tuple[str, str], RunResult] = {}
-        self._scenarios: dict[str, ScenarioConfig] = {}  # parsed once per name
+        self._scenarios: dict[str, ScenarioConfig] = dict(scenarios or {})  # parsed once per name
         self._twins: dict[tuple[str, str], SimulationEngine] = {}  # held at the trigger
 
     def get(self, scenario: str, strategy: str) -> RunResult:

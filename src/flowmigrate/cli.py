@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 
 from . import acceptance
-from .errors import ConfigError, FlowMigrateError, InvariantViolation
+from .errors import ConfigError, InvariantViolation
 from .metrics import compute_report
 from .model import STRATEGIES, bundled_scenario_names, resolve_scenario, with_overrides
-from .runtime import SimulationEngine, run_scenario
+from .runtime import run_scenario
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -135,18 +135,14 @@ def cmd_compare(args) -> int:
     base = _load(args)
     if args.out:
         _check_fresh(*(Path(args.out) / s.lower() for s in STRATEGIES))
-    # DCR and CCR share their run up to the migration trigger: one prefix,
-    # forked there.
-    engines = {"DSM": SimulationEngine(with_overrides(base, strategy="DSM")),
-               "DCR": SimulationEngine(with_overrides(base, strategy="DCR"))}
-    engines["CCR"] = engines["DCR"].fork_at_trigger("CCR")
+    # The cache runs DCR and CCR from one prefix, forked at the trigger.
+    cache = acceptance.RunCache({base.name: base})
     reports = {}
     for strategy in STRATEGIES:
-        engine = engines[strategy]
-        timeline = engine.run()
-        reports[strategy] = compute_report(timeline, engine.config)
+        run = cache.get(base.name, strategy)
+        reports[strategy] = run.report
         if args.out:
-            _write_outputs(Path(args.out) / strategy.lower(), timeline, reports[strategy])
+            _write_outputs(Path(args.out) / strategy.lower(), run.timeline, run.report)
 
     header = f"{'metric (ms)':>16} | " + " | ".join(f"{s:>10}" for s in STRATEGIES)
     print(f"scenario {base.name!r} seed={base.randomSeed}")
@@ -205,9 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except InvariantViolation as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except FlowMigrateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

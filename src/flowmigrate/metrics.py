@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import MetricsError
+from .errors import InvariantViolation
 from .model import DagDef, ScenarioConfig, path_multiplicity, to_ms
 
 SOURCE_EMIT = "SOURCE_EMIT"
@@ -126,7 +126,7 @@ class Timeline:
     def request_ts(self) -> int:
         ts = self.phase_ts("REQUEST")
         if ts is None:
-            raise MetricsError("timeline has no REQUEST marker")
+            raise InvariantViolation("timeline has no REQUEST marker")
         return ts
 
     def _records_at(self, site: str) -> Iterator[TimelineRecord]:

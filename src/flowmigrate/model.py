@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, InsufficientSlotsError
+from .errors import ConfigError
 
 DUPLICATE = "DUPLICATE"
 SHUFFLE = "SHUFFLE"
@@ -318,7 +318,7 @@ def round_robin_placement(instances: list[str], vms: list[VmDef]) -> Schedule:
     """
     total_slots = sum(vm.slotCount for vm in vms)
     if len(instances) > total_slots:
-        raise InsufficientSlotsError(
+        raise ConfigError(
             f"{len(instances)} instances do not fit in {total_slots} slots"
         )
     placements: dict[str, tuple[str, int]] = {}
@@ -441,7 +441,7 @@ def _resolve_schedule(raw, dag: DagDef, vms: list[VmDef], where: str) -> Schedul
     # Checked before the ids are listed, so a huge instanceCount never is.
     needed, slots = sum(t.instanceCount for t in tasks), sum(vm.slotCount for vm in vms)
     if needed > slots:
-        raise InsufficientSlotsError(f"{where}: {needed} instances do not fit in {slots} slots")
+        raise ConfigError(f"{where}: {needed} instances do not fit in {slots} slots")
     instances = [inst for t in tasks for inst in t.instance_ids()]
     if raw is None or raw == "roundRobin":
         return round_robin_placement(instances, vms)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CommitWithoutPrepareError, InvariantViolation, WaveConflictError
+from .errors import InvariantViolation
 from .model import to_ms
 from .reliability import CheckpointRecord
 from .runtime import (
@@ -120,7 +120,7 @@ class CheckpointCoordinator:
         active = self.active.get(kind)
         if active is not None and not active.complete and not active.superseded:
             if not supersede:
-                raise WaveConflictError(f"a {kind} wave is already in flight")
+                raise InvariantViolation(f"a {kind} wave is already in flight")
             active.superseded = True
         wave = WaveState(checkpoint_id, kind, routing, self.engine.new_id(), self.alive_ids(),
                          drained=drained)
@@ -226,7 +226,7 @@ class CheckpointCoordinator:
             return
         record = self.engine.store.get(inst.instanceId, wave.checkpointId)
         if record is None:
-            raise CommitWithoutPrepareError(
+            raise InvariantViolation(
                 f"no prepared record for ({inst.instanceId}, {wave.checkpointId})"
             )
         if inst.captureFlag:
@@ -373,9 +373,9 @@ class DcrCoordinator(CheckpointCoordinator):
 
     def _resend_tick(self) -> None:
         wave = self.active.get(INIT)
+        # No horizon stop: a resend never supersedes its wave, so a started
+        # migration finishes one traversal after the last respawn.
         if wave is None or wave.complete or wave.superseded:
-            return
-        if self.engine.now >= self.engine.run_end_ms:
             return
         # Duplicate sequential INIT events re-enter at the dataflow head;
         # restored tasks skip and forward, so stragglers are reached.  A
@@ -459,6 +459,8 @@ class DsmCoordinator(CheckpointCoordinator):
         # Un-acked INIT within the ack timeout: re-issue the whole wave.
         if wave.complete or wave.superseded:
             return
+        # The horizon stop stays: each re-issue supersedes the last, so an
+        # INIT wave slower than ackTimeout would be re-issued forever.
         if self.engine.now >= self.engine.run_end_ms:
             return
         self._start_init_wave()

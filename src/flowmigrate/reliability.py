@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import CommitWithoutPrepareError, DuplicateRootError, UnknownRootError
+from .errors import InvariantViolation
 
 PREPARED = "PREPARED"
 COMMITTED = "COMMITTED"
@@ -43,20 +43,20 @@ class AckerService:
         Returns the root's entry, ``[hash, register_ts, done]``."""
         entry = self.table.register(root_id, ts_ms)
         if entry is None:
-            raise DuplicateRootError(f"root {root_id:#x} already registered")
+            raise InvariantViolation(f"root {root_id:#x} already registered")
         return entry
 
     def anchor_emit(self, root_id: int, child_event_id: int) -> None:
         """Fold a newly emitted event into its root's tree."""
         status = self.table.anchor(root_id, child_event_id)
         if status == _kernels.ACK_UNKNOWN:
-            raise UnknownRootError(f"anchor on unknown root {root_id:#x}")
+            raise InvariantViolation(f"anchor on unknown root {root_id:#x}")
 
     def ack_event(self, root_id: int, event_id: int) -> bool:
         """Fold a processed event out of the tree; True when it completed."""
         status = self.table.ack(root_id, event_id)
         if status == _kernels.ACK_UNKNOWN:
-            raise UnknownRootError(f"ack on unknown root {root_id:#x}")
+            raise InvariantViolation(f"ack on unknown root {root_id:#x}")
         return status == _kernels.ACK_COMPLETED
 
     def anchor_if_tracked(self, root_id: int, child_event_id: int) -> None:
@@ -127,7 +127,7 @@ class StateStore:
     def commit(self, instance_id: str, checkpoint_id: int) -> CheckpointRecord:
         record = self._records.get((instance_id, checkpoint_id))
         if record is None:
-            raise CommitWithoutPrepareError(
+            raise InvariantViolation(
                 f"no prepared record for ({instance_id}, {checkpoint_id})"
             )
         record.phase = COMMITTED

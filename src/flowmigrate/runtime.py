@@ -16,7 +16,7 @@ import struct
 from collections import deque
 
 from . import _kernels
-from .errors import FlowMigrateError, InvariantViolation
+from .errors import InvariantViolation
 from .metrics import Timeline
 from .model import (
     DUPLICATE,
@@ -411,10 +411,10 @@ class SimulationEngine:
         """
         for side in (self.config.strategy, strategy):
             if side not in IDLE_BEFORE_TRIGGER:
-                raise FlowMigrateError(
+                raise InvariantViolation(
                     f"cannot fork a {side} run: its coordinator acts before the trigger")
         if not self.migrate:
-            raise FlowMigrateError("cannot fork a run without a migration trigger")
+            raise InvariantViolation("cannot fork a run without a migration trigger")
         if self._stage == _NEW:
             self._stage = _PREFIX
             self._bind()
@@ -424,7 +424,7 @@ class SimulationEngine:
             except _TriggerHeld:
                 self._stage = _HELD
         if self._stage != _HELD:
-            raise FlowMigrateError("cannot fork a run already past its migration trigger")
+            raise InvariantViolation("cannot fork a run already past its migration trigger")
         # The twin shares the immutable scenario; the idle coordinator is
         # not copied but made anew for the twin's strategy.
         config = with_overrides(self.config, strategy=strategy)
@@ -818,7 +818,7 @@ class SimulationEngine:
     def kill_instance(self, inst_id: str) -> None:
         inst = self.instances[inst_id]
         if inst.status == KILLED:
-            raise FlowMigrateError(f"{inst_id} is already killed")
+            raise InvariantViolation(f"{inst_id} is already killed")
         self.kill_snapshots[inst_id] = inst.state.processedCount
         inst.status = KILLED
         inst.drop_work()
@@ -829,7 +829,7 @@ class SimulationEngine:
     def respawn_instance(self, inst_id: str) -> None:
         inst = self.instances[inst_id]
         if inst.status not in (KILLED, RESPAWNING):
-            raise FlowMigrateError(f"{inst_id} is not awaiting respawn")
+            raise InvariantViolation(f"{inst_id} is not awaiting respawn")
         # Running but uninitialized: data waits in preInit until INIT restores it.
         inst.status = RUNNING
         inst.initialized = False

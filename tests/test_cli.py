@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from flowmigrate.cli import main
+from flowmigrate.errors import InvariantViolation
 from flowmigrate.model import bundled_scenario_names
 from flowmigrate.runtime import SimulationEngine
 
@@ -285,9 +286,10 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"configuration error: cannot use {out!r} as --out: embedded null byte\n")
 
-    def test_restore_with_no_output_left_is_reported(self, tmp_path):
-        # CCR restores the dataflow after the last sink output of the run:
-        # a null restore duration, not a crash.
+    def test_a_restore_past_the_horizon_is_reported(self, tmp_path):
+        # CCR is triggered 0.1 s before the horizon: the started migration
+        # finishes past it, and the restore is measured from the sink
+        # outputs that follow.
         doc = json.loads(
             (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
         doc.update(strategy="CCR", migrationTriggerAt=719.9)
@@ -297,7 +299,16 @@ class TestRun:
         assert run_cli("run", str(path), "--out", str(out)) == 0
         assert "FIRST_INIT_ACKED" in (out / "timeline.csv").read_text()
         report = json.loads((out / "report.json").read_text())
-        assert report["restoreDurationMs"] is None
+        assert report["restoreDurationMs"] == 39_641
+
+    def test_an_invariant_violation_exits_3(self, quick_scenario, tmp_path, monkeypatch,
+                                            capsys):
+        def run(_engine):
+            raise InvariantViolation("boom")
+
+        monkeypatch.setattr(SimulationEngine, "run", run)
+        assert run_cli("run", str(quick_scenario), "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == "invariant breach: boom\n"
 
     def test_a_run_duration_with_a_partial_second_is_reported(self, tmp_path):
         # The trailing half second holds sink exits but no whole 1 s bucket.
@@ -444,6 +455,17 @@ class TestCompare:
         assert run_cli("compare", str(quick_scenario), "--out", out) == 2
         assert capsys.readouterr().err == (
             f"configuration error: cannot use {out + '/dsm'!r} as --out: embedded null byte\n")
+
+    def test_dcr_and_ccr_share_one_prefix(self, quick_scenario, monkeypatch):
+        calls = []
+        for name in ("run", "fork_at_trigger"):
+            def spy(engine, *args, _name=name, _original=getattr(SimulationEngine, name)):
+                calls.append(_name)
+                return _original(engine, *args)
+
+            monkeypatch.setattr(SimulationEngine, name, spy)
+        assert run_cli("compare", str(quick_scenario)) == 0
+        assert sorted(calls) == ["fork_at_trigger", "run", "run", "run"]
 
     def test_compare_writes_per_strategy_outputs(self, quick_scenario, tmp_path):
         # DCR and CCR fork from one prefix; each output equals a run of its own.

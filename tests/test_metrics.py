@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chain_dag, make_scenario
-from flowmigrate.errors import MetricsError
+from flowmigrate.errors import InvariantViolation
 from flowmigrate.metrics import (
     CSV_HEADER,
     PHASE,
@@ -93,7 +93,7 @@ class TestRestore:
         assert compute_restore_duration(tl) is None
 
     def test_missing_request_marker(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(InvariantViolation, match="timeline has no REQUEST marker"):
             compute_restore_duration(Timeline())
 
     @pytest.mark.parametrize("strategy", STRATEGIES)

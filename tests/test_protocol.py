@@ -3,8 +3,10 @@ import hashlib
 import pytest
 
 from conftest import make_chain_dag, make_scenario, phase_times, work_of
-from flowmigrate.errors import CommitWithoutPrepareError, InvariantViolation, WaveConflictError
+from flowmigrate import _kernels
+from flowmigrate.errors import InvariantViolation
 from flowmigrate.metrics import PHASE, SINK_EXIT, exactly_once_audit, sink_multiset
+from flowmigrate.model import load_bundled_scenario, with_overrides
 from flowmigrate.protocol import (
     ALL_INIT_ACKED,
     BROADCAST,
@@ -37,6 +39,22 @@ def run_quick(dag, strategy, **overrides):
     engine = SimulationEngine(config)
     timeline = engine.run()
     return timeline, engine
+
+
+class _CappedCalendar(_kernels.EventCalendar):
+    """An event calendar that fails the test after ``cap`` pops, so a
+    runaway schedule fails fast instead of hanging."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.left = cap
+
+    def pop(self):
+        self.left -= 1
+        assert self.left >= 0, "pop cap reached: runaway schedule"
+        return super().pop()
 
 
 class TestWaveMechanics:
@@ -79,7 +97,7 @@ class TestWaveMechanics:
         engine = SimulationEngine(config, migrate=False)
         coordinator = engine.coordinator
         coordinator.start_wave(PREPARE, SEQUENTIAL, 1)
-        with pytest.raises(WaveConflictError):
+        with pytest.raises(InvariantViolation, match="a PREPARE wave is already in flight"):
             coordinator.start_wave(PREPARE, SEQUENTIAL, 2)
 
     def test_broadcast_init_resend_reaches_only_unacked_instances(self):
@@ -106,7 +124,7 @@ class TestWaveMechanics:
     def test_commit_without_prepared_record_raises(self):
         engine = SimulationEngine(make_scenario(make_chain_dag(2), "DCR"), migrate=False)
         engine.coordinator.start_wave(COMMIT, SEQUENTIAL, 1)
-        with pytest.raises(CommitWithoutPrepareError, match=r"\(T1#0, 1\)"):
+        with pytest.raises(InvariantViolation, match=r"no prepared record for \(T1#0, 1\)"):
             engine.run()
 
     def test_a_wave_covering_every_instance_with_a_copy_unacked_raises(self):
@@ -228,10 +246,6 @@ class TestCcr:
         baseline, _ = run_scenario(config, migrate=False)
         assert sink_multiset(migrated) == sink_multiset(baseline)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "INIT resends stop at run_end_ms, so an instance whose INIT copy was "
-        "dropped while it started is never initialized once the horizon passes; "
-        "ROADMAP item 4 decides whether resends end at the horizon or at the migration"))
     def test_a_respawn_at_the_horizon_is_still_initialized(self):
         # A trigger at 20 s of a 30 s run: T1#0 and T3#0 respawn at 29.9 s,
         # after the INIT copies sent to them were dropped, and the next
@@ -241,6 +255,35 @@ class TestCcr:
         assert ALL_INIT_ACKED in phase_times(engine)
         assert all(inst.initialized for inst in engine.instances.values())
         assert not exactly_once_audit(timeline, dag)
+
+
+# Bundled scenarios with a DCR/CCR migration started 1 s and 0.1 s before
+# the horizon, and one whose 2 s hops put the whole migration past it.
+LATE_TRIGGERS = [
+    (name, strategy, {"runDuration": 200, "migrationTriggerAt": at})
+    for name in ("linear_scalein", "diamond_scalein", "grid_scalein")
+    for strategy in ("DCR", "CCR")
+    for at in (199.0, 199.9)
+] + [("linear50_stress", "CCR", {"networkDelayMs": 2000, "migrationTriggerAt": 299})]
+
+
+class TestLateTrigger:
+    """INIT resends go on past the horizon: a started DCR/CCR migration
+    restores every respawned instance, unpauses the source and loses no
+    root."""
+
+    @pytest.mark.parametrize(
+        "name,strategy,overrides", LATE_TRIGGERS,
+        ids=[f"{n}-{s}-{o['migrationTriggerAt']}" for n, s, o in LATE_TRIGGERS])
+    def test_a_started_migration_finishes(self, name, strategy, overrides):
+        config = with_overrides(load_bundled_scenario(name), strategy=strategy, **overrides)
+        engine = SimulationEngine(config)
+        timeline = engine.run()
+        assert ALL_INIT_ACKED in phase_times(engine)
+        assert all(inst.initialized for inst in engine.instances.values())
+        assert not engine.source.paused
+        assert not exactly_once_audit(timeline, config.dag)
+        assert not any(timeline.replays())
 
 
 class TestDsm:
@@ -292,6 +335,18 @@ class TestDsm:
         marked = [r.ts for r in timeline.records
                   if r.site == PHASE and r.phaseName == FIRST_INIT_ACKED]
         assert len(marked) == 1 and marked[0] >= init_waves[0]
+
+    def test_init_reissue_stops_at_the_horizon(self):
+        # At 1 s per hop an INIT wave over 50 tasks outlives ackTimeout, and
+        # each re-issue supersedes the last: past the horizon _check_init
+        # must stop re-issuing, or the run never ends.
+        config = with_overrides(load_bundled_scenario("linear50_stress"), strategy="DSM",
+                                networkDelayMs=1000, migrationTriggerAt=250)
+        engine = SimulationEngine(config)
+        engine.clock._calendar = _CappedCalendar(200_000)  # the run pops 85,058
+        engine.run()
+        assert [w.kind for w in engine.coordinator.waves.values()].count(INIT) == 2
+        assert engine.now == 317_260
 
 
 # Timeline SHA-256, actions fired and calendar pushes of the two rolled-back

@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmigrate.errors import (
-    CommitWithoutPrepareError,
-    DuplicateRootError,
-    UnknownRootError,
-)
+from flowmigrate.errors import InvariantViolation
 from flowmigrate.reliability import (
     COMMITTED,
     PREPARED,
@@ -50,7 +46,7 @@ class TestAckerBasics:
     def test_duplicate_register_raises(self):
         acker = make_acker()
         acker.register_root(0x5, 0)
-        with pytest.raises(DuplicateRootError):
+        with pytest.raises(InvariantViolation, match="root 0x5 already registered"):
             acker.register_root(0x5, 1)
 
     def test_register_then_ack_completes(self):
@@ -71,9 +67,9 @@ class TestAckerBasics:
 
     def test_unknown_root_raises(self):
         acker = make_acker()
-        with pytest.raises(UnknownRootError):
+        with pytest.raises(InvariantViolation, match="ack on unknown root 0x9"):
             acker.ack_event(0x9, 0x9)
-        with pytest.raises(UnknownRootError):
+        with pytest.raises(InvariantViolation, match="anchor on unknown root 0x9"):
             acker.anchor_emit(0x9, 0x1)
 
 
@@ -189,7 +185,7 @@ class TestStateStore:
         assert store.get_latest_committed("T1#0").checkpointId == 7
 
     def test_commit_without_prepare(self):
-        with pytest.raises(CommitWithoutPrepareError):
+        with pytest.raises(InvariantViolation, match=r"no prepared record for \(T1#0, 1\)"):
             StateStore().commit("T1#0", 1)
 
     def test_prepared_not_visible_as_committed(self):

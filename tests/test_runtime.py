@@ -20,7 +20,7 @@ from conftest import (
     work_of,
 )
 from flowmigrate import _kernels, runtime
-from flowmigrate.errors import ConfigError, FlowMigrateError, InvariantViolation
+from flowmigrate.errors import ConfigError, InvariantViolation
 from flowmigrate.metrics import (
     REPLAY,
     SINK_EXIT,
@@ -1225,7 +1225,7 @@ class TestKillRespawn:
     def test_kill_twice_rejected(self):
         engine = quick_engine()
         engine.kill_instance("T1#0")
-        with pytest.raises(FlowMigrateError):
+        with pytest.raises(InvariantViolation, match="T1#0 is already killed"):
             engine.kill_instance("T1#0")
 
     def test_respawn_gives_fresh_uninitialized_runtime(self):
@@ -1351,13 +1351,13 @@ class TestForkAtTrigger:
     @pytest.mark.parametrize("parent,twin", [("DSM", "CCR"), ("DCR", "DSM"), ("CCR", "DSM")])
     def test_dsm_never_forks(self, parent, twin):
         engine = quick_engine(strategy=parent)
-        with pytest.raises(FlowMigrateError, match="cannot fork a DSM run"):
+        with pytest.raises(InvariantViolation, match="cannot fork a DSM run"):
             engine.fork_at_trigger(twin)
         assert engine._actions == 0
 
     def test_a_run_without_migration_never_forks(self):
         engine = SimulationEngine(make_scenario(make_chain_dag(3), "DCR"), migrate=False)
-        with pytest.raises(FlowMigrateError, match="without a migration trigger"):
+        with pytest.raises(InvariantViolation, match="without a migration trigger"):
             engine.fork_at_trigger("CCR")
         assert engine._actions == 0
 
@@ -1368,7 +1368,7 @@ class TestForkAtTrigger:
         resumed.fork_at_trigger("DCR")
         resumed.run()
         for engine in (finished, resumed):
-            with pytest.raises(FlowMigrateError, match="already past its migration trigger"):
+            with pytest.raises(InvariantViolation, match="already past its migration trigger"):
                 engine.fork_at_trigger("CCR")
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import flowmigrate
 from conftest import make_chain_dag, make_scenario
+from flowmigrate import errors
 from flowmigrate.metrics import SOURCE_EMIT, Timeline
 from flowmigrate.model import load_bundled_scenario, with_overrides
 from flowmigrate.runtime import SimulationEngine, run_scenario
@@ -38,6 +39,14 @@ def test_engine_path_has_one_action_shape():
     # Calendar payloads are (fn, args); a functools.partial would be a second shape.
     src = ROOT / "src" / "flowmigrate"
     assert [p.name for p in sorted(src.glob("*.py")) if "partial" in p.read_text()] == []
+
+
+def test_errors_are_the_two_kinds_the_cli_tells_apart():
+    # ConfigError exits 2 and InvariantViolation exits 3; a third class
+    # would be a failure the CLI cannot name.
+    classes = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__]
+    assert sorted(classes) == ["ConfigError", "FlowMigrateError", "InvariantViolation"]
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
