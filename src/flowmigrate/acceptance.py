@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .metrics import (
     SINK_EXIT,
@@ -59,8 +58,7 @@ ORACLE_SEED = 20_240_613
 DETERMINISM_SCENARIO = "diamond_scalein"
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     config: ScenarioConfig
     timeline: Timeline
     report: MetricsReport
@@ -69,11 +67,10 @@ class RunResult:
     restore_snapshots: dict[str, int]
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
-    details: list[str] = field(default_factory=list)
+    details: list[str]
 
     def line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
@@ -357,8 +354,9 @@ def baseline_counts(config: ScenarioConfig) -> tuple[dict[str, int], list[str]]:
     paths = compute_cumulative_rates(dag, 1.0)
     upstream: dict[str, set[str]] = {tid: set() for tid in paths}
     counts, uncovered = {}, []
+    out = dag.out_edge_lists()
     for tid in dag.topological_order():
-        for e in dag.out_edges(tid):
+        for e in out.get(tid, ()):
             upstream[e.toTask] |= upstream[tid] | {tid}
         if tid in dag.sourceTasks or not dag.task(tid).stateful:
             continue

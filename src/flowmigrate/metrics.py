@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
@@ -182,8 +181,7 @@ class TimelineRecords:
         tl.phases = [(r - (r > row), ts, name) for r, ts, name in tl.phases if r != row]
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """The seven migration metrics; durations in ms from the request.
 
     Metrics that do not apply to a strategy are None (serialized as null):
@@ -203,7 +201,7 @@ class MetricsReport:
     expectedOutputRate: float
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2) + "\n"
+        return json.dumps(self._asdict(), indent=2) + "\n"
 
 
 def compute_restore_duration(timeline: Timeline) -> int | None:
@@ -305,8 +303,7 @@ def count_replays(timeline: Timeline) -> int:
     return sum(1 for ts in timeline.select(REPLAY, timeline.ts) if ts >= since)
 
 
-@dataclass(frozen=True)
-class AuditFailure:
+class AuditFailure(NamedTuple):
     rootSeqNo: int
     expected: int
     observed: int

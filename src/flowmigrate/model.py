@@ -2,17 +2,18 @@
 
 Everything here is plain data plus pure functions: safe to share read-only
 between engines.  Scenario documents are JSON with the field names used by
-the dataclasses below; DAGs may be embedded inline or referenced by the
-name of a bundled topology file.
+the records below; DAGs may be embedded inline or referenced by the name of
+a bundled topology file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -39,8 +40,7 @@ def instance_id(task_id: str, ordinal: int) -> str:
     return f"{task_id}#{ordinal}"
 
 
-@dataclass(frozen=True)
-class TaskDef:
+class TaskDef(NamedTuple):
     """One logical task of the dataflow; may run as several instances."""
 
     taskId: str
@@ -54,15 +54,13 @@ class TaskDef:
         return [instance_id(self.taskId, i) for i in range(self.instanceCount)]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     fromTask: str
     toTask: str
     grouping: str = SHUFFLE
 
 
-@dataclass(frozen=True)
-class DagDef:
+class DagDef(NamedTuple):
     """Directed acyclic dataflow with pseudo source and sink tasks."""
 
     name: str
@@ -88,29 +86,37 @@ class DagDef:
     def in_edges(self, task_id: str) -> list[Edge]:
         return [e for e in self.edges if e.toTask == task_id]
 
+    def out_edge_lists(self) -> dict[str, list[Edge]]:
+        """``out_edges`` of every task that has one, in one pass over the edges."""
+        out: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            out.setdefault(e.fromTask, []).append(e)
+        return out
+
     def topological_order(self) -> list[str]:
         """Kahn topological order, stable w.r.t. the declared task order."""
-        order: list[str] = []
-        indegree = {t.taskId: len(self.in_edges(t.taskId)) for t in self.tasks}
-        ready = [t.taskId for t in self.tasks if indegree[t.taskId] == 0]
-        while ready:
-            tid = ready.pop(0)
-            order.append(tid)
-            for e in self.out_edges(tid):
+        indegree = {t.taskId: 0 for t in self.tasks}
+        for e in self.edges:
+            if e.toTask in indegree:
+                indegree[e.toTask] += 1
+        out = self.out_edge_lists()
+        # The order is Kahn's FIFO queue: a task joins it when its last
+        # in-edge is consumed, and the loop reads it as it grows.
+        order = [t.taskId for t in self.tasks if indegree[t.taskId] == 0]
+        for tid in order:
+            for e in out.get(tid, ()):
                 indegree[e.toTask] -= 1
                 if indegree[e.toTask] == 0:
-                    ready.append(e.toTask)
+                    order.append(e.toTask)
         return order
 
 
-@dataclass(frozen=True)
-class VmDef:
+class VmDef(NamedTuple):
     vmId: str
     slotCount: int
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Mapping of task-instance id -> (vmId, slotIndex)."""
 
     placements: dict[str, tuple[str, int]]
@@ -139,13 +145,12 @@ class Schedule:
             seen.add(key)
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A full migration experiment: dataflow, resources, strategy, knobs.
 
     Durations named ``*Ms`` are milliseconds; the rest are seconds of
     simulated time (floats accepted, stored as given, converted to ms by
-    the engine).
+    the engine).  A config is immutable: derive one with ``with_overrides``.
     """
 
     name: str
@@ -203,6 +208,7 @@ def validate_dag(dag: DagDef) -> tuple[str, ...]:
 
     if len(dag.sourceTasks) != 1:
         violations.append(f"{len(dag.sourceTasks)} source tasks declared; a dag has one")
+    out = dag.out_edge_lists()
     for s in dag.sourceTasks:
         if s not in id_set:
             violations.append(f"source task {s} not declared")
@@ -211,7 +217,7 @@ def validate_dag(dag: DagDef) -> tuple[str, ...]:
     for s in dag.sinkTasks:
         if s not in id_set:
             violations.append(f"sink task {s} not declared")
-        elif dag.out_edges(s):
+        elif s in out:
             violations.append(f"sink {s} has out-edge")
     if dangling:  # the checks below follow edges, so each end must be a task
         return tuple(violations)
@@ -224,8 +230,7 @@ def validate_dag(dag: DagDef) -> tuple[str, ...]:
         reachable = set(dag.sourceTasks)
         for tid in order:
             if tid in reachable:
-                for e in dag.out_edges(tid):
-                    reachable.add(e.toTask)
+                reachable.update(e.toTask for e in out.get(tid, ()))
         unreachable = [tid for tid in ids if tid not in reachable]
         if unreachable:
             violations.append(
@@ -235,7 +240,7 @@ def validate_dag(dag: DagDef) -> tuple[str, ...]:
         # DSM its root never completes and the source stalls at its cap.
         feeds_sink = set(dag.sinkTasks)
         for tid in reversed(order):
-            if any(e.toTask in feeds_sink for e in dag.out_edges(tid)):
+            if any(e.toTask in feeds_sink for e in out.get(tid, ())):
                 feeds_sink.add(tid)
         dead_ends = [tid for tid in ids if tid not in feeds_sink]
         if dead_ends:
@@ -253,13 +258,14 @@ def compute_cumulative_rates(dag: DagDef, source_rate: float) -> dict[str, float
     but emit at ``source_rate``.
     """
     rates: dict[str, float] = {t.taskId: 0.0 for t in dag.tasks}
+    selectivity = {t.taskId: t.selectivity for t in dag.tasks}
+    out_edges = dag.out_edge_lists()
     for tid in dag.topological_order():
-        task = dag.task(tid)
         if tid in dag.sourceTasks:
             out_rate = source_rate
         else:
-            out_rate = rates[tid] * task.selectivity
-        out = dag.out_edges(tid)
+            out_rate = rates[tid] * selectivity[tid]
+        out = out_edges.get(tid, ())
         shuffle_edges = [e for e in out if e.grouping == SHUFFLE]
         for e in out:
             share = out_rate if e.grouping == DUPLICATE else out_rate / len(shuffle_edges)
@@ -349,14 +355,8 @@ def migrating_instances(before: Schedule, after: Schedule) -> set[str]:
 # JSON parsing
 
 
-_SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
-_TASK_FIELDS = {f.name for f in fields(TaskDef)}
-_EDGE_FIELDS = {f.name for f in fields(Edge)}
-_DAG_FIELDS = {f.name for f in fields(DagDef)}
-
-
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _reject_unknown(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(obj).difference(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
 
@@ -378,25 +378,25 @@ def _defaulted_fields(cls, raw: dict, where: str) -> dict:
     """The fields of ``cls`` that have a default, read from ``raw`` and
     checked against the default's type; a missing field takes its default."""
     return {
-        f.name: _typed(raw.get(f.name, f.default), type(f.default), f"{where} field {f.name}")
-        for f in fields(cls) if f.default is not MISSING
+        name: _typed(raw.get(name, default), type(default), f"{where} field {name}")
+        for name, default in cls._field_defaults.items()
     }
 
 
 def parse_dag(doc: dict, name: str = "") -> DagDef:
-    _reject_unknown(_typed(doc, dict, "dag"), _DAG_FIELDS, "dag")
+    _reject_unknown(_typed(doc, dict, "dag"), DagDef._fields, "dag")
     try:
         tasks = []
         for raw in _typed(doc["tasks"], list, "dag field tasks"):
             task_id = _typed(_typed(raw, dict, "task")["taskId"], str, "task field taskId")
             where = f"task {task_id}"
-            _reject_unknown(raw, _TASK_FIELDS, where)
+            _reject_unknown(raw, TaskDef._fields, where)
             # A task's name defaults to its id.
             values = _defaulted_fields(TaskDef, {"name": task_id, **raw}, where)
             tasks.append(TaskDef(taskId=task_id, **values))
         edges = []
         for raw in _typed(doc.get("edges", []), list, "dag field edges"):
-            _reject_unknown(_typed(raw, dict, "edge"), _EDGE_FIELDS, "edge")
+            _reject_unknown(_typed(raw, dict, "edge"), Edge._fields, "edge")
             edges.append(Edge(_typed(raw["fromTask"], str, "edge field fromTask"),
                               _typed(raw["toTask"], str, "edge field toTask"),
                               **_defaulted_fields(Edge, raw, "edge")))
@@ -424,7 +424,7 @@ def _require_valid_dag(dag: DagDef) -> None:
 def _parse_vms(raw: list, where: str) -> list[VmDef]:
     vms = []
     for item in _typed(raw, list, where):
-        _reject_unknown(_typed(item, dict, where), {f.name for f in fields(VmDef)}, where)
+        _reject_unknown(_typed(item, dict, where), VmDef._fields, where)
         vm_id = _typed(item["vmId"], str, f"{where}: vmId")
         vm = VmDef(vm_id, _typed(item["slotCount"], int, f"{where}: VM {vm_id} slotCount"))
         if vm.slotCount < 1:
@@ -447,7 +447,7 @@ def _resolve_schedule(raw, dag: DagDef, vms: list[VmDef], where: str) -> Schedul
         return round_robin_placement(instances, vms)
     if not isinstance(raw, dict) or not isinstance(raw.get("placements"), dict):
         raise ConfigError(f"{where}: expected 'roundRobin' or {{\"placements\": {{...}}}}")
-    _reject_unknown(raw, {"placements"}, where)
+    _reject_unknown(raw, ("placements",), where)
     placements = {}
     for inst, loc in raw["placements"].items():
         if not isinstance(loc, (list, tuple)) or len(loc) != 2:
@@ -463,7 +463,7 @@ def parse_scenario(doc: dict, name: str = "") -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
-    _reject_unknown(doc, _SCENARIO_FIELDS, "scenario")
+    _reject_unknown(doc, ScenarioConfig._fields, "scenario")
 
     dag_raw = doc.get("dag")
     if dag_raw is None:
@@ -552,25 +552,29 @@ def _bundled_root():
     return resources.files("flowmigrate") / "scenarios"
 
 
-def bundled_scenario_names() -> list[str]:
-    return sorted(
+@cache
+def _bundled_names(folder: str) -> tuple[str, ...]:
+    """The names of the JSON files in a folder of the bundled set, listed once."""
+    return tuple(sorted(
         p.name[: -len(".json")]
-        for p in _bundled_root().iterdir()
+        for p in (_bundled_root() / folder).iterdir()
         if p.name.endswith(".json")
-    )
+    ))
+
+
+def bundled_scenario_names() -> list[str]:
+    return list(_bundled_names(""))
 
 
 def bundled_dag_names() -> list[str]:
-    return sorted(
-        p.name[: -len(".json")]
-        for p in (_bundled_root() / "dags").iterdir()
-        if p.name.endswith(".json")
-    )
+    return list(_bundled_names("dags"))
 
 
+@cache  # a DagDef is immutable, so every scenario shares one parse
 def load_bundled_dag(name: str) -> DagDef:
-    # Checked before any file is opened: a name is not a path.
-    names = bundled_dag_names()
+    # Checked before any file is opened: a name is not a path.  A rejected
+    # name raises, so it is never cached.
+    names = _bundled_names("dags")
     if name not in names:
         raise ConfigError(f"unknown bundled dag {name!r}; available: {', '.join(names)}")
     doc = json.loads((_bundled_root() / "dags" / f"{name}.json").read_text())
@@ -578,7 +582,7 @@ def load_bundled_dag(name: str) -> DagDef:
 
 
 def load_bundled_scenario(name: str) -> ScenarioConfig:
-    names = bundled_scenario_names()
+    names = _bundled_names("")
     if name not in names:
         raise ConfigError(f"unknown bundled scenario {name!r}; available: {', '.join(names)}")
     doc = json.loads((_bundled_root() / f"{name}.json").read_text())
@@ -607,6 +611,6 @@ def resolve_scenario(ref: str | Path) -> ScenarioConfig:
 
 def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
     """Copy a config with selected fields replaced, re-validated."""
-    updated = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    updated = config._replace(**{k: v for k, v in overrides.items() if v is not None})
     validate_scenario(updated)
     return updated

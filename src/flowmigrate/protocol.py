@@ -21,8 +21,6 @@ Strategies sequence waves differently:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvariantViolation
 from .model import to_ms
 from .reliability import CheckpointRecord
@@ -62,23 +60,27 @@ MARKER_ORDER = (
 )
 
 
-@dataclass
 class WaveState:
     """A wave, keyed by its root in ``CheckpointCoordinator.waves``.  ``tree``
     XORs the ids of its copies not yet acked; ``barriers`` counts, by
     instance id, the sequential copies seen before the last one aligns."""
 
-    checkpointId: int
-    kind: str
-    routing: str
-    rootId: int
-    expected: frozenset
-    ackedBy: set = field(default_factory=set)
-    complete: bool = False
-    superseded: bool = False
-    drained: bool = False  # PREPARE must find no data behind it (DCR)
-    tree: int = 0
-    barriers: dict = field(default_factory=dict)
+    __slots__ = ("checkpointId", "kind", "routing", "rootId", "expected", "ackedBy",
+                 "complete", "superseded", "drained", "tree", "barriers")
+
+    def __init__(self, checkpointId: int, kind: str, routing: str, rootId: int,
+                 expected: frozenset, drained: bool = False) -> None:
+        self.checkpointId = checkpointId
+        self.kind = kind
+        self.routing = routing
+        self.rootId = rootId
+        self.expected = expected
+        self.ackedBy: set[str] = set()
+        self.complete = False
+        self.superseded = False
+        self.drained = drained  # PREPARE must find no data behind it (DCR)
+        self.tree = 0
+        self.barriers: dict[str, int] = {}
 
 
 class CheckpointCoordinator:

@@ -13,8 +13,6 @@ about 100 ms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _kernels
 from .errors import InvariantViolation
 
@@ -91,13 +89,16 @@ class AckerService:
         return self.table.sweep(now_ms, self.timeout_ms)
 
 
-@dataclass
 class CheckpointRecord:
-    instanceId: str
-    checkpointId: int
-    userStateBlob: bytes
-    pendingEventsBlob: bytes | None = None
-    phase: str = PREPARED
+    __slots__ = ("instanceId", "checkpointId", "userStateBlob", "pendingEventsBlob", "phase")
+
+    def __init__(self, instanceId: str, checkpointId: int, userStateBlob: bytes,
+                 pendingEventsBlob: bytes | None = None) -> None:
+        self.instanceId = instanceId
+        self.checkpointId = checkpointId
+        self.userStateBlob = userStateBlob
+        self.pendingEventsBlob = pendingEventsBlob
+        self.phase = PREPARED
 
     def payload_size(self) -> int:
         size = len(self.userStateBlob)

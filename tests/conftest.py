@@ -114,7 +114,6 @@ def make_scenario(dag: DagDef, strategy: str = "DCR", *, run_s: float = 90,
         workerStartupMinMs=startup_ms[0],
         workerStartupMaxMs=startup_ms[1],
     )
-    for key, value in overrides.items():
-        setattr(config, key, value)
+    config = config._replace(**overrides)
     validate_scenario(config)
     return config

@@ -16,8 +16,6 @@ conjunction of all its clauses, the CCR stabilization clause included, so
 the criterion cannot be bent, lose a clause or get a looser bound unseen.
 """
 
-import dataclasses
-
 import pytest
 
 from conftest import fan_out_join_dag, make_chain_dag, make_scenario, shuffle_split_dag
@@ -168,9 +166,9 @@ class TestClosedFormBaseline:
 
         # T1 emits two children per event; T2 and T3 get two instances
         # for the doubled rate.
-        doubled = dataclasses.replace(chain, tasks=tuple(
-            dataclasses.replace(t, selectivity=2.0) if t.taskId == "T1"
-            else dataclasses.replace(t, instanceCount=2) if t.taskId in ("T2", "T3") else t
+        doubled = chain._replace(tasks=tuple(
+            t._replace(selectivity=2.0) if t.taskId == "T1"
+            else t._replace(instanceCount=2) if t.taskId in ("T2", "T3") else t
             for t in chain.tasks))
         result = acceptance.check_state_correctness(
             EveryScenarioIs(make_scenario(doubled), monkeypatch))
@@ -234,6 +232,6 @@ class TestRunCache:
 
         class Diverged:
             def get(self, scenario, strategy):
-                return dataclasses.replace(cached, timeline=Timeline())
+                return cached._replace(timeline=Timeline())
 
         assert not acceptance.check_determinism(Diverged()).passed

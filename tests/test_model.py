@@ -1,11 +1,13 @@
+import ast
 import json
-from dataclasses import MISSING, fields
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmigrate import model
 from flowmigrate.errors import ConfigError
 from flowmigrate.model import (
     DagDef,
@@ -18,6 +20,7 @@ from flowmigrate.model import (
     load_bundled_dag,
     load_bundled_scenario,
     min_instances,
+    parse_dag,
     parse_scenario,
     path_multiplicity,
     round_robin_placement,
@@ -216,10 +219,9 @@ class TestParseScenario:
         assert config.runDuration == 720
         assert config.rebalanceDuration == 7.26
         assert len(config.scheduleBefore.placements) == 5
-        # Every defaulted scalar field takes its dataclass default.
-        for f in fields(ScenarioConfig):
-            if f.default is not MISSING:
-                assert getattr(config, f.name) == f.default, f.name
+        # Every defaulted scalar field takes its record default.
+        for name, default in ScenarioConfig._field_defaults.items():
+            assert getattr(config, name) == default, name
         doc = self.minimal_doc()
         doc["dag"] = bundled_dag_doc("linear")
         doc["dag"]["tasks"][1] = {"taskId": "T1"}
@@ -519,19 +521,242 @@ def mutation_bases():
     return [linear, diamond]
 
 
+def draw_mutation(data, doc):
+    """``doc`` with one field or array item replaced by any JSON value."""
+    *parents, key = data.draw(st.sampled_from(list(field_paths(doc))))
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    node[key] = data.draw(JSON_VALUES)
+    return doc
+
+
 class TestLoaderMutations:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_a_mutated_field_is_accepted_or_a_config_error(self, data):
         # One field or array item of a valid document becomes any JSON
         # value.  No other exception may escape the loader.
-        doc = data.draw(st.sampled_from(mutation_bases()))
-        *parents, key = data.draw(st.sampled_from(list(field_paths(doc))))
-        node = doc
-        for parent in parents:
-            node = node[parent]
-        node[key] = data.draw(JSON_VALUES)
+        doc = draw_mutation(data, data.draw(st.sampled_from(mutation_bases())))
         try:
             parse_scenario(doc)
         except ConfigError:
             pass
+
+
+def rescanning_kahn(dag):
+    """The topological order as it was computed before the adjacency pass:
+    each task's in- and out-edges rescanned from the edge tuple."""
+    order = []
+    indegree = {t.taskId: len([e for e in dag.edges if e.toTask == t.taskId])
+                for t in dag.tasks}
+    ready = [t.taskId for t in dag.tasks if indegree[t.taskId] == 0]
+    while ready:
+        tid = ready.pop(0)
+        order.append(tid)
+        for e in [e for e in dag.edges if e.fromTask == tid]:
+            indegree[e.toTask] -= 1
+            if indegree[e.toTask] == 0:
+                ready.append(e.toTask)
+    return order
+
+
+def rescanning_validate_dag(dag):
+    """validate_dag as it was before the adjacency pass, every walk
+    rescanning the edge tuple."""
+    violations = []
+    ids = [t.taskId for t in dag.tasks]
+    id_set = set(ids)
+    if len(ids) != len(id_set):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        violations.append(f"duplicate task ids: {', '.join(dupes)}")
+    for t in dag.tasks:
+        if t.serviceTimeMs <= 0:
+            violations.append(f"task {t.taskId}: serviceTimeMs must be > 0")
+        if t.selectivity <= 0:
+            violations.append(f"task {t.taskId}: selectivity must be > 0")
+        if t.instanceCount < 1:
+            violations.append(f"task {t.taskId}: instanceCount must be >= 1")
+    dangling = False
+    for e in dag.edges:
+        if e.fromTask not in id_set or e.toTask not in id_set:
+            dangling = True
+            violations.append(f"edge {e.fromTask}->{e.toTask} references unknown task")
+        if e.grouping not in ("DUPLICATE", "SHUFFLE"):
+            violations.append(f"edge {e.fromTask}->{e.toTask}: unknown grouping {e.grouping}")
+    if len(dag.sourceTasks) != 1:
+        violations.append(f"{len(dag.sourceTasks)} source tasks declared; a dag has one")
+    for s in dag.sourceTasks:
+        if s not in id_set:
+            violations.append(f"source task {s} not declared")
+        elif any(e.toTask == s for e in dag.edges):
+            violations.append(f"source {s} has in-edge")
+    for s in dag.sinkTasks:
+        if s not in id_set:
+            violations.append(f"sink task {s} not declared")
+        elif any(e.fromTask == s for e in dag.edges):
+            violations.append(f"sink {s} has out-edge")
+    if dangling:
+        return tuple(violations)
+    order = rescanning_kahn(dag)
+    if len(order) != len(dag.tasks):
+        violations.append(f"cycle involving: {', '.join(sorted(id_set - set(order)))}")
+    else:
+        reachable = set(dag.sourceTasks)
+        for tid in order:
+            if tid in reachable:
+                reachable.update(e.toTask for e in dag.edges if e.fromTask == tid)
+        unreachable = [tid for tid in ids if tid not in reachable]
+        if unreachable:
+            violations.append(f"not reachable from any source: {', '.join(unreachable)}")
+        feeds_sink = set(dag.sinkTasks)
+        for tid in reversed(order):
+            if any(e.toTask in feeds_sink for e in dag.edges if e.fromTask == tid):
+                feeds_sink.add(tid)
+        dead_ends = [tid for tid in ids if tid not in feeds_sink]
+        if dead_ends:
+            violations.append(f"reaches no sink: {', '.join(dead_ends)} "
+                              f"(list a terminal task in sinkTasks)")
+    return tuple(violations)
+
+
+def rescanning_rates(dag, source_rate):
+    """compute_cumulative_rates as it was before the adjacency pass."""
+    rates = {t.taskId: 0.0 for t in dag.tasks}
+    for tid in rescanning_kahn(dag):
+        if tid in dag.sourceTasks:
+            out_rate = source_rate
+        else:
+            out_rate = rates[tid] * dag.task(tid).selectivity
+        out = [e for e in dag.edges if e.fromTask == tid]
+        shuffles = len([e for e in out if e.grouping == "SHUFFLE"])
+        for e in out:
+            rates[e.toTask] += out_rate if e.grouping == "DUPLICATE" else out_rate / shuffles
+    return rates
+
+
+@st.composite
+def valid_dags(draw):
+    """A valid dag: src -> T0..Tn-1 -> sink, every task fed by an earlier
+    one and feeding a later one, declared in a drawn order."""
+    n = draw(st.integers(1, 8))
+    names = ["src", *(f"T{i}" for i in range(n)), "sink"]
+    edges = set()
+    for i in range(1, n + 1):
+        edges.add((names[draw(st.integers(0, i - 1))], names[i]))
+        edges.add((names[i], names[draw(st.integers(i + 1, n + 1))]))
+    extra = st.tuples(st.integers(0, n), st.integers(1, n + 1)).filter(lambda p: p[0] < p[1])
+    edges.update((names[a], names[b]) for a, b in draw(st.lists(extra, max_size=6)))
+    edges = draw(st.permutations(sorted(edges)))
+    tasks = [TaskDef(name) for name in draw(st.permutations(names))]
+    return DagDef("drawn", tuple(tasks),
+                  tuple(Edge(a, b, draw(st.sampled_from(("SHUFFLE", "DUPLICATE"))))
+                        for a, b in edges),
+                  ("src",), ("sink",))
+
+
+@st.composite
+def any_graphs(draw):
+    """Any small graph over declared ids: cycles, self-loops, duplicate ids,
+    bad groupings and missing endpoints included.  In half the draws, edge
+    ends, sources and sinks may also name the undeclared task ``zz``."""
+    ids = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6))
+    ends = st.sampled_from(ids + ["zz"] if draw(st.booleans()) else ids)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from(("SHUFFLE", "DUPLICATE", "X"))),
+                          max_size=10))
+    return DagDef("any", tuple(TaskDef(i) for i in ids), tuple(Edge(*e) for e in edges),
+                  tuple(draw(st.lists(ends, max_size=2))), tuple(draw(st.lists(ends, max_size=2))))
+
+
+class TestAdjacencyPass:
+    def test_topological_order_matches_the_rescanning_kahn_on_bundled_dags(self):
+        for name in bundled_dag_names():
+            dag = load_bundled_dag(name)
+            assert dag.topological_order() == rescanning_kahn(dag), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(dag=valid_dags())
+    def test_topological_order_matches_the_rescanning_kahn_on_drawn_dags(self, dag):
+        assert validate_dag(dag) == ()
+        assert dag.topological_order() == rescanning_kahn(dag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dag=any_graphs())
+    def test_validate_dag_matches_the_rescanning_reference_on_any_graph(self, dag):
+        assert validate_dag(dag) == rescanning_validate_dag(dag)
+        if not any(e.toTask == "zz" for e in dag.edges):
+            assert dag.topological_order() == rescanning_kahn(dag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_validate_dag_matches_the_rescanning_reference_on_mutated_documents(self, data):
+        # TestLoaderMutations' one-field mutations, applied to bundled dag
+        # documents: each dag the loader builds is checked against the
+        # reference.
+        doc = draw_mutation(data, bundled_dag_doc(data.draw(st.sampled_from(bundled_dag_names()))))
+        built = []
+
+        def spy(dag):
+            built.append(dag)
+            return validate_dag(dag)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "validate_dag", spy)
+            try:
+                parse_dag(doc)
+            except ConfigError:
+                pass
+        for dag in built:
+            assert validate_dag(dag) == rescanning_validate_dag(dag)
+
+    @settings(max_examples=50, deadline=None)
+    @given(dag=valid_dags())
+    def test_cumulative_rates_match_the_rescanning_reference(self, dag):
+        for d in [dag, *map(load_bundled_dag, bundled_dag_names())]:
+            assert compute_cumulative_rates(d, 8) == rescanning_rates(d, 8), d.name
+
+
+class TestBundledLoader:
+    def test_each_bundled_dag_is_parsed_once(self):
+        for name in bundled_dag_names():
+            assert load_bundled_dag(name) is load_bundled_dag(name), name
+
+    def test_listings_are_fresh_lists(self):
+        names = bundled_dag_names()
+        names.append("extra")
+        assert "extra" not in bundled_dag_names()
+        scenarios = model.bundled_scenario_names()
+        scenarios.clear()
+        assert "grid_scalein" in model.bundled_scenario_names()
+
+    @pytest.mark.parametrize("name", ["../scenarios/grid_scalein", "nonesuch"])
+    def test_a_name_outside_the_listing_is_rejected_every_time(self, name):
+        available = ", ".join(bundled_dag_names())
+        for _ in range(2):
+            with pytest.raises(ConfigError) as info:
+                load_bundled_dag(name)
+            assert str(info.value) == f"unknown bundled dag {name!r}; available: {available}"
+
+
+SRC = Path(model.__file__).parent
+
+
+class TestRecords:
+    def test_no_module_imports_dataclasses(self):
+        # The decorator generates code at import time; records are
+        # NamedTuples or __slots__ classes.
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    assert "dataclasses" not in [a.name for a in node.names], path.name
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.module != "dataclasses", path.name
+
+    def test_scenario_config_and_task_def_are_immutable(self):
+        config = load_bundled_scenario("linear_scalein")
+        with pytest.raises(AttributeError):
+            config.strategy = "DSM"
+        with pytest.raises(AttributeError):
+            config.dag.tasks[0].serviceTimeMs = 5
+        assert with_overrides(config, strategy="CCR").strategy == "CCR"
+        assert config.strategy == "DSM"

@@ -92,6 +92,16 @@ class TestWaveMechanics:
         engine.run()
         assert order == [f"T{i}#0" for i in range(1, 6)] + ["sink#0"]
 
+    def test_a_wave_takes_no_unknown_attribute(self):
+        # A mistyped field name raises instead of adding an attribute.
+        config = make_scenario(make_chain_dag(2), "DCR", run_s=60, trigger_s=50)
+        wave = SimulationEngine(config, migrate=False).coordinator.start_wave(
+            PREPARE, SEQUENTIAL, 1)
+        with pytest.raises(AttributeError):
+            wave.supersede = True
+        wave.superseded = True
+        assert wave.superseded and not wave.complete and wave.ackedBy == set()
+
     def test_conflicting_wave_of_same_kind_rejected(self):
         config = make_scenario(make_chain_dag(2), "DCR", run_s=60, trigger_s=50)
         engine = SimulationEngine(config, migrate=False)

@@ -196,6 +196,14 @@ class TestStateStore:
         store.discard_prepared("T1#0", 1)
         assert store.get("T1#0", 1) is None
 
+    def test_a_record_takes_no_unknown_attribute(self):
+        # A mistyped field name raises instead of adding an attribute.
+        record = CheckpointRecord("T1#0", 1, b"")
+        with pytest.raises(AttributeError):
+            record.pendingEventBlob = b"x"
+        record.pendingEventsBlob = b"x"
+        assert record.phase == PREPARED and record.payload_size() == 1
+
     def test_blob_round_trip_bytes_identical(self):
         store = StateStore()
         user = bytes(range(256))

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import random
@@ -340,25 +339,24 @@ class TestClock:
         # skips the loader, so the engine validates the scenario itself.
         config = make_scenario(make_chain_dag(3), "DCR")
         with pytest.raises(ConfigError, match="non-negative"):
-            SimulationEngine(dataclasses.replace(config, networkDelayMs=-5))
+            SimulationEngine(config._replace(networkDelayMs=-5))
 
     def test_zero_service_time_rejected_at_construction(self):
         config = make_scenario(make_chain_dag(3), "DCR")
         dag = config.dag
-        tasks = tuple(dataclasses.replace(t, serviceTimeMs=0) if t.taskId == "T2" else t
+        tasks = tuple(t._replace(serviceTimeMs=0) if t.taskId == "T2" else t
                       for t in dag.tasks)
         with pytest.raises(ConfigError, match="task T2: serviceTimeMs"):
-            SimulationEngine(dataclasses.replace(
-                config, dag=dataclasses.replace(dag, tasks=tasks)))
+            SimulationEngine(config._replace(dag=dag._replace(tasks=tasks)))
 
     def test_dead_end_rejected_at_construction(self):
         # Every task but a sink has an out-edge, so the router always sends.
         config = make_scenario(make_chain_dag(3), "DCR")
         dag = config.dag
-        dead = dataclasses.replace(dag, tasks=dag.tasks + (TaskDef("dead"),),
-                                   edges=dag.edges + (Edge("T1", "dead"),))
+        dead = dag._replace(tasks=dag.tasks + (TaskDef("dead"),),
+                            edges=dag.edges + (Edge("T1", "dead"),))
         with pytest.raises(ConfigError, match="reaches no sink: dead"):
-            SimulationEngine(dataclasses.replace(config, dag=dead))
+            SimulationEngine(config._replace(dag=dead))
 
 
 class TestRunLoop:
@@ -1435,14 +1433,14 @@ class TestDeterminism:
         new = {vm_id: f"renamed-{len(old) - i:02d}" for i, vm_id in enumerate(old)}
 
         def renamed(schedule):
-            return dataclasses.replace(schedule, placements={
+            return schedule._replace(placements={
                 inst: (new[vm_id], slot)
                 for inst, (vm_id, slot) in schedule.placements.items()})
 
         twin = with_overrides(
             config,
-            vmsBefore=[dataclasses.replace(vm, vmId=new[vm.vmId]) for vm in config.vmsBefore],
-            vmsAfter=[dataclasses.replace(vm, vmId=new[vm.vmId]) for vm in config.vmsAfter],
+            vmsBefore=[vm._replace(vmId=new[vm.vmId]) for vm in config.vmsBefore],
+            vmsAfter=[vm._replace(vmId=new[vm.vmId]) for vm in config.vmsAfter],
             scheduleBefore=renamed(config.scheduleBefore),
             scheduleAfter=renamed(config.scheduleAfter))
         assert observed_work(twin) == observed_work(config)
