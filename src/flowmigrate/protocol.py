@@ -156,7 +156,7 @@ class CheckpointCoordinator:
         # may have finished the wave already.
         if wave.routing == BROADCAST or wave.complete or wave.superseded:
             return
-        for child in self.engine.downstream[inst.task.taskId]:
+        for child in inst.downstream:
             self._send_copy(wave, child)
 
     def _ack_copy(self, wave: WaveState, inst: TaskInstanceRuntime,

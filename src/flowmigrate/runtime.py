@@ -146,13 +146,15 @@ class DemoUserTask:
 
 class TaskInstanceRuntime:
     """One parallel executor of a task: FIFO queue, single service slot; a
-    sole edge to one target takes every child, with no count."""
+    sole edge to one target takes every child, with no count.  ``plan`` and
+    ``downstream`` are its task's routing plan and wave path (see
+    SimulationEngine._compile_routes)."""
 
     __slots__ = (
         "instanceId", "task", "is_sink", "stateful", "service_ms", "sel_count",
-        "sel_frac", "sole_edge", "sole_sent", "status", "initialized", "captureFlag",
-        "queue", "pendingList", "preInit", "in_service", "generation", "state",
-        "rr_edges", "rr_targets", "deferred_acks", "in_flight",
+        "sel_frac", "plan", "downstream", "sole_edge", "sole_sent", "status",
+        "initialized", "captureFlag", "queue", "pendingList", "preInit", "in_service",
+        "generation", "state", "rr_edges", "rr_targets", "deferred_acks", "in_flight",
     )
 
     def __init__(self, inst_id: str, task, is_sink: bool) -> None:
@@ -211,11 +213,12 @@ def emission_time(tick: int, rate: float) -> int:
 
 class SourceRuntime:
     """Paced root-event emitter with pause/backlog/burst semantics;
-    ``rr_edges`` and ``rr_targets`` are its router counters (see
+    ``plan``, ``downstream``, ``rr_edges`` and ``rr_targets`` are its
+    routing plan, wave path and router counters (see
     SimulationEngine._route_emission)."""
 
     __slots__ = ("paused", "backlog", "root_cache", "next_seq", "next_tick",
-                 "rr_edges", "rr_targets")
+                 "plan", "downstream", "rr_edges", "rr_targets")
 
     def __init__(self) -> None:
         self.paused = False
@@ -307,13 +310,14 @@ class SimulationEngine:
         self.coordinator = make_coordinator(self)
 
     def _compile_routes(self) -> None:
-        """Per-task routing plans, compiled once from the DAG.
+        """Per-task routing plans, compiled once from the DAG and set on
+        the source and on each instance of the task.
 
-        ``_plans[task]`` holds the DUPLICATE and the SHUFFLE out-edges, each
-        edge as (edge index, target instances), in declaration order;
-        ``downstream[task]`` holds every out-edge target instance in edge
-        order (the path of a sequential wave).  Holding the instance
-        objects is safe: respawn resets them in place.
+        ``plan`` holds the DUPLICATE and the SHUFFLE out-edges, each edge as
+        (edge index, target instances), in declaration order;
+        ``downstream`` holds every out-edge target instance in edge order
+        (the path of a sequential wave).  Holding the instance objects is
+        safe: respawn resets them in place.
 
         A task with no DUPLICATE edge and one SHUFFLE edge has no edge to
         choose: its instances get that edge's targets as ``sole_edge``, and
@@ -338,14 +342,15 @@ class SimulationEngine:
                 fed_by_source.add(e.toTask)
             else:
                 upstream[e.toTask] = upstream.get(e.toTask, 0) + len(targets_of[e.fromTask])
+        plans = {tid: ((tuple(dup.get(tid, ())), tuple(shuffle.get(tid, ()))),
+                       tuple(downstream.get(tid, ())))
+                 for tid in (self.source_task_id, *self.instances_of)}
+        self.source.plan, self.source.downstream = plans[self.source_task_id]
         for inst in self.instances.values():
-            lanes = shuffle.get(inst.task.taskId, ())
-            if inst.task.taskId not in dup and len(lanes) == 1:
+            inst.plan, inst.downstream = plans[inst.task.taskId]
+            duplicates, lanes = inst.plan
+            if not duplicates and len(lanes) == 1:
                 inst.sole_edge = lanes[0][1]
-        tasks = [self.source_task_id, *self.instances_of]
-        self._plans = {tid: (tuple(dup.get(tid, ())), tuple(shuffle.get(tid, ())))
-                       for tid in tasks}
-        self.downstream = {tid: tuple(downstream.get(tid, ())) for tid in tasks}
         # Barrier copies a task instance expects per sequential wave: one
         # per upstream task instance, plus one injected by the wave
         # coordinator when the task is fed directly by the source.
@@ -499,7 +504,7 @@ class SimulationEngine:
             env.tree = self.acker.register_root(root_id, now)
             src.root_cache[root_id] = env
         self.timeline.record_emit(now, root_id, env.rootSeqNo, env.epoch)
-        self._route_emission(self.source, self.source_task_id, env)
+        self._route_emission(self.source, env)
 
     def pause_source(self) -> None:
         self.source.paused = True
@@ -540,12 +545,12 @@ class SimulationEngine:
         env = EventEnvelope(original.rootId, original.rootId, original.rootSeqNo,
                             DATA, original.epoch, True, self.now, original.tree)
         self.timeline.record_replay(self.now, env.rootId, env.rootSeqNo, env.epoch)
-        self._route_emission(self.source, self.source_task_id, env)
+        self._route_emission(self.source, env)
 
     # -- routing and delivery -------------------------------------------------
 
-    def _route_emission(self, sender, task_id: str, env: EventEnvelope) -> None:
-        """Send one produced event along the task's out-edges.
+    def _route_emission(self, sender, env: EventEnvelope) -> None:
+        """Send one produced event along the sender's ``plan``.
 
         DUPLICATE edges each carry a copy; SHUFFLE edges share the stream
         round-robin.  Each chosen edge picks its target instances in turn.
@@ -562,7 +567,7 @@ class SimulationEngine:
         so a late fold (normal under at-least-once delivery) at most
         reaches a no-op ``_on_root_completed``.
         """
-        chosen, shuffle = self._plans[task_id]
+        chosen, shuffle = sender.plan
         if shuffle:
             idx = sender.rr_edges % len(shuffle)
             sender.rr_edges += 1
@@ -760,7 +765,7 @@ class SimulationEngine:
                 if acking:
                     tree[0] ^= child.eventId
                 if sole is None:
-                    self._route_emission(inst, inst.task.taskId, child)
+                    self._route_emission(inst, child)
                     continue
                 # deliver's test and placement, inline for the sole edge.
                 target = sole[0]
@@ -875,7 +880,7 @@ class SimulationEngine:
 
     def entry_instances(self) -> tuple[TaskInstanceRuntime, ...]:
         """Instances of the tasks fed directly by the source."""
-        return self.downstream[self.source_task_id]
+        return self.source.downstream
 
     def upstream_instance_count(self, task_id: str) -> int:
         """Barrier copies a task instance expects per sequential wave."""

@@ -13,6 +13,10 @@ from flowmigrate.model import (
     round_robin_placement,
     validate_scenario,
 )
+from flowmigrate.runtime import COMMIT, PREPARE
+
+# pins.py asserts the checked-calendar conditions: show their operands too.
+pytest.register_assert_rewrite("pins")
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +45,27 @@ def behaviour_digest(timeline) -> str:
 def work_of(engine) -> tuple[int, int]:
     """Actions fired and calendar pushes of an engine so far."""
     return engine._actions, engine.clock._calendar._next_seq
+
+
+def check_no_live_checkpoint_wave(engine):
+    """Assert at each kill and respawn that no PREPARE or COMMIT wave is
+    live, neither complete nor superseded: barrier counts live on the wave
+    because a kill or respawn can then cut none short.  Returns the ids
+    killed or respawned, in order."""
+    waves, checked = engine.coordinator.waves, []
+
+    def guard(fn):
+        def guarded(inst_id):
+            live = [w.kind for w in waves.values() if w.kind in (PREPARE, COMMIT)
+                    and not w.complete and not w.superseded]
+            assert not live, (inst_id, live)
+            checked.append(inst_id)
+            fn(inst_id)
+        return guarded
+
+    engine.kill_instance = guard(engine.kill_instance)
+    engine.respawn_instance = guard(engine.respawn_instance)
+    return checked
 
 
 def make_chain_dag(n_tasks: int = 3, stateful: tuple[int, ...] = (2,),

@@ -1,6 +1,5 @@
 import contextlib
 import functools
-import hashlib
 import random
 from collections import deque
 
@@ -8,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pins
 from conftest import (
-    behaviour_digest,
+    check_no_live_checkpoint_wave,
     fan_out_join_dag,
     make_chain_dag,
     make_scenario,
     phase_times,
     selective_chain_dag,
-    shuffle_split_dag,
     work_of,
 )
 from flowmigrate import _kernels, runtime
@@ -24,7 +23,6 @@ from flowmigrate.metrics import (
     REPLAY,
     SINK_EXIT,
     SOURCE_EMIT,
-    compute_report,
     exactly_once_audit,
 )
 from flowmigrate.model import (
@@ -36,6 +34,7 @@ from flowmigrate.model import (
     load_bundled_dag,
     load_bundled_scenario,
     to_ms,
+    validate_scenario,
     with_overrides,
 )
 from flowmigrate.protocol import SEQUENTIAL
@@ -143,27 +142,6 @@ def serve(engine, inst, env):
         engine._complete_service(inst, env, inst.generation)
     assert not any(fn == engine._arrive_fn for _t, _seq, (fn, _args) in drain(engine))
     return entered
-
-
-def check_no_live_checkpoint_wave(engine):
-    """Assert at each kill and respawn that no PREPARE or COMMIT wave is
-    live, neither complete nor superseded: barrier counts live on the wave
-    because a kill or respawn can then cut none short.  Returns the ids
-    killed or respawned, in order."""
-    waves, checked = engine.coordinator.waves, []
-
-    def guard(fn):
-        def guarded(inst_id):
-            live = [w.kind for w in waves.values() if w.kind in (PREPARE, COMMIT)
-                    and not w.complete and not w.superseded]
-            assert not live, (inst_id, live)
-            checked.append(inst_id)
-            fn(inst_id)
-        return guarded
-
-    engine.kill_instance = guard(engine.kill_instance)
-    engine.respawn_instance = guard(engine.respawn_instance)
-    return checked
 
 
 def fire_next(engine):
@@ -1301,18 +1279,9 @@ def fork_case(name: str):
                          networkDelayMs=5 if name == "fan_join_5ms" else 0)
 
 
-def outcome(engine):
-    """What a finished run must reproduce: timeline and report bytes,
-    actions fired and calendar pushes."""
-    return (engine.timeline.to_csv(), compute_report(engine.timeline, engine.config).to_json(),
-            *work_of(engine))
-
-
 @functools.cache
 def outcome_from_scratch(name: str, strategy: str):
-    engine = SimulationEngine(with_overrides(fork_case(name), strategy=strategy))
-    engine.run()
-    return outcome(engine)
+    return pins.observe_config(with_overrides(fork_case(name), strategy=strategy))
 
 
 class TestForkAtTrigger:
@@ -1333,8 +1302,8 @@ class TestForkAtTrigger:
         assert type(twin.coordinator) is type(SimulationEngine(twin.config).coordinator)
         for engine in ([twin, parent] if twin_first else [parent, twin]):
             engine.run()
-        assert outcome(parent) == outcome_from_scratch(name, parent.config.strategy)
-        assert outcome(twin) == outcome_from_scratch(name, other)
+        assert pins.observation(parent) == outcome_from_scratch(name, parent.config.strategy)
+        assert pins.observation(twin) == outcome_from_scratch(name, other)
 
     def test_a_held_engine_forks_again(self):
         parent = quick_engine(strategy="DCR")
@@ -1343,8 +1312,8 @@ class TestForkAtTrigger:
             engine.run()
         scratch = SimulationEngine(parent.config)
         scratch.run()
-        assert outcome(twins[0]) == outcome(twins[1])
-        assert outcome(parent) == outcome(scratch)
+        assert pins.observation(twins[0]) == pins.observation(twins[1])
+        assert pins.observation(parent) == pins.observation(scratch)
 
     @pytest.mark.parametrize("parent,twin", [("DSM", "CCR"), ("DCR", "DSM"), ("CCR", "DSM")])
     def test_dsm_never_forks(self, parent, twin):
@@ -1443,408 +1412,83 @@ class TestDeterminism:
             vmsAfter=[vm._replace(vmId=new[vm.vmId]) for vm in config.vmsAfter],
             scheduleBefore=renamed(config.scheduleBefore),
             scheduleAfter=renamed(config.scheduleAfter))
-        assert observed_work(twin) == observed_work(config)
+        assert pins.observe_config(twin) == pins.observe_config(config)
 
 
-# Full SHA-256 of timeline.csv and report.json (to_csv()/to_json()) of
-# every bundled run the suite cache makes: the ten paper scenarios under
-# DSM, DCR and CCR, plus the 50-task stress scenario under DCR and CCR.
-# They cover DUPLICATE and SHUFFLE routing, data acking, checkpoint waves,
-# kill and respawn.  A change that alters them must say why; where only
-# same-millisecond tie order or event ids moved, every report pin and
-# PINNED_BEHAVIOUR digest holds.
-PINNED_RUNS = {
-    ("linear_scalein", "DSM"): (
-        "b0b9f084232f7d06b3e6d5fde59f151341af81ec425720e18e5d18835c9a6784",
-        "2f856b13dc31fefb9d28459556a2afec2c0f3bb61c60dff7bab3bf126a7c738b"),
-    ("linear_scalein", "DCR"): (
-        "f0c00864d34bd7a50c805f50255a62742d23ae37a421db860623a7ecbad4a92b",
-        "a529d7e6f31b31fac34a0b8f9e19125b64e8e51f2db59151161b9fed16f6effa"),
-    ("linear_scalein", "CCR"): (
-        "c5ac32c1413d03c4d151031305416d0d8fe77e0e3adbddfe4a843bfa54dd27e2",
-        "1c7d4cb2b59545c87bb1a6555df445ff9cb9dff5f0cd9ac993ab39770c70cceb"),
-    ("linear_scaleout", "DSM"): (
-        "63793e855f2263aef522b267540fab959020aaf8788831a732edf0de553381f4",
-        "ac604bf8f9bc539e4166ac4021a21a7371427fe74747e32479eb8cb79d708961"),
-    ("linear_scaleout", "DCR"): (
-        "4f41dfb39a4b8633382fde603e352d4ab125e7f32ba0d6b544f2af053d114725",
-        "dbcbf80acc732515d2d9e4d7254cc446981d6d3f669d9b4f781ba1b4f4c2fd49"),
-    ("linear_scaleout", "CCR"): (
-        "1108510e8919a386521efd92e7657597da244bf9de03e6b62c1e5f8e6fab0a5c",
-        "a6dd01815e800d860ce74487924f1310f695a72f28837ad688a62c37f4a1bb6d"),
-    ("diamond_scalein", "DSM"): (
-        "18a640e04286cee9180ad2675209c955e859f9be0f9549214ada2f16b1fa8741",
-        "cea67cb89d041139967b3f6cfa47f226580d9715b8fd490af8d579da71c437d1"),
-    ("diamond_scalein", "DCR"): (
-        "64301ec3ce860e2fe8641cd0ea2d850e9d06b71cf8b67d4742ee0771eb80be8b",
-        "8feccb6c590d41e99fb85b93feef20dc6e552987a6a0dce99338efe30aa1a9a4"),
-    ("diamond_scalein", "CCR"): (
-        "82603c86ab94c3c1e96fef2d5ba911970966921f8936d6a60b256e05e6670df8",
-        "5b6e7cd69a74e211fb90e2a419af54dcecee93b5423a9d8ccbe4a3c4dcf9989f"),
-    ("diamond_scaleout", "DSM"): (
-        "46b742dbfd0333ae411d530b1b44fe395770e5cb34a56fbb3439fec3ff8efda8",
-        "9ffff5f3df8079393000274510cab1102deec2c756cab5a27854577fdd04e8aa"),
-    ("diamond_scaleout", "DCR"): (
-        "dd6e25e62f979e4180ea02f5569f3ca8cf9565e75ec1f459da35b1a950dc8d0a",
-        "bc6cc9bca62c6a98d0e8d7650809f5749531b477ef1f6a69b75f412cc01ded24"),
-    ("diamond_scaleout", "CCR"): (
-        "856e9e8ead4a5170e3c66d23367f2d14aebab383076cb4aa734b3ff16c9849e2",
-        "4300647463ec186d8bc7636e20cd704e064e383be6871768501031b4f3ad319a"),
-    ("star_scalein", "DSM"): (
-        "d898483a351193662382bf956acc6e2031a2984883f6e0dfc552e79fd8ed8678",
-        "3609f43089fc9a5d5c89f107e44cf5582954ce41e204a32249edcaf8a596bff0"),
-    ("star_scalein", "DCR"): (
-        "5a9ea504720e6f84b40d3c24fa821541c0fbff9977b18f8ded139ab32d1aebe1",
-        "8382f2b7e6c934ec7e75768ff736befbfb8cecbc30c4e6d8caae7bc0a328446c"),
-    ("star_scalein", "CCR"): (
-        "9b4ce8308b3df62253b32f9a25a9727fc015a0e8aec2533021b7b43dcfbf3744",
-        "18fbcd0d6b78a5f36b5ff5f5f0e01af4924f2acc810f9e95262d53609c777de4"),
-    ("star_scaleout", "DSM"): (
-        "375da3bf7589211c213cb2df46ac9ab29fa4f9c1e5cc5353cb726a7263b92f2e",
-        "e22a5a2f8c1b0dc5a04021871ad4aee7f5c85b8f60a680e91af0319bbe363554"),
-    ("star_scaleout", "DCR"): (
-        "6f76d5a0823aca0e679096cee421eac87968c52d5af7f38f08c81d12647300d5",
-        "4182d276e22d4b43131f8f0f641ca3fd3839cd94959ba4b3354b52417a4b1d35"),
-    ("star_scaleout", "CCR"): (
-        "9d8368958b0392b1aedc289767333e994caebee7b25b910622a1293bfed5d439",
-        "e1c503f48d0b8e51933cb6705c6e7cd9ad586434cc8701e02a0ce08ea91b3004"),
-    ("grid_scalein", "DSM"): (
-        "6e42294b69e5eb52ce2f95e745f5ce3d63d8e046c4f61a07c0f6a11389f08c27",
-        "9a69c3ebee423fe79b303250d1cceb762c967e5ddb4815353df365dc5cc2b9d3"),
-    ("grid_scalein", "DCR"): (
-        "ab2ac925545f8ddbf92dbbe6461885aeace9fc3f632ceb46b3b8514a1c2db333",
-        "c8e814f60ae59eb2a630fc9366e226274391e5457ccd2eb8c1aec512fb6205ae"),
-    ("grid_scalein", "CCR"): (
-        "23b6762c2122d5288d3dd6c6c11dd99662a19bec5c4d8e68b5811faaccce6edd",
-        "96ae7249ee8401e4afc52df93df21f0aa0db90124297daed5507a193f98f0d98"),
-    ("grid_scaleout", "DSM"): (
-        "dbde38d30cb62c0dd0fd786c50d5f70e3fa677aa7940b16b102b43d3c4d3467f",
-        "55db9a1ac7e94ee9687c80063a312f9555fc0d5764e36f09068c00487ead99a1"),
-    ("grid_scaleout", "DCR"): (
-        "5f2555bd824dc9503d39c172938bb1435949ca1a51c8752186e30e946d1dede1",
-        "e12b5b9b048e3590edcc5a3e04dfbe38b92be6dc17b319dc57fdd7973f8ff1e7"),
-    ("grid_scaleout", "CCR"): (
-        "526fbe0f159a515a3fd5e4f3494c74163ab4e86e1b3fb82b311f8db99f0715eb",
-        "d4e4494ebf9ce011bc860bcc0bc92bb6e9b63d7401efbd9c715839654169758a"),
-    ("traffic_scalein", "DSM"): (
-        "228d1a6a34d935d7307077ceba9d8e501ffc6f404121bbe82ddefb50af6ba443",
-        "1a9ea7c2b02fdbea5a3751f76432e857fb4638e5569ef78ff82d42dc9926e424"),
-    ("traffic_scalein", "DCR"): (
-        "d832383a2b9b4d66663004fbbaf189d5ef4b376275c384e8c961049b249df61f",
-        "75fab4e546762c973976ad7a469b3266774077259e2e741d2fad9da63bb2b26e"),
-    ("traffic_scalein", "CCR"): (
-        "740d73aa068aab6c15663bb630b9ea504e5a4118a92d1377d2e4110d2edf52fe",
-        "f78e20b9ba05cc5179eb8d1137775aad8a816c7adf40d4c2414e35fe7a9f1eb1"),
-    ("traffic_scaleout", "DSM"): (
-        "611c407dfb382cd7461fee92ab58450aa6a69eeb92722019e746c015e26f6be5",
-        "7a78e756000167a64cb9b573e44d23d85a530328f55cb7dbef6fa3539c06214a"),
-    ("traffic_scaleout", "DCR"): (
-        "e341497a3fe41978c3750b30bf620a760da09f5c2f5bf3802c29c43652813ed7",
-        "7d2c50019fe3813b969d76132830d2d3f4220bc96bf15ba470d24d3648be9de9"),
-    ("traffic_scaleout", "CCR"): (
-        "15711dc8876f26c9d99ef3ff502b3c10c75d7db9a57fdad5713b91148b123351",
-        "d0d026b22b94cdb3975aefcd8cf893ccb04b952c44d153c9ea86078047d98688"),
-    ("linear50_stress", "DCR"): (
-        "4ce778a3d870f0ac43624db1cd08f5a9133468c8888e07c5918c3d31bd8b9d5a",
-        "2017b762fec34b4d9fd33ee7c6cd727d86146244fc6cdd46dc7fc6438443987e"),
-    ("linear50_stress", "CCR"): (
-        "f1c49242d613fda46183819a414e12eb4660ae572364fd5eaa5967c0a7038e2e",
-        "f6aefb0465aae1deee232e55384e07cf2088997cb848ad7e49b66b85db61e805"),
-}
-
-# Timeline and report SHA-256, engine actions and calendar pushes of the
-# runs the benchmark times: linear50_stress under DCR and CCR at 5 ms
-# network delay (its chain50_delay configs, the only runs with a nonzero
-# delay) and grid_scalein under DSM.  An engine change that saves work
-# must not change what a run does: the actions and pushes pin that.
-PINNED_WORK = {
-    ("linear50_stress", "DCR", 5): (
-        "b1a0b708c306c8cd04dbe7b3808ad0db987f58a7680366f94eca541bcc84c056",
-        "f6b9202d562c4325fc63c85e34bd530c63a2551f844c7bdfc217e1ca6691b5b9",
-        247_585, 125_185),
-    ("linear50_stress", "CCR", 5): (
-        "27da24761a624777d0ae1fd8cdaab35b307e686859d003a1314d5b7dd7401f4e",
-        "5800a1a5071e9af8e2f0512f09acdbcdef9bdbafc5dca27dceef023c8dab75b7",
-        249_340, 126_982),
-    ("grid_scalein", "DSM", 0): (
-        "6e42294b69e5eb52ce2f95e745f5ce3d63d8e046c4f61a07c0f6a11389f08c27",
-        "9a69c3ebee423fe79b303250d1cceb762c967e5ddb4815353df365dc5cc2b9d3",
-        341_213, 178_106),
-}
-
-# The same four pins for short runs of shapes the bundled runs lack:
-# DUPLICATE fan-out into a join under each strategy (DSM replays there
-# without a failure), a SHUFFLE split at 7 ms network delay, more than one
-# child per event (selectivity 2.0, and 1.5 with its seeded coin flips),
-# and DSM on linear_scalein at a 10 s ack timeout, whose replays re-send
-# roots that the first hop forwarded.  A None report digest pins no
-# report: fractional selectivity made none when these were pinned.
-SHAPES = {
-    "fan_out_join": lambda strategy: make_scenario(fan_out_join_dag(), strategy),
-    "shuffle_split_7ms": lambda strategy: make_scenario(shuffle_split_dag(), strategy,
-                                                        networkDelayMs=7),
-    "selectivity_2": lambda strategy: make_scenario(selective_chain_dag(2.0), strategy),
-    "selectivity_1.5": lambda strategy: make_scenario(selective_chain_dag(1.5), strategy),
-    "linear_scalein_ack10": lambda strategy: with_overrides(
-        load_bundled_scenario("linear_scalein"), strategy=strategy, ackTimeout=10.0),
-}
-
-PINNED_SHAPES = {
-    ("fan_out_join", "DSM"): (
-        "2cee0c5ca371e31943d5024c75206c32c399c00f5654163c91aa86b153f6206c",
-        "656506fa9edc0eb6668854f134d4beb70d257d254556e48794bfa9ff9b4701e1",
-        15_348, 8_168),
-    ("fan_out_join", "DCR"): (
-        "bc1acae4476b91537c51a2531d35599b69e539c6fa153d8eefdd21c23e821d97",
-        "60ff07fd13f3b5e7b1cc296381ac6c71b710e2b99002a4fa93b6ceed67f66701",
-        10_856, 5_816),
-    ("fan_out_join", "CCR"): (
-        "47f234b0f947b6349e5e6d62f33800268a6ab31cbce9e8cb0a4a66bd54f08a4b",
-        "b4043d25aed3b6afd27ec501c65dd49192584cac08513d974b59bda4d842b114",
-        10_858, 5_818),
-    ("shuffle_split_7ms", "DSM"): (
-        "d87a4acc87769f12fbfc40cd7e45f71bea003f438930f7951246ef7c49f9e746",
-        "c05955ba7cf3310c81859f023206a62c5aaf991417528dba83f91341942050f8",
-        6_150, 3_611),
-    ("shuffle_split_7ms", "DCR"): (
-        "880e57fd1e50028f3fb4e5fa3d983722e26cc3e89a3c37f7aad9f5b1e07352cf",
-        "af19df45c82e73cae73b8f998ee8d7e4b4bfb8086e97ed1e195d52d420bdb546",
-        5_076, 2_916),
-    ("shuffle_split_7ms", "CCR"): (
-        "e226d9263519d6a194e35044e43cdf288fdfec412613024b2045ad7df4f38341",
-        "8eb28883ad56d3f1249329bb066321a3a965c27a110610bbced1a53dfafaeb02",
-        5_079, 2_919),
-    ("selectivity_2", "DSM"): (
-        "e7b677db05d3e709f18ae6742c69f4204886b6eeb1472bf9189ec813a4fcd25a",
-        "6910192d35c9ec05380ecc12658e753e44fe12760baf2b671a46647b2741ff88",
-        10_807, 5_895),
-    ("selectivity_2", "DCR"): (
-        "e2998b49c05dc6645667e508ad2929f17cfdfd33a75c15700bcf6831e6b460e5",
-        "7ac5d33b78a6ccb99dc9604daf62f2413a57b59c3b9ae8d731d14e06212d39f3",
-        7_962, 4_362),
-    ("selectivity_2", "CCR"): (
-        "8bdf266b6f4a6d235ef92054a4e6d40b166718e04f241b441c0017b9320e1747",
-        "ac93aa8c689db296f0232cccce3b77ce88b6be22c95a4ff2c1787a3de6760e54",
-        7_965, 4_365),
-    ("selectivity_1.5", "DSM"): (
-        "e88c1431ac5b52f27b6c75229fdc0ff26e2af3f5214671853bf41e1e7afc1e84", None,
-        8_769, 4_876),
-    ("selectivity_1.5", "DCR"): (
-        "4d6a22d3b5aa0036a0843f562cfc85cff59437f4d9ae809882cc1a638bdd994f", None,
-        6_596, 3_682),
-    ("selectivity_1.5", "CCR"): (
-        "d1a4293b3bf7c0264dce0e7bb851f9ce5320c4589f50bd4ec3da98f6b65b379a", None,
-        6_609, 3_687),
-    ("linear_scalein_ack10", "DSM"): (
-        "8ef1aa15f413be19ccc06eea447d57688c459751c070e939250caba6c6aa95fd",
-        "30d0fda6dfb4ca96aa769b96508125195bc87335a2b031f3c4b81d6af1eb2e40",
-        265_263, 148_190),
-}
+PINS = pins.load()
+# The runs each pin test reads from the store, key -> test id.  The
+# benchmark's runs pin their work: saving work must not change what a run
+# does.  The DSM acker paths re-arm entries in flight (a 10 s ack timeout)
+# and flush deferred acks at each commit (5 ms).
+BUNDLED_RUNS = {key: key.replace("/", "-") for key in PINS if pins.is_bundled(key)}
+SHAPE_RUNS = {key: key.replace("/", "-") for key in PINS if key.split("/")[0] in pins.SHAPES}
+WORK_RUNS = {"grid_scalein/DSM": "grid_scalein-DSM-0",
+             "linear50_stress/CCR networkDelayMs=5": "linear50_stress-CCR-5",
+             "linear50_stress/DCR networkDelayMs=5": "linear50_stress-DCR-5"}
+DSM_PATHS = {"diamond_scalein/DSM ackTimeout=10.0 runDuration=300":
+             "diamond_scalein-ackTimeout-10.0",
+             "star_scalein/DSM networkDelayMs=5 runDuration=300": "star_scalein-networkDelayMs-5"}
+ORACLE_RUNS = {key: BUNDLED_RUNS[key]  # one small bundled run per strategy
+               for key in ("diamond_scalein/CCR", "linear_scalein/DCR", "linear_scalein/DSM")}
+# Each completion of a selectivity_1.5 shape draws a coin flip: serving in
+# another order flips other coins, so tie order moves its behaviour too.
+TIE_FREE_SHAPES = {key: i for key, i in SHAPE_RUNS.items() if "selectivity_1.5/" not in key}
 
 
-# conftest.behaviour_digest of each pinned run and shape: what the run did
-# (its sorted (site, rootSeqNo, epoch, replayed) rows and its timed phases),
-# apart from event ids and tie order: a change that only reorders
-# same-millisecond ties, or draws ids in another order, keeps it.
-PINNED_BEHAVIOUR = {
-    ("diamond_scalein", "CCR"):
-        "1adc7fbeea88df23f151f53a356c5c4b74f375d772f1fc38f1d5af0339b898f9",
-    ("diamond_scalein", "DCR"):
-        "9d0437516ab9767f5fd027bab0f95506bb02bd0bbb752dac0944c57e049950a8",
-    ("diamond_scalein", "DSM"):
-        "8acd4bdcd80b6b88bad034b36f49dd6340a837c783f2828f998d660f3c7e6a2b",
-    ("diamond_scaleout", "CCR"):
-        "1bfde8e0157ff923f701bcf825254f779057bd4ba74abd7778c8ae9db35db861",
-    ("diamond_scaleout", "DCR"):
-        "668d6e5c5c02168acd7d392a24a5517202ea7b16e55366a233f852b1a1c82946",
-    ("diamond_scaleout", "DSM"):
-        "8acd4bdcd80b6b88bad034b36f49dd6340a837c783f2828f998d660f3c7e6a2b",
-    ("grid_scalein", "CCR"):
-        "7948719d2413a909f60eb65cba58fe9117a279a3d142859e0376dce8787c8bcc",
-    ("grid_scalein", "DCR"):
-        "6be363d3e6a06a7f6d9e2d1296c3454d57b5d6d0d0bf0eca2c112554a58eeb82",
-    ("grid_scalein", "DSM"):
-        "9d3cec7f5b1ff919f0c2f647388537226a31651af571d8825fc76e6a62a4837b",
-    ("grid_scaleout", "CCR"):
-        "7948719d2413a909f60eb65cba58fe9117a279a3d142859e0376dce8787c8bcc",
-    ("grid_scaleout", "DCR"):
-        "59bbfc4ae62e57d28154e4573ec4e41cec3f48523115500d352e89d4142d9d9d",
-    ("grid_scaleout", "DSM"):
-        "9d3cec7f5b1ff919f0c2f647388537226a31651af571d8825fc76e6a62a4837b",
-    ("linear50_stress", "CCR"):
-        "0612e7493579dd9e8944e1936ee44aea2dfc2d59076ac6e74ec73a6978c21cc7",
-    ("linear50_stress", "DCR"):
-        "4e69903237bec418fc5a221489658f6fa7dc423aacef7f546dcbb1f9503067cd",
-    ("linear_scalein", "CCR"):
-        "382599cc3f0a886f4045658af502f419f7627416bbd740b450108dd8588a309b",
-    ("linear_scalein", "DCR"):
-        "ac90f536ab9545c2a1a7acde17b5e58495f50e9c9b06a6316c05a368ebf88cd9",
-    ("linear_scalein", "DSM"):
-        "f5bf2b8cc9d23536a53fcc2e2b3eaba916e6c28a378539f73fc84266d90026ee",
-    ("linear_scaleout", "CCR"):
-        "7287cadfe5813af0e66d957eafcb6b8aa5614c3f2289f8499f1e99a14373e247",
-    ("linear_scaleout", "DCR"):
-        "b0bbe62f23d43931136909463ec11f2ab99f449b723297cf2b7cd241a29cd043",
-    ("linear_scaleout", "DSM"):
-        "f5bf2b8cc9d23536a53fcc2e2b3eaba916e6c28a378539f73fc84266d90026ee",
-    ("star_scalein", "CCR"):
-        "871401e93a5d48066a390e6f96da0d7cbdaaf43aabbf6abcc4fc72f6ac4c31ed",
-    ("star_scalein", "DCR"):
-        "3f5f410cf44a2ee535c4cae688cff3d2c0222ebda85e15b4a05323fbf2f385b9",
-    ("star_scalein", "DSM"):
-        "06e191a7038a123c0218c72e6f6eabb32c2a2e0df782da3b675954edf10cc70f",
-    ("star_scaleout", "CCR"):
-        "871401e93a5d48066a390e6f96da0d7cbdaaf43aabbf6abcc4fc72f6ac4c31ed",
-    ("star_scaleout", "DCR"):
-        "c6e330209b7f508c2438591fe9eab30a6ce16b8df4e7adf064228722e1b9f25c",
-    ("star_scaleout", "DSM"):
-        "06e191a7038a123c0218c72e6f6eabb32c2a2e0df782da3b675954edf10cc70f",
-    ("traffic_scalein", "CCR"):
-        "bd46a4f03f00a9eddbec4591b805b80b59a20fca3fe1b1b63e0730d60c601779",
-    ("traffic_scalein", "DCR"):
-        "744d058c1d1203f9c794411e0627171a1076698e28fc41b59d20e9adc2b90d49",
-    ("traffic_scalein", "DSM"):
-        "f365ec0a173a8adc746703f5a8a196451ce8b371168ffb99dc5bcece549b6485",
-    ("traffic_scaleout", "CCR"):
-        "bd46a4f03f00a9eddbec4591b805b80b59a20fca3fe1b1b63e0730d60c601779",
-    ("traffic_scaleout", "DCR"):
-        "e4b63d017c69c03a871c84972af190098eeaef5571e277ca506afc812a71db27",
-    ("traffic_scaleout", "DSM"):
-        "f365ec0a173a8adc746703f5a8a196451ce8b371168ffb99dc5bcece549b6485",
-}
-
-# The selectivity_1.5 shapes are the exception: each completion there
-# draws a coin flip from the run's generator, so serving events in another
-# order flips other coins, and a tie-order change moves their digests too.
-SHAPE_BEHAVIOUR = {
-    ("fan_out_join", "CCR"):
-        "2477fb0daf4eb08497761bdc236f665eaab73cafd8f37ad26704cfa84c89f070",
-    ("fan_out_join", "DCR"):
-        "c79d58064f527064a120a5156dfcf41f91daf2273fb1e97cbee89cfe21be8605",
-    ("fan_out_join", "DSM"):
-        "1c47a58e3f684f76357e66b0f798f8774db43fa7ba3218eb4af540bc89dddfb1",
-    ("linear_scalein_ack10", "DSM"):
-        "f58cf6c634b5b7502f2cad5c9f1d470b9d79da67a9ac20873342b41c171e4e66",
-    ("selectivity_1.5", "CCR"):
-        "3963a1b146a282e251c22922e0172d111b228d157fa3c2968747eadba3a3fa88",
-    ("selectivity_1.5", "DCR"):
-        "be2af186c9b6ea9e19c36ff77e4f15767929266591ab2cbc2b5320781a82697d",
-    ("selectivity_1.5", "DSM"):
-        "506a09965ddee958d71ccbd45b6011339cada169a2734feb00f25d5d2d92ec02",
-    ("selectivity_2", "CCR"):
-        "5dab0fbcd11c0ab06b47b1b6f1b89bd877f4eeaa52f91a5484008171944dc498",
-    ("selectivity_2", "DCR"):
-        "d65c61ffcc02ac3510a797d5e88f73dbf41b25cdbfb72e53ab3e460b3c56a44f",
-    ("selectivity_2", "DSM"):
-        "b08cec43b22a18feaef5f3b061c3a39b11654516643806855ff493e9b0afadf0",
-    ("shuffle_split_7ms", "CCR"):
-        "c35a2173c2f5200d010d569b53971140017828bca5102de372ad9d713fedd8e1",
-    ("shuffle_split_7ms", "DCR"):
-        "59af6fc855e8033da33257ebd402fe3e71ee914e55b82378240b9c23163020a7",
-    ("shuffle_split_7ms", "DSM"):
-        "ab6e038fb4c282fcc05952c2f2a6c0f665d5ccf65adb205cd310d2d4aa7bbc6b",
-}
+def params(runs):
+    return [pytest.param(key, id=test_id) for key, test_id in runs.items()]
 
 
-# Timeline SHA-256, actions and calendar pushes of two DSM runs through the
-# acker paths, keyed by scenario and the one field overridden:
-# diamond_scalein at a 10 s ack timeout (6,363 replays, so sweeps re-arm
-# entries that envelopes in flight hold) and star_scalein at 5 ms network
-# delay (deferred acks flushed at each commit and at the end of the
-# migration).  Both restore instances from a checkpoint.  Each is cut to
-# the first 300 s of its 720 s run; the migration at 180 s has restored
-# every instance by 250 s.
-PINNED_DSM_PATHS = {
-    ("diamond_scalein", "ackTimeout", 10.0): (
-        "488adb42d953475c3403f7b24ee0a954f283455d647ace0238bcb3c4be125f90",
-        156_117, 91_622),
-    ("star_scalein", "networkDelayMs", 5): (
-        "681e8dfdb64dfce8337c0c98bb881fb46996afd4513d0889cb35a3e7ffe9d95b",
-        81_601, 46_047),
-}
+def hold(key, variant=pins.PLAIN, cache=None):
+    """Fail with ``pins.explain``'s text unless run ``key`` keeps its pins."""
+    moved = pins.explain(key, PINS[key], pins.observe(key, variant, cache))
+    if moved:
+        pytest.fail(moved, pytrace=False)
 
 
-# conftest.behaviour_digest of each PINNED_WORK and PINNED_DSM_PATHS run: a
-# change that moves their bytes by tie order only keeps it.
-WORK_BEHAVIOUR = {
-    ("grid_scalein", "DSM", 0):
-        "9d3cec7f5b1ff919f0c2f647388537226a31651af571d8825fc76e6a62a4837b",
-    ("linear50_stress", "CCR", 5):
-        "af7a0ebdea4ff5032b9f4e196a762d8af0220cd193100f02aed0d72342fee920",
-    ("linear50_stress", "DCR", 5):
-        "210fa9fe1a38ed5562a1e25f257ed3f55d2b658c6699110d48b207e7cdfac831",
-    ("diamond_scalein", "ackTimeout", 10.0):
-        "80eddd9522e295eb27989428b2d5bbe79a21ceb3b8f33a1c0385112e1b33be8a",
-    ("star_scalein", "networkDelayMs", 5):
-        "4df684989fed3bf68640868d9530f6aeb9b764bd013841a90724d9f9d528e7e0",
-}
+class TestPinStore:
+    def test_the_tests_read_every_pinned_run(self):
+        named = [*BUNDLED_RUNS, *SHAPE_RUNS, *WORK_RUNS, *DSM_PATHS, *ORACLE_RUNS,
+                 *TIE_FREE_SHAPES]
+        assert set(named) == PINS.keys()
+        for key in named:
+            validate_scenario(pins.config_of(key))
 
-# Actions and calendar pushes of three small bundled runs, one per
-# strategy, beside their PINNED_RUNS bytes: the general-path oracle below
-# holds its runs of them to all three.
-PINNED_RUN_WORK = {
-    ("linear_scalein", "DSM"): (90_384, 51_635),
-    ("linear_scalein", "DCR"): (74_991, 40_431),
-    ("diamond_scalein", "CCR"): (121_360, 63_764),
-}
-
-
-def observed_work(config, report_pinned=True, sole_edges=True, scheduled=False):
-    """Timeline and report SHA-256 (None unless ``report_pinned``), actions
-    and calendar pushes of one run of ``config``, and its behaviour digest.
-    Without ``sole_edges`` every instance's ``sole_edge`` is cleared after
-    construction, so each send takes the general path: ``_route_emission``,
-    then ``deliver``, as the source's roots always do.  With ``scheduled``
-    every instance starts with one arrival counted in flight that never
-    lands, so every hop to it schedules its ``_arrive``: no hop is placed
-    in its sender's action."""
-    engine = SimulationEngine(config)
-    if not sole_edges:
-        for inst in engine.instances.values():
-            inst.sole_edge = None
-    if scheduled:
-        for inst in engine.instances.values():
-            inst.in_flight = 1
-    timeline = engine.run()
-    report = None
-    if report_pinned:
-        report = hashlib.sha256(compute_report(timeline, config).to_json().encode()).hexdigest()
-    return ((hashlib.sha256(timeline.to_csv().encode()).hexdigest(), report, *work_of(engine)),
-            behaviour_digest(timeline))
+    @pytest.mark.parametrize("moved,verdict", [
+        ({"csv": "c1", "pushes": 6}, "tie order or ids only"),
+        ({"actions": 11, "pushes": 4}, "work only"),
+        ({"report": "r1", "csv": "c1"}, "report moved"),
+        ({"behaviour": "b1", "report": "r1", "actions": 9}, "behaviour moved")],
+        ids=["csv", "work", "report", "behaviour"])
+    def test_explain_names_each_moved_field_under_one_verdict(self, moved, verdict):
+        pinned = {"csv": "c0", "report": "r0", "actions": 10, "pushes": 5, "behaviour": "b0"}
+        observed = {**pinned, **moved}
+        assert pins.explain("k/DSM", pinned, observed).split("\n") == [
+            f"k/DSM: {verdict}",
+            *(f"  {field}: {pinned[field]} -> {observed[field]}"
+              for field in pins.FIELDS if field in moved)]
+        assert pins.explain("k/DSM", pinned, pinned) == ""
+        unpinned = dict.fromkeys(moved)  # neither pinned nor observed: nothing moved
+        assert pins.explain("k/DSM", {**pinned, **unpinned}, observed) == ""
+        assert pins.explain("k/DSM", pinned, {**observed, **unpinned}) == ""
 
 
 class TestPinnedTimelines:
-    @pytest.mark.parametrize("scenario,strategy", sorted(PINNED_RUNS))
-    def test_bundled_run_bytes_unchanged(self, suite_cache, scenario, strategy):
-        run = suite_cache.get(scenario, strategy)
-        assert behaviour_digest(run.timeline) == PINNED_BEHAVIOUR[scenario, strategy]
-        digests = (hashlib.sha256(run.timeline.to_csv().encode()).hexdigest(),
-                   hashlib.sha256(run.report.to_json().encode()).hexdigest())
-        assert digests == PINNED_RUNS[scenario, strategy]
+    @pytest.mark.parametrize("key", params(BUNDLED_RUNS))
+    def test_bundled_run_bytes_unchanged(self, suite_cache, key):
+        hold(key, cache=suite_cache)
 
-    @pytest.mark.parametrize("scenario,strategy,delay_ms", sorted(PINNED_WORK))
-    def test_run_bytes_and_work_unchanged(self, scenario, strategy, delay_ms):
-        config = with_overrides(load_bundled_scenario(scenario), strategy=strategy,
-                                networkDelayMs=delay_ms)
-        work, behaviour = observed_work(config)
-        assert behaviour == WORK_BEHAVIOUR[scenario, strategy, delay_ms]
-        assert work == PINNED_WORK[scenario, strategy, delay_ms]
+    @pytest.mark.parametrize("key", params(WORK_RUNS))
+    def test_run_bytes_and_work_unchanged(self, key):
+        hold(key)
 
-    @pytest.mark.parametrize("scenario,field,value", sorted(PINNED_DSM_PATHS))
-    def test_dsm_acker_path_bytes_and_work_unchanged(self, scenario, field, value):
-        config = with_overrides(load_bundled_scenario(scenario), strategy="DSM",
-                                runDuration=300, **{field: value})
-        (csv, _report, actions, pushes), behaviour = observed_work(config, report_pinned=False)
-        assert behaviour == WORK_BEHAVIOUR[scenario, field, value]
-        assert (csv, actions, pushes) == PINNED_DSM_PATHS[scenario, field, value]
+    @pytest.mark.parametrize("key", params(DSM_PATHS))
+    def test_dsm_acker_path_bytes_and_work_unchanged(self, key):
+        hold(key)
 
-    @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
-    def test_shape_bytes_and_work_unchanged(self, shape, strategy):
-        pinned = PINNED_SHAPES[shape, strategy]
-        config = SHAPES[shape](strategy)
-        work, behaviour = observed_work(config, report_pinned=pinned[1] is not None)
-        assert behaviour == SHAPE_BEHAVIOUR[shape, strategy]
-        assert work == pinned
+    @pytest.mark.parametrize("key", params(SHAPE_RUNS))
+    def test_shape_bytes_and_work_unchanged(self, key):
+        hold(key)
 
 
 class TestGeneralPathOracle:
@@ -1852,78 +1496,22 @@ class TestGeneralPathOracle:
     general path: with every ``sole_edge`` cleared, runs must still give the
     pinned bytes, actions and pushes."""
 
-    @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
-    def test_shape_pins_hold(self, shape, strategy):
-        pinned = PINNED_SHAPES[shape, strategy]
-        work, behaviour = observed_work(SHAPES[shape](strategy),
-                                        report_pinned=pinned[1] is not None, sole_edges=False)
-        assert behaviour == SHAPE_BEHAVIOUR[shape, strategy]
-        assert work == pinned
+    @pytest.mark.parametrize("key", params(SHAPE_RUNS))
+    def test_shape_pins_hold(self, key):
+        hold(key, pins.GENERAL_PATH)
 
-    @pytest.mark.parametrize("scenario,strategy", sorted(PINNED_RUN_WORK))
-    def test_bundled_run_pins_hold(self, scenario, strategy):
-        config = with_overrides(load_bundled_scenario(scenario), strategy=strategy)
-        work, behaviour = observed_work(config, sole_edges=False)
-        assert behaviour == PINNED_BEHAVIOUR[scenario, strategy]
-        assert work == (*PINNED_RUNS[scenario, strategy], *PINNED_RUN_WORK[scenario, strategy])
-
-
-class _CheckedCalendar(_kernels.EventCalendar):
-    """An event calendar that calls ``check()`` before each pop: after every
-    fired action, and once more when the calendar is empty.  ``arrivals``
-    counts the ``_arrive`` actions it holds per target instance, kept on
-    push and pop rather than by a scan per action."""
-
-    __slots__ = ("check", "arrivals")
-
-    def push(self, fire_ms, payload):
-        fn, args = payload
-        if fn.__name__ == "_arrive":
-            self.arrivals[args[1]] += 1
-        return super().push(fire_ms, payload)
-
-    def pop(self):
-        self.check()
-        entry = super().pop()
-        fn, args = entry[2]
-        if fn.__name__ == "_arrive":
-            self.arrivals[args[1]] -= 1
-        return entry
+    @pytest.mark.parametrize("key", params(ORACLE_RUNS))
+    def test_bundled_run_pins_hold(self, key):
+        hold(key, pins.GENERAL_PATH)
 
 
 class TestStateBetweenActions:
-    """Four conditions the engine relies on without testing them: ``_pump``
-    serves any queue, since only a RUNNING instance holds one;
-    ``_sweep_tick`` replays every swept root from ``root_cache``, since the
-    acker tracks exactly the cached roots; each instance's ``in_flight``
-    equals the arrivals to it in the calendar, since ``deliver`` places a
-    hop only when none is, which keeps each input FIFO; and no PREPARE or
-    COMMIT wave is live at a kill or respawn, so ``drop_work`` leaves the
-    waves' barrier counts alone."""
+    """What the engine relies on untested holds after every action (see
+    ``pins._CheckedCalendar``), and checking it moves no pin."""
 
-    @pytest.mark.parametrize("shape,strategy", sorted(PINNED_SHAPES))
-    def test_hold_after_every_action(self, shape, strategy):
-        engine = SimulationEngine(SHAPES[shape](strategy))
-        instances = tuple(engine.instances.values())
-        root_cache, entries = engine.source.root_cache, engine.acker.table._entries
-        calendar = engine.clock._calendar = _CheckedCalendar()
-        arrivals = calendar.arrivals = dict.fromkeys(instances, 0)
-        killed_or_respawned = check_no_live_checkpoint_wave(engine)
-        checks = 0
-
-        def check():
-            nonlocal checks
-            checks += 1
-            assert all(inst.status == RUNNING for inst in instances if inst.queue)
-            assert root_cache.keys() == entries.keys()
-            assert all(inst.in_flight == arrivals[inst] for inst in instances)
-
-        calendar.check = check
-        engine.run()
-        actions, pushes = work_of(engine)
-        assert (actions, pushes) == PINNED_SHAPES[shape, strategy][2:]
-        assert checks == pushes + 1
-        assert engine.kill_snapshots and killed_or_respawned
+    @pytest.mark.parametrize("key", params(SHAPE_RUNS))
+    def test_hold_after_every_action(self, key):
+        hold(key, pins.CHECKED_CALENDAR)
 
 
 class TestAllScheduledOracle:
@@ -1931,22 +1519,15 @@ class TestAllScheduledOracle:
     at zero delay, into an idle one's slot at any delay) is a shortcut for
     scheduling its arrival.  With every hop scheduled instead, only the
     order of same-millisecond ties may move: each run must keep its
-    behaviour digest and its report.  The selectivity_1.5 shapes are left
-    out: their coin flips follow the service order (see SHAPE_BEHAVIOUR)."""
+    behaviour digest and its report."""
 
-    @pytest.mark.parametrize("shape,strategy", sorted(
-        key for key in PINNED_SHAPES if key[0] != "selectivity_1.5"))
-    def test_shape_behaviour_holds(self, shape, strategy):
-        work, behaviour = observed_work(SHAPES[shape](strategy), scheduled=True)
-        assert behaviour == SHAPE_BEHAVIOUR[shape, strategy]
-        assert work[1] == PINNED_SHAPES[shape, strategy][1]
+    @pytest.mark.parametrize("key", params(TIE_FREE_SHAPES))
+    def test_shape_behaviour_holds(self, key):
+        hold(key, pins.ALL_SCHEDULED)
 
-    @pytest.mark.parametrize("scenario,strategy", sorted(PINNED_RUN_WORK))
-    def test_bundled_run_behaviour_holds(self, scenario, strategy):
-        config = with_overrides(load_bundled_scenario(scenario), strategy=strategy)
-        work, behaviour = observed_work(config, scheduled=True)
-        assert behaviour == PINNED_BEHAVIOUR[scenario, strategy]
-        assert work[1] == PINNED_RUNS[scenario, strategy][1]
+    @pytest.mark.parametrize("key", params(ORACLE_RUNS))
+    def test_bundled_run_behaviour_holds(self, key):
+        hold(key, pins.ALL_SCHEDULED)
 
     @pytest.mark.parametrize("scenario,strategy,delay_ms", [
         *((scenario, strategy, 5) for scenario in ("linear_scalein", "diamond_scalein")
@@ -1957,22 +1538,21 @@ class TestAllScheduledOracle:
         # every instance by 250 s under each strategy.
         config = with_overrides(load_bundled_scenario(scenario), strategy=strategy,
                                 networkDelayMs=delay_ms, runDuration=300)
-        (_csv, report, actions, pushes), behaviour = observed_work(config)
-        (_, twin_report, twin_actions, twin_pushes), twin_behaviour = observed_work(
-            config, scheduled=True)
-        assert (behaviour, report) == (twin_behaviour, twin_report)
-        assert pushes < twin_pushes
+        placed = pins.observe_config(config)
+        twin = pins.observe_config(config, pins.ALL_SCHEDULED)
+        assert (placed["behaviour"], placed["report"]) == (twin["behaviour"], twin["report"])
+        assert placed["pushes"] < twin["pushes"]
         if delay_ms == 20:
             # The kill at the trigger meets hops that took their target's
             # slot when sent: each fires one more action, the completion
             # the kill cancels, where its arrival would have been dropped.
-            assert actions == twin_actions + 4
+            assert placed["actions"] == twin["actions"] + 4
         else:
-            assert actions == twin_actions
+            assert placed["actions"] == twin["actions"]
 
     def test_no_lookahead_when_a_respawn_can_beat_the_delay(self):
         # A rebalance of 10 ms under a 20 ms delay could respawn a killed
         # target before a hop lands: no hop is placed early.
         config = with_overrides(load_bundled_scenario("linear_scalein"), strategy="DSM",
                                 networkDelayMs=20, rebalanceDuration=0.01)
-        assert observed_work(config) == observed_work(config, scheduled=True)
+        assert pins.observe_config(config) == pins.observe_config(config, pins.ALL_SCHEDULED)
