@@ -59,12 +59,17 @@ DETERMINISM_SCENARIO = "diamond_scalein"
 
 
 class RunResult(NamedTuple):
+    """One finished run; ``actions`` and ``pushes`` are the engine's work,
+    its actions fired and its calendar pushes."""
+
     config: ScenarioConfig
     timeline: Timeline
     report: MetricsReport
     stateful_counts: dict[str, int]
     kill_snapshots: dict[str, int]
     restore_snapshots: dict[str, int]
+    actions: int
+    pushes: int
 
 
 class CriterionResult(NamedTuple):
@@ -113,6 +118,8 @@ class RunCache:
                                  if engine.dag.task(tid).stateful},
                 kill_snapshots=engine.kill_snapshots,
                 restore_snapshots=engine.restore_snapshots,
+                actions=engine._actions,
+                pushes=engine.clock._calendar._next_seq,
             )
         return run
 

@@ -87,7 +87,8 @@ def _check_fresh(*out_dirs: Path) -> None:
 
 def _write_outputs(out_dir: Path, timeline, report) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "timeline.csv").write_text(timeline.to_csv())
+    with (out_dir / "timeline.csv").open("w") as out:
+        out.writelines(timeline.csv_chunks())
     (out_dir / "report.json").write_text(report.to_json())
 
 

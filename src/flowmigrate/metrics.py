@@ -5,11 +5,16 @@ phase transition.  All metrics are pure functions of the finished
 timeline, so recomputation is idempotent.  ``timeline.csv`` is written
 for readers outside the program; nothing reads it back.
 
-The timeline stores its records as typed columns, about 27 bytes a row,
-and each metric scans only the columns it reads: ``Timeline.select``
-picks one site's rows out of any column, or out of a ``zip`` of columns.
-``Timeline.records`` is a view that rebuilds ``TimelineRecord`` rows for
-tests and inspection; it is not the storage.
+The timeline stores its records as four typed columns, 21 bytes a row:
+the timestamp and event id (8 bytes each), the root seq (4 bytes) and one
+flags byte that packs the site, the replayed bit and the epoch.  Each
+metric scans only the columns it reads: ``Timeline.select`` picks one
+site's rows out of any column, or out of a ``zip`` of columns, and
+``sites``, ``epochs`` and ``replayed`` unpack the flags byte into a column
+of their own.  ``Timeline.records`` is a view that rebuilds
+``TimelineRecord`` rows for tests and inspection; it is not the storage.
+``Timeline.csv_chunks`` renders the CSV a block of rows at a time, so
+neither a file writer nor ``to_csv`` holds a string per row.
 """
 
 from __future__ import annotations
@@ -39,12 +44,27 @@ STABILITY_TOLERANCE = 0.2
 BURST_GAP_MS = 5000
 BURST_MIN_SIZE = 5
 
-# A row's site is stored as its index in SITES.
 SITES = (SOURCE_EMIT, SINK_EXIT, PHASE, REPLAY)
 _EMIT, _SINK, _PHASE, _REPLAY = range(len(SITES))
-# bytes.translate tables mapping the sites column to a 0/1 selector per site.
-_SELECTOR = {site: bytes(int(b == code) for b in range(256))
+# A row's flags byte holds its site (an index in SITES) in bits 0-1, its
+# replayed bit in bit 2 and its epoch in bits 3-7, so an epoch of 32 or more
+# does not fit and raises ValueError on append.
+_SITE_MASK = 0b11
+_REPLAYED_SHIFT = 2
+_EPOCH_SHIFT = 3
+# bytes.translate tables: one field of the flags column, or a 0/1 selector
+# of one site's rows.
+_SITE_OF = bytes(b & _SITE_MASK for b in range(256))
+_EPOCH_OF = bytes(b >> _EPOCH_SHIFT for b in range(256))
+_REPLAYED_OF = bytes(b >> _REPLAYED_SHIFT & 1 for b in range(256))
+_SELECTOR = {site: bytes(int(b & _SITE_MASK == code) for b in range(256))
              for code, site in enumerate(SITES)}
+# A CSV row is ts, then _CSV_SITE[flags], then event id and root seq, then
+# _CSV_TAIL[flags]; a PHASE row's name goes before its newline.
+_CSV_SITE = tuple(f",{SITES[b & _SITE_MASK]}," for b in range(256))
+_CSV_TAIL = tuple(f",{b >> _EPOCH_SHIFT},{b >> _REPLAYED_SHIFT & 1},\n" for b in range(256))
+# Rows per string that csv_chunks yields.
+CSV_CHUNK_ROWS = 1024
 
 
 class TimelineRecord(NamedTuple):
@@ -62,21 +82,23 @@ class TimelineRecord(NamedTuple):
 class Timeline:
     """Append-only run journal; one writer (the engine), then immutable.
 
-    Row ``i`` is ``ts[i]`` (ms), ``SITES[sites[i]]``, ``event_ids[i]``,
-    ``root_seqs[i]``, ``epochs[i]`` and ``replayed[i]`` (0 or 1).  A PHASE
-    row has event id 0, root seq -1 and epoch 0; its name lives in
-    ``phases``, one ``(row, ts, name)`` entry per PHASE row in row order.
+    Row ``i`` is ``ts[i]`` (ms), ``event_ids[i]``, ``root_seqs[i]`` and
+    ``flags[i]``, which packs the row's site, epoch and replayed bit; the
+    ``sites``, ``epochs`` and ``replayed`` views unpack one of them for
+    every row.  Root seqs are int32: the loader caps a run's source ticks
+    below ``model.MAX_ACTIONS``, and a larger seq raises OverflowError on
+    append.  A PHASE row has event id 0, root seq -1 and epoch 0; its name
+    lives in ``phases``, one ``(row, ts, name)`` entry per PHASE row in row
+    order.
     """
 
-    __slots__ = ("ts", "sites", "event_ids", "root_seqs", "epochs", "replayed", "phases")
+    __slots__ = ("ts", "flags", "event_ids", "root_seqs", "phases")
 
     def __init__(self) -> None:
         self.ts = array("q")
-        self.sites = bytearray()
+        self.flags = bytearray()
         self.event_ids = array("Q")
-        self.root_seqs = array("q")
-        self.epochs = bytearray()
-        self.replayed = bytearray()
+        self.root_seqs = array("i")
         self.phases: list[tuple[int, int, str]] = []
 
     def __len__(self) -> int:
@@ -84,12 +106,10 @@ class Timeline:
 
     def _append(self, ts: int, site: int, event_id: int, root_seq: int, epoch: int,
                 replayed: bool) -> None:
-        self.ts.append(ts)
-        self.sites.append(site)
-        self.event_ids.append(event_id)
+        self.flags.append(site | replayed << _REPLAYED_SHIFT | epoch << _EPOCH_SHIFT)
         self.root_seqs.append(root_seq)
-        self.epochs.append(epoch)
-        self.replayed.append(replayed)
+        self.ts.append(ts)
+        self.event_ids.append(event_id)
 
     def record_emit(self, ts: int, event_id: int, root_seq: int, epoch: int) -> None:
         self._append(ts, _EMIT, event_id, root_seq, epoch, False)
@@ -109,12 +129,28 @@ class Timeline:
     def records(self) -> "TimelineRecords":
         return TimelineRecords(self)
 
+    # -- read-only views of the flags column, one byte per row ---------------
+
+    @property
+    def sites(self) -> bytes:
+        """Each row's site, as its index in SITES."""
+        return self.flags.translate(_SITE_OF)
+
+    @property
+    def epochs(self) -> bytes:
+        return self.flags.translate(_EPOCH_OF)
+
+    @property
+    def replayed(self) -> bytes:
+        """Each row's replayed bit, 0 or 1."""
+        return self.flags.translate(_REPLAYED_OF)
+
     # -- lookups -----------------------------------------------------------
 
     def select(self, site: str, column: Iterable) -> Iterator:
         """The items of ``column`` (one column, or a ``zip`` of columns) on
         the rows of ``site``, in row order."""
-        return compress(column, self.sites.translate(_SELECTOR[site]))
+        return compress(column, self.flags.translate(_SELECTOR[site]))
 
     def phase_ts(self, name: str, after: int | None = None) -> int | None:
         for _row, ts, phase in self.phases:
@@ -129,9 +165,10 @@ class Timeline:
         return ts
 
     def _records_at(self, site: str) -> Iterator[TimelineRecord]:
-        rows = zip(self.ts, self.event_ids, self.root_seqs, self.epochs, self.replayed)
-        return (TimelineRecord(ts, site, eid, rseq, epoch, bool(replayed), "")
-                for ts, eid, rseq, epoch, replayed in self.select(site, rows))
+        rows = zip(self.ts, self.event_ids, self.root_seqs, self.flags)
+        return (TimelineRecord(ts, site, eid, rseq, flags >> _EPOCH_SHIFT,
+                               bool(flags >> _REPLAYED_SHIFT & 1), "")
+                for ts, eid, rseq, flags in self.select(site, rows))
 
     def sink_exits(self) -> Iterable[TimelineRecord]:
         return self._records_at(SINK_EXIT)
@@ -142,15 +179,25 @@ class Timeline:
     # -- CSV ---------------------------------------------------------------
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        lines += [f"{ts},{SITES[site]},{eid},{rseq},{epoch},{replayed},"
-                  for ts, site, eid, rseq, epoch, replayed
-                  in zip(self.ts, self.sites, self.event_ids, self.root_seqs,
-                         self.epochs, self.replayed)]
-        for row, _ts, name in self.phases:
-            lines[row + 1] += name
-        lines.append("")
-        return "\n".join(lines)
+        return "".join(self.csv_chunks())
+
+    def csv_chunks(self) -> Iterator[str]:
+        """``timeline.csv`` in pieces: the header line, then one string per
+        block of CSV_CHUNK_ROWS rows."""
+        yield CSV_HEADER + "\n"
+        phases = iter(self.phases)
+        phase = next(phases, None)
+        for start in range(0, len(self), CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            lines = [f"{ts}{_CSV_SITE[flags]}{eid},{rseq}{_CSV_TAIL[flags]}"
+                     for ts, flags, eid, rseq
+                     in zip(self.ts[start:stop], self.flags[start:stop],
+                            self.event_ids[start:stop], self.root_seqs[start:stop])]
+            while phase is not None and phase[0] < stop:
+                row, _ts, name = phase
+                lines[row - start] = lines[row - start][:-1] + name + "\n"
+                phase = next(phases, None)
+            yield "".join(lines)
 
 
 class TimelineRecords:
@@ -168,15 +215,16 @@ class TimelineRecords:
     def __iter__(self) -> Iterator[TimelineRecord]:
         tl = self._timeline
         names = {row: name for row, _ts, name in tl.phases}
-        for row, (ts, site, eid, rseq, epoch, replayed) in enumerate(zip(
-                tl.ts, tl.sites, tl.event_ids, tl.root_seqs, tl.epochs, tl.replayed)):
-            yield TimelineRecord(ts, SITES[site], eid, rseq, epoch, bool(replayed),
+        for row, (ts, flags, eid, rseq) in enumerate(zip(
+                tl.ts, tl.flags, tl.event_ids, tl.root_seqs)):
+            yield TimelineRecord(ts, SITES[flags & _SITE_MASK], eid, rseq,
+                                 flags >> _EPOCH_SHIFT, bool(flags >> _REPLAYED_SHIFT & 1),
                                  names.get(row, ""))
 
     def __delitem__(self, index: int) -> None:
         tl = self._timeline
         row = range(len(tl))[index]
-        for column in (tl.ts, tl.sites, tl.event_ids, tl.root_seqs, tl.epochs, tl.replayed):
+        for column in (tl.ts, tl.flags, tl.event_ids, tl.root_seqs):
             del column[row]
         tl.phases = [(r - (r > row), ts, name) for r, ts, name in tl.phases if r != row]
 

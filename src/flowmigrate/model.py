@@ -29,6 +29,10 @@ RATE_PER_INSTANCE = 8.0
 # Timeline timestamps are int64 ms, and a run records times some durations
 # past its end: each duration or delay stays below 2**53 ms (285,000 years).
 MAX_MS = 2**53
+# A run stops with a runaway error past this many actions, and its paced
+# source alone fires one per tick: the loader rejects a scenario whose
+# runDuration x sourceRate reaches it, which also keeps root seqs in int32.
+MAX_ACTIONS = 200_000_000
 
 
 def to_ms(seconds: float) -> int:
@@ -517,6 +521,10 @@ def validate_scenario(config: ScenarioConfig) -> None:
     if 1000 / config.sourceRate >= MAX_MS:
         raise ConfigError("scenario field sourceRate: its pacing period, 1000 / sourceRate, "
                           "must be below 2**53 ms")
+    if config.runDuration * config.sourceRate >= MAX_ACTIONS:
+        raise ConfigError(
+            f"scenario: runDuration x sourceRate must be below {MAX_ACTIONS:,} source ticks, "
+            f"the run's action budget (got {config.runDuration * config.sourceRate:,.0f})")
     if config.migrationTriggerAt >= config.runDuration:
         raise ConfigError(
             "scenario field migrationTriggerAt: must be < runDuration "

@@ -20,6 +20,7 @@ from .errors import InvariantViolation
 from .metrics import Timeline
 from .model import (
     DUPLICATE,
+    MAX_ACTIONS as _MAX_ACTIONS,
     ScenarioConfig,
     migrating_instances,
     to_ms,
@@ -38,7 +39,6 @@ RUNNING = "RUNNING"
 KILLED = "KILLED"
 RESPAWNING = "RESPAWNING"
 
-_MAX_ACTIONS = 200_000_000  # hard stop against runaway schedules
 _RUNAWAY = "action budget exceeded; runaway schedule"
 _TRANSPORT_RETRY_MS = 500  # reconnect cadence toward a starting worker
 # Cap on unacked roots when data acking is on: the source defers paced

@@ -6,6 +6,7 @@ sorted, each value in JSON (``linear50_stress/DCR networkDelayMs=5``).  It
 holds the SHA-256 of the run's ``timeline.csv`` (``csv``) and
 ``report.json`` (``report``), its engine actions and calendar pushes, and
 its ``conftest.behaviour_digest`` (``behaviour``); null where not pinned.
+A bundled run pins every field, and ``write`` fills any it lacks.
 
     PYTHONPATH=src python tests/pins.py check   # explain each moved pin; exit 1 if any
     PYTHONPATH=src python tests/pins.py write   # re-pin every run, print old -> new
@@ -148,10 +149,10 @@ def observe_config(config, variant: str = PLAIN) -> dict:
 def observe(key: str, variant: str = PLAIN, cache=None) -> dict:
     """The fields ``variant`` holds run ``key`` to, None for the others.  A
     bundled run is read from ``cache``, an ``acceptance.RunCache``, if one is
-    given, with no work counts."""
+    given."""
     if cache is not None and variant == PLAIN and is_bundled(key):
         run = cache.get(*key.split("/"))
-        observed = _observed(run.timeline, run.report)
+        observed = _observed(run.timeline, run.report, (run.actions, run.pushes))
     else:
         observed = observe_config(config_of(key), variant)
     return {field: observed[field] if field in HOLDS[variant] else None for field in FIELDS}
@@ -180,8 +181,8 @@ def main(argv: list[str]) -> int:
         moved = explain(key, pinned, observed)
         if moved:
             moves.append(moved)
-        pins[key] = {field: None if pinned[field] is None else observed[field]
-                     for field in FIELDS}
+        pins[key] = {field: None if pinned[field] is None and not is_bundled(key)
+                     else observed[field] for field in FIELDS}
     print(*moves, f"{len(moves)} of {len(pins)} pinned runs moved", sep="\n")
     if argv == ["write"]:
         STORE.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")

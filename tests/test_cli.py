@@ -9,8 +9,9 @@ import pytest
 
 from flowmigrate.cli import main
 from flowmigrate.errors import InvariantViolation
-from flowmigrate.model import bundled_scenario_names
-from flowmigrate.runtime import SimulationEngine
+from flowmigrate.metrics import CSV_CHUNK_ROWS
+from flowmigrate.model import bundled_scenario_names, load_bundled_scenario, with_overrides
+from flowmigrate.runtime import SimulationEngine, run_scenario
 
 
 def run_cli(*argv):
@@ -155,6 +156,27 @@ class TestRun:
                        "--ack-timeout", "0.0004", "--out", str(out)) == 2
         assert "ackTimeout: 0.0004 s rounds to 0 ms" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_source_past_the_action_budget_exits_2(self, tmp_path, no_engine_runs, capsys):
+        # 25,000,000 s at 8 roots/s is 200,000,000 source ticks, the whole
+        # action budget: such a run could only end in exit 3, after hours.
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        doc["runDuration"] = 25_000_000
+        bad = tmp_path / "endless.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("run", str(bad), "--out", str(out)) == 2
+        assert "the run's action budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_timeline_file_holds_the_csv_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", "linear_scalein", "--strategy", "dcr", "--out", str(out)) == 0
+        timeline, _engine = run_scenario(
+            with_overrides(load_bundled_scenario("linear_scalein"), strategy="DCR"))
+        assert len(timeline) > 2 * CSV_CHUNK_ROWS
+        assert (out / "timeline.csv").read_bytes() == timeline.to_csv().encode()
 
     @pytest.mark.parametrize("stray", ["ghost#0", "sink#0"])
     def test_placement_of_a_stray_id_exits_2(self, tmp_path, no_engine_runs, capsys, stray):

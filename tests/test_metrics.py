@@ -1,5 +1,7 @@
 import pickle
+import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_chain_dag, make_scenario
 from flowmigrate.errors import InvariantViolation
 from flowmigrate.metrics import (
+    CSV_CHUNK_ROWS,
     CSV_HEADER,
     PHASE,
     REPLAY,
@@ -236,8 +239,8 @@ class TestReplaysAndBursts:
 
 ts_ms = st.integers(0, 2 ** 63 - 1)
 event_ids = st.integers(0, 2 ** 64 - 1)
-root_seqs = st.integers(0, 2 ** 63 - 1)
-epochs = st.sampled_from((0, 1))
+root_seqs = st.integers(0, 2 ** 31 - 1)  # the loader keeps a run's root seqs in int32
+epochs = st.integers(0, 31)  # the engine's are 0 or 1; the flags byte holds 5 bits
 writes = st.lists(st.one_of(
     st.tuples(st.just(SOURCE_EMIT), ts_ms, event_ids, root_seqs, epochs),
     st.tuples(st.just(REPLAY), ts_ms, event_ids, root_seqs, epochs),
@@ -296,12 +299,55 @@ class TestColumnTimeline:
         with pytest.raises(IndexError):
             del tl.records[-2]
 
-    def test_columns_hold_at_most_32_bytes_per_record(self, suite_cache):
+    def test_values_past_the_columns_fail_loudly(self):
+        tl = Timeline()
+        with pytest.raises(OverflowError):
+            tl.record_emit(1, 1, 2 ** 31, 0)
+        with pytest.raises(ValueError):
+            tl.record_sink_exit(1, 1, 0, 32, False)
+        tl = Timeline()
+        tl.record_replay(1, 1, 2 ** 31 - 1, 31)
+        assert list(tl.records) == [TimelineRecord(1, REPLAY, 1, 2 ** 31 - 1, 31, True, "")]
+
+    def test_csv_blocks_match_the_records(self):
+        # PHASE rows on both sides of two block boundaries, first and last.
+        rows = 4 * CSV_CHUNK_ROWS + 17
+        phase_rows = {0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                      4 * CSV_CHUNK_ROWS - 1, 4 * CSV_CHUNK_ROWS, rows - 1}
+        draw = random.Random(7)
+        ops = []
+        for row in range(rows):
+            ts, eid, seq, epoch = row * 3, draw.getrandbits(64), row // 2, row % 2
+            if row in phase_rows:
+                ops.append((PHASE, ts, f"P{row}"))
+            elif row % 3 == 0:
+                ops.append((SOURCE_EMIT, ts, eid, seq, epoch))
+            elif row % 3 == 1:
+                ops.append((SINK_EXIT, ts, eid, seq, epoch, row % 4 == 1))
+            else:
+                ops.append((REPLAY, ts, eid, seq, epoch))
+        tl, oracle = write_both(ops)
+        chunks = list(tl.csv_chunks())
+        assert len(chunks) == 1 + 5 and chunks[0] == CSV_HEADER + "\n"
+        assert tl.to_csv() == "".join(chunks) == oracle_csv(oracle)
+
+    def test_columns_hold_at_most_24_bytes_per_record(self, suite_cache):
         timeline = suite_cache.get("linear_scalein", "DCR").timeline
-        columns = (timeline.ts, timeline.sites, timeline.event_ids, timeline.root_seqs,
-                   timeline.epochs, timeline.replayed)
+        columns = (timeline.ts, timeline.flags, timeline.event_ids, timeline.root_seqs)
         assert len(timeline) > 10_000
-        assert sum(sys.getsizeof(c) for c in columns) <= 32 * len(timeline)
+        assert sum(sys.getsizeof(c) for c in columns) <= 24 * len(timeline)
+
+    def test_csv_render_peaks_under_two_and_a_half_times_its_length(self, suite_cache):
+        timeline = suite_cache.get("grid_scalein", "DSM").timeline
+        assert len(timeline) > 7 * CSV_CHUNK_ROWS
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            csv = timeline.to_csv()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(csv)
 
     def test_run_result_pickles_compactly(self, suite_cache):
         run = suite_cache.get("linear_scalein", "DCR")
@@ -309,7 +355,7 @@ class TestColumnTimeline:
         back = pickle.loads(blob)
         assert back.timeline.to_csv() == run.timeline.to_csv()
         assert back.report.to_json() == run.report.to_json()
-        assert len(blob) <= 40 * len(run.timeline)
+        assert len(blob) <= 24 * len(run.timeline)
 
 
 class TestReportShape:

@@ -367,12 +367,24 @@ class TestParseScenario:
                 parse_scenario(self.minimal_doc(**{field: value}))
         below = {field: value / 10 if isinstance(value, float) else value // 10
                  for field, value in fields.items()}
-        assert parse_scenario(self.minimal_doc(**below)).networkDelayMs == 10**15
+        # At 1e-4 roots/s a 1e12 s run also stays under the action budget.
+        assert parse_scenario(self.minimal_doc(**below, sourceRate=1e-4)).networkDelayMs == 10**15
         # So does the source's pacing period, 1000 / sourceRate.
         for rate in (1e-310, 5e-324, 1000 / 2**53):
             with pytest.raises(ConfigError, match="sourceRate: its pacing period"):
                 parse_scenario(self.minimal_doc(sourceRate=rate))
         assert parse_scenario(self.minimal_doc(sourceRate=1000 / 2**52)).sourceRate > 0
+
+    def test_a_source_past_the_action_budget_rejected(self):
+        # The paced source alone fires one action per tick, runDuration x
+        # sourceRate of them: a run that needs the whole budget could only
+        # end in the runaway error, after hours.
+        doc = json.loads(
+            (resources.files("flowmigrate") / "scenarios" / "linear_scalein.json").read_text())
+        assert 25_000_000 * parse_scenario(doc).sourceRate == model.MAX_ACTIONS
+        with pytest.raises(ConfigError, match="must be below 200,000,000 source ticks"):
+            parse_scenario({**doc, "runDuration": 25_000_000})
+        assert parse_scenario({**doc, "runDuration": 24_999_999}).runDuration == 24_999_999
 
     def test_huge_instance_count_rejected_before_its_ids_are_listed(self):
         doc = self.minimal_doc()
