@@ -32,11 +32,14 @@ class EventCalendar:
     millisecond's list, the open one, by index: a push to the open
     millisecond or to another pending one appends to its list, and only a
     push to a new millisecond touches the heap.  A push earlier than the
-    open millisecond (the engine never makes one) puts the open list's
-    unpopped rest back as a pending list and opens its own millisecond,
-    so any push sequence pops in exact (time, seq) order.  Every pending
-    millisecond is later than the open one, which starts at 0 with an
-    empty list; no fire time is reserved, so negative times are legal.
+    open millisecond puts the open list's unpopped rest back as a pending
+    list and opens its own millisecond, so any push sequence pops in exact
+    (time, seq) order.  The engine never pushes into the past, but that
+    path stays: ``perfbench/micro.py``'s ``calendar_ns_per_op`` pushes
+    uniform random times, and about 15 % of them land before the open
+    millisecond.  Every pending millisecond is later than the open one,
+    which starts at 0 with an empty list; no fire time is reserved, so
+    negative times are legal.
     Popped entries stay in the open list until the next millisecond opens.
     Many data hops never reach the calendar as arrivals: the engine places
     them in the sending action, into a ready target's service slot or queue,
@@ -106,26 +109,25 @@ class AckerTable:
     marks the causal tree complete.  Completed entries stay visible (for
     the at-least-once bookkeeping of the caller) until discarded.
 
-    An entry is the list ``[hash, register_ts, done]``, and ``register``
-    returns it, so a caller may hold it as a handle and fold ids into it
-    without a lookup: an anchor or an ack is ``e[0] ^= id``, and an ack
-    that zeroes the hash completes the root.  The handle stays exact:
-    ``sweep`` re-arms an entry in place, so a replay holds the same object,
-    and ``discard`` sets ``done`` as it drops the entry.  A caller that
+    An entry is the list ``[hash, register_ts, done, rootSeqNo, epoch]``:
+    the last two are the root's, for its replays.  ``register`` returns it,
+    so a caller may hold it as a handle and fold ids into it without a
+    lookup: an anchor or an ack is ``e[0] ^= id``, and an ack that zeroes
+    the hash completes the root.  The handle stays exact: ``sweep`` re-arms
+    an entry in place, so a replay holds the same object.  A caller that
     discards each root at completion may fold into a dropped handle
-    unguarded: no lookup reads the entry again.
+    unguarded: no lookup or sweep reads the entry again.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self) -> None:
-        # root_id -> [xor_hash, register_ts, completed]
-        self._entries: dict[int, list] = {}
+        self._entries: dict[int, list] = {}  # root_id -> entry
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def register(self, root_id: int, ts_ms: int) -> list | None:
+    def register(self, root_id: int, ts_ms: int, seq: int = 0, epoch: int = 0) -> list | None:
         """Track a new root; the root id counts as anchored once.
 
         Returns the root's entry (the handle), or None if the root is
@@ -134,7 +136,7 @@ class AckerTable:
         """
         if root_id in self._entries:
             return None
-        entry = self._entries[root_id] = [root_id, ts_ms, False]
+        entry = self._entries[root_id] = [root_id, ts_ms, False, seq, epoch]
         return entry
 
     def anchor(self, root_id: int, event_id: int) -> int:
@@ -173,13 +175,9 @@ class AckerTable:
             raise KeyError(root_id)
         return entry[0]
 
-    def discard(self, root_id: int) -> None:
-        """Stop tracking a root: drop its entry and mark it done.  A caller
-        that discards at completion may still fold into a held handle,
-        unguarded: no lookup or sweep reads the dropped entry again."""
-        entry = self._entries.pop(root_id, None)
-        if entry is not None:
-            entry[2] = True
+    def discard(self, root_id: int) -> bool:
+        """Stop tracking a root; True if it was tracked."""
+        return self._entries.pop(root_id, None) is not None
 
     def pending_count(self) -> int:
         n = 0
@@ -188,22 +186,17 @@ class AckerTable:
                 n += 1
         return n
 
-    def sweep(self, now_ms: int, timeout_ms: int) -> list[int]:
-        """Roots whose tree is incomplete after ``timeout_ms``.
-
-        Matches insertion order for determinism.  Swept entries are
-        re-armed (hash = root id, register_ts = now) so the caller can
-        re-emit them; the next sweep sees the fresh timestamp.
-        """
-        expired: list[int] = []
+    def sweep(self, now_ms: int, timeout_ms: int) -> list[tuple[int, list]]:
+        """``(root_id, entry)`` of each root whose tree is incomplete after
+        ``timeout_ms``, in insertion order for determinism.  Each is re-armed
+        in place (hash = root id, register_ts = now) for the caller to
+        re-emit; the next sweep sees the fresh timestamp."""
+        expired = []
         for root_id, entry in self._entries.items():
             if not entry[2] and now_ms - entry[1] >= timeout_ms:
-                expired.append(root_id)
-        for root_id in expired:
-            entry = self._entries[root_id]
-            entry[0] = root_id
-            entry[1] = now_ms
-            entry[2] = False
+                entry[0] = root_id
+                entry[1] = now_ms
+                expired.append((root_id, entry))
         return expired
 
 

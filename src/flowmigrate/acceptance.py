@@ -261,7 +261,7 @@ def check_xor_acker_oracle() -> CriterionResult:
     rng = random.Random(ORACLE_SEED)
     mismatches = 0
     for _ in range(ORACLE_TREES):
-        acker = AckerService(timeout_ms=10 ** 9)
+        acker = AckerService()
         root = rng.getrandbits(64) or 1
         acker.register_root(root, 0)
         outstanding = {root}  # the oracle: exact set of un-acked event ids

@@ -87,9 +87,9 @@ class Timeline:
     ``sites``, ``epochs`` and ``replayed`` views unpack one of them for
     every row.  Root seqs are int32: the loader caps a run's source ticks
     below ``model.MAX_ACTIONS``, and a larger seq raises OverflowError on
-    append.  A PHASE row has event id 0, root seq -1 and epoch 0; its name
-    lives in ``phases``, one ``(row, ts, name)`` entry per PHASE row in row
-    order.
+    append; a refused row leaves every column as it was.  A PHASE row has
+    event id 0, root seq -1 and epoch 0; its name lives in ``phases``, one
+    ``(row, ts, name)`` entry per PHASE row in row order.
     """
 
     __slots__ = ("ts", "flags", "event_ids", "root_seqs", "phases")
@@ -106,10 +106,15 @@ class Timeline:
 
     def _append(self, ts: int, site: int, event_id: int, root_seq: int, epoch: int,
                 replayed: bool) -> None:
-        self.flags.append(site | replayed << _REPLAYED_SHIFT | epoch << _EPOCH_SHIFT)
-        self.root_seqs.append(root_seq)
-        self.ts.append(ts)
-        self.event_ids.append(event_id)
+        try:
+            self.flags.append(site | replayed << _REPLAYED_SHIFT | epoch << _EPOCH_SHIFT)
+            self.root_seqs.append(root_seq)
+            self.ts.append(ts)
+            self.event_ids.append(event_id)
+        except BaseException:  # a refused row leaves no column longer
+            n = len(self.event_ids)  # appended last, so never by this row
+            del self.flags[n:], self.root_seqs[n:], self.ts[n:]
+            raise
 
     def record_emit(self, ts: int, event_id: int, root_seq: int, epoch: int) -> None:
         self._append(ts, _EMIT, event_id, root_seq, epoch, False)
@@ -122,8 +127,8 @@ class Timeline:
         self._append(ts, _SINK, event_id, root_seq, epoch, replayed)
 
     def record_phase(self, ts: int, name: str) -> None:
-        self.phases.append((len(self.ts), ts, name))
         self._append(ts, _PHASE, 0, -1, 0, False)
+        self.phases.append((len(self.ts) - 1, ts, name))
 
     @property
     def records(self) -> "TimelineRecords":

@@ -94,6 +94,7 @@ class CheckpointCoordinator:
         self.waves: dict[int, WaveState] = {}
         self.active: dict[str, WaveState] = {}
         self.restored_ckpt: dict[str, int] = {}  # instance id -> checkpoint restored last
+        self.first_init_acked = False  # FIRST_INIT_ACKED is recorded
 
     # -- lifecycle hooks ------------------------------------------------------
 
@@ -166,7 +167,8 @@ class CheckpointCoordinator:
             return
         wave.ackedBy.add(inst.instanceId)
         # INIT waves start only after the migration trigger.
-        if wave.kind == INIT and self.engine.timeline.phase_ts(FIRST_INIT_ACKED) is None:
+        if wave.kind == INIT and not self.first_init_acked:
+            self.first_init_acked = True
             self.engine.record_phase(FIRST_INIT_ACKED)
         if wave.expected <= wave.ackedBy:
             wave.complete = True
@@ -429,7 +431,8 @@ class DsmCoordinator(CheckpointCoordinator):
         eng = self.engine
         if eng.now >= eng.run_end_ms:
             return
-        migration_active = eng.timeline.phase_ts(REQUEST) is not None and self.defers_stateful_acks
+        # The trigger sets epoch 1 just before it records REQUEST.
+        migration_active = eng.epoch > 0 and self.defers_stateful_acks
         prepare_busy = any(
             w is not None and not w.complete and not w.superseded
             for w in (self.active.get(PREPARE), self.active.get(COMMIT))

@@ -2,8 +2,10 @@
 
 The acker keeps one XOR accumulator per root event: every causally derived
 event id is folded in when anchored and folded out when acked, so a zero
-hash after an ack means the whole tree was processed.  Expired roots are
-harvested in sweeps and replayed by the source.
+hash after an ack means the whole tree was processed.  Under DSM the acker
+is the one store of pending roots: each entry also keeps its root's seq
+and epoch, the engine caps the source on the acker's size, and the roots
+that a sweep harvests are replayed from their entries.
 
 The store holds per-instance checkpoint records through a prepare/commit
 protocol.  Writes are charged a modeled latency (base cost per record plus
@@ -20,73 +22,45 @@ PREPARED = "PREPARED"
 COMMITTED = "COMMITTED"
 
 
-class AckerService:
-    """Causal-tree tracking via 64-bit XOR hashes, with timeout sweeps.
+class AckerService(_kernels.AckerTable):
+    """The acker table, with calls by root id that raise on a misuse.
 
-    ``table`` is public.  The engine's per-event data path holds each
-    root's table entry, from ``register_root``, and folds anchors and acks
-    into it inline, skipping a call and a lookup per event (see
-    ``_kernels.AckerTable`` for the handle contract).
+    The engine's per-event data path holds each root's entry, from
+    ``register_root``, and folds anchors and acks into it inline, skipping
+    a call and a lookup per event (see ``_kernels.AckerTable`` for the
+    handle contract).  ``anchor_if_tracked`` and ``ack_if_tracked`` are the
+    table's ``anchor`` and ``ack``: late traffic for a root that finished
+    via another delivery is normal under at-least-once, and they return a
+    result code instead of raising.
     """
 
-    def __init__(self, timeout_ms: int) -> None:
-        self.timeout_ms = timeout_ms
-        self.table = _kernels.AckerTable()
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def register_root(self, root_id: int, ts_ms: int) -> list:
+    def register_root(self, root_id: int, ts_ms: int, seq: int = 0, epoch: int = 0) -> list:
         """Start tracking a root; its own id counts as anchored once.
-        Returns the root's entry, ``[hash, register_ts, done]``."""
-        entry = self.table.register(root_id, ts_ms)
+        Returns the root's entry, ``[hash, register_ts, done, seq, epoch]``."""
+        entry = self.register(root_id, ts_ms, seq, epoch)
         if entry is None:
             raise InvariantViolation(f"root {root_id:#x} already registered")
         return entry
 
     def anchor_emit(self, root_id: int, child_event_id: int) -> None:
         """Fold a newly emitted event into its root's tree."""
-        status = self.table.anchor(root_id, child_event_id)
-        if status == _kernels.ACK_UNKNOWN:
+        if self.anchor(root_id, child_event_id) == _kernels.ACK_UNKNOWN:
             raise InvariantViolation(f"anchor on unknown root {root_id:#x}")
 
     def ack_event(self, root_id: int, event_id: int) -> bool:
         """Fold a processed event out of the tree; True when it completed."""
-        status = self.table.ack(root_id, event_id)
+        status = self.ack(root_id, event_id)
         if status == _kernels.ACK_UNKNOWN:
             raise InvariantViolation(f"ack on unknown root {root_id:#x}")
         return status == _kernels.ACK_COMPLETED
 
-    def anchor_if_tracked(self, root_id: int, child_event_id: int) -> None:
-        """Anchor, ignoring roots already discarded or completed.
-
-        Late traffic for a root that finished via another delivery is
-        normal under at-least-once; it must not corrupt the table.
-        """
-        self.table.anchor(root_id, child_event_id)
-
-    def ack_if_tracked(self, root_id: int, event_id: int) -> bool:
-        status = self.table.ack(root_id, event_id)
-        return status == _kernels.ACK_COMPLETED
-
-    def is_completed(self, root_id: int) -> bool:
-        return self.table.is_completed(root_id)
-
-    def is_tracked(self, root_id: int) -> bool:
-        return self.table.contains(root_id)
-
-    def hash_of(self, root_id: int) -> int:
-        return self.table.hash_of(root_id)
-
-    def discard(self, root_id: int) -> None:
-        self.table.discard(root_id)
-
-    def pending_count(self) -> int:
-        return self.table.pending_count()
-
-    def sweep_timeouts(self, now_ms: int) -> list[int]:
-        """Roots overdue for replay; their entries are re-armed in place."""
-        return self.table.sweep(now_ms, self.timeout_ms)
+    anchor_if_tracked = _kernels.AckerTable.anchor
+    ack_if_tracked = _kernels.AckerTable.ack
+    is_tracked = _kernels.AckerTable.contains
+    # (now_ms, timeout_ms) -> the re-armed (root_id, entry) pairs to replay.
+    sweep_timeouts = _kernels.AckerTable.sweep
 
 
 class CheckpointRecord:

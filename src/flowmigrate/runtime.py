@@ -76,13 +76,14 @@ class EventEnvelope:
     networkDelayMs`` and starts service no earlier (see
     SimulationEngine._pump); a transport retry keeps it.
 
-    ``tree`` is the root's acker entry, ``[hash, register_ts, done]``, when
+    ``tree`` is the root's acker entry (see ``_kernels.AckerTable``) when
     the engine acks data (DSM), else None.  ``_emit_root`` sets it from
     ``AckerService.register_root``; every copy and child, and a replay of
     the root, carries the same list, so the engine anchors and acks by
-    folding into it, with no lookup by ``rootId`` (the handle contract is
-    ``_kernels.AckerTable``'s).  It is not serialized: no DSM checkpoint
-    holds envelopes, and a control event's is None.
+    folding into it, with no lookup by ``rootId``.  The acker is DSM's one
+    store of pending roots, and a replay is built from the entry, so no
+    envelope outlives its last holder.  ``tree`` is not serialized: no DSM
+    checkpoint holds envelopes, and a control event's is None.
     """
 
     __slots__ = ("eventId", "rootId", "rootSeqNo", "kind", "epoch", "replayed", "emitTs",
@@ -217,13 +218,12 @@ class SourceRuntime:
     routing plan, wave path and router counters (see
     SimulationEngine._route_emission)."""
 
-    __slots__ = ("paused", "backlog", "root_cache", "next_seq", "next_tick",
+    __slots__ = ("paused", "backlog", "next_seq", "next_tick",
                  "plan", "downstream", "rr_edges", "rr_targets")
 
     def __init__(self) -> None:
         self.paused = False
         self.backlog = 0
-        self.root_cache: dict[int, EventEnvelope] = {}
         self.next_seq = 0   # root sequence numbers, advanced per emission
         self.next_tick = 0  # pacing ticks, advanced per period
         self.rr_edges = 0
@@ -277,7 +277,7 @@ class SimulationEngine:
         # deliver places a delayed hop early only if no respawn can beat it.
         self._lookahead = to_ms(config.rebalanceDuration) >= self.net_delay_ms
         self.acking_data = config.strategy == "DSM"  # only DSM acks DATA events
-        self.acker = AckerService(self.ack_timeout_ms)
+        self.acker = AckerService()
         self.store = StateStore()
 
         self.epoch = 0
@@ -486,7 +486,7 @@ class SimulationEngine:
 
     def _source_tick(self) -> None:
         src = self.source
-        if src.paused or (self.acking_data and len(src.root_cache) >= _MAX_PENDING_ROOTS):
+        if src.paused or (self.acking_data and len(self.acker) >= _MAX_PENDING_ROOTS):
             # Paused, or the pending cap is reached: defer this emission.
             src.backlog += 1
         else:
@@ -501,8 +501,7 @@ class SimulationEngine:
         env = EventEnvelope(root_id, root_id, src.next_seq, DATA, self.epoch, False, now)
         src.next_seq += 1
         if self.acking_data:
-            env.tree = self.acker.register_root(root_id, now)
-            src.root_cache[root_id] = env
+            env.tree = self.acker.register_root(root_id, now, env.rootSeqNo, env.epoch)
         self.timeline.record_emit(now, root_id, env.rootSeqNo, env.epoch)
         self._route_emission(self.source, env)
 
@@ -519,9 +518,8 @@ class SimulationEngine:
             self._emit_root()
 
     def _on_root_completed(self, root_id: int) -> None:
-        src = self.source
-        if src.root_cache.pop(root_id, None) is not None:
-            self.acker.discard(root_id)
+        if self.acker.discard(root_id):
+            src = self.source
             # A pending slot freed: release one cap-deferred emission.
             if src.backlog and not src.paused:
                 src.backlog -= 1
@@ -534,16 +532,13 @@ class SimulationEngine:
             self.clock.schedule_at(at_ms, self._sweep_tick)
 
     def _sweep_tick(self) -> None:
-        # The acker tracks exactly the roots in root_cache: both change only
-        # in _emit_root and _on_root_completed.
-        for root_id in self.acker.sweep_timeouts(self.now):
-            self._replay_root(self.source.root_cache[root_id])
+        for root_id, tree in self.acker.sweep_timeouts(self.now, self.ack_timeout_ms):
+            self._replay_root(root_id, tree)
         self._schedule_sweep(self.now + self.ack_timeout_ms)
 
-    def _replay_root(self, original: EventEnvelope) -> None:
-        # The sweep re-armed the root's entry in place: the same handle.
-        env = EventEnvelope(original.rootId, original.rootId, original.rootSeqNo,
-                            DATA, original.epoch, True, self.now, original.tree)
+    def _replay_root(self, root_id: int, tree: list) -> None:
+        # The sweep re-armed the entry in place; it keeps the root's seq and epoch.
+        env = EventEnvelope(root_id, root_id, tree[3], DATA, tree[4], True, self.now, tree)
         self.timeline.record_replay(self.now, env.rootId, env.rootSeqNo, env.epoch)
         self._route_emission(self.source, env)
 
@@ -559,13 +554,13 @@ class SimulationEngine:
         is retired, keeping the XOR tree balanced; the retired envelope
         itself travels on as the last copy, its own id read first for the
         retiring ack.  That is safe because the caller lets go of ``env``:
-        a serviced parent is done with, and DSM's ``root_cache`` reads only
-        ``rootId``, ``rootSeqNo``, ``epoch`` and ``tree``, which a copy
-        keeps.  The caller has stamped ``env.emitTs`` with now, the send
-        time every copy carries.  Anchors and acks fold into ``env.tree``
-        unguarded: a completed root has left ``root_cache`` and the acker,
-        so a late fold (normal under at-least-once delivery) at most
-        reaches a no-op ``_on_root_completed``.
+        a serviced parent is done with, and DSM keeps no envelope of a
+        pending root (a replay is built from its acker entry).  The caller
+        has stamped ``env.emitTs`` with now, the send time every copy
+        carries.  Anchors and acks fold into ``env.tree`` unguarded: a
+        completed root has left the acker, so a late fold (normal under
+        at-least-once delivery) at most reaches a no-op
+        ``_on_root_completed``.
         """
         chosen, shuffle = sender.plan
         if shuffle:
@@ -723,8 +718,7 @@ class SimulationEngine:
         slot have let go of it, and the popped calendar entry, which its
         millisecond's list keeps until the next millisecond opens, is never
         read again.  A CCR checkpoint keeps bytes, not envelopes, and DSM's
-        ``root_cache`` reads only fields a child keeps (DSM never forks, so
-        no twin shares it).
+        pending roots, the acker's entries, hold none.
         Under DSM the parent's ``tree`` and own ``eventId`` are read first.
         """
         if gen != inst.generation:

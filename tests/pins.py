@@ -82,11 +82,10 @@ def is_bundled(key: str) -> bool:  # a bundled scenario as shipped
 class _CheckedCalendar(_kernels.EventCalendar):
     """Asserts before each pop (after every action, and once at the end)
     what ``engine`` relies on untested: only a RUNNING instance holds a queue
-    (``_pump`` serves any); the acker tracks exactly the cached roots
-    (``_sweep_tick`` replays from ``root_cache``); each ``in_flight`` equals
-    the ``arrivals`` to its instance held here (``deliver`` keeps inputs FIFO
-    by it); and no PREPARE or COMMIT wave is live at a kill or respawn
-    (``drop_work`` leaves barrier counts alone)."""
+    (``_pump`` serves any); each ``in_flight`` equals the ``arrivals`` to
+    its instance held here (``deliver`` keeps inputs FIFO by it); and no
+    PREPARE or COMMIT wave is live at a kill or respawn (``drop_work`` leaves
+    barrier counts alone)."""
 
     __slots__ = ("engine", "arrivals", "checks", "killed")
 
@@ -104,7 +103,6 @@ class _CheckedCalendar(_kernels.EventCalendar):
     def pop(self):
         engine, self.checks = self.engine, self.checks + 1
         assert all(inst.status == RUNNING for inst in self.arrivals if inst.queue)
-        assert engine.source.root_cache.keys() == engine.acker.table._entries.keys()
         assert all(inst.in_flight == arrivals for inst, arrivals in self.arrivals.items())
         entry = super().pop()
         if entry[2][0].__name__ == "_arrive":

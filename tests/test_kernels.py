@@ -188,18 +188,18 @@ class TestAckerTable:
 
     def test_sweep_reregisters(self):
         table = AckerTable()
-        table.register(1, 0)
-        table.register(2, 5_000)
+        one = table.register(1, 0)
+        two = table.register(2, 5_000)
         table.anchor(1, 77)
         assert table.sweep(29_999, 30_000) == []
-        assert table.sweep(30_000, 30_000) == [1]
+        assert table.sweep(30_000, 30_000) == [(1, one)]
         # Re-armed: hash back to the root id, fresh timestamp.
         assert table.hash_of(1) == 1
-        assert table.sweep(35_000, 30_000) == [2]
+        assert table.sweep(35_000, 30_000) == [(2, two)]
         assert table.sweep(59_999, 30_000) == []
         # Root 1 re-armed at 30s is due again; root 2 (re-armed 35s) is not.
-        assert table.sweep(60_000, 30_000) == [1]
-        assert table.sweep(65_000, 30_000) == [2]
+        assert table.sweep(60_000, 30_000) == [(1, one)]
+        assert table.sweep(65_000, 30_000) == [(2, two)]
 
     def test_completed_roots_not_swept(self):
         table = AckerTable()
@@ -210,7 +210,8 @@ class TestAckerTable:
     def test_register_returns_the_entry(self):
         table = AckerTable()
         entry = table.register(0x5, 7)
-        assert entry == [0x5, 7, False]
+        assert entry == [0x5, 7, False, 0, 0]
+        assert table.register(0x6, 7, 11, 1) == [0x6, 7, False, 11, 1]
         table.anchor(0x5, 0x3)
         assert entry[0] == table.hash_of(0x5) == 0x6
 
@@ -250,12 +251,13 @@ class TestAckerTable:
                     entry[0] ^= event
                     if not entry[0]:
                         entry[2] = folded = True
-                assert folded == completed
+                # A discarded root's handle still takes folds; no call reads it.
+                assert folded == completed or not by_handle.contains(root)
             elif op < 0.95:
                 now += rng.randint(1, 20_000)
                 swept = by_id.sweep(now, 30_000)
                 assert by_handle.sweep(now, 30_000) == swept
-                for root_id in swept:
+                for root_id, _entry in swept:
                     live[root_id] = [root_id]
             else:
                 by_id.discard(root)
@@ -268,18 +270,18 @@ class TestAckerTable:
         table = AckerTable()
         entry = table.register(0x5, 0)
         table.anchor(0x5, 0x3)
-        table.discard(0x5)  # before the tree completed: hash 0x6
+        assert table.discard(0x5)  # before the tree completed: hash 0x6
         assert table.ack(0x5, 0x6) == ACK_UNKNOWN
-        # The engine folds only into an entry not done.
-        assert entry[2]
-        assert entry == [0x6, 0, True]
+        assert not table.discard(0x5)
+        assert entry == [0x6, 0, False, 0, 0]
 
     def test_sweep_rearms_the_same_entry(self):
         table = AckerTable()
         entry = table.register(1, 0)
         table.anchor(1, 77)
-        assert table.sweep(30_000, 30_000) == [1]
-        assert entry == [1, 30_000, False]
+        (root_id, swept), = table.sweep(30_000, 30_000)
+        assert root_id == 1 and swept is entry
+        assert entry == [1, 30_000, False, 0, 0]
         table.anchor(1, 0x10)  # by id: lands in the handle held since register
         assert entry[0] == 1 ^ 0x10
 

@@ -300,14 +300,27 @@ class TestColumnTimeline:
             del tl.records[-2]
 
     def test_values_past_the_columns_fail_loudly(self):
+        # Each refused row leaves the four columns (and the phase list) as
+        # they were, so the next valid row is whole.
         tl = Timeline()
-        with pytest.raises(OverflowError):
-            tl.record_emit(1, 1, 2 ** 31, 0)
-        with pytest.raises(ValueError):
-            tl.record_sink_exit(1, 1, 0, 32, False)
-        tl = Timeline()
-        tl.record_replay(1, 1, 2 ** 31 - 1, 31)
-        assert list(tl.records) == [TimelineRecord(1, REPLAY, 1, 2 ** 31 - 1, 31, True, "")]
+        tl.record_emit(0, 9, 0, 0)
+        refused = [
+            (OverflowError, lambda: tl.record_emit(1, 1, 2 ** 31, 0)),  # the root seq
+            (OverflowError, lambda: tl.record_emit(1, -1, 0, 0)),  # the event id
+            (OverflowError, lambda: tl.record_replay(2 ** 63, 1, 0, 0)),  # the timestamp
+            (ValueError, lambda: tl.record_sink_exit(1, 1, 0, 32, False)),  # the epoch
+            (OverflowError, lambda: tl.record_phase(2 ** 63, "P")),
+        ]
+        expected = [TimelineRecord(0, SOURCE_EMIT, 9, 0, 0, False, "")]
+        for error, append in refused:
+            with pytest.raises(error):
+                append()
+            lengths = {len(column) for column in (tl.ts, tl.flags, tl.event_ids, tl.root_seqs)}
+            assert lengths == {len(expected)} and len(tl.phases) == 0
+            tl.record_replay(len(expected), 1, 2 ** 31 - 1, 31)
+            expected.append(TimelineRecord(len(expected), REPLAY, 1, 2 ** 31 - 1, 31, True, ""))
+            assert list(tl.records) == expected
+            assert tl.to_csv() == oracle_csv(expected)
 
     def test_csv_blocks_match_the_records(self):
         # PHASE rows on both sides of two block boundaries, first and last.

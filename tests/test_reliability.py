@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmigrate._kernels import ACK_UNKNOWN
 from flowmigrate.errors import InvariantViolation
 from flowmigrate.reliability import (
     COMMITTED,
@@ -15,49 +16,49 @@ from flowmigrate.reliability import (
 from flowmigrate.runtime import EventEnvelope, serialize_pending, deserialize_pending
 
 
-def make_acker(timeout_ms=30_000):
-    return AckerService(timeout_ms)
+TIMEOUT_MS = 30_000
 
 
 class TestAckerBasics:
     def test_register_sets_hash_to_root(self):
-        acker = make_acker()
+        acker = AckerService()
         acker.register_root(0x5, 0)
         assert acker.hash_of(0x5) == 0x5
 
     def test_register_returns_the_tables_entry(self):
-        acker = make_acker()
-        entry = acker.register_root(0x5, 7)
-        assert entry == [0x5, 7, False]
+        acker = AckerService()
+        entry = acker.register_root(0x5, 7, 11, 1)
+        assert entry == [0x5, 7, False, 11, 1]
         acker.anchor_emit(0x5, 0x3)
         assert entry[0] == acker.hash_of(0x5) == 0x6
-        assert acker.sweep_timeouts(30_007) == [0x5]
-        assert entry == [0x5, 30_007, False]  # re-armed in place
+        (root_id, swept), = acker.sweep_timeouts(30_007, TIMEOUT_MS)
+        assert root_id == 0x5 and swept is entry
+        assert entry == [0x5, 30_007, False, 11, 1]  # re-armed in place
 
     def test_discard_leaves_a_held_entry_inert(self):
-        acker = make_acker()
+        acker = AckerService()
         entry = acker.register_root(0x5, 0)
         acker.anchor_emit(0x5, 0x3)
-        acker.discard(0x5)
-        assert entry[2] and not acker.is_tracked(0x5)
-        assert not acker.ack_if_tracked(0x5, 0x6)
+        assert acker.discard(0x5) and not acker.is_tracked(0x5)
+        assert not acker.discard(0x5)
+        assert acker.ack_if_tracked(0x5, 0x6) == ACK_UNKNOWN
         assert entry[0] == 0x6
 
     def test_duplicate_register_raises(self):
-        acker = make_acker()
+        acker = AckerService()
         acker.register_root(0x5, 0)
         with pytest.raises(InvariantViolation, match="root 0x5 already registered"):
             acker.register_root(0x5, 1)
 
     def test_register_then_ack_completes(self):
-        acker = make_acker()
+        acker = AckerService()
         acker.register_root(0x5, 0)
         assert acker.ack_event(0x5, 0x5)
         assert acker.is_completed(0x5)
         assert acker.hash_of(0x5) == 0
 
     def test_xor_algebra_example(self):
-        acker = make_acker()
+        acker = AckerService()
         acker.register_root(0x5, 0)
         acker.anchor_emit(0x5, 0x3)
         assert acker.hash_of(0x5) == 0x6
@@ -66,7 +67,7 @@ class TestAckerBasics:
         assert acker.ack_event(0x5, 0x3)
 
     def test_unknown_root_raises(self):
-        acker = make_acker()
+        acker = AckerService()
         with pytest.raises(InvariantViolation, match="ack on unknown root 0x9"):
             acker.ack_event(0x9, 0x9)
         with pytest.raises(InvariantViolation, match="anchor on unknown root 0x9"):
@@ -75,22 +76,22 @@ class TestAckerBasics:
 
 class TestSweeps:
     def test_incomplete_root_swept_at_timeout(self):
-        acker = make_acker()
-        acker.register_root(1, 0)
-        assert acker.sweep_timeouts(30_000) == [1]
+        acker = AckerService()
+        entry = acker.register_root(1, 0)
+        assert acker.sweep_timeouts(30_000, TIMEOUT_MS) == [(1, entry)]
 
     def test_completed_root_never_returned(self):
-        acker = make_acker()
+        acker = AckerService()
         acker.register_root(1, 0)
         acker.ack_event(1, 1)
-        assert acker.sweep_timeouts(90_000) == []
+        assert acker.sweep_timeouts(90_000, TIMEOUT_MS) == []
 
     def test_replayed_root_times_out_again(self):
-        acker = make_acker()
-        acker.register_root(1, 0)
-        assert acker.sweep_timeouts(30_000) == [1]
-        assert acker.sweep_timeouts(59_000) == []
-        assert acker.sweep_timeouts(60_000) == [1]
+        acker = AckerService()
+        entry = acker.register_root(1, 0)
+        assert acker.sweep_timeouts(30_000, TIMEOUT_MS) == [(1, entry)]
+        assert acker.sweep_timeouts(59_000, TIMEOUT_MS) == []
+        assert acker.sweep_timeouts(60_000, TIMEOUT_MS) == [(1, entry)]
 
 
 @st.composite
@@ -112,7 +113,7 @@ def test_xor_matches_set_oracle(script):
     ids, _ = script
     root, children = ids[0], ids[1:]
     rng = random.Random(root)
-    acker = make_acker()
+    acker = AckerService()
     acker.register_root(root, 0)
     outstanding = {root}  # independent bookkeeping: exact un-acked set
     to_anchor = list(children)
@@ -142,7 +143,7 @@ def test_handle_folds_match_the_service(script):
     ids, _ = script
     root, children = ids[0], ids[1:]
     rng = random.Random(root)
-    acker, twin = make_acker(), make_acker()
+    acker, twin = AckerService(), AckerService()
     tree = acker.register_root(root, 0)
     twin.register_root(root, 0)
     to_anchor = list(children)
@@ -162,9 +163,9 @@ def test_handle_folds_match_the_service(script):
                 acker.discard(root)
         assert tree[0] == twin.hash_of(root)
         assert acker.is_tracked(root) == (not twin.is_completed(root))
-    assert tree[2] and not acker.is_tracked(root) and twin.is_completed(root)
+    assert not acker.is_tracked(root) and twin.is_completed(root)
     # The dropped entry is never swept, so no replay re-arms it.
-    assert acker.sweep_timeouts(10 ** 9) == []
+    assert acker.sweep_timeouts(10 ** 9, TIMEOUT_MS) == []
 
 
 class TestStateStore:

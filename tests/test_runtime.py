@@ -196,9 +196,9 @@ class TestSourcePacing:
         assert engine.source.next_seq == 0
 
     def test_roots_cached_until_acked(self):
-        # With acking on, every unacked root stays in the source cache and
+        # With acking on, every unacked root stays in the acker and
         # completed roots are discarded from it.  Stateless chain: acks are
-        # immediate, so only genuinely in-flight roots remain cached.
+        # immediate, so only genuinely in-flight roots remain tracked.
         config = make_scenario(make_chain_dag(2, stateful=()), "DSM",
                                run_s=6, trigger_s=5)
         engine = SimulationEngine(config, migrate=False)
@@ -207,18 +207,18 @@ class TestSourcePacing:
 
         def spy(inst, env, gen):
             original(inst, env, gen)
-            cache_sizes.append(len(engine.source.root_cache))
+            cache_sizes.append(len(engine.acker))
 
         engine._complete_service = spy
         engine.run()
         assert max(cache_sizes) > 0
         # Chain latency is ~300ms, so at most a handful of roots in flight.
         assert max(cache_sizes) <= 8
-        assert engine.source.root_cache == {} or len(engine.source.root_cache) <= 3
+        assert len(engine.acker) <= 3
 
     def test_pending_cap_defers_emissions_until_a_root_completes(self):
         # DSM caps the roots awaiting their acks at 240.  With the sink
-        # killed no root completes: the source cache stops at the cap and
+        # killed no root completes: the acker stops at the cap and
         # every later tick joins the backlog, one per 125 ms tick at 8/s.
         engine = quick_engine(strategy="DSM")
         engine.kill_instance("sink#0")
@@ -227,16 +227,16 @@ class TestSourcePacing:
         samples = []
         for at in (40_000, 40_125, 40_250):  # each probe fires before that tick
             engine.clock.schedule_at(
-                at, lambda: samples.append((len(src.root_cache), src.backlog)))
+                at, lambda: samples.append((len(engine.acker), src.backlog)))
         while len(samples) < 3:
             fire_next(engine)
         assert samples == [(240, 80), (240, 81), (240, 82)]
         # One completion frees one slot: exactly one deferred root goes out.
-        root_id = next(iter(src.root_cache))
+        root_id = next(iter(engine.acker._entries))
         emitted = src.next_seq
         engine._on_root_completed(root_id)
-        assert root_id not in src.root_cache
-        assert (len(src.root_cache), src.backlog, src.next_seq) == (240, 81, emitted + 1)
+        assert not engine.acker.is_tracked(root_id)
+        assert (len(engine.acker), src.backlog, src.next_seq) == (240, 81, emitted + 1)
 
     def test_a_late_copy_folded_into_a_completed_root_changes_nothing(self):
         # The folds test no done flag: a late copy's anchor and acks reach
@@ -245,11 +245,10 @@ class TestSourcePacing:
         engine = quick_engine(make_chain_dag(2, stateful=()), strategy="DSM")
         src = engine.source
         engine._emit_root()
-        (root_id, root), = src.root_cache.items()
-        tree = root.tree
-        while src.root_cache:
+        (root_id, tree), = engine.acker._entries.items()
+        while len(engine.acker):
             fire_next(engine)
-        assert tree[2] and not engine.acker.table.contains(root_id)
+        assert tree[0] == 0 and not engine.acker.is_tracked(root_id)
         src.backlog = 1  # a cap-deferred emission a completion would release
         completions = []
         on_completed = engine._on_root_completed
@@ -266,9 +265,9 @@ class TestSourcePacing:
         while len(engine.clock._calendar):
             fire_next(engine)
         assert completions == [root_id]  # the hash did return to zero
-        assert (src.root_cache, src.backlog, src.next_seq) == ({}, 1, 1)
+        assert (len(engine.acker), src.backlog, src.next_seq) == (0, 1, 1)
         emits = [r.rootSeqNo for r in engine.timeline.records if r.site == SOURCE_EMIT]
-        assert emits == [0] and len(engine.acker.table) == 0
+        assert emits == [0]
 
 
 class TestClock:
@@ -634,9 +633,9 @@ class TestSendOrder:
     def test_dsm_migration_delivers_at_least_once(self, dag, delay_ms, ack_timeout_s,
                                                   trigger_ms, seed):
         # An ack timeout of 10 s or less sweeps and replays several times in
-        # a 60 s run.  The engine acks through each envelope's handle on its
-        # root's entry: every root still pending must hold the very entry
-        # the acker tracks, and the two must track the same roots.
+        # a 60 s run.  The acker is the one store of pending roots: a root
+        # still tracked has not completed (its hash is not zero), and each
+        # replay carries the seq and epoch its entry kept from the emission.
         config = make_scenario(dag, "DSM", run_s=60, trigger_s=trigger_ms / 1000,
                                seed=seed, networkDelayMs=delay_ms,
                                ackTimeout=float(ack_timeout_s))
@@ -645,9 +644,11 @@ class TestSendOrder:
         timeline = engine.run()
         assert engine.kill_snapshots and checked
         assert not exactly_once_audit(timeline, dag, at_least=True)
-        pending, entries = engine.source.root_cache, engine.acker.table._entries
-        assert pending.keys() == entries.keys()
-        assert all(env.tree is entries[root_id] for root_id, env in pending.items())
+        assert all(entry[0] and not entry[2] for entry in engine.acker._entries.values())
+        emitted = {r.eventId: (r.rootSeqNo, r.epoch)
+                   for r in timeline.records if r.site == SOURCE_EMIT}
+        assert all(emitted[r.eventId] == (r.rootSeqNo, r.epoch)
+                   for r in timeline.records if r.site == REPLAY)
         assert run_scenario(config)[0].to_csv() == timeline.to_csv()
 
 
@@ -1123,10 +1124,12 @@ class TestEnvelopeOwnership:
 
     def test_a_forwarded_root_still_replays_with_its_own_identity(self):
         engine = quick_engine(strategy="DSM")
+        sent = spy_sends(engine)
         engine._emit_root()
-        (root_id, root), = engine.source.root_cache.items()
+        (root, _target), = sent
+        root_id = root.rootId
         fire_next(engine)  # T1 forwards the root envelope itself to T2
-        assert engine.source.root_cache[root_id] is root and root.eventId != root_id
+        assert engine.acker._entries[root_id] is root.tree and root.eventId != root_id
         engine.clock.now = engine.ack_timeout_ms + 1
         sent = spy_sends(engine)
         engine._sweep_tick()  # the root is overdue: it replays

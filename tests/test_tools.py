@@ -6,7 +6,7 @@ from pathlib import Path
 
 import flowmigrate
 from conftest import make_chain_dag, make_scenario
-from flowmigrate import errors
+from flowmigrate import errors, reliability
 from flowmigrate.metrics import SOURCE_EMIT, Timeline
 from flowmigrate.model import load_bundled_scenario, with_overrides
 from flowmigrate.runtime import SimulationEngine, run_scenario
@@ -59,6 +59,27 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     with tracer.Observer() as obs, tracer.Tracer(obs):
         assert SimulationEngine.run is not run
     assert SimulationEngine.run is run
+
+
+def test_every_name_the_benchmark_wraps_resolves(monkeypatch):
+    # tier-1 collects only tests/, so this is where a src/ change that drops
+    # or renames a name the benchmark reads fails.  Entering the tracer
+    # reads every name it wraps; an inherited method is wrapped on the
+    # subclass and must be gone again on exit.  The kernel probes call the
+    # kernels by name, the calendar's re-open path included.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import micro
+    import tracer
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("flowmigrate")]
+    owners = modules + [cls for m in modules for cls in vars(m).values() if isinstance(cls, type)]
+    assert reliability.AckerService in owners
+    before = [dict(vars(owner)) for owner in owners]
+    with tracer.Tracer(tracer.Observer()):
+        pass
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert micro.calendar_ns_per_op(1, n=3000, repeats=1) > 0
+    assert micro.acker_ns_per_op(1, n=3000, repeats=1) > 0
 
 
 def test_benchmark_tracer_sees_every_push_and_action(monkeypatch):
